@@ -72,7 +72,7 @@ pub fn v2_flow_digest(name: &str) -> u64 {
         RuntimeOptions::paper_baseline(),
     );
     let cfg = crate::ir_sim::workload(g.name, 24).with_trace();
-    let report = dep.simulate_ir(&cfg).expect("deployed flow simulates");
+    let report = dep.simulate(&cfg).expect("deployed flow simulates");
     h.eat_str(&format!("{report:?}"));
     h.finish()
 }
@@ -340,7 +340,7 @@ pub fn s7_end_to_end() -> Result<S7FlowCheck, String> {
         RuntimeOptions::paper_baseline(),
     );
     let cfg = crate::ir_sim::workload(g.name, 24).with_trace();
-    let report = dep.simulate_ir(&cfg).map_err(|e| e.to_string())?;
+    let report = dep.simulate(&cfg).map_err(|e| e.to_string())?;
     let mut h = Fnv64::new();
     h.eat_str(&format!("{report:?}"));
     Ok(S7FlowCheck {

@@ -27,8 +27,10 @@
 //! interpreters, not setup code.
 
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
+use pdr_core::flow::FlowArtifacts;
 use pdr_core::{gallery, FlowError};
-use pdr_sim::{IrSimSystem, SimConfig, SimSystem};
+use pdr_graph::ArchGraph;
+use pdr_sim::{IrSimSystem, SimConfig, SimReport, SimSystem};
 use serde::json::Value;
 use std::time::Instant;
 
@@ -158,6 +160,24 @@ pub fn steady_workload(iterations: u32) -> SimConfig {
     SimConfig::iterations(iterations)
 }
 
+/// The differential oracle for [`DeployedSystem::simulate`]: the string
+/// [`SimSystem`] interpreting `art.executive` over the deployment's
+/// reference managers ([`DeployedSystem::managers`]). The two are written
+/// independently — interpreter and runtime manager both — and must
+/// produce identical reports.
+pub fn simulate_reference(
+    arch: &ArchGraph,
+    art: &FlowArtifacts,
+    dep: &DeployedSystem,
+    config: &SimConfig,
+) -> Result<SimReport, FlowError> {
+    let mut sys = SimSystem::new(arch, &art.executive);
+    for (region, mgr) in dep.managers()? {
+        sys.add_manager(&region, mgr);
+    }
+    sys.run(config).map_err(FlowError::Sim)
+}
+
 /// Run the comparison over every gallery flow: `reps` timed repetitions
 /// per engine (best time kept) of `iterations` steady-state executive
 /// repetitions, plus one parity run per engine on the switching workload.
@@ -172,11 +192,7 @@ pub fn run(reps: usize, iterations: u32) -> Result<IrSimComparison, FlowError> {
 
         // Parity: the demanding workload, full trace, reports compared.
         let parity_cfg = workload(g.name, PARITY_ITERS).with_trace();
-        let mut sys = SimSystem::new(arch, &art.executive);
-        for (region, mgr) in dep.managers()? {
-            sys.add_manager(&region, mgr);
-        }
-        let string_report = sys.run(&parity_cfg).map_err(FlowError::Sim)?;
+        let string_report = simulate_reference(arch, &art, &dep, &parity_cfg)?;
         let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
         for (region, mgr) in dep.managers()? {
             sys.add_manager(&region, mgr);

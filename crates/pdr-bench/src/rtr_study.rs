@@ -86,8 +86,9 @@ pub fn parity_options() -> Vec<(&'static str, RuntimeOptions)> {
 }
 
 /// Deploy every gallery flow under every [`parity_options`] variant and
-/// compare [`DeployedSystem::simulate_ir`] (reference managers) against
-/// [`DeployedSystem::simulate_rtr`] (the indexed engine).
+/// compare [`DeployedSystem::simulate`] (the indexed engine) against the
+/// string interpreter over the reference managers
+/// ([`crate::ir_sim::simulate_reference`]).
 pub fn run_parity(iterations: u32) -> Result<Vec<ParityCase>, FlowError> {
     let mut out = Vec::new();
     for g in gallery::all() {
@@ -97,8 +98,8 @@ pub fn run_parity(iterations: u32) -> Result<Vec<ParityCase>, FlowError> {
         let cfg = crate::ir_sim::workload(g.name, iterations).with_trace();
         for (label, options) in parity_options() {
             let dep = DeployedSystem::new(arch, &art, device.clone(), options);
-            let via_managers = dep.simulate_ir(&cfg)?;
-            let via_engine = dep.simulate_rtr(&cfg)?;
+            let via_managers = crate::ir_sim::simulate_reference(arch, &art, &dep, &cfg)?;
+            let via_engine = dep.simulate(&cfg)?;
             out.push(ParityCase {
                 flow: g.name.to_string(),
                 options: label.to_string(),

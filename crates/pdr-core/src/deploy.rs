@@ -1,10 +1,13 @@
 //! Deployment: flow artifacts → a runnable simulated system.
 //!
-//! [`DeployedSystem`] wires the generated bitstreams into per-region
-//! [`ConfigurationManager`]s (external store + staging cache + protocol
-//! builder on the chosen port) and runs the synchronized executive on the
-//! discrete-event simulator. [`RuntimeOptions`] selects the Fig. 2
-//! reconfiguration chain and the prefetching policy.
+//! [`DeployedSystem`] wires the generated bitstreams into one indexed
+//! [`RtrEngine`] (external store + staging cache + protocol builder on the
+//! chosen port, for every dynamic region) and runs the lowered executive
+//! on the discrete-event simulator. [`RuntimeOptions`] selects the Fig. 2
+//! reconfiguration chain and the prefetching and eviction policies. The
+//! per-region reference [`ConfigurationManager`]s stay reachable through
+//! [`DeployedSystem::managers`] (the differential oracle) and back
+//! [`DeployedSystem::simulate_verified`].
 
 use crate::error::FlowError;
 use crate::flow::FlowArtifacts;
@@ -33,13 +36,11 @@ pub enum PrefetchChoice {
     Markov,
 }
 
-/// Staging-cache eviction policy selection.
-///
-/// The reference manager always evicts LRU; the indexed engine
-/// ([`DeployedSystem::rtr_engine`] / [`DeployedSystem::simulate_rtr`])
-/// honors this choice. The offline Belady oracle needs a per-region
-/// future trace and is therefore built directly through
-/// [`RtrEngineBuilder`] (the `bench_rtr` study does this).
+/// Staging-cache eviction policy selection, honored by
+/// [`DeployedSystem::simulate`] and [`DeployedSystem::rtr_engine`]. The
+/// offline Belady oracle needs a per-region future trace and is therefore
+/// built directly through [`RtrEngineBuilder`] (the `bench_rtr` study does
+/// this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionChoice {
     /// Least recently used (the reference behavior).
@@ -60,8 +61,7 @@ pub struct RuntimeOptions {
     pub cache_modules: usize,
     /// Prefetching policy.
     pub prefetch: PrefetchChoice,
-    /// Staging-cache eviction policy (engine deployments only; the
-    /// reference manager is always LRU).
+    /// Staging-cache eviction policy.
     pub eviction: EvictionChoice,
     /// Store bitstreams zero-RLE-compressed in external memory (an on-chip
     /// decompressor restores them before the port; only the fetch leg
@@ -186,10 +186,11 @@ impl<'a> DeployedSystem<'a> {
         ))))
     }
 
-    /// Build every region's configuration manager, with the shared
-    /// exclusion ledger attached — ready to hand to either interpreter.
-    /// Useful to separate deployment setup from interpretation (the
-    /// `bench_ir_sim` benchmark times `run()` alone).
+    /// Build every region's reference configuration manager, with the
+    /// shared exclusion ledger attached — ready to hand to either
+    /// interpreter. This is the differential oracle for
+    /// [`DeployedSystem::simulate`], and separates deployment setup from
+    /// interpretation (the `bench_ir_sim` benchmark times `run()` alone).
     pub fn managers(&self) -> Result<Vec<(String, ConfigurationManager)>, FlowError> {
         let ledger = self.exclusion_ledger()?;
         let mut out = Vec::new();
@@ -261,9 +262,12 @@ impl<'a> DeployedSystem<'a> {
         }
         let mut engine = builder.build().map_err(FlowError::Runtime)?;
         for region in self.artifacts.design.floorplan.floorplan.regions() {
-            let rid = engine
-                .region_index(&region.name)
-                .expect("engine is built over these regions");
+            let rid = engine.region_index(&region.name).ok_or_else(|| {
+                FlowError::Runtime(pdr_rtr::RtrError::Internal(format!(
+                    "runtime engine lacks region `{}`",
+                    region.name
+                )))
+            })?;
             for mc in constraints.modules_in_region(&region.name) {
                 if mc.load == pdr_graph::LoadPolicy::AtStart {
                     let mid = engine.module_index(&mc.module).ok_or_else(|| {
@@ -276,57 +280,29 @@ impl<'a> DeployedSystem<'a> {
         Ok(engine)
     }
 
-    /// Simulate the deployed system. Cross-region exclusions from the
-    /// constraints file are enforced at run time by a shared ledger.
+    /// Simulate the deployed system: the lowered executive runs on the
+    /// interned interpreter ([`IrSimSystem`]) with one indexed
+    /// [`RtrEngine`] serving every dynamic region, so a reconfiguration
+    /// request performs no heap allocation. Every bitstream is validated
+    /// once when the engine is built; cross-region exclusions from the
+    /// constraints file are enforced by the engine.
+    ///
+    /// The report equals what the string [`SimSystem`] produces over the
+    /// reference managers of [`DeployedSystem::managers`] (LRU eviction);
+    /// `tests/ir_equivalence.rs` and the `bench_rtr` parity gate hold the
+    /// two to that.
     pub fn simulate(&self, config: &SimConfig) -> Result<SimReport, FlowError> {
-        let mut sys = SimSystem::new(self.arch, &self.artifacts.executive);
-        for (region, mgr) in self.managers()? {
-            sys.add_manager(&region, mgr);
-        }
-        sys.run(config).map_err(FlowError::Sim)
-    }
-
-    /// Simulate the deployed system on the interned interpreter: the
-    /// lowered executive runs with zero per-event allocation, resolving
-    /// names through the artifacts' symbol table only when the report is
-    /// materialized. Produces a report identical to
-    /// [`DeployedSystem::simulate`].
-    pub fn simulate_ir(&self, config: &SimConfig) -> Result<SimReport, FlowError> {
-        let mut sys = IrSimSystem::new(
-            self.arch,
-            &self.artifacts.ir_executive,
-            &self.artifacts.symbols,
-        );
-        for (region, mgr) in self.managers()? {
-            sys.add_manager(&region, mgr);
-        }
-        sys.run(config).map_err(FlowError::Sim)
-    }
-
-    /// Simulate on the interned interpreter with the indexed
-    /// [`RtrEngine`] serving every dynamic region instead of per-region
-    /// reference managers. Produces a report identical to
-    /// [`DeployedSystem::simulate_ir`] (and therefore to
-    /// [`DeployedSystem::simulate`]) — the parity gate in `bench_rtr`
-    /// asserts exactly that — while performing zero heap allocations per
-    /// reconfiguration request.
-    pub fn simulate_rtr(&self, config: &SimConfig) -> Result<SimReport, FlowError> {
         let engine = self.rtr_engine()?;
         let mut sys = IrSimSystem::new(
             self.arch,
             &self.artifacts.ir_executive,
             &self.artifacts.symbols,
         );
-        let names: Vec<String> = self
-            .artifacts
-            .design
-            .floorplan
-            .floorplan
-            .regions()
+        let regions = self.artifacts.design.floorplan.floorplan.regions();
+        let bindings: Vec<(&str, &str)> = regions
             .iter()
-            .map(|r| r.name.clone())
+            .map(|r| (r.name.as_str(), r.name.as_str()))
             .collect();
-        let bindings: Vec<(&str, &str)> = names.iter().map(|n| (n.as_str(), n.as_str())).collect();
         sys.attach_engine(engine, &bindings);
         sys.run(config).map_err(FlowError::Sim)
     }
@@ -335,6 +311,11 @@ impl<'a> DeployedSystem<'a> {
     /// applied to a real [`pdr_fabric::ConfigMemory`] and readback-verified
     /// by a shared [`DeviceLoader`]. Returns the loader statistics next to
     /// the report (verify failures would surface as simulation errors).
+    ///
+    /// This path runs the string [`SimSystem`] over reference
+    /// [`ConfigurationManager`]s, because only they carry a
+    /// [`DeviceLoader`] hook; the engine has none. Eviction is therefore
+    /// always LRU here.
     pub fn simulate_verified(
         &self,
         config: &SimConfig,
@@ -454,6 +435,26 @@ mod tests {
         assert!(pf.makespan < base.makespan);
     }
 
+    /// The differential oracle: the string interpreter over the reference
+    /// managers of the same deployment.
+    fn simulate_reference(
+        arch: &ArchGraph,
+        art: &FlowArtifacts,
+        dep: &DeployedSystem,
+    ) -> SimReport {
+        let mut sys = SimSystem::new(arch, &art.executive);
+        for (region, mgr) in dep.managers().unwrap() {
+            sys.add_manager(&region, mgr);
+        }
+        sys.run(&traced_switching()).unwrap()
+    }
+
+    fn traced_switching() -> SimConfig {
+        SimConfig::iterations(32)
+            .with_selection("op_dyn", switching(32))
+            .with_trace()
+    }
+
     #[test]
     fn interned_deployment_matches_string_deployment() {
         let (arch, art) = build();
@@ -463,10 +464,9 @@ mod tests {
             Device::xc2v2000(),
             RuntimeOptions::paper_baseline(),
         );
-        let cfg = SimConfig::iterations(32).with_selection("op_dyn", switching(32));
-        let via_string = dep.simulate(&cfg).unwrap();
-        let via_ir = dep.simulate_ir(&cfg).unwrap();
-        assert_eq!(via_string, via_ir);
+        let report = dep.simulate(&traced_switching()).unwrap();
+        assert!(!report.trace.is_empty());
+        assert_eq!(report, simulate_reference(&arch, &art, &dep));
     }
 
     #[test]
@@ -492,27 +492,43 @@ mod tests {
             },
         ] {
             let dep = DeployedSystem::new(&arch, &art, Device::xc2v2000(), options);
-            let cfg = SimConfig::iterations(32)
-                .with_selection("op_dyn", switching(32))
-                .with_trace();
-            let via_ir = dep.simulate_ir(&cfg).unwrap();
-            let via_engine = dep.simulate_rtr(&cfg).unwrap();
-            assert_eq!(via_ir, via_engine);
+            let via_engine = dep.simulate(&traced_switching()).unwrap();
+            assert_eq!(via_engine, simulate_reference(&arch, &art, &dep));
         }
     }
 
     #[test]
-    fn lfu_eviction_deployment_runs() {
-        let (arch, art) = build();
-        let opts = RuntimeOptions {
-            cache_modules: 1,
-            eviction: EvictionChoice::Lfu,
-            ..RuntimeOptions::default()
+    fn simulate_honors_lfu_eviction() {
+        // One region with three alternatives and room for two in the
+        // staging cache; `a` (alternative 0) starts resident but uncached.
+        // The selection trace a, b, a, b, a, c, b, a leaves `a` (cached,
+        // two uses) older than `c` (one use) when `b` returns: LRU evicts
+        // `a` and must fetch it again, LFU evicts `c` and hits.
+        let flow = crate::gallery::synthetic(&crate::gallery::SyntheticParams {
+            layers: 2,
+            width: 4,
+            cpus: 2,
+            regions: 1,
+            alternatives: 3,
+            ..Default::default()
+        });
+        let art = flow.run().unwrap();
+        let alt = |a: usize| format!("pr_region0_alt{a}_bitstream");
+        let trace = [0, 1, 0, 1, 0, 2, 1, 0].map(alt).to_vec();
+        let cfg = SimConfig::iterations(8).with_selection("d1", trace);
+        let fetches = |eviction| {
+            let opts = RuntimeOptions {
+                cache_modules: 2,
+                eviction,
+                ..RuntimeOptions::default()
+            };
+            let dep = DeployedSystem::new(flow.architecture(), &art, flow.device().clone(), opts);
+            let report = dep.simulate(&cfg).unwrap();
+            assert_eq!(report.reconfig_count(), 7);
+            report.manager_stats["d1"].fetches
         };
-        let dep = DeployedSystem::new(&arch, &art, Device::xc2v2000(), opts);
-        let cfg = SimConfig::iterations(16).with_selection("op_dyn", switching(16));
-        let report = dep.simulate_rtr(&cfg).unwrap();
-        assert!(report.reconfig_count() > 0);
+        assert_eq!(fetches(EvictionChoice::Lru), 5);
+        assert_eq!(fetches(EvictionChoice::Lfu), 4);
     }
 
     #[test]

@@ -224,9 +224,7 @@ impl Bitstream {
                     }
                 }
             }
-            for w in &data {
-                crc.update_word(*w);
-            }
+            crc.update_words(&data);
             packets.push(Packet::Fdri(data));
         }
         packets.push(Packet::Cmd(Command::Lfrm));
@@ -265,20 +263,13 @@ impl Bitstream {
                 }
             }
         }
+        // CRC over the frame data: the stored value is the definitive one
+        // that decode verifies.
+        let mut crc = Crc32::new();
+        crc.update_words(&data);
         packets.push(Packet::Fdri(data));
         packets.push(Packet::Cmd(Command::Lfrm));
-        // CRC over the frame data (computed during encode; stored value here
-        // is the definitive one so decode can verify).
-        let crc = {
-            let mut crc = Crc32::new();
-            if let Some(Packet::Fdri(d)) = packets.iter().find(|p| matches!(p, Packet::Fdri(_))) {
-                for w in d {
-                    crc.update_word(*w);
-                }
-            }
-            crc.finish()
-        };
-        packets.push(Packet::Crc(crc));
+        packets.push(Packet::Crc(crc.finish()));
         if full {
             packets.push(Packet::Cmd(Command::Start));
         }
@@ -353,115 +344,33 @@ impl Bitstream {
         kind: BitstreamKind,
         module_fingerprint: u64,
     ) -> Result<Bitstream, FabricError> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(FabricError::MalformedBitstream {
-                reason: format!("length {} is not word-aligned", bytes.len()),
-            });
-        }
-        let words: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        let mut i = 0usize;
         let mut packets = Vec::new();
-        let mut frames_words = 0usize;
-        let mut crc_seen = false;
-        let mut computed_crc = Crc32::new();
-        while i < words.len() {
-            let w = words[i];
-            if w == DUMMY_WORD {
-                if words.get(i + 1) != Some(&SYNC_WORD) {
-                    return Err(FabricError::MalformedBitstream {
-                        reason: "dummy word not followed by sync word".into(),
-                    });
+        let frames = walk(bytes, device, |p| {
+            packets.push(match p {
+                RawPacket::Sync => Packet::Sync,
+                RawPacket::Cmd(c) => Packet::Cmd(c),
+                RawPacket::Far(a) => Packet::Far(a),
+                RawPacket::Fdri(payload) => {
+                    Packet::Fdri(payload.chunks_exact(4).map(be_word).collect())
                 }
-                packets.push(Packet::Sync);
-                i += 2;
-                continue;
-            }
-            match w >> 28 {
-                TAG_CMD => {
-                    let cmd = Command::from_code(w & 0xF).ok_or_else(|| {
-                        FabricError::MalformedBitstream {
-                            reason: format!("unknown command code {:#x}", w & 0xF),
-                        }
-                    })?;
-                    packets.push(Packet::Cmd(cmd));
-                    i += 1;
-                }
-                TAG_FAR => {
-                    let addr_word =
-                        *words
-                            .get(i + 1)
-                            .ok_or_else(|| FabricError::MalformedBitstream {
-                                reason: "truncated FAR packet".into(),
-                            })?;
-                    let addr = FrameAddress::unpack(addr_word).ok_or_else(|| {
-                        FabricError::MalformedBitstream {
-                            reason: format!("bad frame address {addr_word:#010x}"),
-                        }
-                    })?;
-                    packets.push(Packet::Far(addr));
-                    i += 2;
-                }
-                TAG_FDRI => {
-                    let n = (w & 0x0FFF_FFFF) as usize;
-                    let end = i + 1 + n;
-                    if end > words.len() {
-                        return Err(FabricError::MalformedBitstream {
-                            reason: format!("truncated FDRI packet: {n} words declared"),
-                        });
-                    }
-                    let data = words[i + 1..end].to_vec();
-                    for dw in &data {
-                        computed_crc.update_word(*dw);
-                    }
-                    frames_words += n;
-                    packets.push(Packet::Fdri(data));
-                    i = end;
-                }
-                TAG_CRC => {
-                    let stored = w & 0x0FFF_FFFF;
-                    let computed = computed_crc.finish() & 0x0FFF_FFFF;
-                    if stored != computed {
-                        return Err(FabricError::MalformedBitstream {
-                            reason: format!(
-                                "CRC mismatch: stored {stored:#09x}, computed {computed:#09x}"
-                            ),
-                        });
-                    }
-                    packets.push(Packet::Crc(computed_crc.finish()));
-                    crc_seen = true;
-                    i += 1;
-                }
-                tag => {
-                    return Err(FabricError::MalformedBitstream {
-                        reason: format!("unknown packet tag {tag:#x} at word {i}"),
-                    });
-                }
-            }
-        }
-        if !crc_seen {
-            return Err(FabricError::MalformedBitstream {
-                reason: "stream carries no CRC packet".into(),
-            });
-        }
-        let wpf = device.words_per_frame() as usize;
-        if !frames_words.is_multiple_of(wpf) {
-            return Err(FabricError::MalformedBitstream {
-                reason: format!(
-                    "frame payload of {frames_words} words is not a multiple of \
-                     the device frame length ({wpf} words)"
-                ),
-            });
-        }
+                RawPacket::Crc(c) => Packet::Crc(c),
+            })
+        })?;
         Ok(Bitstream {
             device: device.name.clone(),
             kind,
             module_fingerprint,
             packets,
-            frames: (frames_words / wpf) as u32,
+            frames,
         })
+    }
+
+    /// Validate a byte image in place: exactly the structure and CRC checks
+    /// of [`Bitstream::decode`], with the same errors, but without copying
+    /// frame data or building a packet list. Returns the number of
+    /// configuration frames the stream carries.
+    pub fn validate_encoded(bytes: &[u8], device: &Device) -> Result<u32, FabricError> {
+        walk(bytes, device, |_| {})
     }
 
     /// Check the stream targets the given device.
@@ -474,6 +383,117 @@ impl Bitstream {
         }
         Ok(())
     }
+}
+
+/// One packet of an encoded stream, viewed in place: the FDRI payload
+/// borrows the byte image instead of being copied out of it.
+enum RawPacket<'a> {
+    Sync,
+    Cmd(Command),
+    Far(FrameAddress),
+    Fdri(&'a [u8]),
+    Crc(u32),
+}
+
+fn be_word(c: &[u8]) -> u32 {
+    u32::from_be_bytes([c[0], c[1], c[2], c[3]])
+}
+
+fn malformed(reason: impl Into<String>) -> FabricError {
+    FabricError::MalformedBitstream {
+        reason: reason.into(),
+    }
+}
+
+/// The one copy of the stream rules: walk `bytes` word by word, check
+/// alignment, sync, command codes, frame addresses, FDRI bounds, the CRC
+/// and the frame multiple, hand every packet to `visit`, and return the
+/// number of frames carried.
+fn walk<'a>(
+    bytes: &'a [u8],
+    device: &Device,
+    mut visit: impl FnMut(RawPacket<'a>),
+) -> Result<u32, FabricError> {
+    if !bytes.len().is_multiple_of(4) {
+        return Err(malformed(format!(
+            "length {} is not word-aligned",
+            bytes.len()
+        )));
+    }
+    let n_words = bytes.len() / 4;
+    let word = |i: usize| (i < n_words).then(|| be_word(&bytes[4 * i..4 * i + 4]));
+    let mut i = 0usize;
+    let mut frames_words = 0usize;
+    let mut crc_seen = false;
+    let mut computed_crc = Crc32::new();
+    while i < n_words {
+        let w = be_word(&bytes[4 * i..4 * i + 4]);
+        if w == DUMMY_WORD {
+            if word(i + 1) != Some(SYNC_WORD) {
+                return Err(malformed("dummy word not followed by sync word"));
+            }
+            visit(RawPacket::Sync);
+            i += 2;
+            continue;
+        }
+        match w >> 28 {
+            TAG_CMD => {
+                let cmd = Command::from_code(w & 0xF)
+                    .ok_or_else(|| malformed(format!("unknown command code {:#x}", w & 0xF)))?;
+                visit(RawPacket::Cmd(cmd));
+                i += 1;
+            }
+            TAG_FAR => {
+                let addr_word = word(i + 1).ok_or_else(|| malformed("truncated FAR packet"))?;
+                let addr = FrameAddress::unpack(addr_word)
+                    .ok_or_else(|| malformed(format!("bad frame address {addr_word:#010x}")))?;
+                visit(RawPacket::Far(addr));
+                i += 2;
+            }
+            TAG_FDRI => {
+                let n = (w & 0x0FFF_FFFF) as usize;
+                let end = i + 1 + n;
+                if end > n_words {
+                    return Err(malformed(format!(
+                        "truncated FDRI packet: {n} words declared"
+                    )));
+                }
+                let payload = &bytes[4 * (i + 1)..4 * end];
+                computed_crc.update_bytes(payload);
+                frames_words += n;
+                visit(RawPacket::Fdri(payload));
+                i = end;
+            }
+            TAG_CRC => {
+                let stored = w & 0x0FFF_FFFF;
+                let computed = computed_crc.finish() & 0x0FFF_FFFF;
+                if stored != computed {
+                    return Err(malformed(format!(
+                        "CRC mismatch: stored {stored:#09x}, computed {computed:#09x}"
+                    )));
+                }
+                visit(RawPacket::Crc(computed_crc.finish()));
+                crc_seen = true;
+                i += 1;
+            }
+            tag => {
+                return Err(malformed(format!(
+                    "unknown packet tag {tag:#x} at word {i}"
+                )));
+            }
+        }
+    }
+    if !crc_seen {
+        return Err(malformed("stream carries no CRC packet"));
+    }
+    let wpf = device.words_per_frame() as usize;
+    if !frames_words.is_multiple_of(wpf) {
+        return Err(malformed(format!(
+            "frame payload of {frames_words} words is not a multiple of \
+             the device frame length ({wpf} words)"
+        )));
+    }
+    Ok((frames_words / wpf) as u32)
 }
 
 /// SplitMix64: tiny deterministic generator for synthetic frame payloads.
@@ -503,7 +523,42 @@ impl SplitMix64 {
     }
 }
 
-/// Simple CRC-32 (IEEE polynomial, bitwise) over 32-bit words.
+/// Reflected IEEE CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the register contribution of byte `b`
+/// followed by `k` more bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (CRC_POLY & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE polynomial, table-driven) over 32-bit words fed in
+/// big-endian byte order — the order they travel through the port.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     value: u32,
@@ -515,14 +570,47 @@ impl Crc32 {
         Crc32 { value: 0xFFFF_FFFF }
     }
 
+    /// Register contribution of the four bytes packed little-endian in `x`
+    /// (the first of them already XORed with the register), followed by
+    /// `t` further bytes.
+    #[inline(always)]
+    fn slice4(x: u32, t: usize) -> u32 {
+        CRC_TABLES[t + 3][(x & 0xFF) as usize]
+            ^ CRC_TABLES[t + 2][((x >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[t + 1][((x >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[t][(x >> 24) as usize]
+    }
+
     /// Feed one word (big-endian byte order).
+    #[inline]
     pub fn update_word(&mut self, word: u32) {
-        for b in word.to_be_bytes() {
-            self.value ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.value & 1).wrapping_neg();
-                self.value = (self.value >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        self.value = Self::slice4(self.value ^ word.swap_bytes(), 0);
+    }
+
+    /// Feed a run of words (big-endian byte order), eight bytes per step.
+    pub fn update_words(&mut self, words: &[u32]) {
+        let mut pairs = words.chunks_exact(2);
+        for p in &mut pairs {
+            self.value = Self::slice4(self.value ^ p[0].swap_bytes(), 4)
+                ^ Self::slice4(p[1].swap_bytes(), 0);
+        }
+        for &w in pairs.remainder() {
+            self.update_word(w);
+        }
+    }
+
+    /// Feed raw bytes in stream order. Over an encoded FDRI payload this
+    /// equals [`Crc32::update_words`] over the decoded words.
+    pub fn update_bytes(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            self.value = Self::slice4(self.value ^ lo, 4) ^ Self::slice4(hi, 0);
+        }
+        for &b in chunks.remainder() {
+            self.value =
+                (self.value >> 8) ^ CRC_TABLES[0][((self.value ^ b as u32) & 0xFF) as usize];
         }
     }
 

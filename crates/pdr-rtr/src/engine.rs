@@ -10,7 +10,7 @@
 //!   hot [`RtrEngine::request`] takes ids and touches only flat arrays.
 //! * Per-module `{stored_bytes, fetch_time, load_time}` are precomputed
 //!   into a `Copy` table — the reference re-derives all three per request
-//!   (a `HashMap` walk plus an encode/decode CRC pass through the
+//!   (a `HashMap` walk plus an encode and in-place CRC walk through the
 //!   protocol builder). The engine runs the protocol builder exactly once
 //!   per module at [`RtrEngineBuilder::build`] time, so a corrupt or
 //!   misdirected bitstream still fails loudly, just earlier.

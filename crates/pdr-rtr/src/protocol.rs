@@ -34,8 +34,9 @@ pub struct LoadPlan {
 pub struct ProtocolBuilder {
     device: Device,
     port: PortProfile,
-    /// Validate CRC/structure on every request (costs an encode pass; can
-    /// be disabled for large batch simulations).
+    /// Validate CRC/structure on every request (costs an encode pass and
+    /// one in-place walk of the image; can be disabled for large batch
+    /// simulations).
     pub verify_streams: bool,
 }
 
@@ -73,8 +74,7 @@ impl ProtocolBuilder {
             _ => {}
         }
         if self.verify_streams {
-            let bytes = bs.encode();
-            Bitstream::decode(&bytes, &self.device, bs.kind.clone(), bs.module_fingerprint)?;
+            Bitstream::validate_encoded(&bs.encode(), &self.device)?;
         }
         let bytes = bs.len_bytes();
         Ok(LoadPlan {

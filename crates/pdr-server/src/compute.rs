@@ -172,7 +172,7 @@ pub fn execute(
                 flow.device().clone(),
                 RuntimeOptions::paper_baseline(),
             );
-            let report = deployed.simulate_ir(&config).map_err(|e| e.to_string())?;
+            let report = deployed.simulate(&config).map_err(|e| e.to_string())?;
             let fetches: u64 = report.manager_stats.values().map(|s| s.fetches).sum();
             payload.push_field("iterations", Value::UInt(report.iterations as u64));
             payload.push_field("makespan_ps", Value::UInt(report.makespan.as_ps()));

@@ -59,7 +59,7 @@ fn main() {
     for (label, options) in variants {
         let report = study
             .deploy(options)
-            .simulate_rtr(&cfg)
+            .simulate(&cfg)
             .expect("engine deployment simulates");
         println!(
             "{label:28} {} reconfigurations, {} hidden, lock-up {}",

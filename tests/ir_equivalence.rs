@@ -7,15 +7,17 @@
 //!
 //! * **render** — `IrExecutive::render` through the symbol table
 //!   reproduces `Executive::render` byte for byte;
-//! * **simulation** — `DeployedSystem::simulate` and `simulate_ir`
+//! * **simulation** — `DeployedSystem::simulate` (the lowered executive
+//!   on `IrSimSystem` with the indexed `RtrEngine`) and the string
+//!   `SimSystem` over the reference managers of `DeployedSystem::managers`
 //!   produce equal [`SimReport`]s (event traces, latencies, busy times,
 //!   reconfiguration logs) under reconfiguration-churning workloads;
 //! * **lint** — `lint` over the string executive and `lint_ir` over the
 //!   carried lowered twin render byte-identical text and JSON reports,
 //!   clean and mutated alike;
 //! * **sweep digests** — a `pdr-sweep` study whose scenarios simulate
-//!   through either interpreter produces bit-identical
-//!   schedule-independent outcome digests.
+//!   through either path produces bit-identical schedule-independent
+//!   outcome digests.
 
 use pdr_adequation::executive::generate_executive;
 use pdr_adequation::{adequate, AdequationOptions, MacroInstr};
@@ -49,8 +51,8 @@ fn lowered_gallery_executives_render_byte_identically() {
 
 // ----------------------------------------------------------- simulation
 
-/// Both interpreters on one deployed gallery flow, reconfiguration churn
-/// and full trace capture on.
+/// The string oracle and the production path on one deployed gallery
+/// flow, reconfiguration churn and full trace capture on.
 fn simulate_both(name: &str, iterations: u32) -> (SimReport, SimReport) {
     let g = gallery::by_name(name).expect("gallery flow exists");
     let art = g.flow.run().expect("gallery flow runs");
@@ -62,8 +64,9 @@ fn simulate_both(name: &str, iterations: u32) -> (SimReport, SimReport) {
     );
     let cfg = ir_sim::workload(name, iterations).with_trace();
     (
-        dep.simulate(&cfg).expect("string simulation runs"),
-        dep.simulate_ir(&cfg).expect("interned simulation runs"),
+        ir_sim::simulate_reference(g.flow.architecture(), &art, &dep, &cfg)
+            .expect("string simulation runs"),
+        dep.simulate(&cfg).expect("production simulation runs"),
     )
 }
 
@@ -215,7 +218,8 @@ fn outcome_view(r: &SimReport) -> Value {
     ])
 }
 
-/// One scenario per gallery flow; `use_ir` picks the interpreter.
+/// One scenario per gallery flow; `use_ir` picks the production path
+/// over the string oracle.
 fn sweep_scenarios(use_ir: bool) -> Vec<Scenario<'static, SimReport>> {
     gallery::names()
         .into_iter()
@@ -232,9 +236,9 @@ fn sweep_scenarios(use_ir: bool) -> Vec<Scenario<'static, SimReport>> {
                 );
                 let cfg = ir_sim::workload(name, 24);
                 let run = if use_ir {
-                    dep.simulate_ir(&cfg)
-                } else {
                     dep.simulate(&cfg)
+                } else {
+                    ir_sim::simulate_reference(g.flow.architecture(), &art, &dep, &cfg)
                 };
                 run.map_err(SweepError::scenario)
             })
@@ -374,8 +378,8 @@ proptest! {
         let cfg = SimConfig::iterations(iterations)
             .with_selection("d1", churn)
             .with_trace();
-        let a = dep.simulate(&cfg).unwrap();
-        let b = dep.simulate_ir(&cfg).unwrap();
+        let a = ir_sim::simulate_reference(flow.architecture(), &art, &dep, &cfg).unwrap();
+        let b = dep.simulate(&cfg).unwrap();
         prop_assert_eq!(&a, &b, "simulation drift at seed {}", seed);
 
         // Lint stability: same seed twice → byte-identical clean reports,
