@@ -12,8 +12,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test (every workspace crate)"
+cargo test -q --workspace
 
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -50,14 +50,16 @@ impl FlowArtifacts {
 
     /// Canonical content digest of the compiled result: FNV-1a over the
     /// interned executive (rendered through the symbol table, so it is
-    /// byte-identical to the string executive's render) followed by the
+    /// byte-identical to the string executive's render, and hashed as it
+    /// is written rather than collected into a `String`) followed by the
     /// §4 constraints text. The hasher is [`pdr_sweep::digest::Fnv64`] —
     /// the same implementation behind the sweep engine's outcome digests
     /// and `pdr-server`'s content-addressed cache, so the layers can
     /// never drift apart on what a digest means.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.eat_str(&self.ir_executive.render(&self.symbols));
+        // Hashing never fails.
+        let _ = self.ir_executive.render_to(&self.symbols, &mut h);
         h.eat_str(&self.constraints_text);
         h.finish()
     }
@@ -450,6 +452,11 @@ mod tests {
     #[test]
     fn artifact_digest_tracks_content() {
         let a = paper_flow().run().unwrap();
+        // Streaming the render hashes exactly the rendered text.
+        let mut whole = Fnv64::new();
+        whole.eat_str(&a.ir_executive.render(&a.symbols));
+        whole.eat_str(&a.constraints_text);
+        assert_eq!(a.digest(), whole.finish());
         let mut b = a.clone();
         assert_eq!(a.digest(), b.digest());
         b.constraints_text.push('x');

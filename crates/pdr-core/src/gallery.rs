@@ -25,55 +25,71 @@ pub struct GalleryFlow {
     pub flow: DesignFlow,
 }
 
-/// Names of every gallery flow, in gallery order.
-pub fn names() -> Vec<&'static str> {
-    all().into_iter().map(|g| g.name).collect()
+/// One gallery entry: name, description and the function that builds
+/// its flow. Only the entries a caller asks for are ever built.
+type Entry = (&'static str, &'static str, fn() -> DesignFlow);
+
+/// The gallery, in gallery order.
+const GALLERY: [Entry; 7] = [
+    (
+        "paper",
+        "§6 MC-CDMA transmitter, dynamic modulation on op_dyn (XC2V2000)",
+        paper_flow,
+    ),
+    (
+        "paper_fixed_qpsk",
+        "§6 case study, modulation fixed to mod_qpsk in static logic",
+        || paper_fixed_flow("mod_qpsk"),
+    ),
+    (
+        "paper_fixed_qam16",
+        "§6 case study, modulation fixed to mod_qam16 in static logic",
+        || paper_fixed_flow("mod_qam16"),
+    ),
+    (
+        "two_regions",
+        "§7 outlook: SDR receiver with two dynamic regions (XC2V3000)",
+        || sdr_flow(Device::by_name("XC2V3000").expect("catalog device")),
+    ),
+    (
+        "two_regions_xc2v4000",
+        "the two-region SDR receiver on the larger XC2V4000",
+        || sdr_flow(Device::by_name("XC2V4000").expect("catalog device")),
+    ),
+    (
+        "synthetic_large",
+        "512-op layered DAG over 8 operators with 2 dynamic regions (XC2V4000)",
+        synthetic_large_flow,
+    ),
+    (
+        "sdr_series7",
+        "the two-region SDR receiver on a series7-like XC7A50T (2D rectangles)",
+        sdr_series7_flow,
+    ),
+];
+
+/// Build one entry's flow.
+fn build(&(name, description, flow): &Entry) -> GalleryFlow {
+    GalleryFlow {
+        name,
+        description,
+        flow: flow(),
+    }
 }
 
-/// Look up one gallery flow by name.
+/// Names of every gallery flow, in gallery order.
+pub fn names() -> Vec<&'static str> {
+    GALLERY.iter().map(|e| e.0).collect()
+}
+
+/// Look up one gallery flow by name, building only that flow.
 pub fn by_name(name: &str) -> Option<GalleryFlow> {
-    all().into_iter().find(|g| g.name == name)
+    GALLERY.iter().find(|e| e.0 == name).map(build)
 }
 
 /// Build every gallery flow.
 pub fn all() -> Vec<GalleryFlow> {
-    vec![
-        GalleryFlow {
-            name: "paper",
-            description: "§6 MC-CDMA transmitter, dynamic modulation on op_dyn (XC2V2000)",
-            flow: paper_flow(),
-        },
-        GalleryFlow {
-            name: "paper_fixed_qpsk",
-            description: "§6 case study, modulation fixed to mod_qpsk in static logic",
-            flow: paper_fixed_flow("mod_qpsk"),
-        },
-        GalleryFlow {
-            name: "paper_fixed_qam16",
-            description: "§6 case study, modulation fixed to mod_qam16 in static logic",
-            flow: paper_fixed_flow("mod_qam16"),
-        },
-        GalleryFlow {
-            name: "two_regions",
-            description: "§7 outlook: SDR receiver with two dynamic regions (XC2V3000)",
-            flow: sdr_flow(Device::by_name("XC2V3000").expect("catalog device")),
-        },
-        GalleryFlow {
-            name: "two_regions_xc2v4000",
-            description: "the two-region SDR receiver on the larger XC2V4000",
-            flow: sdr_flow(Device::by_name("XC2V4000").expect("catalog device")),
-        },
-        GalleryFlow {
-            name: "synthetic_large",
-            description: "512-op layered DAG over 8 operators with 2 dynamic regions (XC2V4000)",
-            flow: synthetic_large_flow(),
-        },
-        GalleryFlow {
-            name: "sdr_series7",
-            description: "the two-region SDR receiver on a series7-like XC7A50T (2D rectangles)",
-            flow: sdr_series7_flow(),
-        },
-    ]
+    GALLERY.iter().map(build).collect()
 }
 
 /// The §6 case-study flow (dynamic modulation).
@@ -808,10 +824,18 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), names.len());
-        for n in names {
-            assert!(by_name(n).is_some(), "{n} resolves");
+        // `by_name` builds one entry; it must build what `all` builds.
+        let all = all();
+        assert_eq!(names, all.iter().map(|g| g.name).collect::<Vec<_>>());
+        for g in &all {
+            let one = by_name(g.name).expect("listed name resolves");
+            assert_eq!(one.name, g.name);
+            assert_eq!(one.description, g.description);
+            assert_eq!(one.flow.model_digest(), g.flow.model_digest(), "{}", g.name);
         }
-        assert!(by_name("nonsense").is_none());
+        for unknown in ["nonsense", "", "Paper", "paper ", "synthetic_10k"] {
+            assert!(by_name(unknown).is_none(), "`{unknown}`");
+        }
     }
 
     #[test]

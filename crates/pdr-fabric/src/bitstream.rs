@@ -14,6 +14,10 @@
 //! and re-generating the same design is reproducible — this is what stands in
 //! for real synthesis output.
 //!
+//! A full-device stream depends only on the device geometry and the
+//! fingerprint, so its packets are generated once per geometry and shared
+//! (a [`Bitstream`] holds its packets behind an `Arc`, making clones O(1)).
+//!
 //! The `pdr-rtr` protocol builder consumes [`Bitstream::encode`]'s byte image
 //! and feeds it to a configuration-port model; the paper's latency numbers
 //! come straight from those byte counts.
@@ -24,6 +28,8 @@ use crate::frame::{BlockType, FrameAddress};
 use crate::region::ReconfigRegion;
 use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The Virtex-II synchronization word.
 pub const SYNC_WORD: u32 = 0xAA99_5566;
@@ -126,17 +132,19 @@ pub struct Bitstream {
     /// Identifier of the design/module the stream configures (used by the
     /// simulator to know *what* is now loaded).
     pub module_fingerprint: u64,
-    /// Packet sequence.
-    packets: Vec<Packet>,
+    /// Packet sequence, shared between clones.
+    packets: Arc<[Packet]>,
     /// Number of configuration frames carried.
     frames: u32,
 }
 
 impl Bitstream {
-    /// Build a full-device bitstream.
+    /// Build a full-device bitstream. Its packets come from a process-wide
+    /// memo of the last eight geometries, so repeated calls for one device
+    /// share one copy of the payload.
     pub fn full_for_device(device: &Device, module_fingerprint: u64) -> Bitstream {
         let frames = device.total_frames();
-        let packets = Self::packetize(device, BlockType::Clb, 0, frames, module_fingerprint, true);
+        let packets = full_packets(device, frames, module_fingerprint);
         Bitstream {
             device: device.name.clone(),
             kind: BitstreamKind::Full,
@@ -177,7 +185,7 @@ impl Bitstream {
                 region: region.name.clone(),
             },
             module_fingerprint,
-            packets,
+            packets: packets.into(),
             frames,
         }
     }
@@ -212,18 +220,7 @@ impl Bitstream {
                 region.clb_col_start as u16,
                 0,
             )));
-            let mut data = Vec::with_capacity(frames_per_row as usize * wpf);
-            for _ in 0..frames_per_row {
-                for _ in 0..wpf {
-                    // Same sparse synthetic payload as the Virtex-II path.
-                    let r = rng.next_u64();
-                    if r % 10 < 7 {
-                        data.push(0);
-                    } else {
-                        data.push((r >> 32) as u32);
-                    }
-                }
-            }
+            let data = synthetic_payload(&mut rng, frames_per_row as usize * wpf);
             crc.update_words(&data);
             packets.push(Packet::Fdri(data));
         }
@@ -248,21 +245,7 @@ impl Bitstream {
         packets.push(Packet::Cmd(Command::Rcrc));
         packets.push(Packet::Cmd(Command::Wcfg));
         packets.push(Packet::Far(FrameAddress::new(block, major_start, 0)));
-        let mut data = Vec::with_capacity(frames as usize * wpf);
-        for _ in 0..frames {
-            for _ in 0..wpf {
-                // Real configuration frames are sparse — most LUT/routing
-                // words of a typical design are zero (~70 % measured on
-                // production bitstreams). The synthetic payload mirrors
-                // that so compression studies behave realistically.
-                let r = rng.next_u64();
-                if r % 10 < 7 {
-                    data.push(0);
-                } else {
-                    data.push((r >> 32) as u32);
-                }
-            }
-        }
+        let data = synthetic_payload(&mut rng, frames as usize * wpf);
         // CRC over the frame data: the stored value is the definitive one
         // that decode verifies.
         let mut crc = Crc32::new();
@@ -306,7 +289,7 @@ impl Bitstream {
     /// Encode to the byte image shipped over ICAP/SelectMAP.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.len_bytes());
-        for p in &self.packets {
+        for p in self.packets.iter() {
             match p {
                 Packet::Sync => {
                     buf.put_u32(DUMMY_WORD);
@@ -360,7 +343,7 @@ impl Bitstream {
             device: device.name.clone(),
             kind,
             module_fingerprint,
-            packets,
+            packets: packets.into(),
             frames,
         })
     }
@@ -383,6 +366,55 @@ impl Bitstream {
         }
         Ok(())
     }
+}
+
+/// Most full-device geometries [`full_packets`] keeps; the oldest goes
+/// first when another is added.
+const FULL_MEMO_GEOMETRIES: usize = 8;
+
+/// Full-device packet lists generated so far, oldest first, keyed by
+/// everything they depend on: (frames, words per frame, fingerprint).
+type FullMemo = VecDeque<((u32, u32, u64), Arc<[Packet]>)>;
+
+static FULL_MEMO: Mutex<FullMemo> = Mutex::new(VecDeque::new());
+
+/// The full-device packet list for `device`, generated on first use.
+/// Generation runs outside the lock; a racing thread that inserted the
+/// same key first wins, so every caller shares one copy. A poisoned lock
+/// is recovered: the memo is only ever left holding complete entries.
+fn full_packets(device: &Device, frames: u32, fingerprint: u64) -> Arc<[Packet]> {
+    let key = (frames, device.words_per_frame(), fingerprint);
+    let memo = || FULL_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    let cached = |m: &FullMemo| m.iter().find(|(k, _)| *k == key).map(|(_, p)| p.clone());
+    if let Some(packets) = cached(&memo()) {
+        return packets;
+    }
+    let fresh: Arc<[Packet]> =
+        Bitstream::packetize(device, BlockType::Clb, 0, frames, fingerprint, true).into();
+    let mut m = memo();
+    if let Some(packets) = cached(&m) {
+        return packets;
+    }
+    if m.len() == FULL_MEMO_GEOMETRIES {
+        m.pop_front();
+    }
+    m.push_back((key, fresh.clone()));
+    fresh
+}
+
+/// `words` words of sparse synthetic frame payload. Real configuration
+/// frames are sparse — most LUT/routing words of a typical design are zero
+/// (~70 % measured on production bitstreams) — and the payload mirrors
+/// that so compression studies behave realistically: each word is the
+/// upper half of one SplitMix64 draw `r`, kept when `r % 10 >= 7` and
+/// zero otherwise (masked, not branched on).
+fn synthetic_payload(rng: &mut SplitMix64, words: usize) -> Vec<u32> {
+    let mut data = vec![0u32; words];
+    for w in &mut data {
+        let r = rng.next_u64();
+        *w = (r >> 32) as u32 & u32::from(r % 10 >= 7).wrapping_neg();
+    }
+    data
 }
 
 /// One packet of an encoded stream, viewed in place: the FDRI payload
@@ -750,6 +782,63 @@ mod tests {
         // across multiple FDRI packets.
         let back = Bitstream::decode(&bs.encode(), &d, bs.kind.clone(), 42).unwrap();
         assert_eq!(back, bs);
+    }
+
+    #[test]
+    fn full_stream_memo_shares_storage_and_stays_bounded() {
+        // Small custom devices: each (rows, cols, fingerprint) is its own
+        // geometry, twice as many as the memo keeps.
+        let geometries: Vec<(Device, u64)> = (0..2 * FULL_MEMO_GEOMETRIES as u32)
+            .map(|i| {
+                let d = Device::custom(format!("memo{i}"), 8 + 4 * (i % 3), 6 + i % 5, 1);
+                (d, 1_000 + u64::from(i))
+            })
+            .collect();
+        let fresh = |d: &Device, fp: u64| {
+            Bitstream::packetize(d, BlockType::Clb, 0, d.total_frames(), fp, true)
+        };
+
+        let (d, fp) = &geometries[0];
+        let a = Bitstream::full_for_device(d, *fp);
+        let b = Bitstream::full_for_device(d, *fp);
+        assert!(
+            Arc::ptr_eq(&a.packets, &b.packets),
+            "one geometry, one copy"
+        );
+        assert_eq!(a.packets(), fresh(d, *fp).as_slice());
+
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let geometries = &geometries;
+                s.spawn(move || {
+                    for round in 0..3 {
+                        for k in 0..geometries.len() {
+                            let (d, fp) = &geometries[(k + 5 * t + round) % geometries.len()];
+                            let bs = Bitstream::full_for_device(d, *fp);
+                            assert_eq!(bs.packets(), fresh(d, *fp).as_slice());
+                            assert_eq!(bs.frames(), d.total_frames());
+                            let len = FULL_MEMO
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .len();
+                            assert!(len <= FULL_MEMO_GEOMETRIES, "memo holds {len}");
+                        }
+                    }
+                });
+            }
+        });
+
+        // A panic while the lock is held poisons it; the memo keeps serving.
+        let poisoner = std::thread::spawn(|| {
+            let _held = FULL_MEMO.lock();
+            panic!("poison the memo lock");
+        });
+        assert!(poisoner.join().is_err());
+        let (d, fp) = &geometries[1];
+        assert_eq!(
+            Bitstream::full_for_device(d, *fp).packets(),
+            fresh(d, *fp).as_slice()
+        );
     }
 
     #[test]

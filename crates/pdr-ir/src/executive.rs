@@ -23,7 +23,7 @@ use pdr_fabric::TimePs;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Dense index into an [`IrExecutive`]'s operator-name table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -207,9 +207,17 @@ impl IrExecutive {
     /// in the string form's alphabetical order).
     pub fn render(&self, table: &SymbolTable) -> String {
         let mut out = String::new();
+        // Writing to a `String` cannot fail.
+        let _ = self.render_to(table, &mut out);
+        out
+    }
+
+    /// [`IrExecutive::render`] written piece by piece into `out` — e.g.
+    /// straight into a hasher, without building the whole text.
+    pub fn render_to(&self, table: &SymbolTable, out: &mut impl fmt::Write) -> fmt::Result {
         for (i, _) in self.streams.iter().enumerate() {
             let opr = self.operator_sym(i).resolve(table);
-            let _ = writeln!(out, "operator {opr}:");
+            writeln!(out, "operator {opr}:")?;
             for instr in self.program(i) {
                 match instr {
                     IrInstr::Compute {
@@ -217,12 +225,12 @@ impl IrExecutive {
                         function,
                         duration,
                     } => {
-                        let _ = writeln!(
+                        writeln!(
                             out,
                             "  compute {} [{}] ({duration})",
                             op.resolve(table),
                             function.resolve(table)
-                        );
+                        )?;
                     }
                     IrInstr::Send {
                         to,
@@ -230,12 +238,12 @@ impl IrExecutive {
                         bits,
                         tag,
                     } => {
-                        let _ = writeln!(
+                        writeln!(
                             out,
                             "  send -> {} via {} ({bits} bits, tag {tag})",
                             self.peer_sym(*to).resolve(table),
                             self.medium_sym(*medium).resolve(table)
-                        );
+                        )?;
                     }
                     IrInstr::Receive {
                         from,
@@ -243,24 +251,24 @@ impl IrExecutive {
                         bits,
                         tag,
                     } => {
-                        let _ = writeln!(
+                        writeln!(
                             out,
                             "  recv <- {} via {} ({bits} bits, tag {tag})",
                             self.peer_sym(*from).resolve(table),
                             self.medium_sym(*medium).resolve(table)
-                        );
+                        )?;
                     }
                     IrInstr::Configure { module, worst_case } => {
-                        let _ = writeln!(
+                        writeln!(
                             out,
                             "  configure {} (wcet {worst_case})",
                             module.resolve(table)
-                        );
+                        )?;
                     }
                 }
             }
         }
-        out
+        Ok(())
     }
 }
 

@@ -115,8 +115,8 @@ struct Maps {
     indexes: HashMap<u64, Arc<AdequationIndex>>,
     /// `(flow name, constraints override) → model_digest`: spares the hit
     /// path from rebuilding and re-digesting gallery models on every
-    /// request (resolution costs milliseconds on the large flows; a memo
-    /// probe costs a string hash).
+    /// request (resolution builds the one named flow and digests its
+    /// models; a memo probe costs a string hash).
     digests: HashMap<(String, Option<String>), u64>,
 }
 

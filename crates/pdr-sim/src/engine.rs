@@ -6,16 +6,46 @@
 //! results never depend on heap internals.
 
 use pdr_fabric::TimePs;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// A deterministic time-ordered event queue carrying payloads of type `T`.
+///
+/// Payloads travel inside the heap entries, so memory tracks the events
+/// pending, not every event ever scheduled.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<(TimePs, u64)>>,
-    payloads: Vec<Option<(TimePs, T)>>,
+    heap: BinaryHeap<Reverse<Event<T>>>,
     seq: u64,
     now: TimePs,
+}
+
+/// A scheduled payload, ordered by `(at, seq)` alone.
+#[derive(Debug)]
+struct Event<T> {
+    at: TimePs,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Event<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<T> Eq for Event<T> {}
+
+impl<T> PartialOrd for Event<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Event<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -29,7 +59,6 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: Vec::new(),
             seq: 0,
             now: TimePs::ZERO,
         }
@@ -50,15 +79,9 @@ impl<T> EventQueue<T> {
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        let idx = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse((at, idx)));
-        // payloads is indexed by sequence number.
-        let i = idx as usize;
-        if self.payloads.len() <= i {
-            self.payloads.resize_with(i + 1, || None);
-        }
-        self.payloads[i] = Some((at, payload));
+        self.heap.push(Reverse(Event { at, seq, payload }));
     }
 
     /// Schedule `payload` after a delay from now.
@@ -69,14 +92,9 @@ impl<T> EventQueue<T> {
 
     /// Pop the next event, advancing the clock. `None` when empty.
     pub fn pop(&mut self) -> Option<(TimePs, T)> {
-        while let Some(Reverse((at, idx))) = self.heap.pop() {
-            if let Some((t, payload)) = self.payloads[idx as usize].take() {
-                debug_assert_eq!(t, at);
-                self.now = at;
-                return Some((at, payload));
-            }
-        }
-        None
+        let Reverse(Event { at, payload, .. }) = self.heap.pop()?;
+        self.now = at;
+        Some((at, payload))
     }
 
     /// Number of pending events.
@@ -140,6 +158,19 @@ mod tests {
         q.schedule(TimePs::from_us(5), ());
         q.pop();
         q.schedule(TimePs::from_us(1), ());
+    }
+
+    #[test]
+    fn storage_tracks_pending_events_not_history() {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.schedule_in(TimePs::from_ns(1 + i % 3), i);
+            q.schedule_in(TimePs::from_ns(2), i);
+            q.pop();
+            q.pop();
+        }
+        assert!(q.is_empty());
+        assert!(q.heap.capacity() < 16, "{}", q.heap.capacity());
     }
 
     #[test]

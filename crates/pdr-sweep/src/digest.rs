@@ -67,6 +67,16 @@ impl Fnv64 {
     }
 }
 
+/// Formatted text absorbs exactly like [`Fnv64::eat_str`] over the whole
+/// text, however it is split into pieces — so a render can be hashed as
+/// it is written, without building the `String`.
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.eat_str(s);
+        Ok(())
+    }
+}
+
 /// Render a digest the way artifacts and the server protocol print it:
 /// 16 lowercase hex digits, zero padded.
 pub fn to_hex(digest: u64) -> String {
@@ -90,6 +100,16 @@ mod tests {
         let mut h = Fnv64::new();
         h.eat_str("foo").eat_str("bar");
         assert_eq!(h.finish(), Fnv64::of_str("foobar"));
+    }
+
+    #[test]
+    fn formatted_writes_equal_one_shot() {
+        use std::fmt::Write;
+        let mut h = Fnv64::new();
+        let op = "dsp";
+        write!(h, "op {op}: {:>4}", 42).unwrap();
+        h.write_char('é').unwrap();
+        assert_eq!(h.finish(), Fnv64::of_str("op dsp:   42é"));
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! Configuration-stream oracles: the table-driven CRC-32 against the
-//! bitwise definition it replaced, and the in-place stream validator
-//! against the word-vector decoder it replaced.
+//! bitwise definition it replaced, the in-place stream validator against
+//! the word-vector decoder it replaced, and the branch-free payload
+//! generator (behind the shared full-device stream memo) against the
+//! branchy push loop it replaced.
 //!
-//! Both oracles live only here. They are the pre-optimization code paths,
-//! kept verbatim in spirit, so any drift in a CRC value or in the accept /
-//! reject decision (or its error text) of `Bitstream::validate_encoded` and
-//! `Bitstream::decode` shows up on every gallery stream and on seeded
-//! mutations of them.
+//! The oracles live only here. They are the pre-optimization code paths,
+//! kept verbatim in spirit, so any drift in a payload word, a CRC value or
+//! in the accept / reject decision (or its error text) of
+//! `Bitstream::validate_encoded` and `Bitstream::decode` shows up on every
+//! gallery stream, on every catalog device and on seeded mutations.
 
 use pdr_core::gallery;
-use pdr_fabric::bitstream::{Command, Crc32, DUMMY_WORD, SYNC_WORD};
-use pdr_fabric::{Bitstream, BitstreamKind, Device, FabricError, FrameAddress, Packet};
+use pdr_fabric::bitstream::{Command, Crc32, SplitMix64, DUMMY_WORD, SYNC_WORD};
+use pdr_fabric::{
+    Bitstream, BitstreamKind, BlockType, Device, DeviceFamily, FabricError, FrameAddress, Packet,
+    ReconfigRegion, S7_CLOCK_REGION_ROWS,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -115,6 +120,82 @@ fn decode_oracle(bytes: &[u8], device: &Device) -> Result<u32, String> {
         )));
     }
     Ok((frames_words / wpf) as u32)
+}
+
+/// The sparse payload loop the generator replaced: one SplitMix64 draw
+/// per word, zero on `r % 10 < 7`, else the draw's upper half.
+fn payload_oracle(rng: &mut SplitMix64, words: usize, out: &mut Vec<u32>) {
+    for _ in 0..words {
+        let r = rng.next_u64();
+        if r % 10 < 7 {
+            out.push(0);
+        } else {
+            out.push((r >> 32) as u32);
+        }
+    }
+}
+
+/// Packet layout of a stream: everything but the payload words and the
+/// CRC value, which the oracle regenerates.
+enum Shape {
+    Sync,
+    Cmd(Command),
+    Far(FrameAddress),
+    Fdri(usize),
+    Crc,
+}
+
+fn shape_of(bs: &Bitstream) -> Vec<Shape> {
+    bs.packets()
+        .iter()
+        .map(|p| match p {
+            Packet::Sync => Shape::Sync,
+            Packet::Cmd(c) => Shape::Cmd(*c),
+            Packet::Far(a) => Shape::Far(*a),
+            Packet::Fdri(data) => Shape::Fdri(data.len()),
+            Packet::Crc(_) => Shape::Crc,
+        })
+        .collect()
+}
+
+/// The full-device layout, written out independently of the generator.
+fn full_shape(device: &Device) -> Vec<Shape> {
+    let words = device.total_frames() as usize * device.words_per_frame() as usize;
+    vec![
+        Shape::Sync,
+        Shape::Cmd(Command::Rcrc),
+        Shape::Cmd(Command::Wcfg),
+        Shape::Far(FrameAddress::new(BlockType::Clb, 0, 0)),
+        Shape::Fdri(words),
+        Shape::Cmd(Command::Lfrm),
+        Shape::Crc,
+        Shape::Cmd(Command::Start),
+        Shape::Cmd(Command::Desync),
+    ]
+}
+
+/// Oracle-built byte image of a stream with layout `shape`: FDRI payloads
+/// drawn in order from one `payload_oracle` run seeded with `fingerprint`,
+/// the CRC from `crc_oracle`, every packet encoded by hand.
+fn oracle_image(shape: &[Shape], fingerprint: u64) -> Vec<u8> {
+    let mut rng = SplitMix64::new(fingerprint);
+    let mut payload = Vec::new();
+    let mut words = Vec::new();
+    for s in shape {
+        match s {
+            Shape::Sync => words.extend([DUMMY_WORD, SYNC_WORD]),
+            Shape::Cmd(c) => words.push((0x3 << 28) | c.code()),
+            Shape::Far(a) => words.extend([0x4 << 28, a.pack()]),
+            Shape::Fdri(n) => {
+                let from = payload.len();
+                payload_oracle(&mut rng, *n, &mut payload);
+                words.push((0x5 << 28) | *n as u32);
+                words.extend_from_slice(&payload[from..]);
+            }
+            Shape::Crc => words.push((0x6 << 28) | (crc_oracle(&payload) & 0x0FFF_FFFF)),
+        }
+    }
+    words.iter().flat_map(|w| w.to_be_bytes()).collect()
 }
 
 // ------------------------------------------------------------ fixtures
@@ -247,6 +328,71 @@ proptest! {
         raw.update_bytes(&bytes[..byte_cut]);
         raw.update_bytes(&bytes[byte_cut..]);
         prop_assert_eq!(raw.finish(), expected);
+    }
+}
+
+// ----------------------------------------------------------- generator
+
+#[test]
+fn catalog_full_streams_equal_the_oracle() {
+    let mut names = Device::catalog_names_in(DeviceFamily::VirtexII);
+    names.extend(Device::catalog_names_in(DeviceFamily::Series7));
+    for name in names {
+        let device = Device::by_name(name).unwrap();
+        let expected = oracle_image(&full_shape(&device), 0x5EED);
+        let bs = Bitstream::full_for_device(&device, 0x5EED);
+        assert!(
+            bs.encode()[..] == expected[..],
+            "{name}: full stream differs"
+        );
+        // A second request is served from the shared copy, unchanged.
+        let again = Bitstream::full_for_device(&device, 0x5EED);
+        assert!(
+            again.encode()[..] == expected[..],
+            "{name}: memoized stream differs"
+        );
+    }
+}
+
+#[test]
+fn gallery_streams_equal_the_oracle() {
+    for (device, bs) in gallery_streams() {
+        let expected = oracle_image(&shape_of(bs), bs.module_fingerprint);
+        assert!(
+            bs.encode()[..] == expected[..],
+            "{} {:?}: stream differs from the oracle",
+            device.name,
+            bs.kind
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over random fingerprints and geometries — so random word counts and,
+    /// on the series7-like family, payloads split across clock-region
+    /// rows — every generated stream equals the oracle's.
+    #[test]
+    fn generated_payloads_equal_the_branchy_oracle(
+        fingerprint in any::<u64>(),
+        clb_rows in 1u32..80,
+        clb_cols in 8u32..40,
+        width in 2u32..6,
+        s7_rows in 1u32..3,
+    ) {
+        let device = Device::custom("prop", clb_rows, clb_cols, 2);
+        let full = Bitstream::full_for_device(&device, fingerprint);
+        prop_assert!(full.encode()[..] == oracle_image(&full_shape(&device), fingerprint)[..]);
+
+        let region = ReconfigRegion::new("r", clb_cols - width, width).unwrap();
+        let part = Bitstream::partial_for_region(&device, &region, fingerprint);
+        prop_assert!(part.encode()[..] == oracle_image(&shape_of(&part), fingerprint)[..]);
+
+        let s7 = Device::by_name("XC7A100T").unwrap();
+        let rect = ReconfigRegion::rect("r", 2 + width, width, 0, S7_CLOCK_REGION_ROWS * s7_rows).unwrap();
+        let rows = Bitstream::partial_for_region(&s7, &rect, fingerprint);
+        prop_assert!(rows.encode()[..] == oracle_image(&shape_of(&rows), fingerprint)[..]);
     }
 }
 
