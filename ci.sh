@@ -45,4 +45,7 @@ cargo bench -p pdr-bench --bench bench_rtr -- --test --out BENCH_rtr.json
 echo "== bench_fabric (test mode: Virtex-II byte-parity pins + series7 2D placement end to end)"
 cargo bench -p pdr-bench --bench bench_fabric -- --test --out BENCH_fabric.json
 
+echo "== perfbench tests (the benchmark builds against the production crates' public API)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

@@ -23,12 +23,12 @@
 
 use crate::error::AdequationError;
 use crate::mapping::Mapping;
-use crate::schedule::{ItemKind, Schedule};
+use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 use pdr_ir::{IrBuilder, IrExecutive, SymbolTable};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One macro-code instruction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -119,7 +119,7 @@ impl Executive {
         let mut sends: BTreeMap<u32, (&str, &str, &str, u64)> = BTreeMap::new();
         let mut recvs: BTreeMap<u32, (&str, &str, &str, u64)> = BTreeMap::new();
         for (opr, instrs) in &self.per_operator {
-            let mut local_tags: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
+            let mut local_tags: BTreeSet<u32> = BTreeSet::new();
             for i in instrs {
                 if let MacroInstr::Send { tag, .. } | MacroInstr::Receive { tag, .. } = i {
                     if !local_tags.insert(*tag) {
@@ -161,14 +161,16 @@ impl Executive {
             }
         }
         if sends != recvs {
-            let missing: Vec<u32> = sends
+            // A tag on both sides with differing pairs is listed once.
+            let missing: BTreeSet<u32> = sends
                 .keys()
                 .chain(recvs.keys())
                 .filter(|t| sends.get(t) != recvs.get(t))
                 .copied()
                 .collect();
             return Err(AdequationError::InvalidSchedule(format!(
-                "unmatched send/receive pairs for tags {missing:?}"
+                "unmatched send/receive pairs for tags {:?}",
+                Vec::from_iter(missing)
             )));
         }
         Ok(())
@@ -290,6 +292,23 @@ pub fn generate_executive(
     // Transfers: walk each algorithm edge's route; hop k of the medium
     // timeline tells us the times. We re-derive hop endpoints from the
     // route (deterministic, same call the scheduler made).
+    //
+    // Each medium's transfers are indexed once, keyed by (medium, edge
+    // endpoints). Only the *first* item of a key is kept: parallel
+    // duplicate edges `a -> b` share a key, and a scan of the timeline in
+    // order binds every one of them to that first item.
+    let mut transfers: HashMap<(MediumId, OpId, OpId), &ScheduledItem> =
+        HashMap::with_capacity(schedule.medium_items.values().map(Vec::len).sum());
+    for (&m, items) in &schedule.medium_items {
+        for item in items {
+            if let ItemKind::Transfer { from, to, .. } = item.kind {
+                transfers.entry((m, from, to)).or_insert(item);
+            }
+        }
+    }
+    // Routes from one BFS per source operator, filled on first use.
+    let mut route_rows: Vec<Option<Vec<Option<Route>>>> = vec![None; arch.operator_count()];
+    let mut endpoints: Vec<OperatorId> = Vec::new();
     let mut tag: u32 = 0;
     for e in algo.edges() {
         let src = mapping
@@ -307,10 +326,20 @@ pub fn generate_executive(
         if src == dst {
             continue;
         }
-        let route = arch.route(src, dst)?;
+        let row = route_rows[src.0].get_or_insert_with(|| arch.routes_from(src));
+        let unrouted;
+        let route = match &row[dst.0] {
+            Some(route) => route,
+            // No path: `route` builds the typed `NoRoute` error.
+            None => {
+                unrouted = arch.route(src, dst)?;
+                &unrouted
+            }
+        };
         // Endpoints of each hop: src, relays..., dst. A relay between media
         // m1 and m2 is the (unique, lowest-id) operator on both.
-        let mut endpoints = vec![src];
+        endpoints.clear();
+        endpoints.push(src);
         for w in route.media.windows(2) {
             let relay = arch
                 .operators_on(w[0])
@@ -328,23 +357,16 @@ pub fn generate_executive(
         }
         endpoints.push(dst);
 
-        // Find this edge's hop items in the schedule for timing.
+        // This edge's hop items in the schedule give the timing.
         for (hop, &m) in route.media.iter().enumerate() {
-            let item = schedule
-                .of_medium(m)
-                .iter()
-                .find(|i| {
-                    matches!(&i.kind, ItemKind::Transfer { from, to, .. }
-                        if *from == e.from && *to == e.to)
-                })
-                .ok_or_else(|| {
-                    AdequationError::InvalidSchedule(format!(
-                        "edge {} -> {} missing from medium {} timeline",
-                        algo.op(e.from).name,
-                        algo.op(e.to).name,
-                        arch.medium(m).name
-                    ))
-                })?;
+            let item = transfers.get(&(m, e.from, e.to)).ok_or_else(|| {
+                AdequationError::InvalidSchedule(format!(
+                    "edge {} -> {} missing from medium {} timeline",
+                    algo.op(e.from).name,
+                    algo.op(e.to).name,
+                    arch.medium(m).name
+                ))
+            })?;
             tag += 1;
             let sender = endpoints[hop];
             let receiver = endpoints[hop + 1];
@@ -547,7 +569,11 @@ mod tests {
                 tag: 1,
             }],
         );
-        assert!(e.validate().is_err());
+        // The tag sits in both maps with differing pairs: listed once.
+        assert_eq!(
+            e.validate().unwrap_err().to_string(),
+            "invalid schedule: unmatched send/receive pairs for tags [1]"
+        );
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //!   the ≥ 2× end-to-end model→adequation speedup floor on the
 //!   10k-operation flow (both against the retained first-generation
 //!   path), and that the warm scheduler core performs zero steady-state
-//!   heap allocations;
+//!   heap allocations. In every mode it also asserts that one
+//!   `generate_executive` on that flow stays under
+//!   [`EXECUTIVE_ALLOCS_PER_INSTR_CEILING`] heap allocations per
+//!   generated instruction;
 //! * `--out <path>` — persist the study as a `BENCH_scale.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
 use criterion::Criterion;
+use pdr_adequation::executive::generate_executive;
 use pdr_adequation::{
-    adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace, IndexOptions,
+    adequate, adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace, IndexOptions,
 };
 use pdr_bench::scale::{self, BUILD_SPEEDUP_FLOOR, E2E_SPEEDUP_FLOOR, FLOOR_CASE};
 use pdr_core::gallery;
@@ -25,6 +29,7 @@ use serde::json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Allocation counter wrapping the system allocator, so the bench can
 /// assert that the warm scheduler core stays allocation-free.
@@ -92,6 +97,72 @@ fn assert_scheduler_steady_state_is_allocation_free() {
     println!("ok: warm evaluate_makespan x10 on synthetic_10k, 0 heap allocations");
 }
 
+/// Heap allocations per generated instruction allowed in one
+/// `generate_executive` on the 10k-operation flow. The names each
+/// macro-instruction owns cost about two; a per-edge route search or a
+/// cloned route per edge pushes the count far past the ceiling, on any
+/// host.
+const EXECUTIVE_ALLOCS_PER_INSTR_CEILING: f64 = 2.5;
+
+/// Assert the executive-generation allocation ceiling on [`FLOOR_CASE`]
+/// and time the generator: best of `reps`. Returns the artifact section.
+fn probe_executive_generation(reps: usize) -> Value {
+    let flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
+    let (algo, arch, chars) = (
+        flow.algorithm(),
+        flow.architecture(),
+        flow.characterization(),
+    );
+    let r = adequate(
+        algo,
+        arch,
+        chars,
+        flow.constraints(),
+        flow.adequation_options(),
+    )
+    .expect("schedules");
+    let generate = || {
+        generate_executive(algo, arch, chars, &r.mapping, &r.schedule).expect("executive builds")
+    };
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let executive = generate();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let instructions = executive.len();
+    drop(executive);
+    let per_instr = allocations as f64 / instructions as f64;
+    assert!(
+        per_instr <= EXECUTIVE_ALLOCS_PER_INSTR_CEILING,
+        "generate_executive made {allocations} heap allocations for {instructions} \
+         instructions on {FLOOR_CASE} ({per_instr:.2} per instruction, ceiling \
+         {EXECUTIVE_ALLOCS_PER_INSTR_CEILING})"
+    );
+
+    let mut best_ns = u64::MAX;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        black_box(generate());
+        best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
+    }
+    println!(
+        "ok: generate_executive on {FLOOR_CASE}: {instructions} instructions, \
+         {allocations} heap allocations ({per_instr:.2} per instruction, ceiling \
+         {EXECUTIVE_ALLOCS_PER_INSTR_CEILING}), best of {reps} {:.3} ms",
+        best_ns as f64 / 1e6
+    );
+    Value::obj(vec![
+        ("flow", Value::String(FLOOR_CASE.into())),
+        ("instructions", Value::UInt(instructions as u64)),
+        ("allocations", Value::UInt(allocations)),
+        ("allocs_per_instruction", Value::Float(per_instr)),
+        (
+            "allocs_per_instruction_ceiling",
+            Value::Float(EXECUTIVE_ALLOCS_PER_INSTR_CEILING),
+        ),
+        ("best_ns", Value::UInt(best_ns)),
+    ])
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_mode = args.iter().any(|a| a == "--test");
@@ -103,6 +174,7 @@ fn main() {
     assert_scheduler_steady_state_is_allocation_free();
 
     let reps = if test_mode { 3 } else { 5 };
+    let executive = probe_executive_generation(reps);
     let threads = 4;
     let study = scale::run(reps, threads).expect("flows schedule");
     print!("{}", study.render());
@@ -147,6 +219,7 @@ fn main() {
             .with_field("reps", Value::UInt(reps as u64))
             .with_field("threads", Value::UInt(threads as u64));
         artifact.push_section("study", study.to_json());
+        artifact.push_section("executive", executive);
         artifact.write(path).expect("artifact written");
         println!("wrote {path}");
     }

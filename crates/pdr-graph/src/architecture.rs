@@ -332,7 +332,9 @@ impl ArchGraph {
 
     /// Cheapest route between two operators (fewest hops; ties broken by
     /// lowest medium index, so results are deterministic). Local routes are
-    /// empty. Routes are recomputed on demand; graphs are small.
+    /// empty. Each call runs its own BFS and allocates the route; callers
+    /// that route many pairs should take one [`ArchGraph::routes_from`]
+    /// row per source operator instead.
     pub fn route(&self, from: OperatorId, to: OperatorId) -> Result<Route, GraphError> {
         if from == to {
             return Ok(Route { media: Vec::new() });

@@ -14,7 +14,7 @@
 
 use crate::diag::{Code, Diagnostic, Location};
 use pdr_ir::{IrExecutive, IrInstr, MediumRef, PeerRef, SymbolTable};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// One endpoint of a rendezvous, as found in an operator stream.
 #[derive(Debug, Clone, Copy)]
@@ -56,18 +56,20 @@ pub struct RendezvousAnalysis {
 /// Check rendezvous matching over the whole lowered executive.
 pub fn check(ir: &IrExecutive, table: &SymbolTable) -> RendezvousAnalysis {
     let mut diagnostics = Vec::new();
-    let mut sends: BTreeMap<u32, Endpoint> = BTreeMap::new();
-    let mut recvs: BTreeMap<u32, Endpoint> = BTreeMap::new();
+    // Every transfer hop is one send plus one receive.
+    let mut sends: HashMap<u32, Endpoint> = HashMap::with_capacity(ir.len() / 2);
+    let mut recvs: HashMap<u32, Endpoint> = HashMap::with_capacity(ir.len() / 2);
+    // Tags already seen in the current operator's stream, in either role:
+    // a second use is PDR003 even when the global role maps stay
+    // consistent (a send+receive of one tag on one operator is a
+    // self-rendezvous that can never complete).
+    let mut local_tags: HashMap<u32, usize> = HashMap::new();
 
     let op_name = |stream: usize| ir.operator_sym(stream).resolve(table);
 
     for stream in 0..ir.operator_count() {
         let operator = op_name(stream);
-        // Tags already seen in *this* operator's stream, in either role:
-        // a second use is PDR003 even when the global role maps stay
-        // consistent (a send+receive of one tag on one operator is a
-        // self-rendezvous that can never complete).
-        let mut local_tags: BTreeMap<u32, usize> = BTreeMap::new();
+        local_tags.clear();
         for (index, instr) in ir.program(stream).iter().enumerate() {
             let (tag, peer, medium, bits, role_map, role) = match instr {
                 IrInstr::Send {
@@ -130,14 +132,18 @@ pub fn check(ir: &IrExecutive, table: &SymbolTable) -> RendezvousAnalysis {
     let peer_name = |peer: PeerRef| ir.peer_sym(peer).resolve(table);
     let medium_name = |m: MediumRef| ir.medium_sym(m).resolve(table);
 
-    // Pair up by tag; report dangling and mismatched pairs.
+    // Pair up by tag; report dangling and mismatched pairs. Report order:
+    // send tags ascending, then receive-only tags ascending.
+    let mut send_tags: Vec<u32> = sends.keys().copied().collect();
+    send_tags.sort_unstable();
+    let mut recv_only: Vec<u32> = recvs
+        .keys()
+        .filter(|t| !sends.contains_key(t))
+        .copied()
+        .collect();
+    recv_only.sort_unstable();
     let mut pairs = Vec::new();
-    let tags: Vec<u32> = sends.keys().chain(recvs.keys()).copied().collect();
-    let mut seen = std::collections::BTreeSet::new();
-    for tag in tags {
-        if !seen.insert(tag) {
-            continue;
-        }
+    for tag in send_tags.into_iter().chain(recv_only) {
         match (sends.get(&tag), recvs.get(&tag)) {
             (Some(s), None) => diagnostics.push(
                 Diagnostic::new(
@@ -254,6 +260,88 @@ mod tests {
         let mut table = SymbolTable::new();
         let ir = e.lower(&mut table);
         check(&ir, &table)
+    }
+
+    /// Pins the pass's complete output on one executive that mixes every
+    /// finding: the diagnostic sequence (code, message, location, notes)
+    /// and the `pairs` order. Receive-only tags (1, 3, 4) sit below the
+    /// send tags, so the tag order of the report is visible.
+    #[test]
+    fn full_report_order_is_pinned() {
+        let mut e = Executive::default();
+        e.per_operator.insert(
+            "a".into(),
+            vec![
+                send("b", 5),
+                send("c", 6),
+                recv("b", 2),
+                send("b", 5),
+                send("b", 9),
+            ],
+        );
+        e.per_operator.insert(
+            "b".into(),
+            vec![
+                recv("a", 5),
+                recv("a", 1),
+                send("a", 2),
+                recv("c", 3),
+                recv("d", 8),
+            ],
+        );
+        e.per_operator.insert(
+            "c".into(),
+            vec![
+                MacroInstr::Receive {
+                    from: "a".into(),
+                    medium: "other".into(),
+                    bits: 16,
+                    tag: 6,
+                },
+                send("b", 8),
+                recv("a", 4),
+            ],
+        );
+        e.per_operator.insert("d".into(), vec![send("b", 8)]);
+        let r = run(&e);
+        let rendered: Vec<String> = r.diagnostics.iter().map(|d| d.to_string()).collect();
+        assert_eq!(
+            rendered,
+            [
+                "error[PDR003] a[3]: tag 5 used twice within operator `a` (first at a[0]); \
+                 a tag names exactly one transfer hop between two operators",
+                "error[PDR003] d[0]: tag 8 has a second send at d[0] (first at c[1])",
+                "error[PDR002] a[1]: rendezvous tag 6 is mismatched between a[1] and c[0]\n    \
+                 | medium differs: send over `m`, receive over `other`\n    \
+                 | payload differs: send 8 bits, receive 16 bits",
+                "error[PDR002] c[1]: rendezvous tag 8 is mismatched between c[1] and b[4]\n    \
+                 | receive expects `d` but the send sits on `c`",
+                "error[PDR001] a[4]: send tag 9 to `b` over `m` has no matching receive \
+                 anywhere; the sender blocks forever",
+                "error[PDR001] b[1]: receive tag 1 from `a` over `m` has no matching send \
+                 anywhere; the receiver blocks forever",
+                "error[PDR001] b[3]: receive tag 3 from `c` over `m` has no matching send \
+                 anywhere; the receiver blocks forever",
+                "error[PDR001] c[2]: receive tag 4 from `a` over `m` has no matching send \
+                 anywhere; the receiver blocks forever",
+            ]
+        );
+        let pair = |tag, send_stream, send_idx, recv_stream, recv_idx| RendezvousPair {
+            tag,
+            send_stream,
+            send_idx,
+            recv_stream,
+            recv_idx,
+        };
+        assert_eq!(
+            r.pairs,
+            [
+                pair(2, 1, 2, 0, 2),
+                pair(5, 0, 0, 1, 0),
+                pair(6, 0, 1, 2, 0),
+                pair(8, 2, 1, 1, 4),
+            ]
+        );
     }
 
     #[test]
