@@ -162,9 +162,11 @@ fn main() {
     let without = check_flow(&art, &pairs, &ModelConfig::default().without_por());
     let reduction =
         without.outcome.stats.states as f64 / with_por.outcome.stats.states.max(1) as f64;
+    let unreduced_per_sec = without.outcome.stats.states as f64 / (without.millis / 1e3).max(1e-9);
     println!(
-        "{LARGEST}: {} states with POR, {} without ({reduction:.1}x reduction)",
-        with_por.outcome.stats.states, without.outcome.stats.states
+        "{LARGEST}: {} states with POR, {} without ({reduction:.1}x reduction); \
+         unreduced exploration {:.1} ms, {unreduced_per_sec:.0} states/s",
+        with_por.outcome.stats.states, without.outcome.stats.states, without.millis
     );
     assert!(
         reduction >= REDUCTION_FLOOR,
@@ -215,6 +217,11 @@ fn main() {
                 ),
                 ("reduction", Value::Float(reduction)),
                 ("floor", Value::Float(REDUCTION_FLOOR)),
+                ("millis_without_por", Value::Float(without.millis)),
+                (
+                    "states_per_sec_without_por",
+                    Value::Float(unreduced_per_sec),
+                ),
             ]),
         );
         artifact.push_section("witness_replay", parity);

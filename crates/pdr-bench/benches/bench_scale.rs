@@ -13,17 +13,21 @@
 //!   heap allocations. In every mode it also asserts that one
 //!   `generate_executive` on that flow stays under
 //!   [`EXECUTIVE_ALLOCS_PER_INSTR_CEILING`] heap allocations per
-//!   generated instruction;
+//!   generated instruction, and that one `model::check` of its
+//!   executive stays under [`MODEL_CHECK_ALLOCS_CEILING`] heap
+//!   allocations;
 //! * `--out <path>` — persist the study as a `BENCH_scale.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
 use criterion::Criterion;
-use pdr_adequation::executive::generate_executive;
+use pdr_adequation::executive::{generate_executive, Executive};
 use pdr_adequation::{
     adequate, adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace, IndexOptions,
 };
 use pdr_bench::scale::{self, BUILD_SPEEDUP_FLOOR, E2E_SPEEDUP_FLOOR, FLOOR_CASE};
-use pdr_core::gallery;
+use pdr_core::{gallery, DesignFlow};
+use pdr_lint::model::{self, ModelInput};
+use pdr_lint::{rendezvous, ModelConfig};
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,9 +109,9 @@ fn assert_scheduler_steady_state_is_allocation_free() {
 const EXECUTIVE_ALLOCS_PER_INSTR_CEILING: f64 = 2.5;
 
 /// Assert the executive-generation allocation ceiling on [`FLOOR_CASE`]
-/// and time the generator: best of `reps`. Returns the artifact section.
-fn probe_executive_generation(reps: usize) -> Value {
-    let flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
+/// and time the generator: best of `reps`. Returns the artifact section
+/// and the executive.
+fn probe_executive_generation(flow: &DesignFlow, reps: usize) -> (Value, Executive) {
     let (algo, arch, chars) = (
         flow.algorithm(),
         flow.architecture(),
@@ -129,7 +133,6 @@ fn probe_executive_generation(reps: usize) -> Value {
     let executive = generate();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let instructions = executive.len();
-    drop(executive);
     let per_instr = allocations as f64 / instructions as f64;
     assert!(
         per_instr <= EXECUTIVE_ALLOCS_PER_INSTR_CEILING,
@@ -150,7 +153,7 @@ fn probe_executive_generation(reps: usize) -> Value {
          {EXECUTIVE_ALLOCS_PER_INSTR_CEILING}), best of {reps} {:.3} ms",
         best_ns as f64 / 1e6
     );
-    Value::obj(vec![
+    let section = Value::obj(vec![
         ("flow", Value::String(FLOOR_CASE.into())),
         ("instructions", Value::UInt(instructions as u64)),
         ("allocations", Value::UInt(allocations)),
@@ -160,6 +163,85 @@ fn probe_executive_generation(reps: usize) -> Value {
             Value::Float(EXECUTIVE_ALLOCS_PER_INSTR_CEILING),
         ),
         ("best_ns", Value::UInt(best_ns)),
+    ]);
+    (section, executive)
+}
+
+/// Heap allocations one `model::check` of the [`FLOOR_CASE`] executive
+/// may make. Its state arena, probe table and node list grow
+/// geometrically and the rest is per-check setup, so the count stays
+/// near a hundred whatever the state count; an allocation per visited
+/// state (tens of thousands of states) fails on any host.
+const MODEL_CHECK_ALLOCS_CEILING: u64 = 256;
+
+/// Assert the model-checker allocation ceiling on the [`FLOOR_CASE`]
+/// executive, and time the model checker and the rendezvous pass: best
+/// of `reps` each. Returns the artifact section.
+fn probe_verify(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value {
+    let mut table = Default::default();
+    let ir = executive.lower(&mut table);
+    let rv = rendezvous::check(&ir, &table);
+    assert!(rv.diagnostics.is_empty(), "{:?}", rv.diagnostics);
+    let input = ModelInput {
+        ir: &ir,
+        table: &table,
+        pairs: &rv.pairs,
+        constraints: Some(flow.constraints()),
+    };
+    let config = ModelConfig::default();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let outcome = model::check(&input, &config);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(
+        outcome.diagnostics.is_empty(),
+        "{FLOOR_CASE} does not model-check clean: {:?}",
+        outcome.diagnostics
+    );
+    assert!(
+        allocations <= MODEL_CHECK_ALLOCS_CEILING,
+        "model::check made {allocations} heap allocations on {FLOOR_CASE} \
+         ({} states; ceiling {MODEL_CHECK_ALLOCS_CEILING})",
+        outcome.stats.states
+    );
+
+    let best_of = |f: &dyn Fn()| {
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_nanos() as u64
+            })
+            .min()
+            .unwrap_or(0)
+    };
+    let model_ns = best_of(&|| {
+        black_box(model::check(&input, &config));
+    });
+    let rendezvous_ns = best_of(&|| {
+        black_box(rendezvous::check(&ir, &table));
+    });
+    let stats = outcome.stats;
+    println!(
+        "ok: model::check on {FLOOR_CASE}: {} states, {} transitions, {allocations} \
+         heap allocations (ceiling {MODEL_CHECK_ALLOCS_CEILING}), best of {reps} {:.3} ms; \
+         rendezvous::check best of {reps} {:.3} ms",
+        stats.states,
+        stats.transitions,
+        model_ns as f64 / 1e6,
+        rendezvous_ns as f64 / 1e6
+    );
+    Value::obj(vec![
+        ("flow", Value::String(FLOOR_CASE.into())),
+        ("states", Value::UInt(stats.states)),
+        ("transitions", Value::UInt(stats.transitions)),
+        ("model_check_allocations", Value::UInt(allocations)),
+        (
+            "model_check_allocations_ceiling",
+            Value::UInt(MODEL_CHECK_ALLOCS_CEILING),
+        ),
+        ("model_check_best_ns", Value::UInt(model_ns)),
+        ("rendezvous_best_ns", Value::UInt(rendezvous_ns)),
     ])
 }
 
@@ -174,7 +256,9 @@ fn main() {
     assert_scheduler_steady_state_is_allocation_free();
 
     let reps = if test_mode { 3 } else { 5 };
-    let executive = probe_executive_generation(reps);
+    let floor_flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
+    let (executive, floor_executive) = probe_executive_generation(&floor_flow, reps);
+    let verify = probe_verify(&floor_flow, &floor_executive, reps);
     let threads = 4;
     let study = scale::run(reps, threads).expect("flows schedule");
     print!("{}", study.render());
@@ -220,6 +304,7 @@ fn main() {
             .with_field("threads", Value::UInt(threads as u64));
         artifact.push_section("study", study.to_json());
         artifact.push_section("executive", executive);
+        artifact.push_section("verify", verify);
         artifact.write(path).expect("artifact written");
         println!("wrote {path}");
     }

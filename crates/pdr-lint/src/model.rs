@@ -22,6 +22,22 @@
 //! or `Rendezvous` (a matched `Send`/`Receive` pair advances both
 //! streams at once, as in the synchronized executive's semantics).
 //!
+//! A state is packed into a fixed-width record: 4 bytes per program
+//! counter, 1 byte per residency slot and per in-flight datum. Every
+//! visited record sits in one arena and a node id is its record index.
+//! Breadth-first search hands out ids in discovery order, so the FIFO
+//! frontier is a cursor over ids, and the explorer expands a state by
+//! copying its record into one reused buffer per side (current, next)
+//! with one reused list of enabled transitions: exploring allocates only
+//! when the arena, the id table or a witness grows. A state's hash is
+//! the XOR of a strong 64-bit mix of each (slot, value) pair; a
+//! transition changes at most three slots (two program counters and a
+//! datum) and updates the hash by XORing their old contributions out
+//! and the new ones in. Nodes are found through an open-addressed table
+//! of ids keyed by that hash, and equality is always decided on the full
+//! record, so the hash only picks where probing starts: state counts,
+//! search order and witnesses are those of any exact visited set.
+//!
 //! ## Partial-order reduction
 //!
 //! Breadth-first search with a visibility-aware ample set: at a state
@@ -62,9 +78,9 @@
 use crate::diag::{Code, Diagnostic, Location};
 use crate::rendezvous::RendezvousPair;
 use pdr_fabric::TimePs;
-use pdr_graph::{ArchGraph, Characterization, ConstraintsFile};
+use pdr_graph::{ArchGraph, Characterization, ConstraintsFile, Medium};
 use pdr_ir::{IrExecutive, IrInstr, ModuleId, SymbolTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// "no module" sentinel in the dense residency/produced tables.
 const NONE: u8 = u8::MAX;
@@ -239,22 +255,149 @@ enum Action {
     Wait,
 }
 
-/// One interleaving state.
-#[derive(Clone, PartialEq, Eq)]
-struct State {
-    pcs: Vec<u32>,
-    resident: Vec<u8>,
-    produced: Vec<u8>,
+/// Byte layout of one packed state record: a little-endian `u32`
+/// program counter per stream, then the resident module per tracked
+/// region, then the in-flight datum per stream (one byte each, [`NONE`]
+/// when empty). A slot's byte offset doubles as its identity in the
+/// state hash.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    streams: usize,
+    regions: usize,
 }
 
-impl State {
-    fn pack(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        for pc in &self.pcs {
-            buf.extend_from_slice(&pc.to_le_bytes());
+impl Layout {
+    fn width(self) -> usize {
+        5 * self.streams + self.regions
+    }
+
+    fn resident(self, region: usize) -> usize {
+        4 * self.streams + region
+    }
+
+    fn produced(self, stream: usize) -> usize {
+        4 * self.streams + self.regions + stream
+    }
+}
+
+/// Program counter of `stream` in a packed record.
+fn pc(rec: &[u8], stream: usize) -> usize {
+    let b = &rec[4 * stream..4 * stream + 4];
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize
+}
+
+/// Hash contribution of one record slot: the splitmix64 finalizer (a
+/// bijection) over `(byte offset, value)`. A state's hash is the XOR of
+/// its slots' contributions, so a transition updates it by XORing out
+/// each changed slot's old contribution and XORing in the new one.
+fn slot_hash(offset: usize, value: u32) -> u64 {
+    let mut z = ((offset as u64) << 32 | u64::from(value)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Full hash of a packed record (the root; successors hash
+/// incrementally through [`NextState`]).
+fn record_hash(layout: Layout, rec: &[u8]) -> u64 {
+    let pcs = (0..layout.streams).map(|s| slot_hash(4 * s, pc(rec, s) as u32));
+    let bytes = (4 * layout.streams..rec.len()).map(|at| slot_hash(at, u32::from(rec[at])));
+    pcs.chain(bytes).fold(0, |h, x| h ^ x)
+}
+
+/// The successor under construction: a packed record plus its
+/// incrementally maintained hash.
+struct NextState {
+    rec: Vec<u8>,
+    hash: u64,
+}
+
+impl NextState {
+    fn advance(&mut self, stream: usize) {
+        let at = 4 * stream;
+        let old = pc(&self.rec, stream) as u32;
+        let new = old + 1;
+        self.hash ^= slot_hash(at, old) ^ slot_hash(at, new);
+        self.rec[at..at + 4].copy_from_slice(&new.to_le_bytes());
+    }
+
+    fn set(&mut self, at: usize, value: u8) {
+        self.hash ^= slot_hash(at, u32::from(self.rec[at])) ^ slot_hash(at, u32::from(value));
+        self.rec[at] = value;
+    }
+}
+
+/// Empty slot of the [`Visited`] probe table.
+const EMPTY: u32 = u32::MAX;
+
+/// Every visited state. Records sit back to back in one arena, so a node
+/// id is a record index; breadth-first search assigns ids in discovery
+/// order, which turns its FIFO queue into a cursor over ids. Lookup goes
+/// through an open-addressed (linear-probing) table of ids keyed by each
+/// node's stored hash; equality is always decided on the full record, so
+/// the hash only picks where probing starts.
+struct Visited {
+    width: usize,
+    records: Vec<u8>,
+    hashes: Vec<u64>,
+    /// Power-of-two sized, at most half full.
+    table: Vec<u32>,
+}
+
+impl Visited {
+    fn new(width: usize) -> Visited {
+        Visited {
+            width,
+            records: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![EMPTY; 1024],
         }
-        buf.extend_from_slice(&self.resident);
-        buf.extend_from_slice(&self.produced);
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn record(&self, id: usize) -> &[u8] {
+        &self.records[id * self.width..(id + 1) * self.width]
+    }
+
+    /// `Ok(id)` of the node holding `rec`, or `Err(slot)`: the empty
+    /// table slot where it belongs.
+    fn find(&self, rec: &[u8], hash: u64) -> Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                return Err(slot);
+            }
+            let id = id as usize;
+            if self.hashes[id] == hash && self.record(id) == rec {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Store `rec` as the next node id, in the empty `slot` that
+    /// [`Visited::find`] just returned for it.
+    fn insert(&mut self, slot: usize, rec: &[u8], hash: u64) {
+        self.table[slot] = self.len() as u32;
+        self.records.extend_from_slice(rec);
+        self.hashes.push(hash);
+        if 2 * self.len() > self.table.len() {
+            let mask = 2 * self.table.len() - 1;
+            self.table.clear();
+            self.table.resize(mask + 1, EMPTY);
+            for (id, &h) in self.hashes.iter().enumerate() {
+                let mut slot = h as usize & mask;
+                while self.table[slot] != EMPTY {
+                    slot = (slot + 1) & mask;
+                }
+                self.table[slot] = id as u32;
+            }
+        }
     }
 }
 
@@ -302,10 +445,18 @@ impl Tracked {
     }
 }
 
+/// A node's incoming step, stored compactly; [`Explorer::step`] rebuilds
+/// the [`Step`] for witnesses.
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    Local { stream: u32, index: u32 },
+    Rendezvous { pair: u32 },
+}
+
 /// An enabled transition at some state.
 #[derive(Debug, Clone, Copy)]
 struct Trans {
-    step: Step,
+    edge: Edge,
     action: Action,
     stream: usize,
 }
@@ -313,168 +464,192 @@ struct Trans {
 struct Explorer<'a> {
     ir: &'a IrExecutive,
     pairs: &'a [RendezvousPair],
-    actions: Vec<Vec<Action>>,
+    /// Stream `s` owns `actions[starts[s]..starts[s + 1]]` (and the same
+    /// range of `executed`).
+    starts: Vec<usize>,
+    actions: Vec<Action>,
     tracked: Tracked,
+    layout: Layout,
     config: ModelConfig,
     /// `(parent node, incoming step)` per visited state; the root's
     /// parent is `u32::MAX`.
-    nodes: Vec<(u32, Step)>,
-    executed: Vec<Vec<bool>>,
+    nodes: Vec<(u32, Edge)>,
+    executed: Vec<bool>,
     stats: ModelStats,
 }
 
 impl<'a> Explorer<'a> {
     fn new(input: &ModelInput<'a>, config: ModelConfig) -> Explorer<'a> {
         let ir = input.ir;
+        let streams = ir.operator_count();
         let tracked = Tracked::build(input.table, input.constraints);
-        // Send-side endpoint of every pair, for classification. A pair
-        // with out-of-range receive coordinates (possible only when a
-        // caller hands in pairs that did not come from the rendezvous
-        // pass) is dropped: its send side then classifies as `Wait`,
-        // i.e. permanently blocked, instead of indexing out of bounds.
-        let mut send_at: HashMap<(usize, usize), u32> = HashMap::new();
+        let mut starts = Vec::with_capacity(streams + 1);
+        let mut actions = Vec::with_capacity(ir.len());
+        for stream in 0..streams {
+            starts.push(actions.len());
+            actions.extend(ir.program(stream).iter().map(|instr| match instr {
+                IrInstr::Compute { function, .. } => match tracked.module_ix.get(function) {
+                    Some(&m) => Action::ComputeTracked { module: m },
+                    None => Action::Local,
+                },
+                IrInstr::Configure { module, .. } => match tracked.module_ix.get(module) {
+                    Some(&m) => Action::ConfigureTracked {
+                        module: m,
+                        region: tracked.region_of[m as usize],
+                    },
+                    None => Action::Local,
+                },
+                IrInstr::Send { .. } | IrInstr::Receive { .. } => Action::Wait,
+            }));
+        }
+        starts.push(actions.len());
+        // Arm the send side of every pair (a later pair on the same send
+        // wins). A pair with out-of-range coordinates (possible only when
+        // a caller hands in pairs that did not come from the rendezvous
+        // pass) is dropped: its send side then stays `Wait`, i.e.
+        // permanently blocked, instead of indexing out of bounds.
+        let valid = |stream: usize, index: usize| {
+            stream < streams && index < starts[stream + 1] - starts[stream]
+        };
         for (k, p) in input.pairs.iter().enumerate() {
-            let recv_valid =
-                p.recv_stream < ir.operator_count() && p.recv_idx < ir.program(p.recv_stream).len();
-            if recv_valid {
-                send_at.insert((p.send_stream, p.send_idx), k as u32);
+            if valid(p.send_stream, p.send_idx)
+                && valid(p.recv_stream, p.recv_idx)
+                && matches!(ir.program(p.send_stream)[p.send_idx], IrInstr::Send { .. })
+            {
+                actions[starts[p.send_stream] + p.send_idx] = Action::Send { pair: k as u32 };
             }
         }
-        let mut actions = Vec::with_capacity(ir.operator_count());
-        for stream in 0..ir.operator_count() {
-            let mut list = Vec::with_capacity(ir.program(stream).len());
-            for (index, instr) in ir.program(stream).iter().enumerate() {
-                let action = match instr {
-                    IrInstr::Compute { function, .. } => match tracked.module_ix.get(function) {
-                        Some(&m) => Action::ComputeTracked { module: m },
-                        None => Action::Local,
-                    },
-                    IrInstr::Configure { module, .. } => match tracked.module_ix.get(module) {
-                        Some(&m) => Action::ConfigureTracked {
-                            module: m,
-                            region: tracked.region_of[m as usize],
-                        },
-                        None => Action::Local,
-                    },
-                    IrInstr::Send { .. } => match send_at.get(&(stream, index)) {
-                        Some(&pair) => Action::Send { pair },
-                        None => Action::Wait,
-                    },
-                    IrInstr::Receive { .. } => Action::Wait,
-                };
-                list.push(action);
-            }
-            actions.push(list);
-        }
-        let executed = (0..ir.operator_count())
-            .map(|s| vec![false; ir.program(s).len()])
-            .collect();
+        let layout = Layout {
+            streams,
+            regions: tracked.regions.len(),
+        };
         Explorer {
             ir,
             pairs: input.pairs,
+            executed: vec![false; actions.len()],
+            starts,
             actions,
             tracked,
+            layout,
             config,
             nodes: Vec::new(),
-            executed,
             stats: ModelStats::default(),
         }
     }
 
-    fn initial(&self) -> State {
-        State {
-            pcs: vec![0; self.ir.operator_count()],
-            resident: vec![NONE; self.tracked.regions.len()],
-            produced: vec![NONE; self.ir.operator_count()],
-        }
+    fn initial(&self) -> Vec<u8> {
+        let mut rec = vec![NONE; self.layout.width()];
+        rec[..4 * self.layout.streams].fill(0);
+        rec
     }
 
-    /// All enabled transitions at `state`, in stream order (rendezvous
-    /// enumerated at their send side).
-    fn enabled(&self, state: &State) -> Vec<Trans> {
-        let mut out = Vec::new();
-        for stream in 0..self.ir.operator_count() {
-            let pc = state.pcs[stream] as usize;
-            if pc >= self.actions[stream].len() {
+    fn len(&self, stream: usize) -> usize {
+        self.starts[stream + 1] - self.starts[stream]
+    }
+
+    /// All enabled transitions at `rec` into `out`, in stream order
+    /// (rendezvous enumerated at their send side).
+    fn enabled(&self, rec: &[u8], out: &mut Vec<Trans>) {
+        out.clear();
+        for stream in 0..self.layout.streams {
+            let at = pc(rec, stream);
+            if at >= self.len(stream) {
                 continue;
             }
-            let action = self.actions[stream][pc];
+            let action = self.actions[self.starts[stream] + at];
             match action {
                 Action::Wait => {}
                 Action::Send { pair } => {
-                    let p = self.pairs[pair as usize];
-                    if state.pcs[p.recv_stream] as usize == p.recv_idx {
+                    let p = &self.pairs[pair as usize];
+                    if pc(rec, p.recv_stream) == p.recv_idx {
                         out.push(Trans {
-                            step: Step::Rendezvous { pair: p },
+                            edge: Edge::Rendezvous { pair },
                             action,
                             stream,
                         });
                     }
                 }
                 _ => out.push(Trans {
-                    step: Step::Local { stream, index: pc },
+                    edge: Edge::Local {
+                        stream: stream as u32,
+                        index: at as u32,
+                    },
                     action,
                     stream,
                 }),
             }
         }
-        out
     }
 
-    /// Is `t` invisible to every checked predicate at `state`?
-    fn invisible(&self, state: &State, t: &Trans) -> bool {
+    /// Is `t` invisible to every checked predicate at `rec`?
+    fn invisible(&self, rec: &[u8], t: &Trans) -> bool {
         match t.action {
             Action::Local => true,
-            Action::Send { .. } => state.produced[t.stream] == NONE,
+            Action::Send { .. } => rec[self.layout.produced(t.stream)] == NONE,
             _ => false,
         }
     }
 
-    /// Apply `t`; the defect hook reports a stale hand-off (PDR014).
-    fn apply(&mut self, state: &State, t: &Trans) -> (State, Option<(usize, usize, u8)>) {
-        let mut next = state.clone();
+    /// Apply `t` to `next` (a copy of its source state); the defect hook
+    /// reports a stale hand-off (PDR014).
+    fn apply(&mut self, next: &mut NextState, t: &Trans) -> Option<(usize, usize, u8)> {
+        let layout = self.layout;
         let mut stale = None;
-        match t.step {
-            Step::Local { stream, index } => {
-                self.executed[stream][index] = true;
-                next.pcs[stream] += 1;
+        match t.edge {
+            Edge::Local { stream, index } => {
+                let stream = stream as usize;
+                self.executed[self.starts[stream] + index as usize] = true;
+                next.advance(stream);
                 match t.action {
-                    Action::ComputeTracked { module } => next.produced[stream] = module,
+                    Action::ComputeTracked { module } => next.set(layout.produced(stream), module),
                     Action::ConfigureTracked { module, region } => {
-                        next.resident[region as usize] = module;
+                        next.set(layout.resident(region as usize), module);
                     }
                     _ => {}
                 }
             }
-            Step::Rendezvous { pair } => {
-                self.executed[pair.send_stream][pair.send_idx] = true;
-                self.executed[pair.recv_stream][pair.recv_idx] = true;
-                next.pcs[pair.send_stream] += 1;
-                next.pcs[pair.recv_stream] += 1;
-                let produced = state.produced[pair.send_stream];
+            Edge::Rendezvous { pair } => {
+                let p = self.pairs[pair as usize];
+                self.executed[self.starts[p.send_stream] + p.send_idx] = true;
+                self.executed[self.starts[p.recv_stream] + p.recv_idx] = true;
+                next.advance(p.send_stream);
+                next.advance(p.recv_stream);
+                let produced = next.rec[layout.produced(p.send_stream)];
                 if produced != NONE {
                     let region = self.tracked.region_of[produced as usize] as usize;
-                    if next.resident[region] != produced {
-                        stale = Some((pair.send_stream, pair.send_idx, produced));
+                    if next.rec[layout.resident(region)] != produced {
+                        stale = Some((p.send_stream, p.send_idx, produced));
                     }
-                    next.produced[pair.send_stream] = NONE;
+                    next.set(layout.produced(p.send_stream), NONE);
                 }
             }
         }
         self.stats.transitions += 1;
-        (next, stale)
+        stale
+    }
+
+    fn step(&self, edge: Edge) -> Step {
+        match edge {
+            Edge::Local { stream, index } => Step::Local {
+                stream: stream as usize,
+                index: index as usize,
+            },
+            Edge::Rendezvous { pair } => Step::Rendezvous {
+                pair: self.pairs[pair as usize],
+            },
+        }
     }
 
     /// Reconstruct the schedule from the root to `node`.
-    fn schedule_to(&self, node: u32) -> Vec<Step> {
+    fn schedule_to(&self, node: usize) -> Vec<Step> {
         let mut steps = Vec::new();
-        let mut cur = node;
+        let mut cur = node as u32;
         while cur != u32::MAX {
-            let (parent, step) = self.nodes[cur as usize];
+            let (parent, edge) = self.nodes[cur as usize];
             if parent == u32::MAX {
                 break;
             }
-            steps.push(step);
+            steps.push(self.step(edge));
             cur = parent;
         }
         steps.reverse();
@@ -485,44 +660,55 @@ impl<'a> Explorer<'a> {
 /// Run the explorer and report PDR004, PDR013, PDR014, PDR016, PDR017.
 pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
     let mut ex = Explorer::new(input, *config);
-    let mut seen: HashMap<Vec<u8>, u32> = HashMap::new();
-    let mut queue: VecDeque<(u32, State)> = VecDeque::new();
-    let mut key = Vec::new();
+    let layout = ex.layout;
+    let mut visited = Visited::new(layout.width());
 
-    let root = ex.initial();
-    root.pack(&mut key);
-    seen.insert(key.clone(), 0);
+    let mut cur = ex.initial();
+    let root_hash = record_hash(layout, &cur);
+    if let Err(slot) = visited.find(&cur, root_hash) {
+        visited.insert(slot, &cur, root_hash);
+    }
     ex.nodes.push((
         u32::MAX,
-        Step::Local {
+        Edge::Local {
             stream: 0,
             index: 0,
         },
     ));
-    queue.push_back((0, root));
+    let mut next = NextState {
+        rec: cur.clone(),
+        hash: root_hash,
+    };
+    let mut enabled: Vec<Trans> = Vec::new();
 
     let mut deadlock: Option<Witness> = None;
     let mut races: BTreeMap<(usize, usize, usize, usize), Witness> = BTreeMap::new();
     let mut stales: BTreeMap<(usize, usize, u8), Witness> = BTreeMap::new();
 
-    while let Some((node, state)) = queue.pop_front() {
-        let enabled = ex.enabled(&state);
+    // Breadth-first: ids are handed out in discovery order, so visiting
+    // them in id order is the FIFO queue.
+    let mut cursor = 0;
+    while cursor < visited.len() {
+        let node = cursor;
+        cursor += 1;
+        cur.copy_from_slice(visited.record(node));
+        let hash = visited.hashes[node];
+        ex.enabled(&cur, &mut enabled);
 
         // PDR004: terminal state with unfinished streams.
         if enabled.is_empty() {
-            let stuck: Vec<(usize, usize)> = state
-                .pcs
-                .iter()
-                .enumerate()
-                .filter(|&(s, &pc)| (pc as usize) < ex.ir.program(s).len())
-                .map(|(s, &pc)| (s, pc as usize))
-                .collect();
-            if !stuck.is_empty() && deadlock.is_none() {
-                deadlock = Some(Witness {
-                    code: Code::Deadlock,
-                    schedule: ex.schedule_to(node),
-                    detail: WitnessDetail::Deadlock { stuck },
-                });
+            if deadlock.is_none() {
+                let stuck: Vec<(usize, usize)> = (0..layout.streams)
+                    .map(|s| (s, pc(&cur, s)))
+                    .filter(|&(s, at)| at < ex.len(s))
+                    .collect();
+                if !stuck.is_empty() {
+                    deadlock = Some(Witness {
+                        code: Code::Deadlock,
+                        schedule: ex.schedule_to(node),
+                        detail: WitnessDetail::Deadlock { stuck },
+                    });
+                }
             }
             continue;
         }
@@ -539,11 +725,11 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
                 };
                 if w.stream == c.stream
                     || ex.tracked.region_of[module as usize] != region
-                    || state.resident[region as usize] != module
+                    || cur[layout.resident(region as usize)] != module
                 {
                     continue;
                 }
-                let (ci, wi) = (state.pcs[c.stream] as usize, state.pcs[w.stream] as usize);
+                let (ci, wi) = (pc(&cur, c.stream), pc(&cur, w.stream));
                 let site = (c.stream, ci, w.stream, wi);
                 if races.len() < MAX_WITNESSES_PER_CODE && !races.contains_key(&site) {
                     races.insert(
@@ -564,22 +750,24 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
         }
 
         // Ample set: expand one invisible transition when possible.
-        let ample: Vec<Trans> = if ex.config.por {
-            match enabled.iter().find(|t| ex.invisible(&state, t)) {
-                Some(t) => vec![*t],
-                None => enabled,
-            }
+        let first_invisible = if ex.config.por {
+            enabled.iter().position(|t| ex.invisible(&cur, t))
         } else {
-            enabled
+            None
+        };
+        let ample = match first_invisible {
+            Some(k) => &enabled[k..=k],
+            None => &enabled[..],
         };
 
-        for t in &ample {
-            let (next, stale) = ex.apply(&state, t);
-            if let Some((send_stream, send_idx, produced)) = stale {
+        for t in ample {
+            next.rec.copy_from_slice(&cur);
+            next.hash = hash;
+            if let Some((send_stream, send_idx, produced)) = ex.apply(&mut next, t) {
                 let site = (send_stream, send_idx, produced);
                 if stales.len() < MAX_WITNESSES_PER_CODE && !stales.contains_key(&site) {
                     let mut schedule = ex.schedule_to(node);
-                    schedule.push(t.step);
+                    schedule.push(ex.step(t.edge));
                     stales.insert(
                         site,
                         Witness {
@@ -596,18 +784,15 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
                     );
                 }
             }
-            next.pack(&mut key);
-            if seen.contains_key(&key) {
+            let Err(slot) = visited.find(&next.rec, next.hash) else {
                 continue;
-            }
-            if ex.nodes.len() >= ex.config.max_states {
+            };
+            if visited.len() >= ex.config.max_states {
                 ex.stats.truncated = true;
                 continue;
             }
-            let id = ex.nodes.len() as u32;
-            seen.insert(key.clone(), id);
-            ex.nodes.push((node, t.step));
-            queue.push_back((id, next));
+            visited.insert(slot, &next.rec, next.hash);
+            ex.nodes.push((node as u32, t.edge));
         }
     }
 
@@ -629,7 +814,12 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
         witnesses.push(w);
     }
     if !ex.stats.truncated {
-        diagnostics.extend(unreachable_instrs(ex.ir, input.table, &ex.executed));
+        diagnostics.extend(unreachable_instrs(
+            ex.ir,
+            input.table,
+            &ex.starts,
+            &ex.executed,
+        ));
     } else {
         diagnostics.push(Diagnostic::new(
             Code::StateBudgetExceeded,
@@ -651,14 +841,17 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
 
 /// PDR016: instructions no explored interleaving ever executed. Only
 /// meaningful on a complete exploration; one finding per stream, at the
-/// first dead instruction.
+/// first dead instruction. Stream `s`'s marks are
+/// `executed[starts[s]..starts[s + 1]]`.
 fn unreachable_instrs(
     ir: &IrExecutive,
     table: &SymbolTable,
-    executed: &[Vec<bool>],
+    starts: &[usize],
+    executed: &[bool],
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (stream, marks) in executed.iter().enumerate() {
+    for (stream, span) in starts.windows(2).enumerate() {
+        let marks = &executed[span[0]..span[1]];
         let Some(first) = marks.iter().position(|&e| !e) else {
             continue;
         };
@@ -878,28 +1071,21 @@ pub fn check_timing(
         return Vec::new();
     }
 
-    let media: HashMap<&str, TimePs> = {
-        let mut m = HashMap::new();
-        for p in pairs {
-            if let Some(IrInstr::Send { medium, bits, .. }) =
-                ir.program(p.send_stream).get(p.send_idx)
-            {
-                let name = ir.medium_sym(*medium).resolve(table);
-                let time = arch
-                    .media()
-                    .find(|(_, med)| med.name == name)
-                    .map(|(_, med)| med.transfer_time(*bits))
-                    .unwrap_or(TimePs::ZERO);
-                m.insert(name, time);
-            }
-        }
-        m
-    };
+    // Each executive medium's architecture medium, resolved once; a
+    // medium the architecture does not know transfers in zero time.
+    let media: Vec<Option<&Medium>> = ir
+        .media()
+        .iter()
+        .map(|m| {
+            arch.medium_by_name(m.resolve(table))
+                .map(|id| arch.medium(id))
+        })
+        .collect();
+    // Each pair is charged its own payload's transfer time.
     let transfer = |p: &RendezvousPair| -> TimePs {
         match ir.program(p.send_stream).get(p.send_idx) {
-            Some(IrInstr::Send { medium, .. }) => media
-                .get(ir.medium_sym(*medium).resolve(table))
-                .copied()
+            Some(IrInstr::Send { medium, bits, .. }) => media[medium.0 as usize]
+                .map(|med| med.transfer_time(*bits))
                 .unwrap_or(TimePs::ZERO),
             _ => TimePs::ZERO,
         }
@@ -1306,5 +1492,52 @@ mod tests {
         // No deadline: nothing to check.
         let ds = check_timing(&ir, &table, &[], &arch, &ConstraintsFile::new());
         assert!(ds.is_empty());
+    }
+
+    /// `a` sends `first_bits` (tag 1) then `second_bits` (tag 2) to `b`
+    /// over a shared 1 Mbit/s medium; `b` receives tag 1, computes
+    /// `mod_a` for 1 µs against `deadline_us`, then receives tag 2.
+    fn mixed_width_timing(first_bits: u64, second_bits: u64, deadline_us: u64) -> Vec<Diagnostic> {
+        let mut arch = ArchGraph::new("t");
+        arch.add_medium("bus", pdr_graph::MediumKind::Bus, 1_000_000, TimePs::ZERO)
+            .unwrap();
+        let mut f = ConstraintsFile::new();
+        let mut mc = pdr_graph::constraints::ModuleConstraints::new("mod_a", "d1");
+        mc.deadline_us = Some(deadline_us);
+        f.add(mc).unwrap();
+        let mut table = SymbolTable::new();
+        let ir = {
+            let mut b = IrBuilder::new(&mut table);
+            b.begin_operator("a");
+            b.send("b", "bus", first_bits, 1);
+            b.send("b", "bus", second_bits, 2);
+            b.begin_operator("b");
+            b.receive("a", "bus", first_bits, 1);
+            b.compute("eq", "mod_a", TimePs::from_us(1));
+            b.receive("a", "bus", second_bits, 2);
+            b.finish()
+        };
+        let pairs = pairs_of(&ir, &table);
+        check_timing(&ir, &table, &pairs, &arch, &f)
+    }
+
+    #[test]
+    fn timing_charges_each_transfer_its_own_payload() {
+        // 8 bits take 8 µs: the compute ends at 9 µs, well inside 100 µs,
+        // although the medium's other transfer (8 Mbit) takes 8 s.
+        let ds = mixed_width_timing(8, 8_000_000, 100);
+        assert!(ds.is_empty(), "{ds:?}");
+
+        // 80 bits take 80 µs: the compute ends at 81 µs, past 50 µs,
+        // although the medium's other transfer (8 bits) takes 8 µs.
+        let ds = mixed_width_timing(80, 8, 50);
+        assert_eq!(ds.len(), 1, "{ds:?}");
+        assert_eq!(ds[0].severity, crate::diag::Severity::Error);
+        assert_eq!(
+            ds[0].to_string(),
+            "error[PDR015] b[1]: compute of `mod_a` finishes at 81.000 us at the \
+             earliest — past its §4 deadline of 50.000 us\n    \
+             | completion clock interval: [81.000 us, 81.000 us]"
+        );
     }
 }

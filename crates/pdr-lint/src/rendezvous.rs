@@ -11,10 +11,21 @@
 //! and names only reappear, through the [`SymbolTable`], inside the
 //! rendered diagnostics — which stay byte-identical to the historical
 //! string-executive output.
+//!
+//! Matching sorts instead of hashing. The pass walks the streams once,
+//! collecting every `Send`/`Receive` with its walk position (stream-major
+//! order), and sorts the `(tag, walk position)` keys once. Each tag's uses
+//! then form one run in walk order, where one operator's uses of the tag
+//! are adjacent. From a run the pass reads the tag's first send and first
+//! receive, the in-operator PDR003 findings (each citing the operator's
+//! immediately preceding use of the tag) and the cross-operator "second
+//! send/receive" findings. PDR003 findings are reported in walk order, an
+//! in-operator finding before a cross-operator one on the same
+//! instruction. Pairing then runs over send tags ascending, then
+//! receive-only tags ascending.
 
 use crate::diag::{Code, Diagnostic, Location};
 use pdr_ir::{IrExecutive, IrInstr, MediumRef, PeerRef, SymbolTable};
-use std::collections::HashMap;
 
 /// One endpoint of a rendezvous, as found in an operator stream.
 #[derive(Debug, Clone, Copy)]
@@ -25,6 +36,8 @@ struct Endpoint {
     peer: PeerRef,
     medium: MediumRef,
     bits: u64,
+    /// `Send` (else `Receive`).
+    send: bool,
 }
 
 /// A fully matched rendezvous pair: where the `Send` and the `Receive`
@@ -55,96 +68,123 @@ pub struct RendezvousAnalysis {
 
 /// Check rendezvous matching over the whole lowered executive.
 pub fn check(ir: &IrExecutive, table: &SymbolTable) -> RendezvousAnalysis {
-    let mut diagnostics = Vec::new();
-    // Every transfer hop is one send plus one receive.
-    let mut sends: HashMap<u32, Endpoint> = HashMap::with_capacity(ir.len() / 2);
-    let mut recvs: HashMap<u32, Endpoint> = HashMap::with_capacity(ir.len() / 2);
-    // Tags already seen in the current operator's stream, in either role:
-    // a second use is PDR003 even when the global role maps stay
-    // consistent (a send+receive of one tag on one operator is a
-    // self-rendezvous that can never complete).
-    let mut local_tags: HashMap<u32, usize> = HashMap::new();
-
     let op_name = |stream: usize| ir.operator_sym(stream).resolve(table);
 
+    // Every communication in walk order (streams in order, instructions
+    // in order): a use's walk position is its index here.
+    let mut eps: Vec<Endpoint> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     for stream in 0..ir.operator_count() {
-        let operator = op_name(stream);
-        local_tags.clear();
         for (index, instr) in ir.program(stream).iter().enumerate() {
-            let (tag, peer, medium, bits, role_map, role) = match instr {
+            let (tag, peer, medium, bits, send) = match *instr {
                 IrInstr::Send {
                     to,
                     medium,
                     bits,
                     tag,
-                } => (*tag, *to, *medium, *bits, &mut sends, "send"),
+                } => (tag, to, medium, bits, true),
                 IrInstr::Receive {
                     from,
                     medium,
                     bits,
                     tag,
-                } => (*tag, *from, *medium, *bits, &mut recvs, "receive"),
+                } => (tag, from, medium, bits, false),
                 _ => continue,
             };
-            if let Some(&first) = local_tags.get(&tag) {
-                diagnostics.push(
-                    Diagnostic::new(
-                        Code::DuplicateTag,
-                        format!(
-                            "tag {tag} used twice within operator `{operator}` \
-                             (first at {operator}[{first}]); a tag names exactly \
-                             one transfer hop between two operators"
-                        ),
-                    )
-                    .at(Location::instr(operator, index)),
-                );
-            }
-            local_tags.insert(tag, index);
-            let ep = Endpoint {
+            keys.push(u64::from(tag) << 32 | eps.len() as u64);
+            eps.push(Endpoint {
                 stream,
                 index,
                 peer,
                 medium,
                 bits,
+                send,
+            });
+        }
+    }
+    // `(tag, walk position)`, sorted once: each tag's uses form one run,
+    // in walk order, so one operator's uses of a tag are adjacent.
+    keys.sort_unstable();
+
+    // PDR003 findings keyed by (walk position, in-operator before
+    // cross-operator): the order a single walk would report them in.
+    let mut duplicates: Vec<(usize, u8, Diagnostic)> = Vec::new();
+    // Per tag, ascending: the first send and the first receive.
+    let mut tags: Vec<(u32, Option<usize>, Option<usize>)> = Vec::new();
+    for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let tag = (run[0] >> 32) as u32;
+        let (mut first_send, mut first_recv) = (None, None);
+        let mut prev: Option<usize> = None;
+        for &key in run {
+            let k = key as u32 as usize;
+            let e = eps[k];
+            // A second use of a tag on one operator, in either role, is
+            // PDR003 even when the role matching stays consistent (a
+            // send+receive of one tag on one operator is a
+            // self-rendezvous that can never complete). It cites the
+            // immediately preceding use.
+            if let Some(p) = prev.filter(|&p| eps[p].stream == e.stream) {
+                let operator = op_name(e.stream);
+                duplicates.push((
+                    k,
+                    0,
+                    Diagnostic::new(
+                        Code::DuplicateTag,
+                        format!(
+                            "tag {tag} used twice within operator `{operator}` \
+                             (first at {operator}[{}]); a tag names exactly \
+                             one transfer hop between two operators",
+                            eps[p].index
+                        ),
+                    )
+                    .at(Location::instr(operator, e.index)),
+                ));
+            }
+            prev = Some(k);
+            let (first, role) = if e.send {
+                (&mut first_send, "send")
+            } else {
+                (&mut first_recv, "receive")
             };
-            if let Some(prev) = role_map.get(&tag) {
-                if prev.stream != stream {
-                    diagnostics.push(
+            match *first {
+                // Keep the first endpoint for pairing.
+                None => *first = Some(k),
+                Some(f) if eps[f].stream != e.stream => {
+                    let operator = op_name(e.stream);
+                    duplicates.push((
+                        k,
+                        1,
                         Diagnostic::new(
                             Code::DuplicateTag,
                             format!(
                                 "tag {tag} has a second {role} at \
-                                 {operator}[{index}] (first at {}[{}])",
-                                op_name(prev.stream),
-                                prev.index
+                                 {operator}[{}] (first at {}[{}])",
+                                e.index,
+                                op_name(eps[f].stream),
+                                eps[f].index
                             ),
                         )
-                        .at(Location::instr(operator, index)),
-                    );
+                        .at(Location::instr(operator, e.index)),
+                    ));
                 }
-                // Keep the first endpoint for pairing.
-            } else {
-                role_map.insert(tag, ep);
+                Some(_) => {}
             }
         }
+        tags.push((tag, first_send, first_recv));
     }
+    duplicates.sort_unstable_by_key(|&(k, kind, _)| (k, kind));
+    let mut diagnostics: Vec<Diagnostic> = duplicates.into_iter().map(|(_, _, d)| d).collect();
 
     let peer_name = |peer: PeerRef| ir.peer_sym(peer).resolve(table);
     let medium_name = |m: MediumRef| ir.medium_sym(m).resolve(table);
 
     // Pair up by tag; report dangling and mismatched pairs. Report order:
     // send tags ascending, then receive-only tags ascending.
-    let mut send_tags: Vec<u32> = sends.keys().copied().collect();
-    send_tags.sort_unstable();
-    let mut recv_only: Vec<u32> = recvs
-        .keys()
-        .filter(|t| !sends.contains_key(t))
-        .copied()
-        .collect();
-    recv_only.sort_unstable();
+    let sent = tags.iter().filter(|t| t.1.is_some());
+    let recv_only = tags.iter().filter(|t| t.1.is_none());
     let mut pairs = Vec::new();
-    for tag in send_tags.into_iter().chain(recv_only) {
-        match (sends.get(&tag), recvs.get(&tag)) {
+    for &(tag, send, recv) in sent.chain(recv_only) {
+        match (send.map(|k| &eps[k]), recv.map(|k| &eps[k])) {
             (Some(s), None) => diagnostics.push(
                 Diagnostic::new(
                     Code::DanglingRendezvous,
@@ -226,7 +266,7 @@ pub fn check(ir: &IrExecutive, table: &SymbolTable) -> RendezvousAnalysis {
                     });
                 }
             }
-            (None, None) => unreachable!("tag came from one of the maps"),
+            (None, None) => unreachable!("every tag has a send or a receive"),
         }
     }
 
