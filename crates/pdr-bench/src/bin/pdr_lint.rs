@@ -7,16 +7,14 @@
 //! pdr-lint --all --deny-warnings          # CI gate: warnings also fail
 //! pdr-lint --all --code PDR004 --code PDR013   # only selected codes
 //! pdr-lint --flow paper --max-states 50000     # bounded model check
-//! pdr-lint --flow paper --no-model-check       # greedy deadlock pass only
 //! ```
 //!
 //! The offline artifact model has no deserializer, so the CLI rebuilds
 //! flows in-process from [`pdr_core::gallery`] and lints what `run()`
 //! produces — the same artifacts `DesignFlow::verify` sees. The
-//! exhaustive interleaving model checker (PDR013–PDR017) is on by
-//! default, exactly as in `verify`; `--no-model-check` falls back to the
-//! greedy single-interleaving deadlock pass and `--max-states` bounds
-//! the exploration (PDR017 reports when the bound bites).
+//! exhaustive interleaving model checker (PDR004, PDR013–PDR017) always
+//! runs, exactly as in `verify`; `--max-states` bounds the exploration
+//! (PDR017 reports when the bound bites).
 //!
 //! Exit status: 0 when every linted flow is acceptable, 1 when any
 //! diagnostic (surviving the `--code` filter, if given) fails the gate
@@ -36,7 +34,6 @@ struct Options {
     list: bool,
     /// Show (and gate on) only these codes; empty = all.
     codes: Vec<Code>,
-    model_check: bool,
     max_states: Option<usize>,
 }
 
@@ -44,8 +41,7 @@ fn usage() -> String {
     let names = gallery::names().join(", ");
     format!(
         "usage: pdr-lint [--flow NAME]... [--all] [--format text|json] \
-         [--deny-warnings] [--code PDRnnn]... [--model-check|--no-model-check] \
-         [--max-states N] [--list]\nflows: {names}"
+         [--deny-warnings] [--code PDRnnn]... [--max-states N] [--list]\nflows: {names}"
     )
 }
 
@@ -56,7 +52,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         deny_warnings: false,
         list: false,
         codes: Vec::new(),
-        model_check: true,
         max_states: None,
     };
     let mut it = args.iter();
@@ -82,8 +77,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     None => return Err(format!("unknown code `{code}` (expect PDR001..PDR017)")),
                 }
             }
-            "--model-check" => opts.model_check = true,
-            "--no-model-check" => opts.model_check = false,
             "--max-states" => {
                 let n = it.next().ok_or("--max-states needs a number")?;
                 let n: usize = n
@@ -101,9 +94,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if !opts.list && opts.flows.is_empty() {
         return Err(format!("nothing to lint\n{}", usage()));
-    }
-    if opts.max_states.is_some() && !opts.model_check {
-        return Err("--max-states conflicts with --no-model-check".into());
     }
     Ok(opts)
 }
@@ -139,15 +129,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let model = if opts.model_check {
-        let mut config = ModelConfig::default();
-        if let Some(n) = opts.max_states {
-            config = config.with_max_states(n);
-        }
-        Some(config)
-    } else {
-        None
-    };
+    let mut model = ModelConfig::default();
+    if let Some(n) = opts.max_states {
+        model = model.with_max_states(n);
+    }
 
     let mut failed = false;
     let mut json_flows: Vec<(String, Value)> = Vec::new();
@@ -181,5 +166,52 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn model_check_switches_are_unknown_arguments() {
+        for flag in ["--no-model-check", "--model-check"] {
+            let err = parse(&["--all", flag]).err().expect("flag is rejected");
+            assert!(
+                err.starts_with(&format!("unknown argument `{flag}`")),
+                "{err}"
+            );
+            assert!(err.ends_with(&usage()), "{err}");
+        }
+    }
+
+    #[test]
+    fn max_states_must_be_a_positive_integer() {
+        let ok = parse(&["--all", "--max-states", "50000"]).expect("valid bound");
+        assert_eq!(ok.max_states, Some(50_000));
+        assert!(parse(&["--all", "--max-states", "0"]).is_err());
+        assert!(parse(&["--all", "--max-states", "many"]).is_err());
+        assert!(parse(&["--all", "--max-states"]).is_err());
+    }
+
+    #[test]
+    fn unknown_code_is_rejected() {
+        let err = parse(&["--all", "--code", "PDR999"])
+            .err()
+            .expect("rejected");
+        assert!(err.contains("unknown code `PDR999`"), "{err}");
+        let ok = parse(&["--all", "--code", "PDR004"]).expect("known code");
+        assert_eq!(ok.codes, vec![Code::Deadlock]);
+    }
+
+    #[test]
+    fn all_expands_to_every_gallery_flow() {
+        let opts = parse(&["--all"]).expect("valid");
+        assert_eq!(opts.flows, gallery::names());
+        assert!(parse(&[]).is_err(), "nothing to lint");
     }
 }

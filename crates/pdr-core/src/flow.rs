@@ -299,28 +299,26 @@ impl DesignFlow {
     /// legality — the verification stage between generation and
     /// deployment. Runs over the lowered executive through the artifacts'
     /// symbol table, with the exhaustive interleaving model checker
-    /// (PDR013–PDR017) at its default state budget; [`Self::verify_with`]
-    /// tunes or disables it.
+    /// (PDR004, PDR013–PDR017) at its default state budget;
+    /// [`Self::verify_with`] tunes it.
     pub fn verify(&self, artifacts: &FlowArtifacts) -> pdr_lint::Report {
-        self.verify_with(artifacts, Some(pdr_lint::ModelConfig::default()))
+        self.verify_with(artifacts, pdr_lint::ModelConfig::default())
     }
 
-    /// [`Self::verify`] with explicit model-checker control: `None` keeps
-    /// the greedy single-interleaving deadlock pass (byte-identical to
-    /// the historical output), `Some(config)` runs the exhaustive checker
-    /// under that configuration.
+    /// [`Self::verify`] with the model checker under `model`.
     pub fn verify_with(
         &self,
         artifacts: &FlowArtifacts,
-        model: Option<pdr_lint::ModelConfig>,
+        model: pdr_lint::ModelConfig,
     ) -> pdr_lint::Report {
-        let mut input = pdr_lint::IrLintInput::new(&artifacts.ir_executive, &artifacts.symbols)
-            .with_arch(&self.arch)
-            .with_chars(&self.chars)
-            .with_constraints(&self.constraints)
-            .with_floorplan(&artifacts.design.floorplan);
-        input.model = model;
-        pdr_lint::lint_ir(&input)
+        pdr_lint::lint(
+            &pdr_lint::LintInput::new(&artifacts.ir_executive, &artifacts.symbols)
+                .with_arch(&self.arch)
+                .with_chars(&self.chars)
+                .with_constraints(&self.constraints)
+                .with_floorplan(&artifacts.design.floorplan)
+                .with_model_check(model),
+        )
     }
 
     /// Run the pipeline and gate the artifacts on a clean static

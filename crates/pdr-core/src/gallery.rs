@@ -877,7 +877,7 @@ mod tests {
         let flow = synthetic(&p);
         let art = flow.run().unwrap();
         assert!(!art.executive.is_empty());
-        let report = flow.verify_with(&art, None);
+        let report = flow.verify(&art);
         assert!(report.is_clean(), "{}", pdr_lint::render::to_text(&report));
     }
 

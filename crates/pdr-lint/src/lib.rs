@@ -14,40 +14,46 @@
 //! | Codes | Pass | Property |
 //! |---|---|---|
 //! | PDR001–003 | [`rendezvous`] | every `Send{tag}` has exactly one peer `Receive{tag}`, attributes mirrored, no duplicate/self tags |
-//! | PDR004 | [`deadlock`] | the cross-operator wait-for graph is cycle-free; cycles come with a witness trace |
+//! | PDR004, PDR013–017 | [`model`] | exhaustive interleaving exploration: sound deadlock with a minimal schedule, reconfiguration races, stale hand-offs, `[best,worst]`-clock deadlines, dead instructions, explicit budget truncation |
 //! | PDR005–007, PDR012 | [`reconfig`] | Configure dominates Compute, worst-case times match the characterization, exclusion groups are statically safe, cross-references resolve |
 //! | PDR008–011 | [`floorplan`] | Modular Design geometry, bus-macro straddling, bitstream/frame consistency |
-//! | PDR004, PDR013–017 | [`model`] | exhaustive interleaving exploration: sound deadlock with a minimal schedule, reconfiguration races, stale hand-offs, `[best,worst]`-clock deadlines, dead instructions, explicit budget truncation |
 //!
-//! The [`model`] pass replaces the greedy PDR004 pass when a
-//! [`model::ModelConfig`] is attached (see [`IrLintInput::with_model_check`]);
-//! its schedule witnesses can be independently validated with [`replay`].
+//! The [`model`] pass always runs, under [`ModelConfig::default`] unless
+//! [`LintInput::with_model_check`] sets another budget; its schedule
+//! witnesses can be independently validated with [`replay`].
 //!
-//! ## Entry points
+//! ## Entry point
+//!
+//! [`lint`] analyzes a lowered, index-based [`pdr_ir::IrExecutive`]
+//! through the [`SymbolTable`] it was lowered with — the pair that
+//! `pdr-core`'s flow artifacts carry — and renders every diagnostic back
+//! to names through that table.
 //!
 //! ```
-//! use pdr_adequation::executive::Executive;
-//! use pdr_lint::{lint, LintInput};
+//! use pdr_ir::{IrBuilder, SymbolTable};
+//! use pdr_lint::{lint, Code, LintInput};
 //!
-//! let executive = Executive::default();
-//! let report = lint(&LintInput::new(&executive));
-//! assert!(report.is_clean());
+//! // `a` and `b` each send before they receive: crossed waits.
+//! let mut table = SymbolTable::new();
+//! let ir = {
+//!     let mut b = IrBuilder::new(&mut table);
+//!     b.begin_operator("a");
+//!     b.send("b", "m", 8, 1);
+//!     b.receive("b", "m", 8, 2);
+//!     b.begin_operator("b");
+//!     b.send("a", "m", 8, 2);
+//!     b.receive("a", "m", 8, 1);
+//!     b.finish()
+//! };
+//! let report = lint(&LintInput::new(&ir, &table));
+//! assert!(report.has_code(Code::Deadlock));
 //! ```
 //!
 //! Architecture, characterization, constraints and floorplan inputs are
 //! optional: passes needing an absent input are skipped, so the same
 //! entry point serves the full `DesignFlow::verify()` stage and narrow
 //! unit/mutation tests.
-//!
-//! All executive analyses run over the lowered, index-based
-//! [`pdr_ir::IrExecutive`]; [`lint`] lowers its string executive
-//! internally, while callers that already hold flow artifacts (symbol
-//! table plus lowered executive, as `pdr-core` produces) skip that step
-//! with [`lint_ir`] and [`IrLintInput`]. Both entry points render
-//! diagnostics back through the symbol table, byte-identical to the
-//! historical string-pass output.
 
-pub mod deadlock;
 pub mod diag;
 pub mod floorplan;
 pub mod model;
@@ -60,76 +66,13 @@ pub use diag::{Code, Diagnostic, Location, Report, Severity};
 pub use model::{ModelConfig, ModelStats};
 pub use rendezvous::RendezvousPair;
 
-use pdr_adequation::executive::Executive;
 use pdr_codegen::floorplan::FloorplanResult;
 use pdr_graph::{ArchGraph, Characterization, ConstraintsFile};
 use pdr_ir::{IrExecutive, SymbolTable};
 
-/// Everything the linter can look at. Only the executive is mandatory.
+/// Everything the linter can look at: a lowered executive and the symbol
+/// table that resolves its interned names. Only those two are mandatory.
 pub struct LintInput<'a> {
-    /// The synchronized executive (always analyzed).
-    pub executive: &'a Executive,
-    /// Architecture graph — enables the reconfiguration-safety pass.
-    pub arch: Option<&'a ArchGraph>,
-    /// Characterization tables — enables worst-case-time checking.
-    pub chars: Option<&'a Characterization>,
-    /// Constraints file — enables module/exclusion checking.
-    pub constraints: Option<&'a ConstraintsFile>,
-    /// Placed design — enables the floorplan/bitstream pass.
-    pub floorplan: Option<&'a FloorplanResult>,
-    /// Model-checker configuration — replaces the greedy deadlock pass
-    /// with the exhaustive interleaving exploration (PDR013–PDR017).
-    pub model: Option<ModelConfig>,
-}
-
-impl<'a> LintInput<'a> {
-    /// Lint input over just an executive.
-    pub fn new(executive: &'a Executive) -> Self {
-        LintInput {
-            executive,
-            arch: None,
-            chars: None,
-            constraints: None,
-            floorplan: None,
-            model: None,
-        }
-    }
-
-    /// Attach the architecture graph.
-    pub fn with_arch(mut self, arch: &'a ArchGraph) -> Self {
-        self.arch = Some(arch);
-        self
-    }
-
-    /// Attach the characterization tables.
-    pub fn with_chars(mut self, chars: &'a Characterization) -> Self {
-        self.chars = Some(chars);
-        self
-    }
-
-    /// Attach the constraints file.
-    pub fn with_constraints(mut self, constraints: &'a ConstraintsFile) -> Self {
-        self.constraints = Some(constraints);
-        self
-    }
-
-    /// Attach the placed design.
-    pub fn with_floorplan(mut self, floorplan: &'a FloorplanResult) -> Self {
-        self.floorplan = Some(floorplan);
-        self
-    }
-
-    /// Enable the exhaustive model checker with `config`.
-    pub fn with_model_check(mut self, config: ModelConfig) -> Self {
-        self.model = Some(config);
-        self
-    }
-}
-
-/// Everything the IR-based linter can look at: a lowered executive and
-/// the symbol table that resolves its interned names. Only those two are
-/// mandatory.
-pub struct IrLintInput<'a> {
     /// The lowered executive (always analyzed).
     pub ir: &'a IrExecutive,
     /// The symbol table the executive was lowered through.
@@ -142,22 +85,22 @@ pub struct IrLintInput<'a> {
     pub constraints: Option<&'a ConstraintsFile>,
     /// Placed design — enables the floorplan/bitstream pass.
     pub floorplan: Option<&'a FloorplanResult>,
-    /// Model-checker configuration — replaces the greedy deadlock pass
-    /// with the exhaustive interleaving exploration (PDR013–PDR017).
-    pub model: Option<ModelConfig>,
+    /// Model-checker configuration for the exhaustive interleaving
+    /// exploration (PDR004, PDR013–PDR017).
+    pub model: ModelConfig,
 }
 
-impl<'a> IrLintInput<'a> {
+impl<'a> LintInput<'a> {
     /// Lint input over just a lowered executive.
     pub fn new(ir: &'a IrExecutive, table: &'a SymbolTable) -> Self {
-        IrLintInput {
+        LintInput {
             ir,
             table,
             arch: None,
             chars: None,
             constraints: None,
             floorplan: None,
-            model: None,
+            model: ModelConfig::default(),
         }
     }
 
@@ -185,39 +128,20 @@ impl<'a> IrLintInput<'a> {
         self
     }
 
-    /// Enable the exhaustive model checker with `config`.
+    /// Run the model checker under `config` instead of the default.
     pub fn with_model_check(mut self, config: ModelConfig) -> Self {
-        self.model = Some(config);
+        self.model = config;
         self
     }
 }
 
 /// Run every applicable analysis and aggregate the findings.
 ///
-/// Lowers the string executive through a scratch [`SymbolTable`] and runs
-/// the IR passes; output is byte-identical to linting the lowered form
-/// directly with [`lint_ir`].
+/// The model checker only runs when the rendezvous pass found no errors:
+/// with unmatched or mismatched pairs, every stuck state would just
+/// restate the PDR001/PDR002 findings. It reports PDR004 and
+/// PDR013–PDR017 (PDR015 needs architecture and constraints).
 pub fn lint(input: &LintInput<'_>) -> Report {
-    let mut table = SymbolTable::new();
-    let ir = input.executive.lower(&mut table);
-    let mut ir_input = IrLintInput::new(&ir, &table);
-    ir_input.arch = input.arch;
-    ir_input.chars = input.chars;
-    ir_input.constraints = input.constraints;
-    ir_input.floorplan = input.floorplan;
-    ir_input.model = input.model;
-    lint_ir(&ir_input)
-}
-
-/// Run every applicable analysis over an already-lowered executive.
-///
-/// The deadlock/model pass only runs when the rendezvous pass found no
-/// errors: with unmatched or mismatched pairs, every stuck state would
-/// just restate the PDR001/PDR002 findings. With a model configuration
-/// attached the exhaustive checker replaces the greedy deadlock pass and
-/// additionally reports PDR013–PDR017 (PDR015 needs architecture and
-/// constraints).
-pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
     let mut report = Report::new();
 
     let rv = rendezvous::check(input.ir, input.table);
@@ -225,18 +149,14 @@ pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
     report.extend(rv.diagnostics);
 
     if rendezvous_clean {
-        match &input.model {
-            None => report.extend(deadlock::check(input.ir, input.table, &rv.pairs)),
-            Some(config) => report.extend(model::run_for_lint(
-                input.ir,
-                input.table,
-                &rv.pairs,
-                input.arch,
-                input.chars,
-                input.constraints,
-                config,
-            )),
-        }
+        report.extend(model::run_for_lint(
+            input.ir,
+            input.table,
+            &rv.pairs,
+            input.arch,
+            input.constraints,
+            &input.model,
+        ));
     }
 
     if let (Some(arch), Some(chars), Some(constraints)) =
@@ -262,12 +182,18 @@ pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdr_adequation::executive::MacroInstr;
+    use pdr_adequation::executive::{Executive, MacroInstr};
+
+    /// Lower `e` through `table` and lint it under the defaults.
+    fn lint_lowered(e: &Executive, mut table: SymbolTable) -> Report {
+        let ir = e.lower(&mut table);
+        lint(&LintInput::new(&ir, &table))
+    }
 
     #[test]
     fn empty_executive_is_clean() {
         let e = Executive::default();
-        assert!(lint(&LintInput::new(&e)).is_clean());
+        assert!(lint_lowered(&e, SymbolTable::new()).is_clean());
     }
 
     #[test]
@@ -284,7 +210,7 @@ mod tests {
                 tag: 1,
             }],
         );
-        let r = lint(&LintInput::new(&e));
+        let r = lint_lowered(&e, SymbolTable::new());
         assert!(r.has_code(Code::DanglingRendezvous));
         assert!(!r.has_code(Code::Deadlock));
     }
@@ -308,15 +234,17 @@ mod tests {
             .insert("a".into(), vec![mk_send("b", 1), mk_recv("b", 2)]);
         e.per_operator
             .insert("b".into(), vec![mk_send("a", 2), mk_recv("a", 1)]);
-        let r = lint(&LintInput::new(&e));
+        let r = lint_lowered(&e, SymbolTable::new());
         assert!(r.has_code(Code::Deadlock));
         assert!(!r.with_code(Code::Deadlock)[0].notes.is_empty());
     }
 
     #[test]
-    fn lint_and_lint_ir_agree_byte_for_byte() {
-        // One executive exercising PDR002 + (suppressed) deadlock paths:
-        // the two entry points must render the same diagnostics.
+    fn lint_is_independent_of_symbol_numbering() {
+        // One executive exercising PDR002 + (suppressed) deadlock paths,
+        // lowered through a fresh table and through one whose symbols
+        // were interned in another order: the reports must render the
+        // same diagnostics.
         let mut e = Executive::default();
         e.per_operator.insert(
             "a".into(),
@@ -336,14 +264,17 @@ mod tests {
                 tag: 1,
             }],
         );
-        let via_string = lint(&LintInput::new(&e));
-        let mut table = pdr_ir::SymbolTable::new();
-        let ir = e.lower(&mut table);
-        let via_ir = lint_ir(&IrLintInput::new(&ir, &table));
-        assert_eq!(via_string, via_ir);
+        let fresh = lint_lowered(&e, SymbolTable::new());
+        let mut seeded = SymbolTable::new();
+        for name in ["other", "c", "zz", "m", "b"] {
+            seeded.intern(name);
+        }
+        let reordered = lint_lowered(&e, seeded);
+        assert!(fresh.has_code(Code::RendezvousMismatch));
+        assert_eq!(fresh, reordered);
         assert_eq!(
-            render::to_text(&via_string),
-            render::to_text(&via_ir),
+            render::to_text(&fresh),
+            render::to_text(&reordered),
             "rendered text must be byte-identical"
         );
     }

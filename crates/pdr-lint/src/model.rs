@@ -1,13 +1,13 @@
 //! Exhaustive interleaving-level model checking (PDR004, PDR013–PDR017).
 //!
-//! The greedy abstract scheduler in [`crate::deadlock`] explores *one*
-//! interleaving of the §3 synchronized executive. That is complete for
-//! deadlock (the executive's rendezvous semantics is confluent: all
-//! enabled transitions at a state are pairwise independent, so there is
-//! exactly one terminal state), but it cannot see properties that only
-//! hold in *some* interleavings — a `Configure` racing a `Compute` on the
-//! region it rewrites, or a result handed off after its module was
-//! evicted. This module explores **all** cross-operator interleavings.
+//! The §3 synchronized executive's rendezvous semantics is confluent:
+//! all enabled transitions at a state are pairwise independent, so there
+//! is exactly one terminal state and any single interleaving decides
+//! deadlock. Other properties only hold in *some* interleavings — a
+//! `Configure` racing a `Compute` on the region it rewrites, or a result
+//! handed off after its module was evicted — so this module explores
+//! **all** cross-operator interleavings, and reports PDR004 from the same
+//! exploration.
 //!
 //! ## State vector
 //!
@@ -78,7 +78,7 @@
 use crate::diag::{Code, Diagnostic, Location};
 use crate::rendezvous::RendezvousPair;
 use pdr_fabric::TimePs;
-use pdr_graph::{ArchGraph, Characterization, ConstraintsFile, Medium};
+use pdr_graph::{ArchGraph, ConstraintsFile, Medium};
 use pdr_ir::{IrExecutive, IrInstr, ModuleId, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -132,7 +132,7 @@ impl ModelConfig {
 }
 
 /// Everything the explorer looks at. `pairs` must come from a rendezvous
-/// pass with no errors (as [`crate::lint_ir`] guarantees); constraints
+/// pass with no errors (as [`crate::lint`] guarantees); constraints
 /// are optional — without them only deadlock and reachability are
 /// checked.
 pub struct ModelInput<'a> {
@@ -223,7 +223,7 @@ pub struct ModelStats {
     pub truncated: bool,
 }
 
-/// The checker's full result. [`crate::lint_ir`] folds `diagnostics`
+/// The checker's full result. [`crate::lint`] folds `diagnostics`
 /// into the report; benches and tests also read `stats`/`witnesses`.
 #[derive(Debug, Clone)]
 pub struct ModelOutcome {
@@ -1179,13 +1179,12 @@ pub fn check_timing(
     diagnostics
 }
 
-/// Convenience for `lint_ir`: everything the model layer contributes.
+/// Convenience for [`crate::lint`]: everything the model layer contributes.
 pub(crate) fn run_for_lint(
     ir: &IrExecutive,
     table: &SymbolTable,
     pairs: &[RendezvousPair],
     arch: Option<&ArchGraph>,
-    _chars: Option<&Characterization>,
     constraints: Option<&ConstraintsFile>,
     config: &ModelConfig,
 ) -> Vec<Diagnostic> {
@@ -1290,6 +1289,98 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == Code::UnreachableInstr));
+    }
+
+    /// One operator's program for [`rendezvous_orders_deadlock_exactly_when_stuck`].
+    enum Op {
+        Send(&'static str, u32),
+        Recv(&'static str, u32),
+        Configure,
+        Compute,
+    }
+
+    #[test]
+    fn rendezvous_orders_deadlock_exactly_when_stuck() {
+        use Op::{Compute, Configure, Recv, Send};
+        // (case, per-operator programs, expected PDR004 stuck set).
+        let cases = vec![
+            (
+                "straight pipeline",
+                vec![
+                    ("a", vec![Send("b", 1), Send("b", 2)]),
+                    ("b", vec![Recv("a", 1), Recv("a", 2), Send("c", 3)]),
+                    ("c", vec![Recv("b", 3)]),
+                ],
+                None,
+            ),
+            (
+                "crossed waits",
+                vec![
+                    ("a", vec![Send("b", 1), Recv("b", 2)]),
+                    ("b", vec![Send("a", 2), Recv("a", 1)]),
+                ],
+                Some(vec![(0, 0), (1, 0)]),
+            ),
+            (
+                "three-party cycle",
+                vec![
+                    ("a", vec![Recv("c", 3), Send("b", 1)]),
+                    ("b", vec![Recv("a", 1), Send("c", 2)]),
+                    ("c", vec![Recv("b", 2), Send("a", 3)]),
+                ],
+                Some(vec![(0, 0), (1, 0), (2, 0)]),
+            ),
+            (
+                "local instructions do not block",
+                vec![
+                    ("a", vec![Configure, Compute, Send("b", 1)]),
+                    ("b", vec![Recv("a", 1)]),
+                ],
+                None,
+            ),
+        ];
+        for (case, programs, expected) in cases {
+            let mut table = SymbolTable::new();
+            let ir = {
+                let mut b = IrBuilder::new(&mut table);
+                for (operator, program) in &programs {
+                    b.begin_operator(operator);
+                    for op in program {
+                        match *op {
+                            Send(to, tag) => b.send(to, "m", 8, tag),
+                            Recv(from, tag) => b.receive(from, "m", 8, tag),
+                            Configure => b.configure("m", TimePs::from_ms(4)),
+                            Compute => b.compute("o", "m", TimePs::from_us(1)),
+                        }
+                    }
+                }
+                b.finish()
+            };
+            let out = run(&ir, &table, None);
+            let deadlocks: Vec<_> = out
+                .diagnostics
+                .iter()
+                .filter(|d| d.code == Code::Deadlock)
+                .collect();
+            let stuck: Vec<_> = out
+                .witnesses
+                .iter()
+                .filter_map(|w| match &w.detail {
+                    WitnessDetail::Deadlock { stuck } => Some(stuck.clone()),
+                    _ => None,
+                })
+                .collect();
+            match expected {
+                None => {
+                    assert!(out.diagnostics.is_empty(), "{case}: {:?}", out.diagnostics);
+                    assert!(stuck.is_empty(), "{case}");
+                }
+                Some(expected) => {
+                    assert_eq!(deadlocks.len(), 1, "{case}: one PDR004 per stuck state");
+                    assert_eq!(stuck, vec![expected], "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   `SimSystem` over the reference managers of `DeployedSystem::managers`
 //!   produce equal [`SimReport`]s (event traces, latencies, busy times,
 //!   reconfiguration logs) under reconfiguration-churning workloads;
-//! * **lint** — `lint` over the string executive and `lint_ir` over the
-//!   carried lowered twin render byte-identical text and JSON reports,
-//!   clean and mutated alike;
+//! * **lint** — `lint` over the string executive lowered through a fresh
+//!   `SymbolTable` and over the artifacts' carried lowered twin and
+//!   symbols render byte-identical text and JSON reports, clean and
+//!   mutated alike: diagnostics do not depend on symbol numbering;
 //! * **sweep digests** — a `pdr-sweep` study whose scenarios simulate
 //!   through either path produces bit-identical schedule-independent
 //!   outcome digests.
@@ -27,7 +28,8 @@ use pdr_core::gallery::{self, synthetic, SyntheticParams};
 use pdr_fabric::TimePs;
 use pdr_graph::constraints::ConstraintsFile;
 use pdr_graph::prelude::*;
-use pdr_lint::{lint, lint_ir, render, IrLintInput, LintInput};
+use pdr_ir::SymbolTable;
+use pdr_lint::{lint, render, LintInput};
 use pdr_sim::{IrSimSystem, SimConfig, SimReport, SimSystem};
 use pdr_sweep::artifact::outcome_digest;
 use pdr_sweep::{Scenario, SweepEngine, SweepError};
@@ -101,33 +103,39 @@ fn lint_over_string_and_lowered_forms_is_byte_identical() {
         let chars = g.flow.characterization();
         let constraints =
             ConstraintsFile::parse(&art.constraints_text).expect("artifact constraints parse");
+        let mut fresh = SymbolTable::new();
+        let ir = art.executive.lower(&mut fresh);
         let from_string = lint(
-            &LintInput::new(&art.executive)
+            &LintInput::new(&ir, &fresh)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints)
                 .with_floorplan(&art.design.floorplan),
         );
-        let from_ir = lint_ir(
-            &IrLintInput::new(&art.ir_executive, &art.symbols)
+        let from_carried = lint(
+            &LintInput::new(&art.ir_executive, &art.symbols)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints)
                 .with_floorplan(&art.design.floorplan),
         );
-        assert_eq!(from_string, from_ir, "lint drift on `{}`", g.name);
-        assert_eq!(render::to_text(&from_string), render::to_text(&from_ir));
+        assert_eq!(from_string, from_carried, "lint drift on `{}`", g.name);
+        assert_eq!(
+            render::to_text(&from_string),
+            render::to_text(&from_carried)
+        );
         assert_eq!(
             render::to_json_string(&from_string),
-            render::to_json_string(&from_ir)
+            render::to_json_string(&from_carried)
         );
     }
 }
 
 #[test]
 fn mutated_executives_produce_byte_identical_diagnostics() {
-    // Break the paper flow three different ways; each time the string and
-    // the lowered analysis must render the same findings byte for byte.
+    // Break the paper flow three different ways; each time the executive
+    // lowered through a fresh symbol table and through the artifacts'
+    // carried one must render the same findings byte for byte.
     let g = gallery::by_name("paper").expect("gallery flow exists");
     let base = g.flow.run().expect("gallery flow runs");
     type Mutation = Box<dyn Fn(&mut Vec<MacroInstr>)>;
@@ -171,16 +179,18 @@ fn mutated_executives_produce_byte_identical_diagnostics() {
         let chars = g.flow.characterization();
         let constraints =
             ConstraintsFile::parse(&base.constraints_text).expect("artifact constraints parse");
+        let mut fresh = SymbolTable::new();
+        let fresh_ir = executive.lower(&mut fresh);
         let from_string = lint(
-            &LintInput::new(&executive)
+            &LintInput::new(&fresh_ir, &fresh)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints),
         );
         let mut table = base.symbols.clone();
         let ir = executive.lower(&mut table);
-        let from_ir = lint_ir(
-            &IrLintInput::new(&ir, &table)
+        let from_carried = lint(
+            &LintInput::new(&ir, &table)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints),
@@ -189,10 +199,13 @@ fn mutated_executives_produce_byte_identical_diagnostics() {
             from_string.has_errors(),
             "mutation {k} was supposed to break the flow"
         );
-        assert_eq!(render::to_text(&from_string), render::to_text(&from_ir));
+        assert_eq!(
+            render::to_text(&from_string),
+            render::to_text(&from_carried)
+        );
         assert_eq!(
             render::to_json_string(&from_string),
-            render::to_json_string(&from_ir)
+            render::to_json_string(&from_carried)
         );
     }
 }
@@ -383,24 +396,26 @@ proptest! {
         prop_assert_eq!(&a, &b, "simulation drift at seed {}", seed);
 
         // Lint stability: same seed twice → byte-identical clean reports,
-        // string and lowered forms agreeing both times.
+        // fresh and carried symbol tables agreeing both times.
         let constraints = ConstraintsFile::parse(&art.constraints_text).unwrap();
         let lint_pair = |art: &pdr_core::flow::FlowArtifacts| {
+            let mut fresh = SymbolTable::new();
+            let ir = art.executive.lower(&mut fresh);
             let from_string = lint(
-                &LintInput::new(&art.executive)
+                &LintInput::new(&ir, &fresh)
                     .with_arch(flow.architecture())
                     .with_chars(flow.characterization())
                     .with_constraints(&constraints)
                     .with_floorplan(&art.design.floorplan),
             );
-            let from_ir = lint_ir(
-                &IrLintInput::new(&art.ir_executive, &art.symbols)
+            let from_carried = lint(
+                &LintInput::new(&art.ir_executive, &art.symbols)
                     .with_arch(flow.architecture())
                     .with_chars(flow.characterization())
                     .with_constraints(&constraints)
                     .with_floorplan(&art.design.floorplan),
             );
-            (render::to_text(&from_string), render::to_text(&from_ir))
+            (render::to_text(&from_string), render::to_text(&from_carried))
         };
         let (s1, i1) = lint_pair(&art);
         prop_assert_eq!(&s1, &i1, "lint drift at seed {}", seed);

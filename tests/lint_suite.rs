@@ -21,8 +21,8 @@ use pdr_graph::constraints::{ConstraintsFile, ModuleConstraints};
 use pdr_graph::prelude::*;
 use pdr_ir::{IrBuilder, SymbolTable};
 use pdr_lint::model::{self, ModelInput};
-use pdr_lint::{lint, lint_ir, render, rendezvous, replay};
-use pdr_lint::{Code, IrLintInput, LintInput, ModelConfig, RendezvousPair, Report, Severity};
+use pdr_lint::{lint, render, rendezvous, replay};
+use pdr_lint::{Code, LintInput, ModelConfig, RendezvousPair, Report, Severity};
 use pdr_sim::{IrSimSystem, SimConfig, SimError};
 use proptest::prelude::*;
 
@@ -121,8 +121,10 @@ proptest! {
         let r = adequate(&g, &arch, &chars, &constraints, &AdequationOptions::default()).unwrap();
         let executive =
             generate_executive(&g, &arch, &chars, &r.mapping, &r.schedule).unwrap();
+        let mut table = SymbolTable::new();
+        let ir = executive.lower(&mut table);
         let report = lint(
-            &LintInput::new(&executive)
+            &LintInput::new(&ir, &table)
                 .with_arch(&arch)
                 .with_chars(&chars)
                 .with_constraints(&constraints),
@@ -229,13 +231,30 @@ fn crossed_rendezvous_order_is_pdr004_with_witness_trace() {
     // Every tag still pairs up: the defect is purely one of ordering.
     assert!(!report.has_code(Code::DanglingRendezvous));
     assert!(!report.has_code(Code::RendezvousMismatch));
-    // The diagnostic carries the cyclic wait-for witness, one hop per note.
+    // The diagnostic names every stuck operator's blocked instruction and
+    // the minimal schedule into the stuck state.
     let deadlocks = report.with_code(Code::Deadlock);
     assert!(
         deadlocks[0].notes.len() >= 2,
-        "witness trace covers the cycle"
+        "witness covers both stuck operators"
     );
     assert!(deadlocks[0].notes.iter().any(|n| n.contains("blocks on")));
+    assert_eq!(
+        render::to_text(&report),
+        "error[PDR004] fpga_static[3]: deadlock: 2 operators can never finish in any \
+         interleaving (fpga_static, op_dyn)\n    \
+         | fpga_static[3] blocks on send tag 2, waiting for op_dyn[1]\n    \
+         | op_dyn[0] blocks on receive tag 4, waiting for fpga_static[4]\n    \
+         | witness schedule (3 steps):\n    \
+         |   0: rendezvous tag 1: dsp[0] -> fpga_static[0]\n    \
+         |   1: fpga_static[1] compute fec_conv\n    \
+         |   2: rendezvous tag 3: dsp[1] -> fpga_static[2]\n\
+         warning[PDR016] fpga_static[3]: 8 instructions of `fpga_static` can never execute \
+         in any interleaving (dead macro-code behind a blocked rendezvous)\n\
+         warning[PDR016] op_dyn[0]: 5 instructions of `op_dyn` can never execute in any \
+         interleaving (dead macro-code behind a blocked rendezvous)\n\
+         1 error, 2 warnings, 0 notes\n"
+    );
 }
 
 #[test]
@@ -296,7 +315,7 @@ fn cross_region_exclusion_is_pdr007() {
     let arch = gallery::sdr_architecture();
     let chars = gallery::sdr_characterization();
     let report = lint(
-        &LintInput::new(&art.executive)
+        &LintInput::new(&art.ir_executive, &art.symbols)
             .with_arch(&arch)
             .with_chars(&chars)
             .with_constraints(&constraints),
@@ -529,7 +548,7 @@ fn dead_code_behind_a_deadlock_is_pdr016() {
 #[test]
 fn exhausted_state_budget_is_pdr017() {
     let (flow, art) = built("paper");
-    let report = flow.verify_with(&art, Some(ModelConfig::default().with_max_states(4)));
+    let report = flow.verify_with(&art, ModelConfig::default().with_max_states(4));
     assert!(report.has_code(Code::StateBudgetExceeded));
     // Truncation is honest: no defect is invented, and PDR016 stays
     // silent because reachability was not fully explored.
@@ -645,7 +664,7 @@ proptest! {
     /// The analyzer never panics on adversarial executives: unmatched and
     /// duplicated tags, sends to nonexistent operators, configures of
     /// unknown modules, and a constraints file whose names half-overlap
-    /// the executive's. Both the full `lint_ir` front door and the
+    /// the executive's. Both the full `lint` front door and the
     /// explorer called directly (with pairs from a *dirty* rendezvous
     /// pass) must degrade to diagnostics, not panics.
     #[test]
@@ -682,8 +701,8 @@ proptest! {
             bld.finish()
         };
         let budget = ModelConfig::default().with_max_states(2_000);
-        let _ = lint_ir(
-            &IrLintInput::new(&ir, &table)
+        let _ = lint(
+            &LintInput::new(&ir, &table)
                 .with_constraints(&cons)
                 .with_model_check(budget),
         );

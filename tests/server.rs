@@ -12,7 +12,8 @@
 //! * a saturated bounded queue rejects with typed `overloaded`
 //!   responses and neither loses nor duplicates a single response;
 //! * the TCP and stdin transports speak the same protocol as the
-//!   in-process path;
+//!   in-process path, and a hostile request line (100 000 nested
+//!   brackets) gets a typed error instead of aborting the process;
 //! * (proptest) under random request interleavings with randomly
 //!   perturbed constraint files, a cached response never differs from a
 //!   fresh single-threaded compile of the same content.
@@ -188,6 +189,36 @@ fn saturated_queue_rejects_with_overloaded_and_loses_nothing() {
     assert_eq!(payloads.len(), 1);
     use std::sync::atomic::Ordering::Relaxed;
     assert_eq!(server.stats().overloaded.load(Relaxed), overloaded as u64);
+}
+
+// ------------------------------------------------------------ hostile input
+
+/// A request line of 100 000 open brackets is answered with a typed
+/// error response instead of overflowing the parser's stack and
+/// aborting the process, and the server keeps serving afterwards.
+#[test]
+fn deeply_nested_request_line_is_a_bad_request() {
+    let server = Arc::new(Server::start(ServerConfig::default()));
+    let line = "[".repeat(100_000);
+    let handler = server.clone();
+    let reply = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || handler.handle_line(&line))
+        .expect("spawn handler thread")
+        .join()
+        .expect("handler thread does not overflow its stack");
+    match Response::parse(&reply).expect("reply is a protocol line") {
+        Response::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.starts_with("malformed request"), "{message}");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    let next = server.handle_line(r#"{"id": 2, "op": "compile", "flow": "paper"}"#);
+    let next = Response::parse(&next).expect("reply is a protocol line");
+    assert_eq!(next.id(), 2);
+    assert!(next.is_ok(), "{next:?}");
 }
 
 // -------------------------------------------------------------- transports
