@@ -4,20 +4,107 @@
 //! Flags (after `--`):
 //!
 //! * `--test` — quick mode for CI: fewer repetitions/iterations, asserts
-//!   report parity on every flow and the >= 2x speedup floor on the
-//!   gallery's largest flow (`two_regions_xc2v4000`);
+//!   report parity on every flow (the gallery plus the generated 10k-op
+//!   case) and the >= 2x speedup floor on the gallery's largest flow
+//!   (`two_regions_xc2v4000`);
 //! * `--out <path>` — persist the comparison as a `BENCH_ir_sim.json`
 //!   artifact through the `pdr-sweep` JSON writer.
 
 use criterion::{black_box, Criterion};
 use pdr_bench::ir_sim;
+use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::gallery;
 use pdr_sim::{IrSimSystem, SimSystem};
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The flow the speedup floor is asserted on — the gallery's largest.
 const LARGEST: &str = "two_regions_xc2v4000";
+
+/// Most heap allocations one steady-state `IrSimSystem::run` of the
+/// generated 10k-op case may make. Measured: 47 at both 16 and 256
+/// iterations, on a 19-stream, 31 764-instruction executive (per-run
+/// tables, heap growth, and the string-keyed report).
+const RUN_ALLOC_CEILING: u64 = 64;
+
+/// Allocation counter wrapping the system allocator, so the bench can
+/// assert that a simulation run allocates per stream and per tag, never
+/// per event.
+struct CountingAlloc;
+
+/// Heap allocations observed since process start.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Assert that `IrSimSystem::run` allocates O(streams + tags), not
+/// O(events): on the generated 10k-op case, as `DeployedSystem::simulate`
+/// runs it (one `RtrEngine` serving every region), the steady workload
+/// allocates the same count at 16 and at 256 iterations, under
+/// [`RUN_ALLOC_CEILING`]. Engine construction happens outside the count.
+fn assert_run_allocations_are_independent_of_iterations() {
+    let flow = gallery::synthetic_10k();
+    let art = flow.run().expect("generated flow runs");
+    let dep = DeployedSystem::new(
+        flow.architecture(),
+        &art,
+        flow.device().clone(),
+        RuntimeOptions::paper_baseline(),
+    );
+    let regions = art.design.floorplan.floorplan.regions();
+    let bindings: Vec<(&str, &str)> = regions
+        .iter()
+        .map(|r| (r.name.as_str(), r.name.as_str()))
+        .collect();
+    let count = |iterations: u32| {
+        let mut sys = IrSimSystem::new(flow.architecture(), &art.ir_executive, &art.symbols);
+        sys.attach_engine(dep.rtr_engine().expect("engine builds"), &bindings);
+        let cfg = ir_sim::steady_workload(iterations);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let report = sys.run(&cfg).expect("simulation runs");
+        let n = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        black_box(report);
+        n
+    };
+    let (short, long) = (count(16), count(256));
+    assert_eq!(
+        short, long,
+        "IrSimSystem::run allocated {short} times at 16 iterations but {long} at 256"
+    );
+    assert!(
+        long <= RUN_ALLOC_CEILING,
+        "IrSimSystem::run allocated {long} times (ceiling {RUN_ALLOC_CEILING})"
+    );
+    println!(
+        "ok: {}: IrSimSystem::run makes {long} heap allocations at 16 and at 256 \
+         iterations (ceiling {RUN_ALLOC_CEILING})",
+        ir_sim::GENERATED
+    );
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,6 +121,8 @@ fn main() {
         cmp.all_match(),
         "string and interned interpreters disagree on a gallery flow"
     );
+
+    assert_run_allocations_are_independent_of_iterations();
 
     let largest = cmp.case(LARGEST).expect("largest gallery flow present");
     if test_mode {

@@ -25,17 +25,34 @@
 //! caches, constraint parsing) is rebuilt per repetition *outside* the
 //! timed region via [`DeployedSystem::managers`], so the numbers compare
 //! interpreters, not setup code.
+//!
+//! After the gallery comes one generated case, [`GENERATED`]: the
+//! 10 000-op `gallery::synthetic_10k` flow (seed 1) that designer
+//! sessions on generated flows simulate, checked on the server's
+//! canonical switching workload ([`sim_workload`]) and timed at
+//! [`GENERATED_ITERATIONS`] iterations — thousands of iterations of a
+//! 31k-instruction executive would keep the string interpreter busy for
+//! seconds.
 
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
-use pdr_core::flow::FlowArtifacts;
+use pdr_core::flow::{DesignFlow, FlowArtifacts};
 use pdr_core::{gallery, FlowError};
 use pdr_graph::ArchGraph;
+use pdr_server::compute::sim_workload;
 use pdr_sim::{IrSimSystem, SimConfig, SimReport, SimSystem};
 use serde::json::Value;
 use std::time::Instant;
 
 /// Iterations for the parity (switching) run on each flow.
 const PARITY_ITERS: u32 = 32;
+
+/// Name of the generated 10 000-op case that follows the gallery.
+pub const GENERATED: &str = "synthetic_10k";
+
+/// Iterations of the generated case, parity and timing alike: the
+/// generated designer sessions' count (two 8-iteration selection blocks,
+/// so every region reconfigures).
+pub const GENERATED_ITERATIONS: u32 = 16;
 
 /// One gallery flow, compared.
 #[derive(Debug, Clone)]
@@ -178,61 +195,87 @@ pub fn simulate_reference(
     sys.run(config).map_err(FlowError::Sim)
 }
 
-/// Run the comparison over every gallery flow: `reps` timed repetitions
-/// per engine (best time kept) of `iterations` steady-state executive
-/// repetitions, plus one parity run per engine on the switching workload.
+/// Run the comparison over every gallery flow, then over [`GENERATED`]:
+/// `reps` timed repetitions per engine (best time kept) of steady-state
+/// executive repetitions — `iterations` of them on gallery flows,
+/// [`GENERATED_ITERATIONS`] on the generated one — plus one parity run per
+/// engine on the switching workload.
 pub fn run(reps: usize, iterations: u32) -> Result<IrSimComparison, FlowError> {
-    let reps = reps.max(1);
     let mut cases = Vec::new();
     for g in gallery::all() {
-        let art = g.flow.run()?;
-        let arch = g.flow.architecture();
-        let device = g.flow.device().clone();
-        let dep = DeployedSystem::new(arch, &art, device, RuntimeOptions::paper_baseline());
+        let parity = workload(g.name, PARITY_ITERS).with_trace();
+        cases.push(compare(g.name, &g.flow, &parity, iterations, reps)?);
+    }
+    let flow = gallery::synthetic_10k();
+    let parity = sim_workload(&flow, GENERATED_ITERATIONS).with_trace();
+    cases.push(compare(
+        GENERATED,
+        &flow,
+        &parity,
+        GENERATED_ITERATIONS,
+        reps,
+    )?);
+    Ok(IrSimComparison { cases })
+}
 
-        // Parity: the demanding workload, full trace, reports compared.
-        let parity_cfg = workload(g.name, PARITY_ITERS).with_trace();
-        let string_report = simulate_reference(arch, &art, &dep, &parity_cfg)?;
+/// One case: both engines on `parity` (reports compared), then `reps`
+/// timed steady-state runs of `iterations` iterations each.
+fn compare(
+    name: &str,
+    flow: &DesignFlow,
+    parity: &SimConfig,
+    iterations: u32,
+    reps: usize,
+) -> Result<CaseResult, FlowError> {
+    let art = flow.run()?;
+    let arch = flow.architecture();
+    let dep = DeployedSystem::new(
+        arch,
+        &art,
+        flow.device().clone(),
+        RuntimeOptions::paper_baseline(),
+    );
+
+    // Parity: the demanding workload, full trace, reports compared.
+    let string_report = simulate_reference(arch, &art, &dep, parity)?;
+    let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
+    for (region, mgr) in dep.managers()? {
+        sys.add_manager(&region, mgr);
+    }
+    let ir_report = sys.run(parity).map_err(FlowError::Sim)?;
+    let reports_match = string_report == ir_report;
+
+    // Timing: steady state, managers rebuilt per rep outside the timed
+    // region.
+    let cfg = steady_workload(iterations);
+    let mut string_ns = u64::MAX;
+    let mut ir_ns = u64::MAX;
+    for _ in 0..reps.max(1) {
+        let mut sys = SimSystem::new(arch, &art.executive);
+        for (region, mgr) in dep.managers()? {
+            sys.add_manager(&region, mgr);
+        }
+        let t0 = Instant::now();
+        sys.run(&cfg).map_err(FlowError::Sim)?;
+        string_ns = string_ns.min(t0.elapsed().as_nanos() as u64);
+
         let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
         for (region, mgr) in dep.managers()? {
             sys.add_manager(&region, mgr);
         }
-        let ir_report = sys.run(&parity_cfg).map_err(FlowError::Sim)?;
-        let reports_match = string_report == ir_report;
-
-        // Timing: steady state, managers rebuilt per rep outside the
-        // timed region.
-        let cfg = steady_workload(iterations);
-        let mut string_ns = u64::MAX;
-        let mut ir_ns = u64::MAX;
-        for _ in 0..reps {
-            let mut sys = SimSystem::new(arch, &art.executive);
-            for (region, mgr) in dep.managers()? {
-                sys.add_manager(&region, mgr);
-            }
-            let t0 = Instant::now();
-            sys.run(&cfg).map_err(FlowError::Sim)?;
-            string_ns = string_ns.min(t0.elapsed().as_nanos() as u64);
-
-            let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
-            for (region, mgr) in dep.managers()? {
-                sys.add_manager(&region, mgr);
-            }
-            let t0 = Instant::now();
-            sys.run(&cfg).map_err(FlowError::Sim)?;
-            ir_ns = ir_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-
-        cases.push(CaseResult {
-            name: g.name.to_string(),
-            iterations,
-            instructions: art.ir_executive.len(),
-            string_ns,
-            ir_ns,
-            reports_match,
-        });
+        let t0 = Instant::now();
+        sys.run(&cfg).map_err(FlowError::Sim)?;
+        ir_ns = ir_ns.min(t0.elapsed().as_nanos() as u64);
     }
-    Ok(IrSimComparison { cases })
+
+    Ok(CaseResult {
+        name: name.to_string(),
+        iterations,
+        instructions: art.ir_executive.len(),
+        string_ns,
+        ir_ns,
+        reports_match,
+    })
 }
 
 #[cfg(test)]
@@ -242,9 +285,16 @@ mod tests {
     #[test]
     fn comparison_covers_the_gallery_and_reports_agree() {
         let cmp = run(1, 16).expect("gallery flows deploy");
-        assert_eq!(cmp.cases.len(), gallery::names().len());
+        assert_eq!(cmp.cases.len(), gallery::names().len() + 1);
         assert!(cmp.all_match(), "{}", cmp.render());
         assert!(cmp.case("two_regions_xc2v4000").is_some());
+        let generated = cmp.case(GENERATED).expect("generated case present");
+        assert_eq!(generated.iterations, GENERATED_ITERATIONS);
+        assert!(
+            generated.instructions > 30_000,
+            "{}",
+            generated.instructions
+        );
         for c in &cmp.cases {
             assert!(c.instructions > 0, "{} lowered empty", c.name);
         }

@@ -99,7 +99,8 @@ pub struct Medium {
 }
 
 impl Medium {
-    /// Time to move `bits` across this medium.
+    /// Time to move `bits` across this medium, saturating at
+    /// [`TimePs::MAX`] for hostile sizes or latencies.
     pub fn transfer_time(&self, bits: u64) -> TimePs {
         assert!(
             self.bits_per_sec > 0,
@@ -107,7 +108,11 @@ impl Medium {
             self.name
         );
         let ps = (bits as u128 * 1_000_000_000_000u128).div_ceil(self.bits_per_sec as u128);
-        self.latency + TimePs::from_ps(ps.min(u64::MAX as u128) as u64)
+        TimePs::from_ps(
+            self.latency
+                .as_ps()
+                .saturating_add(ps.min(u64::MAX as u128) as u64),
+        )
     }
 }
 
@@ -558,6 +563,25 @@ mod tests {
         // 400 Mbit/s, 500 ns latency: 4000 bits -> 10 us + 0.5 us.
         let t = r.transfer_time(&a, 4_000);
         assert_eq!(t, TimePs::from_ns(10_500));
+    }
+
+    #[test]
+    fn transfer_time_saturates_instead_of_wrapping() {
+        let m = |bits_per_sec: u64, latency: TimePs| Medium {
+            name: "m".into(),
+            kind: MediumKind::Bus,
+            bits_per_sec,
+            latency,
+        };
+        assert_eq!(m(1, TimePs::ZERO).transfer_time(u64::MAX), TimePs::MAX);
+        assert_eq!(
+            m(1, TimePs::from_ps(u64::MAX - 1)).transfer_time(8),
+            TimePs::MAX
+        );
+        assert_eq!(
+            m(1_000, TimePs::from_ps(5)).transfer_time(3),
+            TimePs::from_ps(3_000_000_005)
+        );
     }
 
     #[test]

@@ -4,6 +4,25 @@
 //! bit-for-bit. Events at equal times pop in insertion order (a
 //! monotonically increasing sequence number breaks ties), so simulation
 //! results never depend on heap internals.
+//!
+//! Each heap entry carries one packed `u128` key, `at << 64 | seq`. It
+//! orders exactly like the tuple `(at, seq)`, at the cost of one integer
+//! comparison per sift step.
+//!
+//! **Tie rule.** Of two events at the same time, the one scheduled first
+//! pops first. Only the relative order of sequence numbers matters, never
+//! their values.
+//!
+//! **In-place rule.** [`EventQueue::schedule_pop`] is `schedule` followed
+//! by `pop`, fused. When the new event is *strictly* earlier than every
+//! pending one (than [`EventQueue::peek_time`]) or the queue is empty, it
+//! would pop straight back, so it is returned without touching the heap:
+//! the caller's stream continues in place. At a tie with a pending event,
+//! that event was scheduled first and pops first, so it takes the new
+//! event's place at the heap's top in one sift. An interpreter that
+//! schedules its current stream's next wake through `schedule_pop` sees
+//! exactly the pops a `schedule`/`pop` pair would give it, in the same
+//! order.
 
 use pdr_fabric::TimePs;
 use std::cmp::{Ordering, Reverse};
@@ -20,17 +39,22 @@ pub struct EventQueue<T> {
     now: TimePs,
 }
 
-/// A scheduled payload, ordered by `(at, seq)` alone.
+/// A scheduled payload, ordered by its packed `(at, seq)` key alone.
 #[derive(Debug)]
 struct Event<T> {
-    at: TimePs,
-    seq: u64,
+    key: u128,
     payload: T,
+}
+
+impl<T> Event<T> {
+    fn at(&self) -> TimePs {
+        TimePs::from_ps((self.key >> 64) as u64)
+    }
 }
 
 impl<T> PartialEq for Event<T> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+        self.key == other.key
     }
 }
 
@@ -44,7 +68,7 @@ impl<T> PartialOrd for Event<T> {
 
 impl<T> Ord for Event<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -74,14 +98,42 @@ impl<T> EventQueue<T> {
     /// # Panics
     /// Panics if `at` is earlier than the current time (causality).
     pub fn schedule(&mut self, at: TimePs, payload: T) {
+        let key = self.next_key(at);
+        self.heap.push(Reverse(Event { key, payload }));
+    }
+
+    /// Schedule `payload` at `at`, then pop the next event: the same
+    /// result as [`EventQueue::schedule`] then [`EventQueue::pop`], in one
+    /// sift of the heap — or none when the new event is strictly earliest
+    /// and comes straight back (the in-place rule in the module docs).
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current time (causality).
+    pub fn schedule_pop(&mut self, at: TimePs, payload: T) -> (TimePs, T) {
+        let mut event = Event {
+            key: self.next_key(at),
+            payload,
+        };
+        if let Some(mut top) = self.heap.peek_mut() {
+            if top.0.key < event.key {
+                std::mem::swap(&mut top.0, &mut event);
+            }
+        }
+        self.now = event.at();
+        (self.now, event.payload)
+    }
+
+    /// The packed key of a new event at `at`, taking the next sequence
+    /// number.
+    fn next_key(&mut self, at: TimePs) -> u128 {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at} < {})",
             self.now
         );
-        let seq = self.seq;
+        let key = (u128::from(at.as_ps()) << 64) | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Reverse(Event { at, seq, payload }));
+        key
     }
 
     /// Schedule `payload` after a delay from now.
@@ -92,9 +144,15 @@ impl<T> EventQueue<T> {
 
     /// Pop the next event, advancing the clock. `None` when empty.
     pub fn pop(&mut self) -> Option<(TimePs, T)> {
-        let Reverse(Event { at, payload, .. }) = self.heap.pop()?;
-        self.now = at;
-        Some((at, payload))
+        let Reverse(event) = self.heap.pop()?;
+        self.now = event.at();
+        Some((self.now, event.payload))
+    }
+
+    /// Time of the next event to pop, without popping it. `None` when
+    /// empty.
+    pub fn peek_time(&self) -> Option<TimePs> {
+        self.heap.peek().map(|Reverse(e)| e.at())
     }
 
     /// Number of pending events.
@@ -171,6 +229,66 @@ mod tests {
         }
         assert!(q.is_empty());
         assert!(q.heap.capacity() < 16, "{}", q.heap.capacity());
+    }
+
+    #[test]
+    fn packed_keys_order_like_time_then_sequence() {
+        let mut q = EventQueue::new();
+        // Times past 2^32 ps and sequence numbers that would collide in a
+        // narrower packing must still order by time first.
+        q.schedule(TimePs::from_ps(u64::MAX), "last");
+        q.schedule(TimePs::from_ps(1 << 40), "b");
+        q.schedule(TimePs::from_ps(1 << 40), "c");
+        q.schedule(TimePs::from_ps((1 << 40) - 1), "a");
+        assert_eq!(q.peek_time(), Some(TimePs::from_ps((1 << 40) - 1)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        assert_eq!(order, ["a", "b", "c", "last"]);
+        assert_eq!(q.now(), TimePs::from_ps(u64::MAX));
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn schedule_pop_equals_schedule_then_pop() {
+        // Two queues fed the same operations, one with the fused call and
+        // one with the pair, pop identical sequences — ties included.
+        let mut fused = EventQueue::new();
+        let mut pair = EventQueue::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..2_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let at = fused.now() + TimePs::from_ps(x % 4);
+            if x.is_multiple_of(5) || fused.is_empty() {
+                fused.schedule(at, i);
+                pair.schedule(at, i);
+                continue;
+            }
+            let got = fused.schedule_pop(at, i);
+            pair.schedule(at, i);
+            assert_eq!(Some(got), pair.pop());
+            assert_eq!(fused.now(), pair.now());
+            assert_eq!(fused.len(), pair.len());
+        }
+        let rest = |q: &mut EventQueue<u32>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(rest(&mut fused), rest(&mut pair));
+    }
+
+    #[test]
+    fn schedule_pop_returns_a_strictly_earliest_event_in_place() {
+        let mut q = EventQueue::new();
+        q.schedule(TimePs::from_ns(10), "later");
+        assert_eq!(
+            q.schedule_pop(TimePs::from_ns(5), "now"),
+            (TimePs::from_ns(5), "now")
+        );
+        assert_eq!(q.len(), 1);
+        // A tie goes to the event scheduled first.
+        assert_eq!(
+            q.schedule_pop(TimePs::from_ns(10), "tie"),
+            (TimePs::from_ns(10), "later")
+        );
+        assert_eq!(q.pop(), Some((TimePs::from_ns(10), "tie")));
     }
 
     #[test]

@@ -20,6 +20,15 @@ pub enum SimError {
     Manager(String),
     /// A selection override names an iteration/operator that does not exist.
     BadSelection(String),
+    /// An operator's next wake (a compute end, a reconfiguration's ready
+    /// time or a transfer end) would fall past `u64::MAX` picoseconds.
+    /// Only hostile durations or latencies get here.
+    TimeOverflow {
+        /// Operator whose instruction overflowed.
+        operator: String,
+        /// Simulated time at which the instruction was issued.
+        at_ps: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -38,6 +47,10 @@ impl fmt::Display for SimError {
             }
             SimError::Manager(msg) => write!(f, "configuration manager: {msg}"),
             SimError::BadSelection(msg) => write!(f, "bad selection override: {msg}"),
+            SimError::TimeOverflow { operator, at_ps } => write!(
+                f,
+                "simulated time overflow: `{operator}` at {at_ps} ps would wake past u64::MAX ps"
+            ),
         }
     }
 }

@@ -11,8 +11,19 @@
 //!   per executed instruction);
 //! * media occupancy lives in dense `Vec`s indexed by the executive's
 //!   [`MediumRef`], not `BTreeMap<String, _>`;
-//! * pending rendezvous are kept in a `HashMap<u64, _>` keyed by packed
-//!   `(tag, iteration)` integers;
+//! * at run start every rendezvous tag gets a dense rank (the tag itself
+//!   when tags are dense, else its position among the sorted tags), and
+//!   one side table indexed like [`IrExecutive::instrs`] gives each
+//!   `Send`/`Receive` its rank and its transfer time, so a completed
+//!   transfer neither hashes nor divides. Pending rendezvous sit in one
+//!   `(stream, iteration)` slot per rank; only a second party waiting on
+//!   the same tag at another iteration (hostile executives) spills into a
+//!   small overflow map;
+//! * every wake of the stream being stepped goes through
+//!   [`EventQueue::schedule_pop`]: one heap sift instead of a push and a
+//!   pop, and none when the wake is strictly earliest. The pops, and so
+//!   every tie, are exactly those of a `schedule`/`pop` pair (the tie and
+//!   in-place rules in [`crate::engine`]);
 //! * blocked-state bookkeeping is a small `Copy` enum rather than a
 //!   formatted `String` (the strings are produced only if the run ends
 //!   in deadlock);
@@ -24,9 +35,16 @@
 //!   request. Reconfiguration/trace events are recorded compactly and
 //!   materialized to the string-based [`SimReport`] once, after the run.
 //!
+//! A run therefore allocates per stream and per tag, never per event
+//! (`bench_ir_sim --test` pins the count on a 10k-op flow). Wake times
+//! that would pass `u64::MAX` ps fail with [`SimError::TimeOverflow`],
+//! as in the string interpreter.
+//!
 //! The equivalence suite (`tests/ir_equivalence.rs` at the workspace
 //! root) asserts report- and trace-level equality against the string
-//! interpreter for every gallery flow and for random graphs.
+//! interpreter for every gallery flow, for random graphs, and for
+//! hand-built executives full of `(time, seq)` ties, repeated tags and
+//! unknown media.
 
 use crate::engine::EventQueue;
 use crate::error::SimError;
@@ -65,6 +83,8 @@ impl IrStatus {
 
 struct IrOpRuntime<'p> {
     program: &'p [IrInstr],
+    /// Per-run tag ranks and transfer times, indexed like `program`.
+    comm: &'p [CommSlot],
     /// Per-iteration module selection for this operator, if configured.
     sel: Option<&'p [String]>,
     /// The selection pre-resolved to engine module ids (engine-backed
@@ -116,9 +136,92 @@ struct RawTrace {
     kind: RawTraceKind,
 }
 
-#[inline]
-fn rv_key(tag: u32, iter: u32) -> u64 {
-    (u64::from(tag) << 32) | u64::from(iter)
+/// Transfer-time sentinel in [`CommSlot`]: the medium does not resolve to
+/// an architecture medium (or has zero bandwidth), so the transfer is
+/// timed, and fails, only when it completes — as in the string
+/// interpreter. A medium whose real transfer time is `TimePs::MAX` also
+/// carries the sentinel and is re-timed on completion.
+const XFER_UNRESOLVED: TimePs = TimePs::MAX;
+
+/// Per-run view of one `Send`/`Receive`: the dense rank of its tag (see
+/// [`IrSimSystem::run`]) and its transfer time.
+#[derive(Clone, Copy)]
+struct CommSlot {
+    rank: u32,
+    xfer: TimePs,
+}
+
+/// The parties waiting at rendezvous in one direction (senders or
+/// receivers), keyed by `(tag rank, iteration)`.
+///
+/// Every tag rank owns one dense `(stream, iteration)` slot. A second
+/// waiting party on the same tag at a *different* iteration — which only a
+/// hostile executive produces — goes to the overflow map. A key lives in
+/// at most one of the two places, and a put on a key already present
+/// overwrites it, exactly like the string interpreter's `HashMap` insert.
+struct Pending {
+    slots: Vec<(u32, u32)>,
+    overflow: HashMap<u64, u32>,
+}
+
+impl Pending {
+    fn new(tags: usize) -> Self {
+        Pending {
+            slots: vec![(NO_SLOT, 0); tags],
+            overflow: HashMap::new(),
+        }
+    }
+
+    fn key(rank: u32, iter: u32) -> u64 {
+        (u64::from(rank) << 32) | u64::from(iter)
+    }
+
+    /// Remove and return the stream waiting on `(rank, iter)`, if any.
+    #[inline]
+    fn take(&mut self, rank: u32, iter: u32) -> Option<usize> {
+        let slot = &mut self.slots[rank as usize];
+        if slot.0 != NO_SLOT && slot.1 == iter {
+            let stream = slot.0;
+            slot.0 = NO_SLOT;
+            return Some(stream as usize);
+        }
+        if self.overflow.is_empty() {
+            return None;
+        }
+        self.overflow
+            .remove(&Self::key(rank, iter))
+            .map(|s| s as usize)
+    }
+
+    /// Record `stream` as waiting on `(rank, iter)`, replacing any stream
+    /// already waiting on that key.
+    #[inline]
+    fn put(&mut self, rank: u32, iter: u32, stream: usize) {
+        let slot = &mut self.slots[rank as usize];
+        if slot.0 != NO_SLOT && slot.1 != iter {
+            self.overflow.insert(Self::key(rank, iter), stream as u32);
+            return;
+        }
+        *slot = (stream as u32, iter);
+        if !self.overflow.is_empty() {
+            self.overflow.remove(&Self::key(rank, iter));
+        }
+    }
+}
+
+/// Time a transfer whose [`CommSlot`] carries [`XFER_UNRESOLVED`]: the
+/// string interpreter's lazy medium lookup, with its exact error.
+#[cold]
+fn resolve_transfer(
+    med: Option<&Medium>,
+    ir: &IrExecutive,
+    table: &SymbolTable,
+    medium: MediumRef,
+    bits: u64,
+) -> Result<TimePs, SimError> {
+    let med =
+        med.ok_or_else(|| SimError::UnknownName(ir.medium_sym(medium).resolve(table).to_string()))?;
+    Ok(med.transfer_time(bits))
 }
 
 /// A runnable system over the lowered executive: architecture +
@@ -246,6 +349,73 @@ impl<'a> IrSimSystem<'a> {
             }
         }
 
+        // Dense medium tables indexed by the executive's MediumRef. A ref
+        // that does not resolve to an architecture medium only errors when
+        // a transfer over it completes, matching the string interpreter's
+        // lazy name resolution.
+        let med_arch: Vec<Option<&Medium>> = ir
+            .media()
+            .iter()
+            .map(|m| {
+                arch.medium_by_name(m.resolve(table))
+                    .map(|id| arch.medium(id))
+            })
+            .collect();
+        let mut medium_free = vec![TimePs::ZERO; med_arch.len()];
+        let mut medium_busy = vec![TimePs::ZERO; med_arch.len()];
+        let mut medium_touched = vec![false; med_arch.len()];
+
+        // Rank rendezvous tags once, and give every comm instruction its
+        // rank and transfer time in one side table indexed like
+        // `ir.instrs()`. Generated executives number their tags densely
+        // from zero, so a tag is its own rank while the tag space is at
+        // most twice the comm instruction count. Tags are arbitrary u32s
+        // (executives are hostile input): sparser tags are ranked by
+        // their position in the sorted, deduplicated tag list.
+        let instrs = ir.instrs();
+        let comm_tag = |ins: &IrInstr| match *ins {
+            IrInstr::Send { tag, .. } | IrInstr::Receive { tag, .. } => Some(tag),
+            _ => None,
+        };
+        let (comm_count, max_tag) = instrs
+            .iter()
+            .filter_map(comm_tag)
+            .fold((0usize, 0u32), |(n, max), tag| (n + 1, max.max(tag)));
+        let sorted_tags: Option<Vec<u32>> = (max_tag as usize >= 2 * comm_count).then(|| {
+            let mut tags: Vec<u32> = instrs.iter().filter_map(comm_tag).collect();
+            tags.sort_unstable();
+            tags.dedup();
+            tags
+        });
+        let rank = |tag: u32| match &sorted_tags {
+            None => tag,
+            Some(tags) => tags.partition_point(|&t| t < tag) as u32,
+        };
+        let comm: Vec<CommSlot> = instrs
+            .iter()
+            .map(|ins| match *ins {
+                IrInstr::Send {
+                    medium, bits, tag, ..
+                }
+                | IrInstr::Receive {
+                    medium, bits, tag, ..
+                } => CommSlot {
+                    rank: rank(tag),
+                    xfer: match med_arch[medium.0 as usize] {
+                        Some(med) if med.bits_per_sec > 0 => med.transfer_time(bits),
+                        _ => XFER_UNRESOLVED,
+                    },
+                },
+                _ => CommSlot {
+                    rank: 0,
+                    xfer: TimePs::ZERO,
+                },
+            })
+            .collect();
+        let ranks = sorted_tags.map_or(max_tag as usize + 1, |tags| tags.len());
+        let mut pending_send = Pending::new(ranks);
+        let mut pending_recv = Pending::new(ranks);
+
         // Dense per-stream runtimes. Stream order is the executive's
         // lowering order (alphabetical for lowered string executives).
         let n = ir.operator_count();
@@ -266,8 +436,11 @@ impl<'a> IrSimSystem<'a> {
                 ),
                 _ => None,
             };
+            let program = ir.program(i);
+            let start = ir.stream_start(i);
             ops.push(IrOpRuntime {
-                program: ir.program(i),
+                program,
+                comm: &comm[start..start + program.len()],
                 sel,
                 sel_ids,
                 pc: 0,
@@ -280,44 +453,35 @@ impl<'a> IrSimSystem<'a> {
                 busy: TimePs::ZERO,
             });
         }
-
-        // Dense medium tables indexed by the executive's MediumRef. A ref
-        // that does not resolve to an architecture medium only errors when
-        // a transfer over it completes, matching the string interpreter's
-        // lazy name resolution.
-        let med_arch: Vec<Option<&Medium>> = ir
-            .media()
-            .iter()
-            .map(|m| {
-                arch.medium_by_name(m.resolve(table))
-                    .map(|id| arch.medium(id))
-            })
-            .collect();
-        let mut medium_free = vec![TimePs::ZERO; med_arch.len()];
-        let mut medium_busy = vec![TimePs::ZERO; med_arch.len()];
-        let mut medium_touched = vec![false; med_arch.len()];
+        let overflow = |i: usize, at: TimePs| SimError::TimeOverflow {
+            operator: op_names[i].to_string(),
+            at_ps: at.as_ps(),
+        };
 
         let mut queue: EventQueue<usize> = EventQueue::new();
         for i in 0..ops.len() {
             queue.schedule(TimePs::ZERO, i);
         }
 
-        // Rendezvous bookkeeping: packed (tag, iteration) -> (op, arrival).
-        let mut pending_send: HashMap<u64, (u32, TimePs)> = HashMap::new();
-        let mut pending_recv: HashMap<u64, (u32, TimePs)> = HashMap::new();
         let mut reconfigs: Vec<RawReconfig> = Vec::new();
         let mut trace: Vec<RawTrace> = Vec::new();
         let mut makespan = TimePs::ZERO;
         let mut iteration_ends = vec![TimePs::ZERO; config.iterations as usize];
 
-        while let Some((now, i)) = queue.pop() {
+        // Every wake of the stream being stepped goes through
+        // `schedule_pop`, which hands the stream straight back when its
+        // wake is strictly earliest (the in-place rule in `engine`).
+        let mut next = queue.pop();
+        while let Some((now, i)) = next {
             makespan = makespan.max(now);
             if ops[i].status == IrStatus::Done {
+                next = queue.pop();
                 continue;
             }
             ops[i].status = IrStatus::Ready;
-            // Step instructions until the operator blocks or finishes.
-            'step: loop {
+            // Step instructions until the operator blocks, finishes or
+            // waits; the loop yields the next event.
+            next = 'step: loop {
                 if ops[i].pc as usize >= ops[i].program.len() {
                     if !ops[i].program.is_empty() {
                         let done = ops[i].iteration as usize;
@@ -329,12 +493,12 @@ impl<'a> IrSimSystem<'a> {
                     ops[i].pc = 0;
                     if ops[i].iteration >= config.iterations {
                         ops[i].status = IrStatus::Done;
-                        break 'step;
+                        break 'step queue.pop();
                     }
                     if ops[i].program.is_empty() {
                         ops[i].iteration = config.iterations;
                         ops[i].status = IrStatus::Done;
-                        break 'step;
+                        break 'step queue.pop();
                     }
                     continue 'step;
                 }
@@ -343,13 +507,14 @@ impl<'a> IrSimSystem<'a> {
                 let iter = ops[i].iteration;
                 match instr {
                     IrInstr::Compute { duration, .. } => {
+                        let end = now.checked_add(duration).ok_or_else(|| overflow(i, now))?;
                         ops[i].pc += 1;
                         ops[i].busy += duration;
                         if config.capture_trace {
                             trace.push(RawTrace {
                                 iteration: iter,
                                 start: now,
-                                end: now + duration,
+                                end,
                                 kind: RawTraceKind::Compute {
                                     stream: i as u32,
                                     pc,
@@ -359,8 +524,7 @@ impl<'a> IrSimSystem<'a> {
                         if duration.is_zero() {
                             continue 'step;
                         }
-                        queue.schedule(now + duration, i);
-                        break 'step;
+                        break 'step Some(queue.schedule_pop(end, i));
                     }
                     IrInstr::Configure { module, worst_case } => {
                         let chosen: &str = match ops[i].sel {
@@ -410,8 +574,15 @@ impl<'a> IrSimSystem<'a> {
                         } else {
                             // No manager: charge the characterized worst case
                             // (see the string interpreter for the rationale).
-                            (now + worst_case, false)
+                            let ready_at = now
+                                .checked_add(worst_case)
+                                .ok_or_else(|| overflow(i, now))?;
+                            (ready_at, false)
                         };
+                        if ready_at < now {
+                            // A manager's ready time wrapped past u64::MAX.
+                            return Err(overflow(i, now));
+                        }
                         ops[i].pc += 1;
                         ops[i].busy += ready_at - now;
                         reconfigs.push(RawReconfig {
@@ -437,99 +608,73 @@ impl<'a> IrSimSystem<'a> {
                         if ready_at == now {
                             continue 'step;
                         }
-                        queue.schedule(ready_at, i);
-                        break 'step;
+                        break 'step Some(queue.schedule_pop(ready_at, i));
                     }
                     IrInstr::Send {
-                        to,
+                        to: peer,
                         medium,
                         bits,
                         tag,
-                    } => {
-                        let key = rv_key(tag, iter);
-                        if let Some((j, _)) = pending_recv.remove(&key) {
-                            let j = j as usize;
-                            let m = medium.0 as usize;
-                            let med = med_arch[m].ok_or_else(|| {
-                                SimError::UnknownName(
-                                    ir.medium_sym(medium).resolve(table).to_string(),
-                                )
-                            })?;
-                            let start = now.max(medium_free[m]);
-                            let end = start + med.transfer_time(bits);
-                            medium_free[m] = end;
-                            medium_busy[m] += end - start;
-                            medium_touched[m] = true;
-                            if config.capture_trace {
-                                trace.push(RawTrace {
-                                    iteration: iter,
-                                    start,
-                                    end,
-                                    kind: RawTraceKind::Transfer {
-                                        from: ir.operator_ref(i),
-                                        to,
-                                        medium,
-                                        bits,
-                                    },
-                                });
-                            }
-                            ops[i].pc += 1;
-                            ops[j].pc += 1;
-                            ops[j].status = IrStatus::Ready;
-                            queue.schedule(end, i);
-                            queue.schedule(end, j);
-                            break 'step;
-                        }
-                        pending_send.insert(key, (i as u32, now));
-                        ops[i].status = IrStatus::BlockedSend { tag, iter };
-                        break 'step;
                     }
-                    IrInstr::Receive {
-                        from,
+                    | IrInstr::Receive {
+                        from: peer,
                         medium,
                         bits,
                         tag,
                     } => {
-                        let key = rv_key(tag, iter);
-                        if let Some((j, _)) = pending_send.remove(&key) {
-                            let j = j as usize;
-                            let m = medium.0 as usize;
-                            let med = med_arch[m].ok_or_else(|| {
-                                SimError::UnknownName(
-                                    ir.medium_sym(medium).resolve(table).to_string(),
-                                )
-                            })?;
-                            let start = now.max(medium_free[m]);
-                            let end = start + med.transfer_time(bits);
-                            medium_free[m] = end;
-                            medium_busy[m] += end - start;
-                            medium_touched[m] = true;
-                            if config.capture_trace {
-                                trace.push(RawTrace {
-                                    iteration: iter,
-                                    start,
-                                    end,
-                                    kind: RawTraceKind::Transfer {
-                                        from,
-                                        to: ir.operator_ref(i),
-                                        medium,
-                                        bits,
-                                    },
-                                });
-                            }
-                            ops[i].pc += 1;
-                            ops[j].pc += 1;
-                            ops[j].status = IrStatus::Ready;
-                            queue.schedule(end, i);
-                            queue.schedule(end, j);
-                            break 'step;
+                        let is_send = matches!(instr, IrInstr::Send { .. });
+                        let CommSlot { rank, xfer } = ops[i].comm[pc as usize];
+                        let (waiting, partners) = if is_send {
+                            (&mut pending_send, &mut pending_recv)
+                        } else {
+                            (&mut pending_recv, &mut pending_send)
+                        };
+                        let Some(j) = partners.take(rank, iter) else {
+                            waiting.put(rank, iter, i);
+                            ops[i].status = if is_send {
+                                IrStatus::BlockedSend { tag, iter }
+                            } else {
+                                IrStatus::BlockedRecv { tag, iter }
+                            };
+                            break 'step queue.pop();
+                        };
+                        // `i` arrived second: the transfer starts now or
+                        // when the medium frees up, whichever is later.
+                        let m = medium.0 as usize;
+                        let xfer = if xfer == XFER_UNRESOLVED {
+                            resolve_transfer(med_arch[m], ir, table, medium, bits)?
+                        } else {
+                            xfer
+                        };
+                        let start = now.max(medium_free[m]);
+                        let end = start.checked_add(xfer).ok_or_else(|| overflow(i, now))?;
+                        medium_free[m] = end;
+                        medium_busy[m] += end - start;
+                        medium_touched[m] = true;
+                        if config.capture_trace {
+                            let me = ir.operator_ref(i);
+                            let (from, to) = if is_send { (me, peer) } else { (peer, me) };
+                            trace.push(RawTrace {
+                                iteration: iter,
+                                start,
+                                end,
+                                kind: RawTraceKind::Transfer {
+                                    from,
+                                    to,
+                                    medium,
+                                    bits,
+                                },
+                            });
                         }
-                        pending_recv.insert(key, (i as u32, now));
-                        ops[i].status = IrStatus::BlockedRecv { tag, iter };
-                        break 'step;
+                        ops[i].pc += 1;
+                        ops[j].pc += 1;
+                        ops[j].status = IrStatus::Ready;
+                        // Both wake at `end`, `i` first.
+                        queue.schedule(end, i);
+                        break 'step Some(queue.schedule_pop(end, j));
                     }
                 }
-            }
+            };
         }
 
         // Every operator must have finished.

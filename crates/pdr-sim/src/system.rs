@@ -82,6 +82,15 @@ struct OpRuntime {
     busy: TimePs,
 }
 
+/// The error for an instruction of `operator`, issued at `now`, whose wake
+/// time would fall past `u64::MAX` picoseconds.
+fn time_overflow(operator: &str, now: TimePs) -> SimError {
+    SimError::TimeOverflow {
+        operator: operator.to_string(),
+        at_ps: now.as_ps(),
+    }
+}
+
 /// A runnable system: architecture + executive + configuration managers.
 pub struct SimSystem<'a> {
     arch: &'a ArchGraph,
@@ -198,6 +207,9 @@ impl<'a> SimSystem<'a> {
                         duration,
                         ..
                     } => {
+                        let end = now
+                            .checked_add(duration)
+                            .ok_or_else(|| time_overflow(&ops[i].name, now))?;
                         ops[i].pc += 1;
                         ops[i].busy += duration;
                         if config.capture_trace {
@@ -205,14 +217,14 @@ impl<'a> SimSystem<'a> {
                                 site: ops[i].name.clone(),
                                 iteration: iter,
                                 start: now,
-                                end: now + duration,
+                                end,
                                 kind: TraceKind::Compute { op, function },
                             });
                         }
                         if duration.is_zero() {
                             continue 'step;
                         }
-                        queue.schedule(now + duration, i);
+                        queue.schedule(end, i);
                         break 'step;
                     }
                     MacroInstr::Configure { module, worst_case } => {
@@ -242,8 +254,16 @@ impl<'a> SimSystem<'a> {
                             // No manager: charge the characterized worst case
                             // on first touch and every change (we cannot know
                             // residency without a manager, so be pessimistic).
-                            None => (now + worst_case, false),
+                            None => (
+                                now.checked_add(worst_case)
+                                    .ok_or_else(|| time_overflow(&ops[i].name, now))?,
+                                false,
+                            ),
                         };
+                        if ready_at < now {
+                            // A manager's ready time wrapped past u64::MAX.
+                            return Err(time_overflow(&ops[i].name, now));
+                        }
                         ops[i].pc += 1;
                         ops[i].busy += ready_at - now;
                         reconfigs.push(ReconfigEvent {
@@ -283,7 +303,9 @@ impl<'a> SimSystem<'a> {
                             let med = medium_id_of(&medium)?;
                             let free = medium_free.get(&medium).copied().unwrap_or(TimePs::ZERO);
                             let start = now.max(free);
-                            let end = start + self.arch.medium(med).transfer_time(bits);
+                            let end = start
+                                .checked_add(self.arch.medium(med).transfer_time(bits))
+                                .ok_or_else(|| time_overflow(&ops[i].name, now))?;
                             medium_free.insert(medium.clone(), end);
                             *medium_busy.entry(medium.clone()).or_default() += end - start;
                             if config.capture_trace {
@@ -322,7 +344,9 @@ impl<'a> SimSystem<'a> {
                             let med = medium_id_of(&medium)?;
                             let free = medium_free.get(&medium).copied().unwrap_or(TimePs::ZERO);
                             let start = now.max(free);
-                            let end = start + self.arch.medium(med).transfer_time(bits);
+                            let end = start
+                                .checked_add(self.arch.medium(med).transfer_time(bits))
+                                .ok_or_else(|| time_overflow(&ops[i].name, now))?;
                             medium_free.insert(medium.clone(), end);
                             *medium_busy.entry(medium.clone()).or_default() += end - start;
                             if config.capture_trace {

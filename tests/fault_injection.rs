@@ -11,7 +11,7 @@ use pdr_graph::prelude::*;
 use pdr_rtr::{
     BitstreamCache, BitstreamStore, ConfigurationManager, MemoryModel, ProtocolBuilder, RtrError,
 };
-use pdr_sim::SimConfig;
+use pdr_sim::{IrSimSystem, SimConfig, SimError, SimSystem};
 
 #[test]
 fn corrupted_bitstream_rejected_by_protocol_builder() {
@@ -201,4 +201,96 @@ fn cache_smaller_than_module_is_caught_at_deploy_time() {
     );
     let err = mgr.request("mod_qpsk", TimePs::ZERO).unwrap_err();
     assert!(matches!(err, RtrError::CacheTooSmall { .. }));
+}
+
+/// Executives whose wake times run past `u64::MAX` ps: a compute after a
+/// near-maximal one, a transfer finishing past the end of time, and a
+/// manager-less `Configure` charged a near-maximal worst case.
+fn overflowing_executives() -> Vec<(&'static str, pdr_adequation::Executive)> {
+    use pdr_adequation::{Executive, MacroInstr};
+    let compute = |ps: u64| MacroInstr::Compute {
+        op: "k".into(),
+        function: "f".into(),
+        duration: TimePs::from_ps(ps),
+    };
+    let with = |streams: Vec<(&str, Vec<MacroInstr>)>| {
+        let mut exec = Executive::default();
+        for (op, program) in streams {
+            exec.per_operator.insert(op.into(), program);
+        }
+        exec
+    };
+    vec![
+        (
+            "compute",
+            with(vec![("a", vec![compute(u64::MAX - 5), compute(10)])]),
+        ),
+        (
+            "transfer",
+            with(vec![
+                (
+                    "a",
+                    vec![
+                        compute(u64::MAX - 5),
+                        MacroInstr::Send {
+                            to: "b".into(),
+                            medium: "m".into(),
+                            bits: 8,
+                            tag: 1,
+                        },
+                    ],
+                ),
+                (
+                    "b",
+                    vec![MacroInstr::Receive {
+                        from: "a".into(),
+                        medium: "m".into(),
+                        bits: 8,
+                        tag: 1,
+                    }],
+                ),
+            ]),
+        ),
+        (
+            "configure",
+            with(vec![(
+                "b",
+                vec![
+                    compute(7),
+                    MacroInstr::Configure {
+                        module: "mod".into(),
+                        worst_case: TimePs::MAX,
+                    },
+                ],
+            )]),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_durations_fail_typed_and_alike_in_both_interpreters() {
+    let mut arch = ArchGraph::new("t");
+    let a = arch.add_operator("a", OperatorKind::Processor).unwrap();
+    let b = arch.add_operator("b", OperatorKind::Processor).unwrap();
+    let m = arch
+        .add_medium("m", MediumKind::Bus, 1_000_000, TimePs::from_ns(1))
+        .unwrap();
+    arch.link(a, m).unwrap();
+    arch.link(b, m).unwrap();
+    for (case, exec) in overflowing_executives() {
+        let mut table = arch.symbols().clone();
+        let ir = exec.lower(&mut table);
+        for cfg in [
+            SimConfig::iterations(1),
+            SimConfig::iterations(2).with_trace(),
+        ] {
+            let s = SimSystem::new(&arch, &exec).run(&cfg).unwrap_err();
+            let i = IrSimSystem::new(&arch, &ir, &table).run(&cfg).unwrap_err();
+            assert!(
+                matches!(s, SimError::TimeOverflow { .. }),
+                "{case}: string interpreter returned {s}"
+            );
+            assert_eq!(s.to_string(), i.to_string(), "{case}");
+        }
+    }
 }

@@ -286,6 +286,141 @@ fn sweep_outcome_digests_agree_across_interpreters() {
     assert_eq!(digest(&via_string), digest(&via_ir));
 }
 
+// ------------------------------------------- ties and duplicate tags
+
+/// A small hand-built executive decoded from proptest steps, for the
+/// cases generated flows never produce. Each step `(a, b, tag, kind)` is:
+///
+/// * `kind` 0–19: a transfer from stream `a` to another stream `b` with
+///   tag `tag % tag_span` — spread over the whole `u32` range when
+///   `sparse` is set — so a small span repeats tags across transfers (and
+///   every iteration reuses them all); the medium is one of two
+///   identical media (equal transfer times, so arrivals tie) or, for
+///   `kind` 19 with `ghost` set, a medium the architecture does not have;
+/// * `kind` 20–25: a compute of `unit` on stream `a` (all computes last
+///   the same, zero included);
+/// * `kind` 26–30: a manager-less `Configure` charged `unit`;
+/// * `kind` 31: half a transfer — a send or a receive nobody matches.
+///
+/// Transfers are appended to both streams in step order, so distinct
+/// tags alone would never deadlock; repeated tags cross-match, overwrite
+/// waiting parties and leave some blocked.
+fn hostile_executive(
+    streams: usize,
+    steps: &[(u8, u8, u8, u8)],
+    tag_span: u8,
+    sparse: bool,
+    ghost: bool,
+    unit: TimePs,
+) -> pdr_adequation::Executive {
+    let name = |s: usize| format!("p{s}");
+    let mut programs: Vec<Vec<MacroInstr>> = vec![Vec::new(); streams];
+    for &(a, b, tag, kind) in steps {
+        let src = usize::from(a) % streams;
+        let dst = (src + 1 + usize::from(b) % (streams - 1)) % streams;
+        let tag = u32::from(tag % tag_span) * if sparse { 0x0400_0001 } else { 1 };
+        let medium = match kind {
+            0..=9 => "bus",
+            19 if ghost => "ghost",
+            _ => "link",
+        };
+        let send = MacroInstr::Send {
+            to: name(dst),
+            medium: medium.into(),
+            bits: 64,
+            tag,
+        };
+        let recv = MacroInstr::Receive {
+            from: name(src),
+            medium: medium.into(),
+            bits: 64,
+            tag,
+        };
+        match kind {
+            0..=19 => {
+                programs[src].push(send);
+                programs[dst].push(recv);
+            }
+            20..=25 => {
+                let op = format!("op{}", programs[src].len());
+                programs[src].push(MacroInstr::Compute {
+                    op,
+                    function: "k".into(),
+                    duration: unit,
+                });
+            }
+            26..=30 => programs[src].push(MacroInstr::Configure {
+                module: "mod".into(),
+                worst_case: unit,
+            }),
+            _ if b % 2 == 0 => programs[src].push(send),
+            _ => programs[dst].push(recv),
+        }
+    }
+    let mut exec = pdr_adequation::Executive::default();
+    for (s, program) in programs.into_iter().enumerate() {
+        exec.per_operator.insert(name(s), program);
+    }
+    exec
+}
+
+/// The architecture [`hostile_executive`] runs on: five processors and
+/// two media with identical characteristics.
+fn hostile_architecture() -> ArchGraph {
+    let mut arch = ArchGraph::new("ties");
+    let ops: Vec<_> = (0..5)
+        .map(|s| {
+            arch.add_operator(format!("p{s}"), OperatorKind::Processor)
+                .unwrap()
+        })
+        .collect();
+    for medium in ["bus", "link"] {
+        let m = arch
+            .add_medium(medium, MediumKind::Bus, 64_000_000, TimePs::from_ns(5))
+            .unwrap();
+        for &op in &ops {
+            arch.link(op, m).unwrap();
+        }
+    }
+    arch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The interned interpreter against the string oracle where their
+    /// bookkeeping differs most: massive `(time, seq)` ties, tags shared
+    /// across streams and iterations (overwritten and overflowing waiting
+    /// parties) — dense or spread over the `u32` range — and transfers
+    /// over a medium the architecture lacks.
+    /// Successful runs compare whole traced reports; failed runs compare
+    /// error text.
+    #[test]
+    fn tied_and_duplicate_tag_executives_simulate_alike(
+        streams in 2usize..6,
+        steps in prop::collection::vec((0u8..8, 0u8..8, 0u8..32, 0u8..32), 1..32),
+        tag_span in 1u8..33,
+        sparse in any::<bool>(),
+        ghost in 0u8..4,
+        unit_ns in 0u64..3,
+        iterations in 1u32..7,
+    ) {
+        let arch = hostile_architecture();
+        let unit = TimePs::from_ns(10 * unit_ns);
+        let exec = hostile_executive(streams, &steps, tag_span, sparse, ghost == 0, unit);
+        let mut table = arch.symbols().clone();
+        let ir = exec.lower(&mut table);
+        let cfg = SimConfig::iterations(iterations).with_trace();
+        let oracle = SimSystem::new(&arch, &exec).run(&cfg);
+        let interned = IrSimSystem::new(&arch, &ir, &table).run(&cfg);
+        match (oracle, interned) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            (a, b) => prop_assert!(false, "outcomes differ: {:?} vs {:?}", a, b),
+        }
+    }
+}
+
 // ------------------------------------------------------- random graphs
 
 proptest! {
