@@ -21,6 +21,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== pdr-lint (all gallery flows, deny warnings)"
 cargo run -q --release -p pdr-bench --bin pdr-lint -- --all --deny-warnings --format json
 
+echo "== examples that drive deployment end to end (verified simulation, runtime policies)"
+cargo run -q --release --example verified_system
+cargo run -q --release --example rtr_policies
+
 echo "== benches compile"
 cargo bench -p pdr-bench --no-run -q
 

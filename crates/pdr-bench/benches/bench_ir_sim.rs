@@ -75,14 +75,9 @@ fn assert_run_allocations_are_independent_of_iterations() {
         flow.device().clone(),
         RuntimeOptions::paper_baseline(),
     );
-    let regions = art.design.floorplan.floorplan.regions();
-    let bindings: Vec<(&str, &str)> = regions
-        .iter()
-        .map(|r| (r.name.as_str(), r.name.as_str()))
-        .collect();
     let count = |iterations: u32| {
         let mut sys = IrSimSystem::new(flow.architecture(), &art.ir_executive, &art.symbols);
-        sys.attach_engine(dep.rtr_engine().expect("engine builds"), &bindings);
+        sys.attach_engine(dep.rtr_engine().expect("engine builds"));
         let cfg = ir_sim::steady_workload(iterations);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let report = sys.run(&cfg).expect("simulation runs");

@@ -8,9 +8,10 @@
 //! a cheaper fetch is also easier to hide.
 
 use pdr_core::paper::PaperCaseStudy;
-use pdr_core::{FlowError, PrefetchChoice, RuntimeOptions};
+use pdr_core::{FlowError, RuntimeOptions};
 use pdr_fabric::compress;
 use pdr_fabric::{Bitstream, Device, ReconfigRegion, TimePs};
+use pdr_rtr::PrefetchSpec;
 use pdr_sim::SimConfig;
 
 /// One sweep point: region width vs stored size.
@@ -121,9 +122,9 @@ pub fn run(symbols: u32) -> Result<CompressionStudy, FlowError> {
             compressed_storage: compressed,
             cache_modules: 1,
             prefetch: if prefetch {
-                PrefetchChoice::ScheduleDriven(loads.clone())
+                PrefetchSpec::Schedule(loads.clone())
             } else {
-                PrefetchChoice::None
+                PrefetchSpec::None
             },
             ..RuntimeOptions::default()
         };

@@ -12,18 +12,20 @@
 //!
 //! * **parity** — per-iteration module selections switching every 8
 //!   iterations with full trace capture: the demanding workload
-//!   (reconfiguration churn, manager interplay) under which the two
+//!   (reconfiguration churn, runtime-model interplay) under which the two
 //!   reports must be identical;
 //! * **timing** — steady state (no selection overrides, so every
-//!   `Configure` hits the manager's already-loaded fast path). Switching
-//!   workloads spend their wall time inside the *shared*
-//!   `ConfigurationManager` model — bitstream fetch and port-protocol
-//!   planning — which both engines call identically; steady state is what
-//!   actually exercises the interpreters the study compares.
+//!   `Configure` hits the already-loaded fast path). Switching workloads
+//!   spend their wall time inside the runtime model — bitstream fetch and
+//!   port-protocol planning — rather than in the interpreters; steady
+//!   state is what actually exercises the interpreters the study compares.
 //!
-//! Timing covers `run()` only: deployment plumbing (bitstream stores,
-//! caches, constraint parsing) is rebuilt per repetition *outside* the
-//! timed region via [`DeployedSystem::managers`], so the numbers compare
+//! Each interpreter runs over its own runtime model, as in production and
+//! in the oracle: the string [`SimSystem`] over the reference managers of
+//! [`DeployedSystem::managers`], the [`IrSimSystem`] over
+//! [`DeployedSystem::rtr_engine`]. Timing covers `run()` only: deployment
+//! plumbing (bitstream stores, caches, constraint parsing) is rebuilt per
+//! repetition *outside* the timed region, so the numbers compare
 //! interpreters, not setup code.
 //!
 //! After the gallery comes one generated case, [`GENERATED`]: the
@@ -239,14 +241,12 @@ fn compare(
     // Parity: the demanding workload, full trace, reports compared.
     let string_report = simulate_reference(arch, &art, &dep, parity)?;
     let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
-    for (region, mgr) in dep.managers()? {
-        sys.add_manager(&region, mgr);
-    }
+    sys.attach_engine(dep.rtr_engine()?);
     let ir_report = sys.run(parity).map_err(FlowError::Sim)?;
     let reports_match = string_report == ir_report;
 
-    // Timing: steady state, managers rebuilt per rep outside the timed
-    // region.
+    // Timing: steady state, managers and engine rebuilt per rep outside
+    // the timed region.
     let cfg = steady_workload(iterations);
     let mut string_ns = u64::MAX;
     let mut ir_ns = u64::MAX;
@@ -260,9 +260,7 @@ fn compare(
         string_ns = string_ns.min(t0.elapsed().as_nanos() as u64);
 
         let mut sys = IrSimSystem::new(arch, &art.ir_executive, &art.symbols);
-        for (region, mgr) in dep.managers()? {
-            sys.add_manager(&region, mgr);
-        }
+        sys.attach_engine(dep.rtr_engine()?);
         let t0 = Instant::now();
         sys.run(&cfg).map_err(FlowError::Sim)?;
         ir_ns = ir_ns.min(t0.elapsed().as_nanos() as u64);

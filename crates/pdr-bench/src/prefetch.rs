@@ -12,8 +12,9 @@
 //! collapses; wrong predictors (last-value) never help.
 
 use pdr_core::paper::PaperCaseStudy;
-use pdr_core::{PrefetchChoice, RuntimeOptions};
+use pdr_core::RuntimeOptions;
 use pdr_fabric::TimePs;
+use pdr_rtr::PrefetchSpec;
 use pdr_sim::SimConfig;
 use pdr_sweep::{Scenario, SweepEngine, SweepError, SweepReport};
 use serde::json::Value;
@@ -119,19 +120,19 @@ pub fn run_sweep(
         // the predictors. One staging slot (the realistic BRAM budget —
         // ≈ 50 KB is 24 of the XC2V2000's 56 block RAMs) isolates the
         // *prediction* quality: only a correctly prefetched module is warm.
-        let with = |prefetch: PrefetchChoice| RuntimeOptions {
+        let with = |prefetch: PrefetchSpec| RuntimeOptions {
             cache_modules: 1,
             prefetch,
             ..RuntimeOptions::default()
         };
         let policies: Vec<(&str, RuntimeOptions)> = vec![
-            ("no-prefetch", with(PrefetchChoice::None)),
+            ("no-prefetch", with(PrefetchSpec::None)),
             (
                 "schedule-driven",
-                with(PrefetchChoice::ScheduleDriven(loads.clone())),
+                with(PrefetchSpec::Schedule(loads.clone())),
             ),
-            ("last-value", with(PrefetchChoice::LastValue)),
-            ("markov-1", with(PrefetchChoice::Markov)),
+            ("last-value", with(PrefetchSpec::LastValue)),
+            ("markov-1", with(PrefetchSpec::Markov)),
         ];
         for (label, options) in policies {
             let study = &study;

@@ -25,7 +25,7 @@
 //!   boxed, while the engine swaps [`PrefetchSpec`]/[`EvictionSpec`]
 //!   (including the offline Belady oracle) per region.
 
-use pdr_core::deploy::{DeployedSystem, PrefetchChoice, RuntimeOptions};
+use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::{gallery, FlowError};
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, TimePs};
 use pdr_rtr::{
@@ -69,7 +69,7 @@ pub fn parity_options() -> Vec<(&'static str, RuntimeOptions)> {
             "markov-2",
             RuntimeOptions {
                 cache_modules: 2,
-                prefetch: PrefetchChoice::Markov,
+                prefetch: PrefetchSpec::Markov,
                 ..RuntimeOptions::default()
             },
         ),
@@ -77,7 +77,7 @@ pub fn parity_options() -> Vec<(&'static str, RuntimeOptions)> {
             "last-value-compressed",
             RuntimeOptions {
                 cache_modules: 2,
-                prefetch: PrefetchChoice::LastValue,
+                prefetch: PrefetchSpec::LastValue,
                 compressed_storage: true,
                 ..RuntimeOptions::default()
             },

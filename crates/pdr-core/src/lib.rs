@@ -53,7 +53,7 @@ pub mod flow;
 pub mod gallery;
 pub mod paper;
 
-pub use deploy::{DeployedSystem, EvictionChoice, PrefetchChoice, RuntimeOptions};
+pub use deploy::{DeployedSystem, EvictionChoice, RuntimeOptions};
 pub use error::FlowError;
 pub use flow::{DesignFlow, FlowArtifacts};
 
@@ -69,7 +69,7 @@ pub use pdr_sim as sim;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::deploy::{DeployedSystem, EvictionChoice, PrefetchChoice, RuntimeOptions};
+    pub use crate::deploy::{DeployedSystem, EvictionChoice, RuntimeOptions};
     pub use crate::error::FlowError;
     pub use crate::flow::{DesignFlow, FlowArtifacts};
     pub use crate::paper::PaperCaseStudy;

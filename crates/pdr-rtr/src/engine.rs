@@ -409,7 +409,7 @@ impl RtrEngineBuilder {
 /// The indexed runtime reconfiguration engine over all dynamic regions.
 ///
 /// Construct with [`RtrEngineBuilder`]; drive with [`RtrEngine::request`]
-/// (ids) or [`RtrEngine::request_named`] (names, resolving per call).
+/// (ids) or [`RtrEngine::request_in`] (module by name, resolving per call).
 #[derive(Debug, Clone)]
 pub struct RtrEngine {
     modules: Vec<ModuleInfo>,
@@ -515,22 +515,6 @@ impl RtrEngine {
             .get(module as usize)
             .cloned()
             .unwrap_or_else(|| format!("#{module}"))
-    }
-
-    /// Resolve names and [`RtrEngine::request`]. Unknown module names
-    /// fail with [`RtrError::UnknownModule`] (like the reference store);
-    /// unknown regions are a caller bug and fail with
-    /// [`RtrError::Internal`].
-    pub fn request_named(
-        &mut self,
-        region: &str,
-        module: &str,
-        now: TimePs,
-    ) -> Result<RequestTiming, RtrError> {
-        let Some(rid) = self.region_index(region) else {
-            return Err(RtrError::Internal(format!("unknown region `{region}`")));
-        };
-        self.request_in(rid, module, now)
     }
 
     /// [`RtrEngine::request`] with the module given by name (the region
@@ -758,19 +742,15 @@ mod tests {
     }
 
     #[test]
-    fn request_named_resolves_and_rejects() {
+    fn request_in_resolves_and_rejects() {
         let mut e = paper_engine(2, PrefetchSpec::None);
-        assert!(e.request_named("op_dyn", "mod_qpsk", TimePs::ZERO).is_ok());
+        assert!(e.request_in(0, "mod_qpsk", TimePs::ZERO).is_ok());
         assert!(matches!(
-            e.request_named("op_dyn", "ghost", TimePs::ZERO),
+            e.request_in(0, "ghost", TimePs::ZERO),
             Err(RtrError::UnknownModule(_))
         ));
         // The failed request was still charged, like the reference.
         assert_eq!(e.stats(0).requests, 2);
-        assert!(matches!(
-            e.request_named("nowhere", "mod_qpsk", TimePs::ZERO),
-            Err(RtrError::Internal(_))
-        ));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * [`mod@reference`] — the configuration manager: a *timed functional model*
 //!   (`request(module, now) → ready_at` plus a latency breakdown) with
 //!   cache, prefetch hints, and statistics. This is the retained
-//!   string-keyed reference implementation (also importable under its
-//!   historical path [`manager`]); unit tests and parity gates drive it;
+//!   string-keyed reference implementation; unit tests and parity gates
+//!   drive it;
 //! * [`engine`] — the allocation-free indexed runtime: one
 //!   [`engine::RtrEngine`] manages *all* dynamic regions with dense
 //!   module/region ids, precomputed transfer tables and pluggable
@@ -49,10 +49,6 @@ pub mod prefetch;
 pub mod protocol;
 pub mod reference;
 pub mod store;
-
-/// Historical alias of [`mod@reference`] — the original module path of the
-/// string-keyed configuration manager.
-pub use self::reference as manager;
 
 pub use arch::{LatencyBreakdown, ReconfigArchitecture};
 pub use engine::{EvictionSpec, PrefetchSpec, RegionSpec, RtrEngine, RtrEngineBuilder};

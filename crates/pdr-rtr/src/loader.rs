@@ -1,11 +1,12 @@
 //! The device loader: functional fidelity for reconfigurations.
 //!
-//! The [`crate::manager::ConfigurationManager`] is a *timed* model; the
+//! The [`crate::engine::RtrEngine`] is a *timed* model; the
 //! [`DeviceLoader`] is the matching *functional* model: it owns the
 //! device's [`ConfigMemory`], applies each loaded bitstream to it, tracks
 //! which module is physically resident per region, and supports
 //! readback-verification after a load — catching any divergence between
-//! what the manager believes and what the fabric holds.
+//! what the timing model believes and what the fabric holds. `pdr-core`'s
+//! verified simulation replays a run's reconfigurations through it.
 
 use crate::error::RtrError;
 use pdr_fabric::{Bitstream, ConfigMemory, Device, ReconfigRegion};
@@ -130,6 +131,21 @@ mod tests {
         let (d, _, qpsk, _) = setup();
         let mut loader = DeviceLoader::new(d);
         assert!(loader.load("ghost", "mod_qpsk", &qpsk).is_err());
+    }
+
+    #[test]
+    fn readback_of_another_regions_stream_fails() {
+        let (d, a, qpsk, _) = setup();
+        let b = ReconfigRegion::new("other", 2, 4).unwrap();
+        let mut loader = DeviceLoader::new(d);
+        loader.add_region(a).unwrap();
+        loader.add_region(b).unwrap();
+        // `qpsk` writes the frames of `op_dyn`; reading back `other` finds
+        // them blank.
+        assert!(loader.load("other", "mod_qpsk", &qpsk).is_err());
+        let s = loader.stats();
+        assert_eq!((s.loads, s.verifications, s.verify_failures), (1, 1, 1));
+        assert_eq!(loader.resident("other"), None);
     }
 
     #[test]

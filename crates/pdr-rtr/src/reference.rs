@@ -1,7 +1,6 @@
 //! The configuration manager — the retained *reference* implementation.
 //!
-//! This is the original per-region, string-keyed manager, kept verbatim
-//! (also importable under its historical path `pdr_rtr::manager`) so the
+//! This is the original per-region, string-keyed manager, kept so the
 //! allocation-free [`crate::engine::RtrEngine`] can be parity-gated
 //! against it: `tests/rtr_equivalence.rs` and `benches/bench_rtr.rs`
 //! replay identical request traces through both and assert identical
@@ -31,7 +30,6 @@
 
 use crate::error::RtrError;
 use crate::exclusion::ExclusionLedger;
-use crate::loader::DeviceLoader;
 use crate::prefetch::Predictor;
 use crate::protocol::ProtocolBuilder;
 use crate::store::{BitstreamCache, BitstreamStore, MemoryModel};
@@ -110,10 +108,6 @@ pub struct ConfigurationManager {
     predictor: Option<Box<dyn Predictor>>,
     /// Speculative fetch in flight: (module, completes_at).
     inflight: Option<(String, TimePs)>,
-    /// Optional functional-fidelity loader (shared across the regions of
-    /// one device): every completed load is applied to the configuration
-    /// memory and readback-verified.
-    loader: Option<Arc<Mutex<DeviceLoader>>>,
     /// Optional shared exclusion ledger (§4 "exclusion" relation): loads
     /// that would co-reside excluded modules across regions are refused.
     exclusions: Option<Arc<Mutex<ExclusionLedger>>>,
@@ -150,7 +144,6 @@ impl ConfigurationManager {
             loaded: None,
             predictor: None,
             inflight: None,
-            loader: None,
             exclusions: None,
             stats: ManagerStats::default(),
         }
@@ -159,14 +152,6 @@ impl ConfigurationManager {
     /// Attach a prefetch predictor (enables prefetching).
     pub fn with_predictor(mut self, p: Box<dyn Predictor>) -> Self {
         self.predictor = Some(p);
-        self
-    }
-
-    /// Attach a shared device loader: every load is applied to the real
-    /// configuration memory and readback-verified (functional fidelity on
-    /// top of the timing model).
-    pub fn with_loader(mut self, loader: Arc<Mutex<DeviceLoader>>) -> Self {
-        self.loader = Some(loader);
         self
     }
 
@@ -280,11 +265,6 @@ impl ConfigurationManager {
         }
 
         let ready_at = now + fetch_wait + plan.load_time;
-        if let Some(loader) = &self.loader {
-            loader
-                .lock()
-                .load(&self.region, module, self.store.get(module)?)?;
-        }
         self.loaded = Some(module.to_string());
         self.stats.fetch_wait += fetch_wait;
         self.stats.load_time += plan.load_time;
@@ -437,28 +417,6 @@ mod tests {
             Err(RtrError::UnknownModule(_))
         ));
         assert!(m.preload("ghost").is_err());
-    }
-
-    #[test]
-    fn loader_keeps_configuration_memory_in_sync() {
-        use crate::loader::DeviceLoader;
-        use parking_lot::Mutex;
-        use std::sync::Arc;
-
-        let d = Device::xc2v2000();
-        let region = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
-        let mut loader = DeviceLoader::new(d);
-        loader.add_region(region).unwrap();
-        let loader = Arc::new(Mutex::new(loader));
-        let mut m = manager(2, None).with_loader(loader.clone());
-
-        let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
-        assert_eq!(loader.lock().resident("op_dyn"), Some("mod_qpsk"));
-        let _ = m.request("mod_qam16", t1).unwrap();
-        assert_eq!(loader.lock().resident("op_dyn"), Some("mod_qam16"));
-        let stats = loader.lock().stats();
-        assert_eq!(stats.loads, 2);
-        assert_eq!(stats.verify_failures, 0);
     }
 
     #[test]

@@ -27,13 +27,12 @@
 //! * blocked-state bookkeeping is a small `Copy` enum rather than a
 //!   formatted `String` (the strings are produced only if the run ends
 //!   in deadlock);
-//! * `Configure` goes through the allocation-free indexed
-//!   [`RtrEngine`] (attached with [`IrSimSystem::attach_engine`]) or the
-//!   reference [`ConfigurationManager::request_at`]; either way the
-//!   operator→manager binding is a dense slot array resolved when the
-//!   manager is attached, not a `BTreeMap<String, _>` probed per
-//!   request. Reconfiguration/trace events are recorded compactly and
-//!   materialized to the string-based [`SimReport`] once, after the run.
+//! * `Configure` goes through the one runtime model, the allocation-free
+//!   indexed [`RtrEngine`] attached with [`IrSimSystem::attach_engine`];
+//!   the stream→region binding is a dense slot array resolved when the
+//!   engine is attached, not a `BTreeMap<String, _>` probed per request.
+//!   Reconfiguration/trace events are recorded compactly and materialized
+//!   to the string-based [`SimReport`] once, after the run.
 //!
 //! A run therefore allocates per stream and per tag, never per event
 //! (`bench_ir_sim --test` pins the count on a 10k-op flow). Wake times
@@ -42,7 +41,8 @@
 //!
 //! The equivalence suite (`tests/ir_equivalence.rs` at the workspace
 //! root) asserts report- and trace-level equality against the string
-//! interpreter for every gallery flow, for random graphs, and for
+//! interpreter — which keeps the reference `ConfigurationManager`s as its
+//! runtime model — for every gallery flow, for random graphs, and for
 //! hand-built executives full of `(time, seq)` ties, repeated tags and
 //! unknown media.
 
@@ -53,10 +53,10 @@ use crate::system::SimConfig;
 use pdr_fabric::TimePs;
 use pdr_graph::{ArchGraph, Medium};
 use pdr_ir::{IrExecutive, IrInstr, MediumRef, OperatorId, PeerRef, SymbolTable};
-use pdr_rtr::{ConfigurationManager, RtrEngine, NO_MODULE};
+use pdr_rtr::{RtrEngine, NO_MODULE};
 use std::collections::{BTreeMap, HashMap};
 
-/// Sentinel for "no manager / no engine region bound to this stream".
+/// Sentinel for "no engine region bound to this stream".
 const NO_SLOT: u32 = u32::MAX;
 
 /// Operator progress state. `Copy`; blocked states carry the rendezvous
@@ -225,89 +225,55 @@ fn resolve_transfer(
 }
 
 /// A runnable system over the lowered executive: architecture +
-/// [`IrExecutive`] + the symbol table that interned it + configuration
-/// managers. Accepts the same [`SimConfig`] as the string interpreter
-/// and produces the same [`SimReport`].
+/// [`IrExecutive`] + the symbol table that interned it + the runtime
+/// engine. Accepts the same [`SimConfig`] as the string interpreter and
+/// produces the same [`SimReport`].
 pub struct IrSimSystem<'a> {
     arch: &'a ArchGraph,
     ir: &'a IrExecutive,
     table: &'a SymbolTable,
-    /// Reference managers in attach order; `manager_slot` binds streams to
-    /// entries here, so the hot loop never probes a map by name.
-    managers: Vec<(String, ConfigurationManager)>,
-    /// stream index → index into `managers` ([`NO_SLOT`] when unbound),
-    /// resolved once at [`IrSimSystem::add_manager`] time.
-    manager_slot: Vec<u32>,
-    /// The indexed engine serving all engine-backed streams, if attached.
+    /// The indexed engine serving every dynamic stream, if attached.
     engine: Option<RtrEngine>,
     /// stream index → engine region id ([`NO_SLOT`] when unbound).
     engine_slot: Vec<u32>,
-    /// (operator name, engine region id) of every binding — for the
-    /// report's `manager_stats`, keyed by operator like the managers.
-    engine_bindings: Vec<(String, u32)>,
     /// symbol index → engine module id (for default `Configure` targets).
     sym_to_mod: Vec<u32>,
 }
 
 impl<'a> IrSimSystem<'a> {
-    /// Build a system; attach managers with [`IrSimSystem::add_manager`]
-    /// or an indexed engine with [`IrSimSystem::attach_engine`].
+    /// Build a system; attach the runtime engine with
+    /// [`IrSimSystem::attach_engine`]. Without one, every `Configure`
+    /// charges its characterized worst case.
     /// `table` must be the table the executive was lowered through (or a
     /// superset of it, e.g. the one carried by `pdr-core`'s artifacts).
     pub fn new(arch: &'a ArchGraph, ir: &'a IrExecutive, table: &'a SymbolTable) -> Self {
-        let n = ir.operator_count();
         IrSimSystem {
             arch,
             ir,
             table,
-            managers: Vec::new(),
-            manager_slot: vec![NO_SLOT; n],
             engine: None,
-            engine_slot: vec![NO_SLOT; n],
-            engine_bindings: Vec::new(),
+            engine_slot: vec![NO_SLOT; ir.operator_count()],
             sym_to_mod: Vec::new(),
         }
     }
 
-    /// Attach the configuration manager serving the named dynamic
-    /// operator, replacing any previous manager for it. The operator's
-    /// stream slot is resolved here, once, not per request.
-    pub fn add_manager(&mut self, operator: &str, manager: ConfigurationManager) -> &mut Self {
-        if let Some(pos) = self.managers.iter().position(|(n, _)| n == operator) {
-            self.managers[pos].1 = manager;
-            return self;
-        }
-        let idx = self.managers.len() as u32;
-        self.managers.push((operator.to_string(), manager));
-        if let Some(sym) = self.table.lookup(operator) {
-            if let Some(i) = self.ir.operator_index(OperatorId::new(sym)) {
-                self.manager_slot[i] = idx;
-            }
-        }
-        self
-    }
-
-    /// Attach the indexed [`RtrEngine`] with its `(operator, region)`
-    /// bindings. Engine-backed operators take precedence over reference
-    /// managers attached for the same operator; bindings naming regions
-    /// the engine does not manage are ignored. All name→id resolution
-    /// (bindings, selection entries, default `Configure` modules) happens
-    /// here and at run start — never per request.
-    pub fn attach_engine(&mut self, engine: RtrEngine, bindings: &[(&str, &str)]) -> &mut Self {
+    /// Attach the indexed [`RtrEngine`], replacing any engine attached
+    /// before. Each engine region serves the stream of the same name (a
+    /// dynamic region is the operator the executive configures), and its
+    /// statistics appear in the report's `manager_stats` under that name.
+    /// All name→id resolution (regions, selection entries, default
+    /// `Configure` modules) happens here and at run start — never per
+    /// request.
+    pub fn attach_engine(&mut self, engine: RtrEngine) -> &mut Self {
         self.sym_to_mod = vec![NO_MODULE; self.table.len()];
         for (sym, name) in self.table.iter() {
             if let Some(mid) = engine.module_index(name) {
                 self.sym_to_mod[sym.index()] = mid;
             }
         }
-        self.engine_bindings.clear();
         self.engine_slot.iter_mut().for_each(|s| *s = NO_SLOT);
-        for (op, region) in bindings {
-            let Some(rid) = engine.region_index(region) else {
-                continue;
-            };
-            self.engine_bindings.push((op.to_string(), rid));
-            if let Some(sym) = self.table.lookup(op) {
+        for rid in 0..engine.region_count() as u32 {
+            if let Some(sym) = self.table.lookup(engine.region_name(rid)) {
                 if let Some(i) = self.ir.operator_index(OperatorId::new(sym)) {
                     self.engine_slot[i] = rid;
                 }
@@ -327,11 +293,8 @@ impl<'a> IrSimSystem<'a> {
         let ir = self.ir;
         let table = self.table;
         let arch = self.arch;
-        let managers = &mut self.managers;
-        let manager_slot = &self.manager_slot;
         let engine = &mut self.engine;
         let engine_slot = &self.engine_slot;
-        let engine_bindings = &self.engine_bindings;
         let sym_to_mod = &self.sym_to_mod;
 
         // Validate selections (same order and messages as the string
@@ -561,18 +524,8 @@ impl<'a> IrSimSystem<'a> {
                                 continue 'step;
                             }
                             (t.ready_at, t.fetch_hidden)
-                        } else if manager_slot[i] != NO_SLOT {
-                            let mgr = &mut managers[manager_slot[i] as usize].1;
-                            let t = mgr
-                                .request_at(chosen, now)
-                                .map_err(|e| SimError::Manager(e.to_string()))?;
-                            if t.already_loaded {
-                                ops[i].pc += 1;
-                                continue 'step;
-                            }
-                            (t.ready_at, t.fetch_hidden)
                         } else {
-                            // No manager: charge the characterized worst case
+                            // No engine region: charge the characterized worst case
                             // (see the string interpreter for the rationale).
                             let ready_at = now
                                 .checked_add(worst_case)
@@ -580,7 +533,7 @@ impl<'a> IrSimSystem<'a> {
                             (ready_at, false)
                         };
                         if ready_at < now {
-                            // A manager's ready time wrapped past u64::MAX.
+                            // The engine's ready time wrapped past u64::MAX.
                             return Err(overflow(i, now));
                         }
                         ops[i].pc += 1;
@@ -779,13 +732,10 @@ impl<'a> IrSimSystem<'a> {
                 }
             })
             .collect();
-        let mut manager_stats: BTreeMap<String, pdr_rtr::ManagerStats> = managers
-            .iter()
-            .map(|(k, m)| (k.clone(), m.stats()))
-            .collect();
+        let mut manager_stats = BTreeMap::new();
         if let Some(e) = engine.as_ref() {
-            for (op, rid) in engine_bindings {
-                manager_stats.insert(op.clone(), e.stats(*rid));
+            for rid in 0..e.region_count() as u32 {
+                manager_stats.insert(e.region_name(rid).to_string(), e.stats(rid));
             }
         }
         Ok(SimReport {
@@ -809,7 +759,9 @@ mod tests {
     use pdr_adequation::{adequate, AdequationOptions, Executive};
     use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion};
     use pdr_graph::paper;
-    use pdr_rtr::{BitstreamCache, BitstreamStore, MemoryModel, ProtocolBuilder};
+    use pdr_rtr::{
+        BitstreamCache, BitstreamStore, ConfigurationManager, MemoryModel, ProtocolBuilder,
+    };
 
     struct Setup {
         arch: ArchGraph,
@@ -871,12 +823,14 @@ mod tests {
             .collect()
     }
 
+    /// The string interpreter over the reference manager, and the IR
+    /// interpreter over the engine built from the same plumbing.
     fn both_reports(s: &Setup, cfg: &SimConfig, with_manager: bool) -> (SimReport, SimReport) {
         let mut sys = SimSystem::new(&s.arch, &s.executive);
         let mut ir_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
         if with_manager {
             sys.add_manager("op_dyn", paper_manager());
-            ir_sys.add_manager("op_dyn", paper_manager());
+            ir_sys.attach_engine(paper_engine());
         }
         (sys.run(cfg).unwrap(), ir_sys.run(cfg).unwrap())
     }
@@ -928,7 +882,7 @@ mod tests {
         let mut sys = SimSystem::new(&s.arch, &s.executive);
         sys.add_manager("op_dyn", paper_manager());
         let mut ir_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-        ir_sys.add_manager("op_dyn", paper_manager());
+        ir_sys.attach_engine(paper_engine());
         let a = sys.run(&cfg).unwrap_err();
         let b = ir_sys.run(&cfg).unwrap_err();
         assert!(matches!(b, SimError::Manager(_)));
@@ -1000,10 +954,10 @@ mod tests {
             let cfg = SimConfig::iterations(iters)
                 .with_selection("op_dyn", alternating(iters))
                 .with_trace();
-            let mut mgr_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
+            let mut mgr_sys = SimSystem::new(&s.arch, &s.executive);
             mgr_sys.add_manager("op_dyn", paper_manager());
             let mut eng_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-            eng_sys.attach_engine(paper_engine(), &[("op_dyn", "op_dyn")]);
+            eng_sys.attach_engine(paper_engine());
             let a = mgr_sys.run(&cfg).unwrap();
             let b = eng_sys.run(&cfg).unwrap();
             assert_eq!(a, b, "engine-backed report diverged at {iters} iterations");
@@ -1011,39 +965,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_backend_error_matches_reference() {
-        let s = paper_setup();
-        let cfg = SimConfig::iterations(1).with_selection("op_dyn", vec!["mod_ghost".to_string()]);
-        let mut mgr_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-        mgr_sys.add_manager("op_dyn", paper_manager());
-        let mut eng_sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-        eng_sys.attach_engine(paper_engine(), &[("op_dyn", "op_dyn")]);
-        let a = mgr_sys.run(&cfg).unwrap_err();
-        let b = eng_sys.run(&cfg).unwrap_err();
-        assert_eq!(a.to_string(), b.to_string());
-    }
-
-    #[test]
-    fn engine_takes_precedence_over_manager() {
-        let s = paper_setup();
-        let cfg = SimConfig::iterations(8).with_selection("op_dyn", alternating(8));
-        let mut sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-        sys.add_manager("op_dyn", paper_manager());
-        sys.attach_engine(paper_engine(), &[("op_dyn", "op_dyn")]);
-        let report = sys.run(&cfg).unwrap();
-        // The reported stats are the engine's (the idle manager saw zero
-        // requests).
-        let st = &report.manager_stats["op_dyn"];
-        assert_eq!(st.requests, 8);
-        assert_eq!(sys.engine().unwrap().stats(0).requests, 8);
-    }
-
-    #[test]
     fn determinism_across_runs() {
         let s = paper_setup();
         let run = || {
             let mut sys = IrSimSystem::new(&s.arch, &s.ir, &s.table);
-            sys.add_manager("op_dyn", paper_manager());
+            sys.attach_engine(paper_engine());
             let cfg = SimConfig::iterations(12).with_selection("op_dyn", alternating(12));
             sys.run(&cfg).unwrap()
         };

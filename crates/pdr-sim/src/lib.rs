@@ -9,9 +9,12 @@
 //! * resolves **Send/Receive rendezvous** over shared media with the
 //!   architecture graph's bandwidth/latency characteristics and
 //!   first-come-first-served contention,
-//! * services **Configure** instructions through a `pdr-rtr`
-//!   [`ConfigurationManager`](pdr_rtr::ConfigurationManager) per dynamic
-//!   region — including staging-cache hits and prefetching — and asserts
+//! * services **Configure** instructions through one runtime model per
+//!   interpreter — the production [`IrSimSystem`] drives a single `pdr-rtr`
+//!   [`RtrEngine`](pdr_rtr::RtrEngine) serving every dynamic region, the
+//!   string [`SimSystem`] (the differential oracle) a reference
+//!   [`ConfigurationManager`](pdr_rtr::ConfigurationManager) per region —
+//!   including staging-cache hits and prefetching — and asserts
 //!   the `In_Reconf` lock-up for the duration (§6: the static interface's
 //!   receive process is locked up during partial reconfigurations),
 //! * repeats the executive for a configurable number of iterations with a
@@ -21,7 +24,8 @@
 //!   ([`report::SimReport`]).
 //!
 //! The engine ([`engine`]) is a classic time-ordered event queue with
-//! deterministic tie-breaking; the interpreter ([`system`]) builds on it.
+//! deterministic tie-breaking; both interpreters ([`ir`], [`system`])
+//! build on it.
 
 pub mod engine;
 pub mod error;

@@ -15,7 +15,7 @@
 //! Belady oracle) next to the ones it can.
 
 use pdr_core::paper::PaperCaseStudy;
-use pdr_core::{EvictionChoice, PrefetchChoice, RuntimeOptions};
+use pdr_core::{EvictionChoice, RuntimeOptions};
 use pdr_fabric::TimePs;
 use pdr_rtr::{EvictionSpec, PrefetchSpec};
 use pdr_sim::SimConfig;
@@ -42,7 +42,7 @@ fn main() {
             "markov + 2-module cache",
             RuntimeOptions {
                 cache_modules: 2,
-                prefetch: PrefetchChoice::Markov,
+                prefetch: PrefetchSpec::Markov,
                 ..RuntimeOptions::default()
             },
         ),
@@ -50,7 +50,7 @@ fn main() {
             "markov + LFU eviction",
             RuntimeOptions {
                 cache_modules: 2,
-                prefetch: PrefetchChoice::Markov,
+                prefetch: PrefetchSpec::Markov,
                 eviction: EvictionChoice::Lfu,
                 ..RuntimeOptions::default()
             },

@@ -8,7 +8,8 @@
 //! ```
 
 use pdr_core::paper::PaperCaseStudy;
-use pdr_core::{PrefetchChoice, RuntimeOptions};
+use pdr_core::RuntimeOptions;
+use pdr_rtr::PrefetchSpec;
 use pdr_sim::{gantt, SimConfig};
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
     let options = RuntimeOptions {
         compressed_storage: true,
         cache_modules: 2,
-        prefetch: PrefetchChoice::ScheduleDriven(loads),
+        prefetch: PrefetchSpec::Schedule(loads),
         ..RuntimeOptions::default()
     };
     let deployed = study.deploy(options);

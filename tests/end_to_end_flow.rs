@@ -4,9 +4,10 @@
 
 use pdr_adequation::trace::{schedule_trace, SelectorTrace, TraceOptions};
 use pdr_core::paper::PaperCaseStudy;
-use pdr_core::{PrefetchChoice, RuntimeOptions};
+use pdr_core::RuntimeOptions;
 use pdr_fabric::TimePs;
 use pdr_graph::paper as models;
+use pdr_rtr::PrefetchSpec;
 use pdr_sim::SimConfig;
 
 fn switching_selection(n: u32, interval: u32) -> Vec<String> {
@@ -132,10 +133,10 @@ fn all_prefetch_policies_complete_the_same_workload() {
     let sel = switching_selection(n, 12);
     let loads = PaperCaseStudy::load_sequence(&sel);
     let policies = [
-        PrefetchChoice::None,
-        PrefetchChoice::ScheduleDriven(loads),
-        PrefetchChoice::LastValue,
-        PrefetchChoice::Markov,
+        PrefetchSpec::None,
+        PrefetchSpec::Schedule(loads),
+        PrefetchSpec::LastValue,
+        PrefetchSpec::Markov,
     ];
     let mut makespans = Vec::new();
     for prefetch in policies {
