@@ -34,7 +34,7 @@ cargo bench -p pdr-bench --bench bench_ir_sim -- --test --out BENCH_ir_sim.json
 echo "== bench_adequation (test mode: result parity + speedup floor + zero-alloc probes)"
 cargo bench -p pdr-bench --bench bench_adequation -- --test --out BENCH_adequation.json
 
-echo "== bench_scale (test mode: parallel-build parity + speedup floors + zero-alloc scheduler)"
+echo "== bench_scale (test mode: index/oracle table parity + speedup floors + zero-alloc scheduler)"
 cargo bench -p pdr-bench --bench bench_scale -- --test --out BENCH_scale.json
 
 echo "== bench_server (test mode: N-client determinism + cache speedup floor)"

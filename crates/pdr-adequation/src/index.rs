@@ -20,18 +20,21 @@
 //!   feeding the expected-penalty term of the reconfiguration-aware cost
 //!   model.
 //!
+//! The build is sequential and probes the characterization once per
+//! distinct *(function symbol, operator)* pair, not once per operation:
+//! generated flows run thousands of operations over a few dozen symbols.
+//!
 //! The index is built once per `adequate()` call and once per annealing
 //! *run* (shared across all moves). Everything it returns is what the
 //! pre-index code computed on the fly — `tests/adequation_equivalence.rs`
-//! and `pdr-bench`'s `adequation_perf` study hold the two paths to
-//! byte-identical results.
+//! holds the tables to `pdr-bench`'s per-cell string-probe oracle
+//! (`index_oracle`) and the schedules to the pre-index path, and
+//! `pdr-bench`'s `adequation_perf` and `scale` studies repeat both checks
+//! on every gallery and generated flow.
 
 use crate::error::AdequationError;
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Sentinel function index for operations with no function symbols
 /// (sources and sinks): they cost zero everywhere and schedule items never
@@ -70,22 +73,6 @@ impl WcetEntry {
     }
 }
 
-/// Knobs for [`AdequationIndex::build_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexOptions {
-    /// Worker threads for the build. `0` or `1` selects the sequential
-    /// reference build; anything higher fans the matrix rows across a
-    /// worker pool and memoizes the characterization probes (see
-    /// [`AdequationIndex::build_with`]).
-    pub threads: usize,
-}
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        IndexOptions { threads: 1 }
-    }
-}
-
 /// Precomputed tables shared by the indexed schedulers. Borrowing nothing:
 /// build once, use against the same `(algo, arch, chars)` triple.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,6 +100,13 @@ impl AdequationIndex {
     /// Build every table. Fails only on a cyclic algorithm graph (the
     /// topological sort propagates the same [`GraphError::Cycle`] the
     /// pre-index path produced).
+    ///
+    /// Operations sharing a function symbol share its characterization:
+    /// each distinct function gets a dense id (through the graph's
+    /// interner), `chars.duration` is probed once per (function,
+    /// operator) and `chars.reconfig_time` once per (function of a
+    /// conditioned operation, operator), and the per-operation rows are
+    /// filled from those dense tables.
     pub fn build(
         algo: &AlgorithmGraph,
         arch: &ArchGraph,
@@ -120,14 +114,87 @@ impl AdequationIndex {
     ) -> Result<Self, AdequationError> {
         let n_ops = algo.len();
         let n_oprs = arch.operator_count();
+        let topo = algo.topo_order()?;
+        let conditioned: Vec<bool> = algo.ops().map(|(_, o)| o.kind.is_conditioned()).collect();
 
-        // WCET matrix. One pass over (op, operator, function) — the last
-        // time these string lookups happen.
-        let mut wcet = Vec::with_capacity(n_ops * n_oprs);
-        for (_, op) in algo.ops() {
-            let funcs = op.kind.functions();
-            for (_, o) in arch.operators() {
-                wcet.push(Self::wcet_cell(funcs, &o.name, chars));
+        // Dense function ids in first-use order. CSR layout: the ids of
+        // operation `i` live at `fns_flat[fns_off[i]..fns_off[i + 1]]`.
+        let symbols = algo.symbols();
+        let mut dense_of_sym = vec![NO_FN; symbols.len()];
+        let mut fn_names: Vec<&str> = Vec::new();
+        // Per dense id: is it a function of some conditioned operation?
+        let mut fn_conditioned: Vec<bool> = Vec::new();
+        let mut fns_flat: Vec<u32> = Vec::with_capacity(n_ops);
+        let mut fns_off: Vec<u32> = Vec::with_capacity(n_ops + 1);
+        fns_off.push(0);
+        for (id, op) in algo.ops() {
+            for f in op.kind.functions() {
+                let sym = symbols
+                    .lookup(f)
+                    .expect("function symbols are interned at construction");
+                let dense = &mut dense_of_sym[sym.index()];
+                if *dense == NO_FN {
+                    *dense = fn_names.len() as u32;
+                    fn_names.push(f);
+                    fn_conditioned.push(false);
+                }
+                fn_conditioned[*dense as usize] |= conditioned[id.0];
+                fns_flat.push(*dense);
+            }
+            fns_off.push(fns_flat.len() as u32);
+        }
+
+        // Dense (function × operator) probe tables: the last time these
+        // string lookups happen. A `reconfig_time` miss allocates its
+        // error text, so only conditioned operations' functions are
+        // probed there.
+        let opr_names: Vec<&str> = arch.operators().map(|(_, o)| o.name.as_str()).collect();
+        let mut durations: Vec<Option<TimePs>> = Vec::with_capacity(fn_names.len() * n_oprs);
+        let mut reconfigs: Vec<Option<TimePs>> = vec![None; fn_names.len() * n_oprs];
+        for (f, name) in fn_names.iter().enumerate() {
+            durations.extend(opr_names.iter().map(|o| chars.duration(name, o)));
+            if fn_conditioned[f] {
+                for (cell, o) in reconfigs[f * n_oprs..].iter_mut().zip(&opr_names) {
+                    *cell = chars.reconfig_time(name, o).ok();
+                }
+            }
+        }
+
+        // WCET and reconfiguration rows, with each row's best feasible
+        // duration (the bottom-level base) taken while the row is hot.
+        let mut wcet: Vec<Option<WcetEntry>> = Vec::with_capacity(n_ops * n_oprs);
+        let mut reconfig_worst = vec![TimePs::ZERO; n_ops * n_oprs];
+        let mut row_best = vec![TimePs::ZERO; n_ops];
+        for i in 0..n_ops {
+            let fids = &fns_flat[fns_off[i] as usize..fns_off[i + 1] as usize];
+            if let [f] = fids {
+                // Single-function fast path (the common row shape): the
+                // row is the function's probe row, verbatim.
+                let base = *f as usize * n_oprs;
+                wcet.extend(durations[base..base + n_oprs].iter().map(|d| {
+                    d.map(|dur| WcetEntry {
+                        dur,
+                        first_fn: 0,
+                        last_fn: 0,
+                    })
+                }));
+            } else {
+                wcet.extend((0..n_oprs).map(|opr| Self::wcet_cell(fids, opr, n_oprs, &durations)));
+            }
+            row_best[i] = wcet[i * n_oprs..(i + 1) * n_oprs]
+                .iter()
+                .filter_map(|c| c.as_ref().map(|e| e.dur))
+                .min()
+                .unwrap_or(TimePs::ZERO);
+            if conditioned[i] {
+                let row = &mut reconfig_worst[i * n_oprs..(i + 1) * n_oprs];
+                for (opr, cell) in row.iter_mut().enumerate() {
+                    *cell = fids
+                        .iter()
+                        .filter_map(|&f| reconfigs[f as usize * n_oprs + opr])
+                        .max()
+                        .unwrap_or(TimePs::ZERO);
+                }
             }
         }
 
@@ -137,225 +204,8 @@ impl AdequationIndex {
             routes.extend(arch.routes_from(from));
         }
 
-        let topo = algo.topo_order()?;
-
-        // Bottom levels over the matrix: best-case duration plus the max
-        // successor level, walked in reverse topological order.
-        let mut bottom_levels = vec![TimePs::ZERO; n_ops];
-        for &id in topo.iter().rev() {
-            let best = wcet[id.0 * n_oprs..(id.0 + 1) * n_oprs]
-                .iter()
-                .filter_map(|c| c.as_ref().map(|e| e.dur))
-                .min()
-                .unwrap_or(TimePs::ZERO);
-            let succ_max = algo
-                .out_edges(id)
-                .map(|e| bottom_levels[e.to.0])
-                .max()
-                .unwrap_or(TimePs::ZERO);
-            bottom_levels[id.0] = best + succ_max;
-        }
-
-        let dynamic: Vec<bool> = arch.operators().map(|(_, o)| o.kind.is_dynamic()).collect();
-        let conditioned: Vec<bool> = algo.ops().map(|(_, o)| o.kind.is_conditioned()).collect();
-
-        // Worst reconfiguration time per (conditioned op, operator).
-        let mut reconfig_worst = vec![TimePs::ZERO; n_ops * n_oprs];
-        for (id, op) in algo.ops() {
-            if !op.kind.is_conditioned() {
-                continue;
-            }
-            for (opr, o) in arch.operators() {
-                reconfig_worst[id.0 * n_oprs + opr.0] = op
-                    .kind
-                    .functions()
-                    .iter()
-                    .filter_map(|f| chars.reconfig_time(f, &o.name).ok())
-                    .max()
-                    .unwrap_or(TimePs::ZERO);
-            }
-        }
-
-        Ok(AdequationIndex {
-            n_oprs,
-            wcet,
-            routes,
-            topo,
-            bottom_levels,
-            reconfig_worst,
-            dynamic,
-            conditioned,
-        })
-    }
-
-    /// [`AdequationIndex::build`] with an explicit thread count.
-    ///
-    /// With `threads <= 1` this *is* the sequential build. With more, the
-    /// per-operation WCET/reconfiguration rows and the per-operator BFS
-    /// route rows are fanned across a scoped worker pool, and the
-    /// string-keyed characterization probes are resolved once per
-    /// *(function symbol, operator)* pair into dense tables first —
-    /// operations sharing function symbols (every generated flow, and any
-    /// realistic workspace) stop re-hashing the same strings per row. Rows
-    /// land in preallocated per-row slots and are concatenated in
-    /// operation/operator order, so the result compares equal to the
-    /// sequential build cell for cell regardless of thread count.
-    pub fn build_with(
-        algo: &AlgorithmGraph,
-        arch: &ArchGraph,
-        chars: &Characterization,
-        options: &IndexOptions,
-    ) -> Result<Self, AdequationError> {
-        if options.threads <= 1 {
-            return Self::build(algo, arch, chars);
-        }
-        let n_ops = algo.len();
-        let n_oprs = arch.operator_count();
-
-        // Fail on cycles before spending any work (same error the
-        // sequential build surfaces after its matrix pass).
-        let topo = algo.topo_order()?;
-
-        // Intern every function symbol to a dense id and resolve each
-        // (symbol, operator) characterization probe exactly once.
-        let opr_ids: Vec<OperatorId> = arch.operators().map(|(id, _)| id).collect();
-        let opr_names: Vec<&str> = arch.operators().map(|(_, o)| o.name.as_str()).collect();
-        let mut fn_ids: HashMap<&str, u32> = HashMap::new();
-        let mut fn_names: Vec<&str> = Vec::new();
-        // CSR layout: function ids of operation `i` live at
-        // `fns_flat[fns_off[i]..fns_off[i + 1]]`.
-        let mut fns_flat: Vec<u32> = Vec::new();
-        let mut fns_off: Vec<u32> = Vec::with_capacity(n_ops + 1);
-        fns_off.push(0);
-        for (_, op) in algo.ops() {
-            for f in op.kind.functions() {
-                let id = *fn_ids.entry(f.as_str()).or_insert_with(|| {
-                    fn_names.push(f.as_str());
-                    (fn_names.len() - 1) as u32
-                });
-                fns_flat.push(id);
-            }
-            fns_off.push(fns_flat.len() as u32);
-        }
-        let mut durations: Vec<Option<TimePs>> = Vec::with_capacity(fn_names.len() * n_oprs);
-        let mut reconfigs: Vec<Option<TimePs>> = Vec::with_capacity(fn_names.len() * n_oprs);
-        for f in &fn_names {
-            for o in &opr_names {
-                durations.push(chars.duration(f, o));
-                reconfigs.push(chars.reconfig_time(f, o).ok());
-            }
-        }
-
-        let conditioned: Vec<bool> = algo.ops().map(|(_, o)| o.kind.is_conditioned()).collect();
-
-        // Preallocated output tables, pre-split into per-block slots:
-        // workers claim contiguous blocks of operation rows off a shared
-        // cursor and write each block straight into its final position, so
-        // the assembly is just dropping the slot vectors — no per-block
-        // buffer allocation, no concatenation copy — while every cell
-        // still lands where the sequential build would have put it. The
-        // per-row feasible-duration minimum (the bottom-level base) is
-        // captured on the way while the row is cache-hot.
-        const ROW_BLOCK: usize = 64;
-        let mut wcet: Vec<Option<WcetEntry>> = vec![None; n_ops * n_oprs];
-        let mut reconfig_worst: Vec<TimePs> = vec![TimePs::ZERO; n_ops * n_oprs];
-        let mut row_best: Vec<TimePs> = vec![TimePs::ZERO; n_ops];
-        let mut routes: Vec<Option<Route>> = vec![None; n_oprs * n_oprs];
-        {
-            let wcet_slots: Vec<Mutex<&mut [Option<WcetEntry>]>> = wcet
-                .chunks_mut((ROW_BLOCK * n_oprs).max(1))
-                .map(Mutex::new)
-                .collect();
-            let reconfig_slots: Vec<Mutex<&mut [TimePs]>> = reconfig_worst
-                .chunks_mut((ROW_BLOCK * n_oprs).max(1))
-                .map(Mutex::new)
-                .collect();
-            let best_slots: Vec<Mutex<&mut [TimePs]>> =
-                row_best.chunks_mut(ROW_BLOCK).map(Mutex::new).collect();
-            let route_slots: Vec<Mutex<&mut [Option<Route>]>> =
-                routes.chunks_mut(n_oprs.max(1)).map(Mutex::new).collect();
-            // Zero operators leaves zero matrix slots while blocks of
-            // (empty) operation rows remain: size the cursor range off the
-            // actual slot count so the two stay in step.
-            let n_blocks = wcet_slots.len();
-            let block_cursor = AtomicUsize::new(0);
-            let route_cursor = AtomicUsize::new(0);
-
-            crossbeam::thread::scope(|s| {
-                for _ in 0..options.threads {
-                    s.spawn(|_| {
-                        loop {
-                            let blk = block_cursor.fetch_add(1, Ordering::Relaxed);
-                            if blk >= n_blocks {
-                                break;
-                            }
-                            let mut wrow = wcet_slots[blk].lock().unwrap();
-                            let mut rrow = reconfig_slots[blk].lock().unwrap();
-                            let mut brow = best_slots[blk].lock().unwrap();
-                            let lo = blk * ROW_BLOCK;
-                            let hi = (lo + ROW_BLOCK).min(n_ops);
-                            for i in lo..hi {
-                                let fids = &fns_flat[fns_off[i] as usize..fns_off[i + 1] as usize];
-                                let out = &mut wrow[(i - lo) * n_oprs..(i - lo + 1) * n_oprs];
-                                let mut best: Option<TimePs> = None;
-                                if let [f] = fids {
-                                    // Single-function fast path (the
-                                    // overwhelmingly common row shape):
-                                    // the row is the function's dense
-                                    // probe row, verbatim.
-                                    let base = *f as usize * n_oprs;
-                                    let drow = &durations[base..base + n_oprs];
-                                    for (cell, d) in out.iter_mut().zip(drow) {
-                                        *cell = d.map(|dur| WcetEntry {
-                                            dur,
-                                            first_fn: 0,
-                                            last_fn: 0,
-                                        });
-                                        if let Some(dur) = *d {
-                                            best = Some(best.map_or(dur, |b: TimePs| b.min(dur)));
-                                        }
-                                    }
-                                } else {
-                                    for (opr, cell) in out.iter_mut().enumerate() {
-                                        *cell =
-                                            Self::wcet_cell_interned(fids, opr, n_oprs, &durations);
-                                        if let Some(e) = cell {
-                                            let d = e.dur;
-                                            best = Some(best.map_or(d, |b: TimePs| b.min(d)));
-                                        }
-                                    }
-                                }
-                                brow[i - lo] = best.unwrap_or(TimePs::ZERO);
-                                if conditioned[i] {
-                                    let row = &mut rrow[(i - lo) * n_oprs..(i - lo + 1) * n_oprs];
-                                    for (opr, cell) in row.iter_mut().enumerate() {
-                                        *cell = fids
-                                            .iter()
-                                            .filter_map(|&f| reconfigs[f as usize * n_oprs + opr])
-                                            .max()
-                                            .unwrap_or(TimePs::ZERO);
-                                    }
-                                }
-                            }
-                        }
-                        loop {
-                            let i = route_cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_oprs {
-                                break;
-                            }
-                            let mut row = route_slots[i].lock().unwrap();
-                            for (dst, src) in row.iter_mut().zip(arch.routes_from(opr_ids[i])) {
-                                *dst = src;
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("index build worker panicked");
-        }
-
-        // Bottom levels: same recursion as the sequential build, with the
-        // per-row minima already in hand.
+        // Bottom levels: best-case duration plus the max successor level,
+        // walked in reverse topological order.
         let mut bottom_levels = vec![TimePs::ZERO; n_ops];
         for &id in topo.iter().rev() {
             let succ_max = algo
@@ -380,10 +230,11 @@ impl AdequationIndex {
         })
     }
 
-    /// [`AdequationIndex::wcet_cell`] over interned function ids and the
-    /// dense probe table — the same max/tie-break recurrence over the same
-    /// duration sequence, so the cells are identical.
-    fn wcet_cell_interned(
+    /// One WCET cell: max duration over the operation's functions (dense
+    /// ids `fids`) on operator `opr`, tracking first- and last-max
+    /// function indices; `None` when any function is infeasible there
+    /// (the seed's `wcet_on` semantics).
+    fn wcet_cell(
         fids: &[u32],
         opr: usize,
         n_oprs: usize,
@@ -399,40 +250,6 @@ impl AdequationIndex {
         let mut entry: Option<WcetEntry> = None;
         for (i, &f) in fids.iter().enumerate() {
             let d = durations[f as usize * n_oprs + opr]?;
-            match &mut entry {
-                None => {
-                    entry = Some(WcetEntry {
-                        dur: d,
-                        first_fn: i as u32,
-                        last_fn: i as u32,
-                    });
-                }
-                Some(e) if d > e.dur => {
-                    e.dur = d;
-                    e.first_fn = i as u32;
-                    e.last_fn = i as u32;
-                }
-                Some(e) if d == e.dur => e.last_fn = i as u32,
-                Some(_) => {}
-            }
-        }
-        entry
-    }
-
-    /// One WCET cell: max duration over `funcs` on `operator`, tracking
-    /// first- and last-max function indices; `None` when any function is
-    /// infeasible there (matching the seed's `wcet_on` semantics).
-    fn wcet_cell(funcs: &[String], operator: &str, chars: &Characterization) -> Option<WcetEntry> {
-        if funcs.is_empty() {
-            return Some(WcetEntry {
-                dur: TimePs::ZERO,
-                first_fn: NO_FN,
-                last_fn: NO_FN,
-            });
-        }
-        let mut entry: Option<WcetEntry> = None;
-        for (i, f) in funcs.iter().enumerate() {
-            let d = chars.duration(f, operator)?;
             match &mut entry {
                 None => {
                     entry = Some(WcetEntry {
@@ -653,31 +470,6 @@ mod tests {
         assert!(index.reconfig_worst(modu, dynop) > TimePs::ZERO);
         let ifft = algo.by_name("ifft64").unwrap();
         assert_eq!(index.reconfig_worst(ifft, dynop), TimePs::ZERO);
-    }
-
-    #[test]
-    fn parallel_build_equals_sequential() {
-        let (algo, arch, chars, index) = paper_index();
-        for threads in [0, 1, 2, 4] {
-            let par = AdequationIndex::build_with(&algo, &arch, &chars, &IndexOptions { threads })
-                .unwrap();
-            assert_eq!(par, index, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_propagates_cycle_error() {
-        let mut algo = AlgorithmGraph::new("t");
-        let a = algo.add_compute("a").unwrap();
-        let b = algo.add_compute("b").unwrap();
-        algo.connect(a, b, 8).unwrap();
-        algo.connect(b, a, 8).unwrap();
-        let arch = ArchGraph::new("t");
-        let chars = Characterization::new();
-        assert!(matches!(
-            AdequationIndex::build_with(&algo, &arch, &chars, &IndexOptions { threads: 4 }),
-            Err(AdequationError::Graph(GraphError::Cycle { .. }))
-        ));
     }
 
     #[test]

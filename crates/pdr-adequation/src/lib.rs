@@ -49,7 +49,7 @@ pub use heuristic::{
     adequate, adequate_with_index, evaluate_makespan, AdequationOptions, AdequationResult,
     EvalWorkspace,
 };
-pub use index::{AdequationIndex, IndexOptions, WcetEntry};
+pub use index::{AdequationIndex, WcetEntry};
 pub use mapping::Mapping;
 pub use reference::{adequate_indexed_reference, adequate_reference};
 pub use schedule::{ItemKind, Schedule, ScheduledItem};
@@ -65,7 +65,7 @@ pub mod prelude {
         adequate, adequate_with_index, evaluate_makespan, AdequationOptions, AdequationResult,
         EvalWorkspace,
     };
-    pub use crate::index::{AdequationIndex, IndexOptions, WcetEntry};
+    pub use crate::index::{AdequationIndex, WcetEntry};
     pub use crate::mapping::Mapping;
     pub use crate::schedule::{ItemKind, Schedule, ScheduledItem};
     pub use crate::trace::{schedule_trace, ReconfigSplit, TraceOptions, TraceResult, TraceStats};

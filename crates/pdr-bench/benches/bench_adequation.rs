@@ -15,40 +15,11 @@
 use criterion::Criterion;
 use pdr_adequation::{adequate, adequate_reference};
 use pdr_bench::adequation_perf::{self, LARGEST};
+use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_core::gallery;
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Allocation counter wrapping the system allocator, so the bench can
-/// assert that the hot duration-lookup path stays allocation-free.
-struct CountingAlloc;
-
-/// Heap allocations observed since process start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -84,7 +55,7 @@ fn assert_duration_probes_are_allocation_free() {
     assert!(!reconfig_probes.is_empty());
 
     let mut acc = 0u64;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..1_000 {
         for (f, opr) in &probes {
             if let Some(d) = chars.duration(f, opr) {
@@ -97,7 +68,7 @@ fn assert_duration_probes_are_allocation_free() {
             }
         }
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     black_box(acc);
     assert_eq!(
         delta,
@@ -123,8 +94,7 @@ fn main() {
     assert_duration_probes_are_allocation_free();
 
     let reps = if test_mode { 3 } else { 5 };
-    let threads = 4;
-    let cmp = adequation_perf::run(reps, threads).expect("gallery flows schedule");
+    let cmp = adequation_perf::run(reps).expect("gallery flows schedule");
     print!("{}", cmp.render());
     assert!(
         cmp.all_match(),
@@ -151,8 +121,7 @@ fn main() {
                 "mode",
                 Value::String(if test_mode { "test" } else { "full" }.into()),
             )
-            .with_field("reps", Value::UInt(reps as u64))
-            .with_field("threads", Value::UInt(threads as u64));
+            .with_field("reps", Value::UInt(reps as u64));
         artifact.push_section("comparison", cmp.to_json());
         artifact.write(path).expect("artifact written");
         println!("wrote {path}");

@@ -11,14 +11,13 @@
 //!   artifact through the `pdr-sweep` JSON writer.
 
 use criterion::{black_box, Criterion};
+use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_bench::ir_sim;
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::gallery;
 use pdr_sim::{IrSimSystem, SimSystem};
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The flow the speedup floor is asserted on — the gallery's largest.
 const LARGEST: &str = "two_regions_xc2v4000";
@@ -28,35 +27,6 @@ const LARGEST: &str = "two_regions_xc2v4000";
 /// iterations, on a 19-stream, 31 764-instruction executive (per-run
 /// tables, heap growth, and the string-keyed report).
 const RUN_ALLOC_CEILING: u64 = 64;
-
-/// Allocation counter wrapping the system allocator, so the bench can
-/// assert that a simulation run allocates per stream and per tag, never
-/// per event.
-struct CountingAlloc;
-
-/// Heap allocations observed since process start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -79,9 +49,9 @@ fn assert_run_allocations_are_independent_of_iterations() {
         let mut sys = IrSimSystem::new(flow.architecture(), &art.ir_executive, &art.symbols);
         sys.attach_engine(dep.rtr_engine().expect("engine builds"));
         let cfg = ir_sim::steady_workload(iterations);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let report = sys.run(&cfg).expect("simulation runs");
-        let n = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let n = allocations() - before;
         black_box(report);
         n
     };

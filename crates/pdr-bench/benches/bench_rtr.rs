@@ -13,40 +13,11 @@
 //!   through the `pdr-sweep` JSON writer.
 
 use criterion::{black_box, Criterion};
+use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_bench::rtr_study;
 use pdr_sweep::artifact::{outcome_digest, Artifact};
 use pdr_sweep::SweepEngine;
 use serde::json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Allocation counter wrapping the system allocator, so the bench can
-/// assert that the engine's steady-state request path allocates nothing.
-struct CountingAlloc;
-
-/// Heap allocations observed since process start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -60,9 +31,9 @@ fn assert_steady_state_requests_are_allocation_free() {
     let (mut engine, ids) = rtr_study::replay_engine(&modules, 2);
     black_box(rtr_study::drive_engine(&mut engine, &ids, 64));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let acc = rtr_study::drive_engine(&mut engine, &ids, 100_000);
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     black_box(acc);
     assert_eq!(
         delta, 0,

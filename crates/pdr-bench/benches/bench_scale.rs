@@ -1,16 +1,16 @@
-//! Criterion bench behind the scale-out adequation tentpole: parallel
-//! index construction plus the overhauled scheduler core, proven on the
+//! Criterion bench behind the scale-out adequation study: the interned
+//! index build plus the overhauled scheduler core, proven on the
 //! generated 10k-operation flow.
 //!
 //! Flags (after `--`):
 //!
-//! * `--test` — quick mode for CI: asserts parallel-vs-sequential index
-//!   byte-parity and thread-count-invariant digests on every gallery and
-//!   generated flow, the ≥ 3× index-build speedup floor at 4 threads and
-//!   the ≥ 2× end-to-end model→adequation speedup floor on the
-//!   10k-operation flow (both against the retained first-generation
-//!   path), and that the warm scheduler core performs zero steady-state
-//!   heap allocations. In every mode it also asserts that one
+//! * `--test` — quick mode for CI: asserts that the index equals the
+//!   per-cell string-probe oracle's tables on every gallery and generated
+//!   flow, the ≥ 3× index-build speedup floor (one thread, against that
+//!   oracle) and the ≥ 2× end-to-end model→adequation speedup floor on
+//!   the 10k-operation flow (against the retained first-generation path),
+//!   and that the warm scheduler core performs zero steady-state heap
+//!   allocations. In every mode it also asserts that one
 //!   `generate_executive` on that flow stays under
 //!   [`EXECUTIVE_ALLOCS_PER_INSTR_CEILING`] heap allocations per
 //!   generated instruction, and that one `model::check` of its
@@ -22,46 +22,17 @@
 use criterion::Criterion;
 use pdr_adequation::executive::{generate_executive, Executive};
 use pdr_adequation::{
-    adequate, adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace, IndexOptions,
+    adequate, adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace,
 };
+use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_bench::scale::{self, BUILD_SPEEDUP_FLOOR, E2E_SPEEDUP_FLOOR, FLOOR_CASE};
 use pdr_core::{gallery, DesignFlow};
 use pdr_lint::model::{self, ModelInput};
 use pdr_lint::{rendezvous, ModelConfig};
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Allocation counter wrapping the system allocator, so the bench can
-/// assert that the warm scheduler core stays allocation-free.
-struct CountingAlloc;
-
-/// Heap allocations observed since process start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -84,14 +55,14 @@ fn assert_scheduler_steady_state_is_allocation_free() {
     let reference = evaluate_makespan(algo, arch, cons, opts, &index, &mut ws).expect("schedules");
 
     let mut acc = 0u64;
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10 {
         let makespan =
             evaluate_makespan(algo, arch, cons, opts, &index, &mut ws).expect("schedules");
         assert_eq!(makespan, reference);
         acc = acc.wrapping_add(makespan.as_ps());
     }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     black_box(acc);
     assert_eq!(
         delta, 0,
@@ -129,9 +100,9 @@ fn probe_executive_generation(flow: &DesignFlow, reps: usize) -> (Value, Executi
         generate_executive(algo, arch, chars, &r.mapping, &r.schedule).expect("executive builds")
     };
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let executive = generate();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     let instructions = executive.len();
     let per_instr = allocations as f64 / instructions as f64;
     assert!(
@@ -190,9 +161,9 @@ fn probe_verify(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value 
     };
     let config = ModelConfig::default();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let outcome = model::check(&input, &config);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert!(
         outcome.diagnostics.is_empty(),
         "{FLOOR_CASE} does not model-check clean: {:?}",
@@ -259,25 +230,19 @@ fn main() {
     let floor_flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
     let (executive, floor_executive) = probe_executive_generation(&floor_flow, reps);
     let verify = probe_verify(&floor_flow, &floor_executive, reps);
-    let threads = 4;
-    let study = scale::run(reps, threads).expect("flows schedule");
+    let study = scale::run(reps).expect("flows schedule");
     print!("{}", study.render());
     assert!(
         study.all_parity(),
-        "parallel build or overhauled core diverged from the sequential \
-         reference on a flow"
-    );
-    assert!(
-        study.all_digests_invariant(),
-        "index digest varies with thread count on a flow"
+        "index build or overhauled core diverged from its oracle on a flow"
     );
 
     let floor = study.case(FLOOR_CASE).expect("floor flow present");
     if test_mode {
         assert!(
             floor.build_speedup() >= BUILD_SPEEDUP_FLOOR,
-            "parallel index build is only {:.2}x faster than sequential on \
-             {FLOOR_CASE} at {threads} threads (floor: {BUILD_SPEEDUP_FLOOR}x)",
+            "index build is only {:.2}x faster than the per-cell oracle on \
+             {FLOOR_CASE} (floor: {BUILD_SPEEDUP_FLOOR}x)",
             floor.build_speedup()
         );
         assert!(
@@ -300,8 +265,7 @@ fn main() {
                 "mode",
                 Value::String(if test_mode { "test" } else { "full" }.into()),
             )
-            .with_field("reps", Value::UInt(reps as u64))
-            .with_field("threads", Value::UInt(threads as u64));
+            .with_field("reps", Value::UInt(reps as u64));
         artifact.push_section("study", study.to_json());
         artifact.push_section("executive", executive);
         artifact.push_section("verify", verify);
@@ -310,8 +274,8 @@ fn main() {
     }
 
     if !test_mode {
-        // Criterion timing display on the floor flow: sequential vs
-        // parallel index builds, the numbers behind the speedup column.
+        // Criterion timing display on the floor flow: the index build and
+        // the overhauled scheduler core.
         let flow = gallery::synthetic_10k();
         let (algo, arch, chars) = (
             flow.algorithm(),
@@ -322,16 +286,8 @@ fn main() {
         let mut c = Criterion::default();
         let mut group = c.benchmark_group("scale");
         group.sample_size(10);
-        group.bench_function("index_build/sequential", |b| {
+        group.bench_function("index_build", |b| {
             b.iter(|| black_box(AdequationIndex::build(algo, arch, chars).expect("builds")))
-        });
-        group.bench_function(format!("index_build/parallel_{threads}"), |b| {
-            b.iter(|| {
-                black_box(
-                    AdequationIndex::build_with(algo, arch, chars, &IndexOptions { threads })
-                        .expect("builds"),
-                )
-            })
         });
         let index = AdequationIndex::build(algo, arch, chars).expect("builds");
         group.bench_function("schedule/overhauled_core", |b| {

@@ -16,9 +16,7 @@
 //! faster on the 512-op `synthetic_large` flow (asserted by
 //! `benches/bench_adequation.rs` in `--test` mode, which gates ci.sh).
 
-use pdr_adequation::{
-    adequate, adequate_reference, adequate_with_index, AdequationIndex, IndexOptions,
-};
+use pdr_adequation::{adequate, adequate_reference, adequate_with_index, AdequationIndex};
 use pdr_core::{gallery, FlowError};
 use pdr_sweep::{percentiles, Percentiles};
 use serde::json::Value;
@@ -45,8 +43,7 @@ pub struct CaseResult {
     pub results_match: bool,
     /// The (shared) makespan, picoseconds.
     pub makespan_ps: u64,
-    /// p50/p90/p99 of the index build time across the repetitions, ns
-    /// (built with the study's thread count).
+    /// p50/p90/p99 of the index build time across the repetitions, ns.
     pub build_ns: Percentiles<u64>,
     /// p50/p90/p99 of the schedule time over a prebuilt index across the
     /// repetitions, ns.
@@ -91,8 +88,6 @@ impl CaseResult {
 /// The whole comparison.
 #[derive(Debug, Clone, Default)]
 pub struct AdequationComparison {
-    /// Thread count used for the percentile-timed index builds.
-    pub threads: usize,
     /// One entry per gallery flow, in gallery order.
     pub cases: Vec<CaseResult>,
 }
@@ -110,13 +105,10 @@ impl AdequationComparison {
 
     /// JSON form for the artifact.
     pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("threads", Value::UInt(self.threads as u64)),
-            (
-                "cases",
-                Value::Array(self.cases.iter().map(CaseResult::to_json).collect()),
-            ),
-        ])
+        Value::obj(vec![(
+            "cases",
+            Value::Array(self.cases.iter().map(CaseResult::to_json).collect()),
+        )])
     }
 
     /// Text table, one line per flow.
@@ -147,12 +139,10 @@ impl AdequationComparison {
 /// Run the comparison over every gallery flow: `reps` timed repetitions
 /// per implementation (best time kept), one extra untimed run per path
 /// for the parity check. On top of the end-to-end comparison, the index
-/// build (at `threads` workers) and the schedule-over-a-prebuilt-index
-/// phases are each timed separately and reported as p50/p90/p99 across
-/// the repetitions.
-pub fn run(reps: usize, threads: usize) -> Result<AdequationComparison, FlowError> {
+/// build and the schedule-over-a-prebuilt-index phases are each timed
+/// separately and reported as p50/p90/p99 across the repetitions.
+pub fn run(reps: usize) -> Result<AdequationComparison, FlowError> {
     let reps = reps.max(1);
-    let index_opts = IndexOptions { threads };
     let mut cases = Vec::new();
     for g in gallery::all() {
         let algo = g.flow.algorithm();
@@ -178,16 +168,16 @@ pub fn run(reps: usize, threads: usize) -> Result<AdequationComparison, FlowErro
         }
 
         // Phase timings, each in its own loop so the allocator reaches a
-        // steady state: index build (at the study's thread count), then
-        // scheduling over a prebuilt index.
+        // steady state: index build, then scheduling over a prebuilt
+        // index.
         let mut build_samples = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = Instant::now();
-            let index = AdequationIndex::build_with(algo, arch, chars, &index_opts)?;
+            let index = AdequationIndex::build(algo, arch, chars)?;
             build_samples.push(t0.elapsed().as_nanos() as u64);
             drop(index);
         }
-        let index = AdequationIndex::build_with(algo, arch, chars, &index_opts)?;
+        let index = AdequationIndex::build(algo, arch, chars)?;
         let mut schedule_samples = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t0 = Instant::now();
@@ -207,7 +197,7 @@ pub fn run(reps: usize, threads: usize) -> Result<AdequationComparison, FlowErro
             schedule_ns: percentiles(&mut schedule_samples),
         });
     }
-    Ok(AdequationComparison { threads, cases })
+    Ok(AdequationComparison { cases })
 }
 
 #[cfg(test)]
@@ -216,8 +206,7 @@ mod tests {
 
     #[test]
     fn comparison_covers_the_gallery_and_results_agree() {
-        let cmp = run(1, 2).expect("gallery flows schedule");
-        assert_eq!(cmp.threads, 2);
+        let cmp = run(1).expect("gallery flows schedule");
         assert_eq!(cmp.cases.len(), gallery::names().len());
         assert!(cmp.all_match(), "{}", cmp.render());
         let largest = cmp.case(LARGEST).expect("largest flow present");
@@ -237,7 +226,7 @@ mod tests {
 
     #[test]
     fn render_lists_every_flow() {
-        let cmp = run(1, 2).expect("gallery flows schedule");
+        let cmp = run(1).expect("gallery flows schedule");
         let text = cmp.render();
         for name in gallery::names() {
             assert!(text.contains(name), "{name} missing from\n{text}");
@@ -245,10 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn json_records_thread_count_and_percentiles() {
-        let cmp = run(2, 3).expect("gallery flows schedule");
+    fn json_records_percentiles() {
+        let cmp = run(2).expect("gallery flows schedule");
         let json = serde::json::to_string_pretty(&cmp.to_json());
-        assert!(json.contains("\"threads\": 3"), "{json}");
         assert!(json.contains("\"build_ns\""), "{json}");
         assert!(json.contains("\"schedule_ns\""), "{json}");
         assert!(json.contains("\"p99\""), "{json}");

@@ -309,7 +309,7 @@ fn study_compression(_: &mut Artifact, _: &SweepEngine, _: &Cli) -> Result<(), S
 
 fn study_adequation_perf(artifact: &mut Artifact, _: &SweepEngine, _: &Cli) -> Result<(), String> {
     println!("--- X-IDX: indexed adequation -----------------------------------");
-    let perf = pdr_bench::adequation_perf::run(2, 4).map_err(|e| e.to_string())?;
+    let perf = pdr_bench::adequation_perf::run(2).map_err(|e| e.to_string())?;
     print!("{}", perf.render());
     if !perf.all_match() {
         return Err("reference and indexed schedulers disagree on a gallery flow".into());
@@ -320,13 +320,10 @@ fn study_adequation_perf(artifact: &mut Artifact, _: &SweepEngine, _: &Cli) -> R
 
 fn study_scale(artifact: &mut Artifact, _: &SweepEngine, _: &Cli) -> Result<(), String> {
     println!("--- X-SCALE: scale-out adequation -------------------------------");
-    let study = pdr_bench::scale::run(2, 4).map_err(|e| e.to_string())?;
+    let study = pdr_bench::scale::run(2).map_err(|e| e.to_string())?;
     print!("{}", study.render());
     if !study.all_parity() {
-        return Err("parallel build or overhauled core diverged from the reference".into());
-    }
-    if !study.all_digests_invariant() {
-        return Err("index digest varies with thread count".into());
+        return Err("index build or overhauled core diverged from its oracle".into());
     }
     artifact.push_section("scale", study.to_json());
     Ok(())

@@ -22,16 +22,20 @@
 //! | [`server_study`] | infrastructure — multi-tenant serving layer load test |
 //! | [`rtr_study`] | infrastructure — indexed runtime engine parity, throughput and policy sweep |
 //! | [`fabric_study`] | infrastructure — Virtex-II byte-parity + series7-like 2D fabric sweep |
-//! | [`scale`] | infrastructure — parallel index build + hot-path scheduler on generated 10k-op flows |
+//! | [`scale`] | infrastructure — interned index build + hot-path scheduler on generated 10k-op flows |
+//! | [`index_oracle`] | infrastructure — per-cell string-probe index build, the oracle for `AdequationIndex::build` |
+//! | [`alloc_count`] | infrastructure — the counting global allocator behind the benches' allocation gates |
 
 pub mod adequation_perf;
 pub mod adequation_study;
+pub mod alloc_count;
 pub mod area_latency;
 pub mod compression;
 pub mod fabric_study;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
+pub mod index_oracle;
 pub mod ir_sim;
 pub mod prefetch;
 pub mod rtr_study;

@@ -1,31 +1,29 @@
-//! Scale-out adequation: parallel index construction and the overhauled
-//! scheduler core, measured against the first-generation indexed path.
+//! Scale-out adequation: the interned index build and the overhauled
+//! scheduler core, measured against the first-generation path.
 //!
-//! The tentpole behind this study has three measured claims, each gated
-//! by `benches/bench_scale.rs --test` in CI:
+//! The study has three measured claims, each gated by
+//! `benches/bench_scale.rs --test` in CI:
 //!
-//! 1. **Parity** — [`AdequationIndex::build_with`] returns an index that
-//!    compares equal, cell for cell, to the sequential
-//!    [`AdequationIndex::build`] on every gallery flow and every generated
-//!    flow of the size sweep, at every probed thread count, and the index
-//!    content digest is thread-count-invariant.
-//! 2. **Index build speedup** — the fan-out build (worker pool plus
-//!    interned characterization probes) is ≥ 3× faster than the
-//!    sequential build on the 10 000-operation generated flow at 4
-//!    threads.
-//! 3. **End-to-end speedup** — sequential build + the first indexed
+//! 1. **Parity** — [`AdequationIndex::build`] returns the same tables as
+//!    the per-cell string-probe oracle ([`index_oracle::build`]) on every
+//!    gallery flow and every generated flow of the size sweep, and the
+//!    overhauled scheduler returns byte-identical
+//!    [`pdr_adequation::AdequationResult`]s to the first indexed one.
+//! 2. **Index build speedup** — the build (interned function symbols,
+//!    one characterization probe per (function, operator) pair) is ≥ 3×
+//!    faster than the oracle on the 10 000-operation generated flow, on
+//!    one thread.
+//! 3. **End-to-end speedup** — oracle build + the first indexed
 //!    scheduler (retained verbatim as
-//!    [`pdr_adequation::adequate_indexed_reference`]) versus parallel
-//!    build + the overhauled dense-workspace core: ≥ 2× on the same flow,
-//!    with byte-identical [`pdr_adequation::AdequationResult`]s.
+//!    [`pdr_adequation::adequate_indexed_reference`]) versus build + the
+//!    overhauled dense-workspace core: ≥ 2× on the same flow.
 //!
 //! The generated flows come from [`pdr_core::gallery::synthetic`], the
 //! seeded parametric generator, over [`SWEEP_SIZES`] (512 → 10k compute
 //! operations).
 
-use pdr_adequation::{
-    adequate_indexed_reference, adequate_with_index, AdequationIndex, IndexOptions,
-};
+use crate::index_oracle::{self, IndexTables};
+use pdr_adequation::{adequate_indexed_reference, adequate_with_index, AdequationIndex};
 use pdr_core::{gallery, DesignFlow, FlowError};
 use pdr_sweep::digest::Fnv64;
 use serde::json::Value;
@@ -38,7 +36,8 @@ pub const SWEEP_SIZES: &[usize] = &[512, 2048, 10_000];
 /// The flow both speedup floors are asserted on.
 pub const FLOOR_CASE: &str = "synthetic_gen_10000";
 
-/// Index-build speedup floor at [`ScaleStudy::threads`] workers.
+/// Index-build speedup floor: [`AdequationIndex::build`] over
+/// [`index_oracle::build`].
 pub const BUILD_SPEEDUP_FLOOR: f64 = 3.0;
 
 /// End-to-end (model → adequation) speedup floor versus the retained
@@ -49,9 +48,8 @@ pub const E2E_SPEEDUP_FLOOR: f64 = 2.0;
 /// schedulers read: WCET cells (duration plus both tie-break function
 /// indices), the all-pairs route table, topological order, bottom levels,
 /// reconfiguration worst cases and the dynamic/conditioned masks. Built
-/// only from public accessors, so it hashes what callers can observe —
-/// equal digests across thread counts is the determinism claim in
-/// checkable form.
+/// only from public accessors, so it hashes what callers can observe; the
+/// artifact records it as the content fingerprint of each flow's index.
 pub fn index_digest(index: &AdequationIndex) -> u64 {
     let mut h = Fnv64::new();
     let n_ops = index.topo().len();
@@ -107,40 +105,36 @@ pub struct ScaleCase {
     pub operations: usize,
     /// Edges in the algorithm graph.
     pub edges: usize,
-    /// Best-of-reps sequential [`AdequationIndex::build`] wall time, ns.
-    pub seq_build_ns: u64,
-    /// Best-of-reps [`AdequationIndex::build_with`] wall time, ns.
-    pub par_build_ns: u64,
+    /// Best-of-reps [`index_oracle::build`] wall time, ns.
+    pub oracle_build_ns: u64,
+    /// Best-of-reps [`AdequationIndex::build`] wall time, ns.
+    pub build_ns: u64,
     /// Best-of-reps overhauled-core schedule time (index prebuilt), ns.
     pub schedule_ns: u64,
-    /// Best-of-reps first-generation end-to-end time (sequential build +
+    /// Best-of-reps first-generation end-to-end time (oracle build +
     /// retained first indexed scheduler), ns.
     pub e2e_base_ns: u64,
-    /// Best-of-reps scale-out end-to-end time (parallel build +
-    /// overhauled core), ns.
+    /// Best-of-reps end-to-end time (build + overhauled core), ns.
     pub e2e_fast_ns: u64,
-    /// Parallel index equals sequential index, and both schedulers
-    /// returned byte-identical results.
+    /// The index equals the oracle's tables, and both schedulers returned
+    /// byte-identical results.
     pub parity: bool,
-    /// [`index_digest`] of the sequential index.
+    /// [`index_digest`] of the index.
     pub digest: u64,
-    /// The digest is identical at thread counts 1, 2 and the study's
-    /// thread count.
-    pub digests_invariant: bool,
     /// The (shared) makespan, picoseconds.
     pub makespan_ps: u64,
 }
 
 impl ScaleCase {
-    /// Sequential over parallel index-build time.
+    /// Oracle over production index-build time.
     pub fn build_speedup(&self) -> f64 {
-        if self.par_build_ns == 0 {
+        if self.build_ns == 0 {
             return f64::INFINITY;
         }
-        self.seq_build_ns as f64 / self.par_build_ns as f64
+        self.oracle_build_ns as f64 / self.build_ns as f64
     }
 
-    /// First-generation over scale-out end-to-end time.
+    /// First-generation over current end-to-end time.
     pub fn e2e_speedup(&self) -> f64 {
         if self.e2e_fast_ns == 0 {
             return f64::INFINITY;
@@ -154,8 +148,8 @@ impl ScaleCase {
             ("flow", Value::String(self.name.clone())),
             ("operations", Value::UInt(self.operations as u64)),
             ("edges", Value::UInt(self.edges as u64)),
-            ("seq_build_ns", Value::UInt(self.seq_build_ns)),
-            ("par_build_ns", Value::UInt(self.par_build_ns)),
+            ("oracle_build_ns", Value::UInt(self.oracle_build_ns)),
+            ("build_ns", Value::UInt(self.build_ns)),
             ("schedule_ns", Value::UInt(self.schedule_ns)),
             ("e2e_base_ns", Value::UInt(self.e2e_base_ns)),
             ("e2e_fast_ns", Value::UInt(self.e2e_fast_ns)),
@@ -163,7 +157,6 @@ impl ScaleCase {
             ("e2e_speedup", Value::Float(self.e2e_speedup())),
             ("parity", Value::Bool(self.parity)),
             ("index_digest", Value::UInt(self.digest)),
-            ("digests_invariant", Value::Bool(self.digests_invariant)),
             ("makespan_ps", Value::UInt(self.makespan_ps)),
         ])
     }
@@ -172,8 +165,6 @@ impl ScaleCase {
 /// The whole study: every gallery flow plus the generated size sweep.
 #[derive(Debug, Clone, Default)]
 pub struct ScaleStudy {
-    /// Worker threads used for the parallel builds.
-    pub threads: usize,
     /// One entry per flow: gallery order, then sweep sizes ascending.
     pub cases: Vec<ScaleCase>,
 }
@@ -184,11 +175,6 @@ impl ScaleStudy {
         self.cases.iter().all(|c| c.parity)
     }
 
-    /// Were all index digests thread-count-invariant?
-    pub fn all_digests_invariant(&self) -> bool {
-        self.cases.iter().all(|c| c.digests_invariant)
-    }
-
     /// The named case, if present.
     pub fn case(&self, name: &str) -> Option<&ScaleCase> {
         self.cases.iter().find(|c| c.name == name)
@@ -196,31 +182,27 @@ impl ScaleStudy {
 
     /// JSON form for the artifact.
     pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("threads", Value::UInt(self.threads as u64)),
-            (
-                "cases",
-                Value::Array(self.cases.iter().map(ScaleCase::to_json).collect()),
-            ),
-        ])
+        Value::obj(vec![(
+            "cases",
+            Value::Array(self.cases.iter().map(ScaleCase::to_json).collect()),
+        )])
     }
 
     /// Text table, one line per flow.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "flow                      ops   edges  seq_build_ms  par_build_ms  build_x  \
-             e2e_base_ms  e2e_fast_ms  e2e_x  parity ({} threads)\n",
-            self.threads
-        ));
+        out.push_str(
+            "flow                      ops   edges  oracle_build_ms  build_ms  build_x  \
+             e2e_base_ms  e2e_fast_ms  e2e_x  parity\n",
+        );
         for c in &self.cases {
             out.push_str(&format!(
-                "{:<24} {:>5} {:>7} {:>13.3} {:>13.3} {:>7.2}x {:>12.3} {:>12.3} {:>5.2}x {:>6}\n",
+                "{:<24} {:>5} {:>7} {:>16.3} {:>9.3} {:>7.2}x {:>12.3} {:>12.3} {:>5.2}x {:>6}\n",
                 c.name,
                 c.operations,
                 c.edges,
-                c.seq_build_ns as f64 / 1e6,
-                c.par_build_ns as f64 / 1e6,
+                c.oracle_build_ns as f64 / 1e6,
+                c.build_ns as f64 / 1e6,
                 c.build_speedup(),
                 c.e2e_base_ns as f64 / 1e6,
                 c.e2e_fast_ns as f64 / 1e6,
@@ -247,11 +229,9 @@ pub fn flows() -> Vec<(String, DesignFlow)> {
 }
 
 /// Run the study: `reps` timed repetitions per measurement (best kept),
-/// parallel builds at `threads` workers, untimed parity and digest
-/// checks on every flow.
-pub fn run(reps: usize, threads: usize) -> Result<ScaleStudy, FlowError> {
+/// untimed parity checks on every flow.
+pub fn run(reps: usize) -> Result<ScaleStudy, FlowError> {
     let reps = reps.max(1);
-    let threads = threads.max(2);
     let mut cases = Vec::new();
     for (name, flow) in flows() {
         let algo = flow.algorithm();
@@ -259,78 +239,69 @@ pub fn run(reps: usize, threads: usize) -> Result<ScaleStudy, FlowError> {
         let chars = flow.characterization();
         let cons = flow.constraints();
         let opts = flow.adequation_options();
-        let par_opts = IndexOptions { threads };
 
-        // Parity and digests, untimed.
-        let seq_index = AdequationIndex::build(algo, arch, chars)?;
-        let par_index = AdequationIndex::build_with(algo, arch, chars, &par_opts)?;
-        let digest = index_digest(&seq_index);
-        let digests_invariant = [2, threads].iter().all(|&t| {
-            AdequationIndex::build_with(algo, arch, chars, &IndexOptions { threads: t })
-                .map(|ix| index_digest(&ix) == digest)
-                .unwrap_or(false)
-        });
-        let baseline = adequate_indexed_reference(algo, arch, chars, cons, opts, &seq_index)?;
-        let overhauled = adequate_with_index(algo, arch, chars, cons, opts, &seq_index)?;
-        let parity = par_index == seq_index && baseline == overhauled;
+        // Parity, untimed.
+        let index = AdequationIndex::build(algo, arch, chars)?;
+        let oracle = index_oracle::build(algo, arch, chars)?;
+        let digest = index_digest(&index);
+        let baseline = adequate_indexed_reference(algo, arch, chars, cons, opts, &index)?;
+        let overhauled = adequate_with_index(algo, arch, chars, cons, opts, &index)?;
+        let parity = IndexTables::of(&index) == oracle && baseline == overhauled;
         let makespan_ps = overhauled.makespan.as_ps();
-        drop((par_index, baseline, overhauled));
+        drop((oracle, baseline, overhauled));
 
         // Timed, each quantity in its own tight loop so the allocator
         // reaches a steady state per shape instead of churning between
-        // differently-sized live sets.
-        let mut schedule_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            adequate_with_index(algo, arch, chars, cons, opts, &seq_index)?;
-            schedule_ns = schedule_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        drop(seq_index);
-        let mut seq_build_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
+        // differently-sized live sets. The first-generation path pays the
+        // oracle build and then schedules over the prebuilt index (the
+        // oracle's tables are what that index held).
+        let best_of = |f: &mut dyn FnMut() -> Result<(), FlowError>| {
+            let mut best = u64::MAX;
+            for _ in 0..reps {
+                let t0 = Instant::now();
+                f()?;
+                best = best.min(t0.elapsed().as_nanos() as u64);
+            }
+            Ok::<u64, FlowError>(best)
+        };
+        let schedule_ns = best_of(&mut || {
+            adequate_with_index(algo, arch, chars, cons, opts, &index)?;
+            Ok(())
+        })?;
+        let oracle_build_ns = best_of(&mut || {
+            index_oracle::build(algo, arch, chars)?;
+            Ok(())
+        })?;
+        let build_ns = best_of(&mut || {
+            AdequationIndex::build(algo, arch, chars)?;
+            Ok(())
+        })?;
+        let e2e_base_ns = best_of(&mut || {
+            index_oracle::build(algo, arch, chars)?;
+            adequate_indexed_reference(algo, arch, chars, cons, opts, &index)?;
+            Ok(())
+        })?;
+        let e2e_fast_ns = best_of(&mut || {
             let ix = AdequationIndex::build(algo, arch, chars)?;
-            seq_build_ns = seq_build_ns.min(t0.elapsed().as_nanos() as u64);
-            drop(ix);
-        }
-        let mut par_build_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let ix = AdequationIndex::build_with(algo, arch, chars, &par_opts)?;
-            par_build_ns = par_build_ns.min(t0.elapsed().as_nanos() as u64);
-            drop(ix);
-        }
-        let mut e2e_base_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let ix = AdequationIndex::build(algo, arch, chars)?;
-            adequate_indexed_reference(algo, arch, chars, cons, opts, &ix)?;
-            e2e_base_ns = e2e_base_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        let mut e2e_fast_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let ix = AdequationIndex::build_with(algo, arch, chars, &par_opts)?;
             adequate_with_index(algo, arch, chars, cons, opts, &ix)?;
-            e2e_fast_ns = e2e_fast_ns.min(t0.elapsed().as_nanos() as u64);
-        }
+            Ok(())
+        })?;
 
         cases.push(ScaleCase {
             name,
             operations: algo.len(),
             edges: algo.edges().len(),
-            seq_build_ns,
-            par_build_ns,
+            oracle_build_ns,
+            build_ns,
             schedule_ns,
             e2e_base_ns,
             e2e_fast_ns,
             parity,
             digest,
-            digests_invariant,
             makespan_ps,
         });
     }
-    Ok(ScaleStudy { threads, cases })
+    Ok(ScaleStudy { cases })
 }
 
 #[cfg(test)]
@@ -338,7 +309,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn digest_is_thread_count_invariant_and_sensitive() {
+    fn digest_is_deterministic_and_sensitive() {
         let flow = gallery::synthetic(&gallery::SyntheticParams {
             layers: 6,
             width: 6,
@@ -349,13 +320,9 @@ mod tests {
             flow.architecture(),
             flow.characterization(),
         );
-        let seq = AdequationIndex::build(algo, arch, chars).unwrap();
-        let d = index_digest(&seq);
-        for threads in [2, 3, 4] {
-            let par =
-                AdequationIndex::build_with(algo, arch, chars, &IndexOptions { threads }).unwrap();
-            assert_eq!(index_digest(&par), d, "threads = {threads}");
-        }
+        let d = index_digest(&AdequationIndex::build(algo, arch, chars).unwrap());
+        let again = index_digest(&AdequationIndex::build(algo, arch, chars).unwrap());
+        assert_eq!(again, d);
         // A different seed must move the digest.
         let other = gallery::synthetic(&gallery::SyntheticParams {
             seed: 99,
@@ -374,16 +341,14 @@ mod tests {
 
     #[test]
     fn study_covers_gallery_and_sweep_with_parity() {
-        // One rep and the two smallest sweep sizes via the public runner
-        // would re-measure 10k; keep the unit test on the real flow list
-        // but assert only structure and parity flags.
-        let study = run(1, 2).expect("flows schedule");
+        // One rep over the real flow list; assert only structure and
+        // parity flags.
+        let study = run(1).expect("flows schedule");
         assert_eq!(
             study.cases.len(),
             gallery::names().len() + SWEEP_SIZES.len()
         );
         assert!(study.all_parity(), "{}", study.render());
-        assert!(study.all_digests_invariant(), "{}", study.render());
         assert!(study.case(FLOOR_CASE).is_some());
         for c in &study.cases {
             assert!(c.makespan_ps > 0, "{} has empty makespan", c.name);

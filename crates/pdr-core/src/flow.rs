@@ -4,7 +4,6 @@ use crate::error::FlowError;
 use pdr_adequation::executive::generate_executive;
 use pdr_adequation::{
     adequate_with_index, AdequationIndex, AdequationOptions, AdequationResult, Executive,
-    IndexOptions,
 };
 use pdr_codegen::{generate_design, ucf, vhdl, CostModel, GeneratedDesign};
 use pdr_fabric::Device;
@@ -214,17 +213,6 @@ impl DesignFlow {
     /// [`DesignFlow::index_digest`] matches.
     pub fn build_index(&self) -> Result<AdequationIndex, FlowError> {
         Ok(AdequationIndex::build(&self.algo, &self.arch, &self.chars)?)
-    }
-
-    /// [`DesignFlow::build_index`] with explicit build options (thread
-    /// count); the result is identical for every option value.
-    pub fn build_index_with(&self, options: &IndexOptions) -> Result<AdequationIndex, FlowError> {
-        Ok(AdequationIndex::build_with(
-            &self.algo,
-            &self.arch,
-            &self.chars,
-            options,
-        )?)
     }
 
     /// Run the complete pipeline.

@@ -32,6 +32,7 @@ use crate::diag::{Code, Diagnostic, Location};
 use crate::rendezvous::RendezvousPair;
 use pdr_graph::{ArchGraph, Characterization, ConstraintsFile};
 use pdr_ir::{IrExecutive, IrInstr, ModuleId, SymbolTable};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Run the reconfiguration-safety checks.
@@ -195,21 +196,27 @@ fn check_exclusion(
 
     // Happens-before edges: program order, plus both directions across
     // each rendezvous (the two sides complete together, so each orders
-    // everything after the other side's instruction).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for stream in 0..ir.operator_count() {
-        for idx in 1..ir.program(stream).len() {
-            adj[node(stream, idx - 1)].push(node(stream, idx));
+    // everything after the other side's instruction). Built on the first
+    // mutually exclusive cross-region pair; most executives have none.
+    let happens_before = OnceCell::new();
+    let build_happens_before = || {
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); total];
+        for stream in 0..ir.operator_count() {
+            for idx in 1..ir.program(stream).len() {
+                adj[node(stream, idx - 1)].push(node(stream, idx));
+            }
         }
-    }
-    for p in pairs {
-        let s = node(p.send_stream, p.send_idx);
-        let r = node(p.recv_stream, p.recv_idx);
-        adj[s].push(r);
-        adj[r].push(s);
-    }
+        for p in pairs {
+            let s = node(p.send_stream, p.send_idx);
+            let r = node(p.recv_stream, p.recv_idx);
+            adj[s].push(r);
+            adj[r].push(s);
+        }
+        adj
+    };
 
     let reaches = |from: usize, to: usize| -> bool {
+        let adj: &Vec<Vec<usize>> = happens_before.get_or_init(build_happens_before);
         let mut seen = vec![false; total];
         let mut q = VecDeque::from([from]);
         seen[from] = true;

@@ -4,15 +4,20 @@
 //! service itself is transport-agnostic ([`crate::Server::handle_line`]
 //! serves any byte stream, and the binary also runs a stdin loop).
 //! Connection reads use a short timeout so handler threads notice
-//! shutdown even when a client keeps an idle connection open.
+//! shutdown even when a client keeps an idle connection open. A request
+//! line longer than 1 MiB gets an error response and the connection is
+//! closed, so no client can grow a handler's line buffer without bound.
 
-use crate::Server;
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use crate::{Response, Server};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
+
+/// Longest request line a connection buffers, newline excluded (1 MiB).
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A running TCP listener bound to a local address.
 pub struct TcpHandle {
@@ -95,22 +100,31 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut reply = |line: &str| {
+        writer
+            .write_all(line.as_bytes())
+            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| writer.flush())
+    };
+    let mut line: Vec<u8> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap: a line that reaches it
+        // without a newline is over-long.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // client closed
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                let _ = reply(&Response::Error { id: 0, message }.render());
+                break;
+            }
             Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let response = server.handle_line(trimmed);
-                    if writer
-                        .write_all(response.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
-                        break;
-                    }
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break;
+                };
+                let trimmed = text.trim();
+                if !trimmed.is_empty() && reply(&server.handle_line(trimmed)).is_err() {
+                    break;
                 }
                 line.clear();
             }

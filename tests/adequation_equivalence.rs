@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 use pdr_adequation::executive::generate_executive;
 use pdr_adequation::{
     adequate, adequate_reference, adequate_with_index, AdequationError, AdequationIndex,
-    AdequationOptions, AdequationResult, Executive, IndexOptions, ItemKind, MacroInstr, Mapping,
-    Schedule,
+    AdequationOptions, AdequationResult, Executive, ItemKind, MacroInstr, Mapping, Schedule,
 };
+use pdr_bench::index_oracle::{self, IndexTables};
 use pdr_core::gallery::{self, synthetic, SyntheticParams};
 use pdr_core::DesignFlow;
 use pdr_fabric::TimePs;
@@ -94,6 +94,94 @@ fn paper_case_study_mapping_is_pinned() {
     )
     .expect("reference schedules");
     assert_eq!(reference.makespan, indexed.makespan);
+}
+
+/// The index holds exactly the per-cell string-probe oracle's tables on
+/// every gallery flow and every generated flow of the 512 → 10k sweep.
+#[test]
+fn index_tables_equal_the_oracle_on_gallery_and_sweep_flows() {
+    for (name, flow) in pdr_bench::scale::flows() {
+        let (algo, arch, chars) = (
+            flow.algorithm(),
+            flow.architecture(),
+            flow.characterization(),
+        );
+        let index = AdequationIndex::build(algo, arch, chars).unwrap();
+        let oracle = index_oracle::build(algo, arch, chars).unwrap();
+        assert!(IndexTables::of(&index) == oracle, "{name}");
+    }
+}
+
+/// A conditioned operation whose alternatives tie (first-max and last-max
+/// differ), are infeasible on one operator, and carry different
+/// reconfiguration times; a compute operation reuses one of its function
+/// symbols. The index equals the oracle and the cells read as expected.
+#[test]
+fn tied_and_infeasible_alternatives_index_like_the_oracle() {
+    let mut algo = AlgorithmGraph::new("ties");
+    let src = algo.add_op("src", OpKind::Source).unwrap();
+    let cond = algo
+        .add_op(
+            "cond",
+            OpKind::Conditioned {
+                alternatives: vec!["f0".into(), "f1".into(), "f2".into()],
+            },
+        )
+        .unwrap();
+    let k = algo
+        .add_op(
+            "k",
+            OpKind::Compute {
+                function: "f1".into(),
+            },
+        )
+        .unwrap();
+    let sink = algo.add_op("sink", OpKind::Sink).unwrap();
+    algo.connect(src, cond, 8).unwrap();
+    algo.connect(cond, k, 8).unwrap();
+    algo.connect(k, sink, 8).unwrap();
+
+    let mut arch = ArchGraph::new("ties");
+    let cpu = arch.add_operator("cpu", OperatorKind::Processor).unwrap();
+    let fs = arch.add_operator("fs", OperatorKind::FpgaStatic).unwrap();
+    let d1 = arch
+        .add_operator("d1", OperatorKind::FpgaDynamic { host: "fs".into() })
+        .unwrap();
+    let bus = arch
+        .add_medium("bus", MediumKind::Bus, 1_000_000, TimePs::ZERO)
+        .unwrap();
+    for o in [cpu, fs, d1] {
+        arch.link(o, bus).unwrap();
+    }
+
+    let us = TimePs::from_us;
+    let mut chars = Characterization::new();
+    for (f, cpu_t, d1_t) in [("f0", 5, 2), ("f1", 5, 7), ("f2", 3, 7)] {
+        chars.set_duration(f, "cpu", us(cpu_t));
+        chars.set_duration(f, "d1", us(d1_t));
+    }
+    chars.set_duration("f0", "fs", us(4));
+    chars
+        .set_reconfig_default("d1", TimePs::from_ms(4))
+        .set_reconfig_override("f0", "d1", TimePs::from_ms(1))
+        .set_reconfig_override("f1", "d1", TimePs::from_ms(6));
+
+    let index = AdequationIndex::build(&algo, &arch, &chars).unwrap();
+    let oracle = index_oracle::build(&algo, &arch, &chars).unwrap();
+    assert_eq!(IndexTables::of(&index), oracle);
+
+    let cell = |op, opr| {
+        index
+            .wcet(op, opr)
+            .map(|e| (e.dur, e.first_fn(), e.last_fn()))
+    };
+    assert_eq!(cell(cond, cpu), Some((us(5), Some(0), Some(1))));
+    assert_eq!(cell(cond, d1), Some((us(7), Some(1), Some(2))));
+    assert_eq!(cell(cond, fs), None);
+    assert_eq!(cell(src, fs), Some((TimePs::ZERO, None, None)));
+    assert_eq!(index.reconfig_worst(cond, d1), TimePs::from_ms(6));
+    assert_eq!(index.reconfig_worst(cond, cpu), TimePs::ZERO);
+    assert_eq!(index.reconfig_worst(k, d1), TimePs::ZERO);
 }
 
 proptest! {
@@ -191,9 +279,9 @@ proptest! {
     /// Differential check over the seeded flow generator: complete flows
     /// (conditioned operations, region constraints, heterogeneous WCETs)
     /// drawn from [`gallery::synthetic`] schedule identically through the
-    /// pre-index reference, the overhauled indexed core, and the indexed
-    /// core over a *parallel-built* index. A failure quotes the seed, so
-    /// any divergence is a one-line reproducer.
+    /// pre-index reference and the overhauled indexed core, and their
+    /// index equals the per-cell string-probe oracle's tables. A failure
+    /// quotes the seed, so any divergence is a one-line reproducer.
     #[test]
     fn generated_flows_schedule_identically_on_every_path(
         seed in 0u64..10_000,
@@ -219,12 +307,15 @@ proptest! {
         let indexed = adequate(algo, arch, chars, cons, opts).unwrap();
         prop_assert_eq!(&reference, &indexed, "seed {}", seed);
 
-        let seq = AdequationIndex::build(algo, arch, chars).unwrap();
-        let par = AdequationIndex::build_with(algo, arch, chars, &IndexOptions { threads: 3 })
-            .unwrap();
-        prop_assert!(par == seq, "parallel index diverges at seed {}", seed);
-        let via_par = adequate_with_index(algo, arch, chars, cons, opts, &par).unwrap();
-        prop_assert_eq!(&reference, &via_par, "seed {}", seed);
+        let index = AdequationIndex::build(algo, arch, chars).unwrap();
+        let oracle = index_oracle::build(algo, arch, chars).unwrap();
+        prop_assert!(
+            IndexTables::of(&index) == oracle,
+            "index diverges from the oracle at seed {}",
+            seed
+        );
+        let via_index = adequate_with_index(algo, arch, chars, cons, opts, &index).unwrap();
+        prop_assert_eq!(&reference, &via_index, "seed {}", seed);
     }
 }
 

@@ -286,6 +286,73 @@ fn tcp_transport_round_trips_the_protocol() {
     handle.shutdown();
 }
 
+/// A request line past the TCP transport's 1 MiB cap, sent without a
+/// newline, is answered with a typed error and the connection is closed;
+/// a fresh connection is still served. Skips (without failing) when the
+/// sandbox forbids binding sockets.
+#[test]
+fn over_long_tcp_request_line_is_refused_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::time::Duration;
+    const CAP: usize = 1 << 20;
+    let server = Arc::new(Server::start(ServerConfig::default()));
+    let handle = match pdr_server::tcp::serve("127.0.0.1:0", server) {
+        Ok(handle) => handle,
+        Err(e) => {
+            eprintln!("skipping TCP test: cannot bind ({e})");
+            return;
+        }
+    };
+    let connect = || {
+        let stream = std::net::TcpStream::connect(handle.local_addr()).ok()?;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        Some(stream)
+    };
+    let Some(mut stream) = connect() else {
+        eprintln!("skipping TCP test: cannot connect");
+        return;
+    };
+
+    // Exactly one byte past the cap: the server reads all of it, so it
+    // closes with nothing unread and the reply is not lost to a reset.
+    stream.write_all(&vec![b'x'; CAP + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    match Response::parse(line.trim()).expect("reply is a protocol line") {
+        Response::Error { id, message } => {
+            assert_eq!(id, 0);
+            assert!(message.contains("longer than"), "{message}");
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "connection stays open after the error");
+
+    let stream = connect().expect("reconnect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(
+            format!(
+                "{}\n",
+                Request::new(7, RequestKind::Compile, "paper").render()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let fresh = Response::parse(line.trim()).unwrap();
+    assert_eq!(fresh.id(), 7);
+    assert!(fresh.is_ok(), "{fresh:?}");
+    drop((writer, reader));
+    handle.shutdown();
+}
+
 // ------------------------------------------------------- cache correctness
 
 /// Flip one module's load/unload policies in a flow's constraints file —
