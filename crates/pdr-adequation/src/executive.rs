@@ -26,9 +26,9 @@ use crate::mapping::Mapping;
 use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
-use pdr_ir::{IrBuilder, IrExecutive, SymbolTable};
+use pdr_ir::{IrBuilder, IrExecutive, ModuleId, Sym, SymbolTable};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One macro-code instruction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -181,7 +181,9 @@ impl Executive {
     /// executive's (alphabetical) operator order, so
     /// `IrExecutive::render` reproduces [`Executive::render`]
     /// byte-for-byte and index order equals name order everywhere
-    /// downstream.
+    /// downstream. The flow builds its IR with [`generate_executive_ir`]
+    /// instead; this string-driven lowering is the oracle that one is
+    /// held equal to, and lowers hand-edited executives.
     pub fn lower(&self, table: &mut SymbolTable) -> IrExecutive {
         let mut b = IrBuilder::new(table);
         for (opr, instrs) in &self.per_operator {
@@ -259,6 +261,99 @@ pub fn generate_executive(
     mapping: &Mapping,
     schedule: &Schedule,
 ) -> Result<Executive, AdequationError> {
+    let plan = plan(algo, arch, chars, mapping, schedule)?;
+    Ok(plan.to_executive(algo, arch))
+}
+
+/// [`generate_executive`] plus its lowered form, in one pass from the
+/// schedule: the string [`Executive`], the [`IrExecutive`], and the
+/// [`SymbolTable`] that resolves it. The table is the architecture's,
+/// extended by [`SymbolTable::absorb`] of the algorithm's; the IR is
+/// built from graph ids, never from the executive's strings. All three
+/// equal what [`generate_executive`] followed by [`Executive::lower`]
+/// through that seeded table produces.
+pub fn generate_executive_ir(
+    algo: &AlgorithmGraph,
+    arch: &ArchGraph,
+    chars: &Characterization,
+    mapping: &Mapping,
+    schedule: &Schedule,
+) -> Result<(Executive, IrExecutive, SymbolTable), AdequationError> {
+    let plan = plan(algo, arch, chars, mapping, schedule)?;
+    let executive = plan.to_executive(algo, arch);
+    let mut symbols = arch.symbols().clone();
+    let remap = symbols.absorb(algo.symbols());
+    let ir = plan.to_ir(algo, arch, &mut symbols, &remap);
+    Ok((executive, ir, symbols))
+}
+
+/// Event sort key: `(time, rank, start, end, seq)`; see [`plan`].
+type EventKey = (TimePs, u8, TimePs, TimePs, u32);
+
+const RANK_RECEIVE: u8 = 0;
+const RANK_SEND: u8 = 1;
+const RANK_CONFIGURE: u8 = 2;
+const RANK_COMPUTE: u8 = 3;
+
+/// One macro-instruction as graph ids and a borrowed function name — the
+/// form both emitters read. `Copy`, no owned string; the name is a thin
+/// `&String` to keep the step at 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step<'a> {
+    Compute {
+        op: OpId,
+        function: &'a String,
+        duration: TimePs,
+    },
+    Send {
+        to: OperatorId,
+        medium: MediumId,
+        bits: u64,
+        tag: u32,
+    },
+    Receive {
+        from: OperatorId,
+        medium: MediumId,
+        bits: u64,
+        tag: u32,
+    },
+    Configure {
+        op: OpId,
+        function: &'a String,
+        worst_case: TimePs,
+    },
+}
+
+/// One operator's instruction stream, sorted on the event key.
+#[derive(Debug)]
+struct Stream<'a> {
+    opr: OperatorId,
+    events: Vec<(EventKey, Step<'a>)>,
+}
+
+impl Stream<'_> {
+    fn steps(&self) -> impl Iterator<Item = Step<'_>> + '_ {
+        self.events.iter().map(|&(_, step)| step)
+    }
+}
+
+/// A validated executive over graph ids: the streams of every operator
+/// with instructions, in operator-name order (the string form's
+/// `BTreeMap` order), and one past the highest rendezvous tag.
+#[derive(Debug)]
+struct Plan<'a> {
+    streams: Vec<Stream<'a>>,
+    tags: u32,
+}
+
+/// Build and validate the id-based executive.
+fn plan<'a>(
+    algo: &AlgorithmGraph,
+    arch: &ArchGraph,
+    chars: &Characterization,
+    mapping: &Mapping,
+    schedule: &'a Schedule,
+) -> Result<Plan<'a>, AdequationError> {
     // Timed event stream per operator. The sort key must order every
     // operator's events along one consistent global timeline, or two
     // operators can disagree on the order of their shared rendezvous and
@@ -277,52 +372,31 @@ pub fn generate_executive(
     //   * start/end — the transfer's interval, identical on both
     //     endpoints, so peers break remaining ties identically;
     //   * seq — insertion order, a final deterministic tie-break.
-    type EventKey = (TimePs, u8, TimePs, TimePs, u32);
-    let mut events: BTreeMap<OperatorId, Vec<(EventKey, MacroInstr)>> = BTreeMap::new();
+    let mut events: Vec<Vec<(EventKey, Step<'a>)>> = vec![Vec::new(); arch.operator_count()];
     let mut seq: u32 = 0;
-    let next = |s: &mut u32| {
-        *s += 1;
-        *s
+    let mut next = || {
+        seq += 1;
+        seq
     };
-    const RANK_RECEIVE: u8 = 0;
-    const RANK_SEND: u8 = 1;
-    const RANK_CONFIGURE: u8 = 2;
-    const RANK_COMPUTE: u8 = 3;
 
     // Transfers: walk each algorithm edge's route; hop k of the medium
     // timeline tells us the times. We re-derive hop endpoints from the
     // route (deterministic, same call the scheduler made).
-    //
-    // Each medium's transfers are indexed once, keyed by (medium, edge
-    // endpoints). Only the *first* item of a key is kept: parallel
-    // duplicate edges `a -> b` share a key, and a scan of the timeline in
-    // order binds every one of them to that first item.
-    let mut transfers: HashMap<(MediumId, OpId, OpId), &ScheduledItem> =
-        HashMap::with_capacity(schedule.medium_items.values().map(Vec::len).sum());
-    for (&m, items) in &schedule.medium_items {
-        for item in items {
-            if let ItemKind::Transfer { from, to, .. } = item.kind {
-                transfers.entry((m, from, to)).or_insert(item);
-            }
-        }
-    }
+    let transfers = TransferIndex::new(algo.len(), schedule);
+    let placed = placement(algo.len(), mapping);
     // Routes from one BFS per source operator, filled on first use.
     let mut route_rows: Vec<Option<Vec<Option<Route>>>> = vec![None; arch.operator_count()];
     let mut endpoints: Vec<OperatorId> = Vec::new();
     let mut tag: u32 = 0;
+    let assigned = |op: OpId| {
+        placed[op.0].ok_or_else(|| AdequationError::Unmappable {
+            operation: algo.op(op).name.clone(),
+            reason: "not assigned".into(),
+        })
+    };
     for e in algo.edges() {
-        let src = mapping
-            .operator_of(e.from)
-            .ok_or_else(|| AdequationError::Unmappable {
-                operation: algo.op(e.from).name.clone(),
-                reason: "not assigned".into(),
-            })?;
-        let dst = mapping
-            .operator_of(e.to)
-            .ok_or_else(|| AdequationError::Unmappable {
-                operation: algo.op(e.to).name.clone(),
-                reason: "not assigned".into(),
-            })?;
+        let src = assigned(e.from)?;
+        let dst = assigned(e.to)?;
         if src == dst {
             continue;
         }
@@ -359,7 +433,7 @@ pub fn generate_executive(
 
         // This edge's hop items in the schedule give the timing.
         for (hop, &m) in route.media.iter().enumerate() {
-            let item = transfers.get(&(m, e.from, e.to)).ok_or_else(|| {
+            let item = transfers.first(m, e.from, e.to).ok_or_else(|| {
                 AdequationError::InvalidSchedule(format!(
                     "edge {} -> {} missing from medium {} timeline",
                     algo.op(e.from).name,
@@ -370,21 +444,20 @@ pub fn generate_executive(
             tag += 1;
             let sender = endpoints[hop];
             let receiver = endpoints[hop + 1];
-            let med_name = arch.medium(m).name.clone();
-            events.entry(sender).or_default().push((
-                (item.start, RANK_SEND, item.start, item.end, next(&mut seq)),
-                MacroInstr::Send {
-                    to: arch.operator(receiver).name.clone(),
-                    medium: med_name.clone(),
+            events[sender.0].push((
+                (item.start, RANK_SEND, item.start, item.end, next()),
+                Step::Send {
+                    to: receiver,
+                    medium: m,
                     bits: e.bits,
                     tag,
                 },
             ));
-            events.entry(receiver).or_default().push((
-                (item.end, RANK_RECEIVE, item.start, item.end, next(&mut seq)),
-                MacroInstr::Receive {
-                    from: arch.operator(sender).name.clone(),
-                    medium: med_name,
+            events[receiver.0].push((
+                (item.end, RANK_RECEIVE, item.start, item.end, next()),
+                Step::Receive {
+                    from: sender,
+                    medium: m,
                     bits: e.bits,
                     tag,
                 },
@@ -396,34 +469,23 @@ pub fn generate_executive(
     for (&opr, items) in &schedule.operator_items {
         for item in items {
             if let ItemKind::Compute { op, function, .. } = &item.kind {
-                let op_name = algo.op(*op).name.clone();
+                let at = item.start;
                 if algo.op(*op).kind.is_conditioned() && arch.operator(opr).kind.is_dynamic() {
                     let wc = chars.reconfig_time(function, &arch.operator(opr).name)?;
-                    events.entry(opr).or_default().push((
-                        (
-                            item.start,
-                            RANK_CONFIGURE,
-                            item.start,
-                            item.start,
-                            next(&mut seq),
-                        ),
-                        MacroInstr::Configure {
-                            module: function.clone(),
+                    events[opr.0].push((
+                        (at, RANK_CONFIGURE, at, at, next()),
+                        Step::Configure {
+                            op: *op,
+                            function,
                             worst_case: wc,
                         },
                     ));
                 }
-                events.entry(opr).or_default().push((
-                    (
-                        item.start,
-                        RANK_COMPUTE,
-                        item.start,
-                        item.start,
-                        next(&mut seq),
-                    ),
-                    MacroInstr::Compute {
-                        op: op_name,
-                        function: function.clone(),
+                events[opr.0].push((
+                    (at, RANK_COMPUTE, at, at, next()),
+                    Step::Compute {
+                        op: *op,
+                        function,
                         duration: item.duration(),
                     },
                 ));
@@ -431,16 +493,293 @@ pub fn generate_executive(
         }
     }
 
-    let mut exec = Executive::default();
-    for (opr, mut evs) in events {
-        evs.sort_by_key(|a| a.0);
-        exec.per_operator.insert(
-            arch.operator(opr).name.clone(),
-            evs.into_iter().map(|(_, i)| i).collect(),
-        );
+    let mut streams: Vec<Stream<'a>> = events
+        .into_iter()
+        .enumerate()
+        .filter(|(_, evs)| !evs.is_empty())
+        .map(|(o, mut evs)| {
+            // `seq` makes every key unique, so an unstable sort is exact.
+            evs.sort_unstable_by_key(|&(key, _)| key);
+            Stream {
+                opr: OperatorId(o),
+                events: evs,
+            }
+        })
+        .collect();
+    streams.sort_unstable_by(|a, b| arch.operator(a.opr).name.cmp(&arch.operator(b.opr).name));
+    let plan = Plan {
+        streams,
+        tags: tag + 1,
+    };
+    plan.validate(|o| &arch.operator(o).name)?;
+    Ok(plan)
+}
+
+/// Each operation's operator, indexed by [`OpId`].
+fn placement(ops: usize, mapping: &Mapping) -> Vec<Option<OperatorId>> {
+    let mut placed = vec![None; ops];
+    for (op, opr) in mapping.iter() {
+        if let Some(slot) = placed.get_mut(op.0) {
+            *slot = Some(opr);
+        }
     }
-    exec.validate()?;
-    Ok(exec)
+    placed
+}
+
+/// The schedule's transfer items grouped by producer operation (CSR),
+/// each group in medium order then timeline order. Only the *first* item
+/// of a `(medium, from, to)` key is ever found: parallel duplicate edges
+/// `a -> b` share a key, and a scan of the timeline in order binds every
+/// one of them to that first item.
+struct TransferIndex<'a> {
+    /// Group offsets, one per producer operation plus a final end.
+    base: Vec<u32>,
+    /// `(medium, consumer, item)`; every slot is filled.
+    items: Vec<Option<(MediumId, OpId, &'a ScheduledItem)>>,
+}
+
+impl<'a> TransferIndex<'a> {
+    fn new(ops: usize, schedule: &'a Schedule) -> Self {
+        let transfers = || {
+            schedule.medium_items.iter().flat_map(|(&m, items)| {
+                items.iter().filter_map(move |item| match item.kind {
+                    // Items of operations outside the graph are never
+                    // looked up.
+                    ItemKind::Transfer { from, to, .. } if from.0 < ops => {
+                        Some((m, from, to, item))
+                    }
+                    _ => None,
+                })
+            })
+        };
+        let mut base = vec![0u32; ops + 1];
+        for (_, from, ..) in transfers() {
+            base[from.0 + 1] += 1;
+        }
+        for i in 0..ops {
+            base[i + 1] += base[i];
+        }
+        let mut fill = base.clone();
+        let mut items = vec![None; base[ops] as usize];
+        for (m, from, to, item) in transfers() {
+            items[fill[from.0] as usize] = Some((m, to, item));
+            fill[from.0] += 1;
+        }
+        TransferIndex { base, items }
+    }
+
+    /// The first item of `from -> to` on medium `m`'s timeline.
+    fn first(&self, m: MediumId, from: OpId, to: OpId) -> Option<&'a ScheduledItem> {
+        let group = &self.items[self.base[from.0] as usize..self.base[from.0 + 1] as usize];
+        group
+            .iter()
+            .flatten()
+            .find(|&&(gm, gto, _)| gm == m && gto == to)
+            .map(|&(.., item)| item)
+    }
+}
+
+/// A rendezvous endpoint record: `(sender, receiver, medium, bits)`, ids
+/// narrowed to `u32` to keep the per-tag table small.
+type Endpoints = (u32, u32, u32, u64);
+
+/// What validation has seen of one tag.
+#[derive(Debug, Clone, Copy, Default)]
+struct TagSlot {
+    send: Option<Endpoints>,
+    recv: Option<Endpoints>,
+    /// 1 + the position (in name order) of the last stream using the tag;
+    /// 0 when none has.
+    owner: u32,
+}
+
+impl Plan<'_> {
+    /// [`Executive::validate`] over ids, with dense per-tag slots in place
+    /// of its tag maps: the same walk (streams in name order), the same
+    /// first error with the same text, the same unmatched-tag list.
+    /// Operator and medium ids name operators and media one to one, so
+    /// comparing ids compares the names.
+    fn validate<'n>(&self, name_of: impl Fn(OperatorId) -> &'n str) -> Result<(), AdequationError> {
+        let mut slots = vec![TagSlot::default(); self.tags as usize];
+        for (k, stream) in self.streams.iter().enumerate() {
+            let stamp = k as u32 + 1;
+            let opr = stream.opr;
+            for step in stream.steps() {
+                let (tag, record) = match step {
+                    Step::Send {
+                        to,
+                        medium,
+                        bits,
+                        tag,
+                    } => (tag, (opr.0 as u32, to.0 as u32, medium.0 as u32, bits)),
+                    Step::Receive {
+                        from,
+                        medium,
+                        bits,
+                        tag,
+                    } => (tag, (from.0 as u32, opr.0 as u32, medium.0 as u32, bits)),
+                    _ => continue,
+                };
+                let slot = &mut slots[tag as usize];
+                if slot.owner == stamp {
+                    return Err(AdequationError::InvalidSchedule(format!(
+                        "operator `{}` uses rendezvous tag {tag} more than \
+                         once in its sequence",
+                        name_of(opr)
+                    )));
+                }
+                slot.owner = stamp;
+                let (side, what) = match step {
+                    Step::Send { .. } => (&mut slot.send, "send"),
+                    _ => (&mut slot.recv, "receive"),
+                };
+                if side.replace(record).is_some() {
+                    return Err(AdequationError::InvalidSchedule(format!(
+                        "duplicate {what} tag {tag}"
+                    )));
+                }
+            }
+        }
+        let missing: Vec<u32> = (0..self.tags)
+            .filter(|&t| slots[t as usize].send != slots[t as usize].recv)
+            .collect();
+        if !missing.is_empty() {
+            return Err(AdequationError::InvalidSchedule(format!(
+                "unmatched send/receive pairs for tags {missing:?}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The string executive: names cloned out of the graphs.
+    fn to_executive(&self, algo: &AlgorithmGraph, arch: &ArchGraph) -> Executive {
+        let opr_name = |o: OperatorId| arch.operator(o).name.clone();
+        let med_name = |m: MediumId| arch.medium(m).name.clone();
+        let per_operator = self
+            .streams
+            .iter()
+            .map(|stream| {
+                let instrs = stream
+                    .steps()
+                    .map(|step| match step {
+                        Step::Compute {
+                            op,
+                            function,
+                            duration,
+                        } => MacroInstr::Compute {
+                            op: algo.op(op).name.clone(),
+                            function: function.to_string(),
+                            duration,
+                        },
+                        Step::Send {
+                            to,
+                            medium,
+                            bits,
+                            tag,
+                        } => MacroInstr::Send {
+                            to: opr_name(to),
+                            medium: med_name(medium),
+                            bits,
+                            tag,
+                        },
+                        Step::Receive {
+                            from,
+                            medium,
+                            bits,
+                            tag,
+                        } => MacroInstr::Receive {
+                            from: opr_name(from),
+                            medium: med_name(medium),
+                            bits,
+                            tag,
+                        },
+                        Step::Configure {
+                            function,
+                            worst_case,
+                            ..
+                        } => MacroInstr::Configure {
+                            module: function.to_string(),
+                            worst_case,
+                        },
+                    })
+                    .collect();
+                (opr_name(stream.opr), instrs)
+            })
+            .collect();
+        Executive { per_operator }
+    }
+
+    /// The lowered executive, through `table` — the architecture's table
+    /// extended by the algorithm's, whose handles `remap` translates.
+    /// Operator and medium symbols are the architecture's own (its table
+    /// is the prefix of `table`); a compute's function that is not among
+    /// its operation's functions is interned by name, where lowering
+    /// would intern it.
+    fn to_ir(
+        &self,
+        algo: &AlgorithmGraph,
+        arch: &ArchGraph,
+        table: &mut SymbolTable,
+        remap: &[Sym],
+    ) -> IrExecutive {
+        let oprs: Vec<pdr_ir::OperatorId> = (0..arch.operator_count())
+            .map(|o| arch.operator_sym(OperatorId(o)))
+            .collect();
+        let media: Vec<pdr_ir::MediumId> = (0..arch.medium_count())
+            .map(|m| arch.medium_sym(MediumId(m)))
+            .collect();
+        let function_sym = |op: OpId, function: &str| {
+            let k = algo
+                .op(op)
+                .kind
+                .functions()
+                .iter()
+                .position(|f| f == function)?;
+            Some(ModuleId::new(
+                remap[algo.function_syms(op)[k].sym().index()],
+            ))
+        };
+        let mut b = IrBuilder::new(table);
+        for stream in &self.streams {
+            b.begin_operator_id(oprs[stream.opr.0]);
+            for step in stream.steps() {
+                match step {
+                    Step::Compute {
+                        op,
+                        function,
+                        duration,
+                    } => match function_sym(op, function) {
+                        Some(f) => {
+                            let op = pdr_ir::OpId::new(remap[algo.op_sym(op).sym().index()]);
+                            b.compute_id(op, f, duration);
+                        }
+                        None => b.compute(&algo.op(op).name, function, duration),
+                    },
+                    Step::Send {
+                        to,
+                        medium,
+                        bits,
+                        tag,
+                    } => b.send_id(oprs[to.0], media[medium.0], bits, tag),
+                    Step::Receive {
+                        from,
+                        medium,
+                        bits,
+                        tag,
+                    } => b.receive_id(oprs[from.0], media[medium.0], bits, tag),
+                    Step::Configure {
+                        op,
+                        function,
+                        worst_case,
+                    } => match function_sym(op, function) {
+                        Some(f) => b.configure_id(f, worst_case),
+                        None => b.configure(function, worst_case),
+                    },
+                }
+            }
+        }
+        b.finish()
+    }
 }
 
 #[cfg(test)]
@@ -601,6 +940,248 @@ mod tests {
         );
         let err = e.validate().unwrap_err();
         assert!(err.to_string().contains("more than"), "{err}");
+    }
+
+    /// The id-based validator run on a string executive: operators and
+    /// media numbered in name order, function names dropped (validation
+    /// never reads them).
+    fn validate_by_ids(e: &Executive) -> Result<(), AdequationError> {
+        let mut names: Vec<&str> = e.per_operator.keys().map(String::as_str).collect();
+        let mut media: Vec<&str> = Vec::new();
+        for i in e.per_operator.values().flatten() {
+            if let MacroInstr::Send {
+                to: peer, medium, ..
+            }
+            | MacroInstr::Receive {
+                from: peer, medium, ..
+            } = i
+            {
+                names.push(peer);
+                media.push(medium);
+            }
+        }
+        names.sort_unstable();
+        names.dedup();
+        media.sort_unstable();
+        media.dedup();
+        let opr = |n: &str| OperatorId(names.binary_search(&n).unwrap());
+        let med = |n: &str| MediumId(media.binary_search(&n).unwrap());
+        let function = String::new();
+        let mut tags = 0;
+        let streams = e
+            .per_operator
+            .iter()
+            .map(|(name, instrs)| {
+                let events = instrs
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, i)| {
+                        let step = match i {
+                            MacroInstr::Compute { duration, .. } => Step::Compute {
+                                op: OpId(0),
+                                function: &function,
+                                duration: *duration,
+                            },
+                            MacroInstr::Configure { worst_case, .. } => Step::Configure {
+                                op: OpId(0),
+                                function: &function,
+                                worst_case: *worst_case,
+                            },
+                            MacroInstr::Send {
+                                to,
+                                medium,
+                                bits,
+                                tag,
+                            } => Step::Send {
+                                to: opr(to),
+                                medium: med(medium),
+                                bits: *bits,
+                                tag: *tag,
+                            },
+                            MacroInstr::Receive {
+                                from,
+                                medium,
+                                bits,
+                                tag,
+                            } => Step::Receive {
+                                from: opr(from),
+                                medium: med(medium),
+                                bits: *bits,
+                                tag: *tag,
+                            },
+                        };
+                        if let Step::Send { tag, .. } | Step::Receive { tag, .. } = step {
+                            tags = tags.max(tag + 1);
+                        }
+                        let at = TimePs::ZERO;
+                        ((at, 0, at, at, seq as u32), step)
+                    })
+                    .collect();
+                Stream {
+                    opr: opr(name),
+                    events,
+                }
+            })
+            .collect();
+        Plan { streams, tags }.validate(|o| names[o.0])
+    }
+
+    fn send(to: &str, medium: &str, bits: u64, tag: u32) -> MacroInstr {
+        MacroInstr::Send {
+            to: to.into(),
+            medium: medium.into(),
+            bits,
+            tag,
+        }
+    }
+
+    fn recv(from: &str, medium: &str, bits: u64, tag: u32) -> MacroInstr {
+        MacroInstr::Receive {
+            from: from.into(),
+            medium: medium.into(),
+            bits,
+            tag,
+        }
+    }
+
+    fn executive(streams: &[(&str, Vec<MacroInstr>)]) -> Executive {
+        Executive {
+            per_operator: streams
+                .iter()
+                .map(|(name, instrs)| (name.to_string(), instrs.clone()))
+                .collect(),
+        }
+    }
+
+    /// Each defect `Executive::validate` reports, built by hand, gets the
+    /// same error (text included) from the id-based validator.
+    #[test]
+    fn id_validation_reports_the_oracle_error_on_each_defect() {
+        let ok = || {
+            vec![
+                ("a", vec![send("b", "m", 8, 1), recv("b", "n", 16, 2)]),
+                ("b", vec![recv("a", "m", 8, 1), send("a", "n", 16, 2)]),
+            ]
+        };
+        let mut cases: Vec<(&str, Executive)> = vec![("matched", executive(&ok()))];
+        // A send and a receive of one tag on one operator.
+        let mut s = ok();
+        s[0].1.push(recv("a", "m", 8, 1));
+        cases.push(("local duplicate", executive(&s)));
+        // Two operators send tag 1.
+        let mut s = ok();
+        s.push(("c", vec![send("b", "m", 8, 1)]));
+        cases.push(("duplicate send", executive(&s)));
+        // Two operators receive tag 2.
+        let mut s = ok();
+        s.push(("c", vec![recv("b", "n", 16, 2)]));
+        cases.push(("duplicate receive", executive(&s)));
+        // Each field of a pair disagrees in turn.
+        for (what, bad) in [
+            ("endpoint", recv("c", "m", 8, 1)),
+            ("medium", recv("a", "n", 8, 1)),
+            ("bits", recv("a", "m", 9, 1)),
+        ] {
+            let mut s = ok();
+            s[1].1[0] = bad;
+            s.push(("c", vec![]));
+            cases.push((what, executive(&s)));
+        }
+        // Unpaired sends and receives on several tags: the list is sorted.
+        let mut s = ok();
+        s[0].1.push(send("b", "m", 8, 9));
+        s[1].1.push(recv("a", "m", 8, 0));
+        s[1].1[1] = send("a", "n", 32, 2);
+        cases.push(("several unmatched", executive(&s)));
+        // Defects on two operators: the first in name order wins.
+        let mut s = ok();
+        s[1].1.push(send("a", "m", 8, 2));
+        s.push(("c", vec![send("a", "m", 8, 1)]));
+        cases.push(("first in name order", executive(&s)));
+
+        for (what, e) in &cases {
+            let oracle = e.validate();
+            assert_eq!(validate_by_ids(e), oracle, "{what}");
+            assert_eq!(oracle.is_ok(), *what == "matched", "{what}: {oracle:?}");
+        }
+        assert_eq!(
+            validate_by_ids(&cases[1].1).unwrap_err().to_string(),
+            "invalid schedule: operator `a` uses rendezvous tag 1 more than once in its sequence"
+        );
+        assert_eq!(
+            validate_by_ids(&cases[7].1).unwrap_err().to_string(),
+            "invalid schedule: unmatched send/receive pairs for tags [0, 2, 9]"
+        );
+    }
+
+    /// Seeded random edits of the paper executive — retagged, rewidened,
+    /// rerouted, duplicated, moved and dropped communications — validate
+    /// alike through both validators.
+    #[test]
+    fn id_validation_agrees_with_the_oracle_on_random_edits() {
+        let (base, _) = paper_executive();
+        let names: Vec<String> = base.per_operator.keys().cloned().collect();
+        let mut rng: u64 = 0x5eed;
+        let mut next = move |n: usize| {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut failures = 0;
+        for _ in 0..400 {
+            let mut e = base.clone();
+            for _ in 0..1 + next(3) {
+                let opr = &names[next(names.len())];
+                let stream = e.per_operator.get_mut(opr).unwrap();
+                let Some(at) = (0..stream.len()).find(|_| next(3) == 0) else {
+                    continue;
+                };
+                let edit = next(6);
+                let instr = &mut stream[at];
+                if let MacroInstr::Send {
+                    to: peer,
+                    medium,
+                    bits,
+                    tag,
+                }
+                | MacroInstr::Receive {
+                    from: peer,
+                    medium,
+                    bits,
+                    tag,
+                } = instr
+                {
+                    match edit {
+                        0 => *tag = next(12) as u32,
+                        1 => *bits += 1,
+                        2 => *peer = names[next(names.len())].clone(),
+                        3 => *medium = format!("{medium}_x"),
+                        _ => {}
+                    }
+                }
+                let instr = stream[at].clone();
+                match edit {
+                    4 => stream.push(instr),
+                    5 => {
+                        stream.remove(at);
+                        let to = &names[next(names.len())];
+                        e.per_operator.get_mut(to).unwrap().push(instr);
+                    }
+                    _ => {}
+                }
+            }
+            let oracle = e.validate();
+            failures += usize::from(oracle.is_err());
+            assert_eq!(validate_by_ids(&e), oracle, "{}", e.render());
+        }
+        assert!(failures > 200, "only {failures} edits broke validation");
+    }
+
+    #[test]
+    fn steps_stay_small() {
+        assert!(std::mem::size_of::<Step>() <= 32);
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! * [`executive`] — translation of a schedule into per-operator
 //!   *macro-code* (the synchronized executive): `Compute` / `Send` /
 //!   `Receive` / `Configure` instructions with rendezvous tags, which
-//!   `pdr-codegen` turns into structural designs and `pdr-sim` interprets.
+//!   `pdr-codegen` turns into structural designs and `pdr-sim` interprets;
+//!   `generate_executive_ir` emits the interned `pdr-ir` form in the same
+//!   pass.
 
 pub mod annealing;
 pub mod bounds;

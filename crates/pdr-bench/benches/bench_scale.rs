@@ -13,14 +13,17 @@
 //!   allocations. In every mode it also asserts that one
 //!   `generate_executive` on that flow stays under
 //!   [`EXECUTIVE_ALLOCS_PER_INSTR_CEILING`] heap allocations per
-//!   generated instruction, and that one `model::check` of its
-//!   executive stays under [`MODEL_CHECK_ALLOCS_CEILING`] heap
-//!   allocations;
+//!   generated instruction; that the production path,
+//!   `generate_executive_ir`, allocates no more than `generate_executive`
+//!   plus the symbol-table seeding plus [`IR_ALLOCS_PER_STREAM`] per
+//!   stream (so emitting the IR allocates nothing per instruction); and
+//!   that one `model::check` of its executive stays under
+//!   [`MODEL_CHECK_ALLOCS_CEILING`] heap allocations;
 //! * `--out <path>` — persist the study as a `BENCH_scale.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
 use criterion::Criterion;
-use pdr_adequation::executive::{generate_executive, Executive};
+use pdr_adequation::executive::{generate_executive, generate_executive_ir, Executive};
 use pdr_adequation::{
     adequate, adequate_with_index, evaluate_makespan, AdequationIndex, EvalWorkspace,
 };
@@ -79,9 +82,28 @@ fn assert_scheduler_steady_state_is_allocation_free() {
 /// host.
 const EXECUTIVE_ALLOCS_PER_INSTR_CEILING: f64 = 2.5;
 
-/// Assert the executive-generation allocation ceiling on [`FLOOR_CASE`]
-/// and time the generator: best of `reps`. Returns the artifact section
-/// and the executive.
+/// Heap allocations per instruction stream `generate_executive_ir` may
+/// make beyond `generate_executive` and the seeding of its symbol table:
+/// the lowered executive's few arrays, grown by doubling, and the
+/// builder's dense ref tables. A per-instruction allocation (an interned
+/// or cloned name per instruction) exceeds it by orders of magnitude.
+const IR_ALLOCS_PER_STREAM: u64 = 4;
+
+/// Best wall time of `f` over `reps` calls, in nanoseconds.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
+    let mut best = u64::MAX;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        black_box(f());
+        best = best.min(t0.elapsed().as_nanos() as u64);
+    }
+    best
+}
+
+/// Assert the executive-generation allocation ceilings on [`FLOOR_CASE`]
+/// — the string generator's per instruction, the one-pass production
+/// path's against it — and time both generators: best of `reps`.
+/// Returns the artifact section and the executive.
 fn probe_executive_generation(flow: &DesignFlow, reps: usize) -> (Value, Executive) {
     let (algo, arch, chars) = (
         flow.algorithm(),
@@ -102,38 +124,72 @@ fn probe_executive_generation(flow: &DesignFlow, reps: usize) -> (Value, Executi
 
     let before = allocations();
     let executive = generate();
-    let allocations = allocations() - before;
+    let executive_allocs = allocations() - before;
     let instructions = executive.len();
-    let per_instr = allocations as f64 / instructions as f64;
+    let per_instr = executive_allocs as f64 / instructions as f64;
     assert!(
         per_instr <= EXECUTIVE_ALLOCS_PER_INSTR_CEILING,
-        "generate_executive made {allocations} heap allocations for {instructions} \
+        "generate_executive made {executive_allocs} heap allocations for {instructions} \
          instructions on {FLOOR_CASE} ({per_instr:.2} per instruction, ceiling \
          {EXECUTIVE_ALLOCS_PER_INSTR_CEILING})"
     );
 
-    let mut best_ns = u64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(generate());
-        best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
-    }
+    let best_ns = best_of(reps, generate);
     println!(
         "ok: generate_executive on {FLOOR_CASE}: {instructions} instructions, \
-         {allocations} heap allocations ({per_instr:.2} per instruction, ceiling \
+         {executive_allocs} heap allocations ({per_instr:.2} per instruction, ceiling \
          {EXECUTIVE_ALLOCS_PER_INSTR_CEILING}), best of {reps} {:.3} ms",
         best_ns as f64 / 1e6
+    );
+
+    // The production path: the same executive plus its IR and table.
+    let one_pass = || {
+        generate_executive_ir(algo, arch, chars, &r.mapping, &r.schedule).expect("executive builds")
+    };
+    let before = allocations();
+    let seeded = {
+        let mut table = arch.symbols().clone();
+        table.absorb(algo.symbols());
+        table
+    };
+    let seed_allocations = allocations() - before;
+    drop(seeded);
+    let before = allocations();
+    let (_, ir, _) = one_pass();
+    let one_pass_allocations = allocations() - before;
+    let streams = ir.operator_count() as u64;
+    let one_pass_ceiling = executive_allocs + seed_allocations + IR_ALLOCS_PER_STREAM * streams;
+    assert!(
+        one_pass_allocations <= one_pass_ceiling,
+        "generate_executive_ir made {one_pass_allocations} heap allocations on \
+         {FLOOR_CASE}: more than generate_executive ({executive_allocs}) + table seeding \
+         ({seed_allocations}) + {IR_ALLOCS_PER_STREAM} per stream ({streams} streams)"
+    );
+    let one_pass_ns = best_of(reps, one_pass);
+    println!(
+        "ok: generate_executive_ir on {FLOOR_CASE}: {one_pass_allocations} heap \
+         allocations (ceiling {one_pass_ceiling}: generate_executive + {seed_allocations} \
+         seeding + {IR_ALLOCS_PER_STREAM} x {streams} streams), best of {reps} {:.3} ms",
+        one_pass_ns as f64 / 1e6
     );
     let section = Value::obj(vec![
         ("flow", Value::String(FLOOR_CASE.into())),
         ("instructions", Value::UInt(instructions as u64)),
-        ("allocations", Value::UInt(allocations)),
+        ("allocations", Value::UInt(executive_allocs)),
         ("allocs_per_instruction", Value::Float(per_instr)),
         (
             "allocs_per_instruction_ceiling",
             Value::Float(EXECUTIVE_ALLOCS_PER_INSTR_CEILING),
         ),
         ("best_ns", Value::UInt(best_ns)),
+        ("streams", Value::UInt(streams)),
+        ("seed_allocations", Value::UInt(seed_allocations)),
+        ("one_pass_allocations", Value::UInt(one_pass_allocations)),
+        (
+            "one_pass_allocations_ceiling",
+            Value::UInt(one_pass_ceiling),
+        ),
+        ("one_pass_best_ns", Value::UInt(one_pass_ns)),
     ]);
     (section, executive)
 }

@@ -1,7 +1,7 @@
 //! The [`DesignFlow`] builder: Fig. 3 end to end.
 
 use crate::error::FlowError;
-use pdr_adequation::executive::generate_executive;
+use pdr_adequation::executive::generate_executive_ir;
 use pdr_adequation::{
     adequate_with_index, AdequationIndex, AdequationOptions, AdequationResult, Executive,
 };
@@ -19,14 +19,19 @@ pub struct FlowArtifacts {
     /// Stage 1: mapping + schedule (the adequation).
     pub adequation: AdequationResult,
     /// Stage 2: the synchronized executive (macro-code) — the
-    /// human-readable render/golden surface.
+    /// human-readable render/golden surface that design generation reads.
     pub executive: Executive,
-    /// Stage 2: the same executive lowered to the interned, index-based
-    /// form — what verification and deployment actually run on.
+    /// Stage 2: the same executive in the interned, index-based form —
+    /// what verification and deployment actually run on. Generated from
+    /// the schedule in the same pass as [`FlowArtifacts::executive`], from
+    /// graph ids; it equals `executive.lower(..)` through
+    /// [`FlowArtifacts::symbols`]' seed.
     pub ir_executive: IrExecutive,
-    /// The symbol table the whole flow interns through: seeded with the
-    /// graphs' names at modelisation, extended by lowering. Resolves every
-    /// id in [`FlowArtifacts::ir_executive`].
+    /// The symbol table the whole flow interns through: the architecture
+    /// graph's names, then the algorithm graph's, as the graphs interned
+    /// them at modelisation (plus any scheduled function name no
+    /// operation declares). Resolves every id in
+    /// [`FlowArtifacts::ir_executive`].
     pub symbols: SymbolTable,
     /// Stage 2b: the §4 constraints file, serialized (travels with the
     /// design to the placement step, as in Fig. 3).
@@ -235,8 +240,10 @@ impl DesignFlow {
             &self.adequation_options,
             index,
         )?;
-        // 2. Macro-code generation.
-        let executive = generate_executive(
+        // 2. Macro-code generation: the string executive and its lowered
+        // form, in one pass, interned through one table seeded with every
+        // name the graphs interned at construction.
+        let (executive, ir_executive, symbols) = generate_executive_ir(
             &self.algo,
             &self.arch,
             &self.chars,
@@ -265,11 +272,6 @@ impl DesignFlow {
             );
         }
         let ucf_text = ucf::emit_ucf(&design.floorplan);
-        // Lower through one symbol table seeded with every name the graphs
-        // interned at construction, so ids stay shared across the flow.
-        let mut symbols = self.arch.symbols().clone();
-        symbols.absorb(self.algo.symbols());
-        let ir_executive = executive.lower(&mut symbols);
         Ok(FlowArtifacts {
             adequation,
             executive,

@@ -101,6 +101,15 @@ pub struct AlgorithmGraph {
     /// Interner holding every operation and function-symbol name,
     /// populated at construction for allocation-free lowering.
     symbols: SymbolTable,
+    /// Per operation, its interned name (index = [`OpId`]), as
+    /// [`AlgorithmGraph::add_op`] interned it.
+    op_syms: Vec<pdr_ir::OpId>,
+    /// Every operation's interned function symbols, flat, in
+    /// [`OpKind::functions`] order; operation `i` owns
+    /// `fn_syms[fn_base[i]..fn_base[i + 1]]`.
+    fn_syms: Vec<pdr_ir::ModuleId>,
+    /// Offsets into `fn_syms`, one per operation plus a final end.
+    fn_base: Vec<u32>,
     /// CSR-style adjacency: per operation, the indices into `edges` of its
     /// incoming edges, in insertion order. Maintained incrementally by
     /// [`AlgorithmGraph::connect`] so neighbourhood queries are O(degree)
@@ -120,6 +129,9 @@ impl AlgorithmGraph {
             edges: Vec::new(),
             by_name: HashMap::new(),
             symbols: SymbolTable::new(),
+            op_syms: Vec::new(),
+            fn_syms: Vec::new(),
+            fn_base: vec![0],
             in_adj: Vec::new(),
             out_adj: Vec::new(),
         }
@@ -146,10 +158,13 @@ impl AlgorithmGraph {
         }
         let id = OpId(self.ops.len());
         self.by_name.insert(name.clone(), id);
-        self.symbols.intern(&name);
+        self.op_syms
+            .push(pdr_ir::OpId::intern(&mut self.symbols, &name));
         for f in kind.functions() {
-            self.symbols.intern(f);
+            self.fn_syms
+                .push(pdr_ir::ModuleId::intern(&mut self.symbols, f));
         }
+        self.fn_base.push(self.fn_syms.len() as u32);
         self.ops.push(Operation { name, kind });
         self.in_adj.push(Vec::new());
         self.out_adj.push(Vec::new());
@@ -163,11 +178,13 @@ impl AlgorithmGraph {
 
     /// Interned name of an operation.
     pub fn op_sym(&self, id: OpId) -> pdr_ir::OpId {
-        let sym = self
-            .symbols
-            .lookup(&self.ops[id.0].name)
-            .expect("operation names are interned at construction");
-        pdr_ir::OpId::new(sym)
+        self.op_syms[id.0]
+    }
+
+    /// Interned function symbols of an operation, in
+    /// [`OpKind::functions`] order.
+    pub fn function_syms(&self, id: OpId) -> &[pdr_ir::ModuleId] {
+        &self.fn_syms[self.fn_base[id.0] as usize..self.fn_base[id.0 + 1] as usize]
     }
 
     /// Shorthand: add a `Compute` vertex whose function symbol equals its name.
@@ -552,5 +569,12 @@ mod tests {
         // Conditioned alternatives are interned as module names too.
         assert!(g.symbols().lookup("x").is_some());
         assert!(g.symbols().lookup("y").is_some());
+        let fns: Vec<&str> = g
+            .function_syms(cond)
+            .iter()
+            .map(|f| f.resolve(g.symbols()))
+            .collect();
+        assert_eq!(fns, ["x", "y"]);
+        assert!(g.function_syms(src).is_empty());
     }
 }

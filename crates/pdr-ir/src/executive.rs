@@ -18,11 +18,10 @@
 //! symbols) lets consumers size flat side tables without hashing.
 
 use crate::ids::{MediumId, ModuleId, OpId, OperatorId};
-use crate::symbol::SymbolTable;
+use crate::symbol::{Sym, SymbolTable};
 use pdr_fabric::TimePs;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense index into an [`IrExecutive`]'s operator-name table.
@@ -276,11 +275,35 @@ impl IrExecutive {
 /// [`SymbolTable`]. Call [`IrBuilder::begin_operator`] once per stream
 /// (streams keep the call order), push instructions, then
 /// [`IrBuilder::finish`].
+///
+/// Every push comes in two forms: one taking names, which interns them,
+/// and one taking already-interned ids (`*_id`), which does no string
+/// work at all. Peer and medium refs are dense in first-reference order
+/// either way.
 pub struct IrBuilder<'t> {
     table: &'t mut SymbolTable,
     ir: IrExecutive,
-    name_ix: HashMap<OperatorId, u32>,
-    media_ix: HashMap<MediumId, u32>,
+    /// [`PeerRef`] of each operator symbol, indexed by [`Sym::index`]
+    /// ([`UNREFERENCED`] until first referenced).
+    name_ix: Vec<u32>,
+    /// [`MediumRef`] of each medium symbol, indexed likewise.
+    media_ix: Vec<u32>,
+}
+
+/// Slot value of a symbol the executive does not reference yet.
+const UNREFERENCED: u32 = u32::MAX;
+
+/// The dense ref of `sym` in `list`, appending it on first reference.
+fn dense_ref<T: Copy>(ix: &mut Vec<u32>, list: &mut Vec<T>, sym: Sym, item: T) -> u32 {
+    let i = sym.index();
+    if i >= ix.len() {
+        ix.resize(i + 1, UNREFERENCED);
+    }
+    if ix[i] == UNREFERENCED {
+        ix[i] = list.len() as u32;
+        list.push(item);
+    }
+    ix[i]
 }
 
 impl<'t> IrBuilder<'t> {
@@ -289,29 +312,27 @@ impl<'t> IrBuilder<'t> {
         IrBuilder {
             table,
             ir: IrExecutive::default(),
-            name_ix: HashMap::new(),
-            media_ix: HashMap::new(),
+            name_ix: Vec::new(),
+            media_ix: Vec::new(),
         }
     }
 
-    fn name_ref(&mut self, name: &str) -> PeerRef {
-        let sym = OperatorId::intern(self.table, name);
-        let next = self.ir.names.len() as u32;
-        let ix = *self.name_ix.entry(sym).or_insert_with(|| {
-            self.ir.names.push(sym);
-            next
-        });
-        PeerRef(ix)
+    fn name_ref(&mut self, name: OperatorId) -> PeerRef {
+        PeerRef(dense_ref(
+            &mut self.name_ix,
+            &mut self.ir.names,
+            name.sym(),
+            name,
+        ))
     }
 
-    fn medium_ref(&mut self, name: &str) -> MediumRef {
-        let sym = MediumId::intern(self.table, name);
-        let next = self.ir.media.len() as u32;
-        let ix = *self.media_ix.entry(sym).or_insert_with(|| {
-            self.ir.media.push(sym);
-            next
-        });
-        MediumRef(ix)
+    fn medium_ref(&mut self, medium: MediumId) -> MediumRef {
+        MediumRef(dense_ref(
+            &mut self.media_ix,
+            &mut self.ir.media,
+            medium.sym(),
+            medium,
+        ))
     }
 
     fn close_stream(&mut self) {
@@ -330,6 +351,12 @@ impl<'t> IrBuilder<'t> {
 
     /// Open the instruction stream of `name` (closing any open stream).
     pub fn begin_operator(&mut self, name: &str) {
+        let name = OperatorId::intern(self.table, name);
+        self.begin_operator_id(name);
+    }
+
+    /// [`IrBuilder::begin_operator`] for an interned operator.
+    pub fn begin_operator_id(&mut self, name: OperatorId) {
         self.close_stream();
         let name = self.name_ref(name);
         let start = self.ir.instrs.len() as u32;
@@ -344,6 +371,11 @@ impl<'t> IrBuilder<'t> {
     pub fn compute(&mut self, op: &str, function: &str, duration: TimePs) {
         let op = OpId::intern(self.table, op);
         let function = ModuleId::intern(self.table, function);
+        self.compute_id(op, function, duration);
+    }
+
+    /// [`IrBuilder::compute`] for interned names.
+    pub fn compute_id(&mut self, op: OpId, function: ModuleId, duration: TimePs) {
         self.push(IrInstr::Compute {
             op,
             function,
@@ -353,6 +385,13 @@ impl<'t> IrBuilder<'t> {
 
     /// Append a `Send`.
     pub fn send(&mut self, to: &str, medium: &str, bits: u64, tag: u32) {
+        let to = OperatorId::intern(self.table, to);
+        let medium = MediumId::intern(self.table, medium);
+        self.send_id(to, medium, bits, tag);
+    }
+
+    /// [`IrBuilder::send`] for interned names.
+    pub fn send_id(&mut self, to: OperatorId, medium: MediumId, bits: u64, tag: u32) {
         let to = self.name_ref(to);
         let medium = self.medium_ref(medium);
         self.push(IrInstr::Send {
@@ -365,6 +404,13 @@ impl<'t> IrBuilder<'t> {
 
     /// Append a `Receive`.
     pub fn receive(&mut self, from: &str, medium: &str, bits: u64, tag: u32) {
+        let from = OperatorId::intern(self.table, from);
+        let medium = MediumId::intern(self.table, medium);
+        self.receive_id(from, medium, bits, tag);
+    }
+
+    /// [`IrBuilder::receive`] for interned names.
+    pub fn receive_id(&mut self, from: OperatorId, medium: MediumId, bits: u64, tag: u32) {
         let from = self.name_ref(from);
         let medium = self.medium_ref(medium);
         self.push(IrInstr::Receive {
@@ -378,6 +424,11 @@ impl<'t> IrBuilder<'t> {
     /// Append a `Configure`.
     pub fn configure(&mut self, module: &str, worst_case: TimePs) {
         let module = ModuleId::intern(self.table, module);
+        self.configure_id(module, worst_case);
+    }
+
+    /// [`IrBuilder::configure`] for an interned module.
+    pub fn configure_id(&mut self, module: ModuleId, worst_case: TimePs) {
         self.push(IrInstr::Configure { module, worst_case });
     }
 
@@ -480,6 +531,29 @@ mod tests {
         let j = i; // Copy
         assert_eq!(i, j);
         assert!(std::mem::size_of::<IrInstr>() <= 24);
+    }
+
+    #[test]
+    fn id_pushes_build_what_name_pushes_build() {
+        let (table, by_name) = demo();
+        let mut ids = table.clone();
+        let sym = |name: &str| table.lookup(name).unwrap();
+        let by_id = {
+            let mut b = IrBuilder::new(&mut ids);
+            b.begin_operator_id(OperatorId::new(sym("a")));
+            b.compute_id(
+                OpId::new(sym("work")),
+                ModuleId::new(sym("fn_work")),
+                TimePs::from_ns(10),
+            );
+            b.send_id(OperatorId::new(sym("b")), MediumId::new(sym("bus")), 64, 1);
+            b.begin_operator_id(OperatorId::new(sym("b")));
+            b.receive_id(OperatorId::new(sym("a")), MediumId::new(sym("bus")), 64, 1);
+            b.configure_id(ModuleId::new(sym("mod_x")), TimePs::from_ns(500));
+            b.finish()
+        };
+        assert_eq!(by_id, by_name);
+        assert_eq!(ids, table);
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!   strings ([`executive`]).
 //!
 //! `pdr-graph` interns names at graph construction, `pdr-adequation`
-//! lowers its string `Executive` into an [`IrExecutive`], `pdr-sim`
-//! interprets the lowered form allocation-free, and `pdr-lint` renders
-//! diagnostics back through the table — byte-identical to the string
-//! pipeline, which stays as the human-readable golden surface.
+//! builds the [`IrExecutive`] from those ids in the same pass that
+//! builds its string `Executive` (whose `lower` stays as the parity
+//! oracle), `pdr-sim` interprets the lowered form allocation-free, and
+//! `pdr-lint` renders diagnostics back through the table — byte-identical
+//! to the string pipeline, which stays as the human-readable golden
+//! surface.
 
 pub mod executive;
 pub mod ids;

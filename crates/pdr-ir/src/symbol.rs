@@ -13,8 +13,8 @@
 
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 /// A handle to an interned string. Copyable, 4 bytes, order-preserving
 /// only with respect to interning order (not lexicographic order).
@@ -57,10 +57,23 @@ impl Deserialize for Sym {}
 /// An append-only string interner. Equality and serialization consider
 /// only the interned names (in interning order); the reverse index is
 /// derived data.
-#[derive(Debug, Clone, Default)]
+///
+/// Names live back to back in one text buffer, so interning a name costs
+/// no allocation of its own, and the reverse index is an open-addressing
+/// table of symbol numbers probed with the standard library's keyed
+/// hasher — cloning or seeding a table copies three flat arrays.
+#[derive(Clone, Default)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, u32>,
+    /// Every name's bytes, in interning order.
+    text: String,
+    /// End offset in `text` of each name; name `i` starts where name
+    /// `i - 1` ends.
+    ends: Vec<u32>,
+    /// Reverse index, linear probing: `symbol + 1` per used slot, `0` for
+    /// an empty one. The length is zero or a power of two at least twice
+    /// the name count.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
 
 impl SymbolTable {
@@ -69,60 +82,115 @@ impl SymbolTable {
         SymbolTable::default()
     }
 
+    fn name(&self, ix: usize) -> &str {
+        let start = if ix == 0 {
+            0
+        } else {
+            self.ends[ix - 1] as usize
+        };
+        &self.text[start..self.ends[ix] as usize]
+    }
+
+    /// The handle of `name`, or the empty slot where it would go.
+    /// Requires a non-empty `slots`.
+    fn probe(&self, name: &str) -> Result<Sym, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(name) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if self.name(s as usize - 1) == name => return Ok(Sym(s - 1)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Make room for `extra` more names at a load factor of at most 1/2.
+    fn reserve(&mut self, extra: usize) {
+        let wanted = ((self.ends.len() + extra) * 2).next_power_of_two().max(8);
+        if wanted <= self.slots.len() {
+            return;
+        }
+        self.ends.reserve(extra);
+        self.slots = vec![0; wanted];
+        for ix in 0..self.ends.len() {
+            // Interned names are distinct: each probe ends on an empty slot.
+            if let Err(slot) = self.probe(self.name(ix)) {
+                self.slots[slot] = ix as u32 + 1;
+            }
+        }
+    }
+
     /// Intern `name`, returning its (new or existing) handle.
     pub fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&ix) = self.index.get(name) {
-            return Sym(ix);
+        self.reserve(1);
+        match self.probe(name) {
+            Ok(sym) => sym,
+            Err(slot) => {
+                let ix = u32::try_from(self.ends.len())
+                    .ok()
+                    .filter(|&ix| ix < u32::MAX)
+                    .expect("symbol table overflow");
+                self.text.push_str(name);
+                let end = u32::try_from(self.text.len()).expect("symbol table overflow");
+                self.ends.push(end);
+                self.slots[slot] = ix + 1;
+                Sym(ix)
+            }
         }
-        let ix = u32::try_from(self.names.len()).expect("symbol table overflow");
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), ix);
-        Sym(ix)
     }
 
     /// The handle of an already-interned name, if any.
     pub fn lookup(&self, name: &str) -> Option<Sym> {
-        self.index.get(name).copied().map(Sym)
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(name).ok()
     }
 
     /// The text of a handle. Panics if `sym` came from another table and
     /// is out of range here — symbols are only meaningful with the table
     /// that produced them.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
+        self.name(sym.index())
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// All (handle, name) pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_str()))
+        (0..self.ends.len()).map(|i| (Sym(i as u32), self.name(i)))
     }
 
     /// Intern every name of `other` into `self` (handles are NOT shared
     /// between the tables; use this to seed one table from several
-    /// sources before lowering).
-    pub fn absorb(&mut self, other: &SymbolTable) {
-        for name in &other.names {
-            self.intern(name);
-        }
+    /// sources). Returns the remap from `other`'s handles to `self`'s:
+    /// `remap[s.index()]` is the handle `other`'s symbol `s` has here.
+    pub fn absorb(&mut self, other: &SymbolTable) -> Vec<Sym> {
+        self.reserve(other.len());
+        self.text.reserve(other.text.len());
+        other.iter().map(|(_, name)| self.intern(name)).collect()
+    }
+}
+
+impl fmt::Debug for SymbolTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, n)| n)).finish()
     }
 }
 
 impl PartialEq for SymbolTable {
     fn eq(&self, other: &Self) -> bool {
-        self.names == other.names
+        // The name sequence determines both arrays and vice versa.
+        self.ends == other.ends && self.text == other.text
     }
 }
 
@@ -131,9 +199,8 @@ impl Eq for SymbolTable {}
 impl Serialize for SymbolTable {
     fn to_json(&self) -> Value {
         Value::Array(
-            self.names
-                .iter()
-                .map(|n| Value::String(n.clone()))
+            self.iter()
+                .map(|(_, n)| Value::String(n.to_string()))
                 .collect(),
         )
     }
@@ -186,9 +253,34 @@ mod tests {
         let mut b = SymbolTable::new();
         b.intern("y");
         b.intern("x");
-        a.absorb(&b);
+        let remap = a.absorb(&b);
         assert_eq!(a.len(), 2);
         assert!(a.lookup("y").is_some());
+        // `b`'s handles translate into `a`'s: "y" is new, "x" is shared.
+        for (sym, name) in b.iter() {
+            assert_eq!(a.resolve(remap[sym.index()]), name);
+        }
+        assert_eq!(remap[1], a.lookup("x").unwrap());
+    }
+
+    #[test]
+    fn many_names_survive_index_growth() {
+        let mut t = SymbolTable::new();
+        let names: Vec<String> = (0..5_000).map(|i| format!("n{}", i * 7 % 5_000)).collect();
+        let syms: Vec<Sym> = names.iter().map(|n| t.intern(n)).collect();
+        assert_eq!(t.len(), 5_000);
+        for (n, &s) in names.iter().zip(&syms) {
+            assert_eq!(t.lookup(n), Some(s));
+            assert_eq!(t.resolve(s), n);
+            assert_eq!(t.intern(n), s);
+        }
+        assert_eq!(t.lookup("n5000"), None);
+        assert_eq!(SymbolTable::new().lookup(""), None);
+        // The empty name is a name like any other.
+        let empty = t.intern("");
+        assert_eq!(t.resolve(empty), "");
+        assert_eq!(t.resolve(syms[1]), names[1]);
+        assert_eq!(format!("{:?}", t.clone()).len(), format!("{t:?}").len());
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! * `"constraints"` — a §4 constraints file as text, overriding the
 //!   gallery flow's own file (this changes the model digest, so overridden
 //!   requests are cached separately);
-//! * `"iterations"` — simulation length (ignored by compile/verify);
+//! * `"iterations"` — simulation length (ignored by compile/verify), at
+//!   most 65 536: a simulation builds a selector string per iteration and
+//!   region, so an unbounded count could exhaust memory before a worker
+//!   runs;
 //! * `"delay_us"` — synthetic extra service time, a load-testing knob for
 //!   saturating the queue deterministically.
 //!
@@ -152,6 +155,12 @@ pub enum Command {
     },
 }
 
+/// Most simulation iterations one request line may ask for. The workload
+/// holds a selector `String` per iteration and region, so `u32::MAX`
+/// iterations would try to allocate tens of GB — an abort no panic guard
+/// can catch. Real workloads use tens.
+const MAX_ITERATIONS: u64 = 1 << 16;
+
 /// Parse one request line. Errors name the offending field so clients can
 /// fix their request without reading server code.
 pub fn parse_line(line: &str) -> Result<Command, String> {
@@ -177,7 +186,10 @@ pub fn parse_line(line: &str) -> Result<Command, String> {
         .ok_or_else(|| format!("op `{op}` needs a `flow` string"))?;
     let mut req = Request::new(id, kind, flow);
     if let Some(n) = value.get("iterations").and_then(Value::as_u64) {
-        req.iterations = u32::try_from(n).map_err(|_| "iterations out of range")?;
+        if n > MAX_ITERATIONS {
+            return Err("iterations out of range".into());
+        }
+        req.iterations = n as u32;
     }
     if let Some(c) = value.get("constraints").and_then(Value::as_str) {
         req.constraints = Some(c.to_string());
@@ -443,6 +455,26 @@ mod tests {
         assert!(parse_line(r#"{"op": "compile"}"#).is_err());
         assert!(parse_line(r#"{"id": 1, "op": "explode"}"#).is_err());
         assert!(parse_line(r#"{"id": 1, "op": "compile"}"#).is_err());
+    }
+
+    #[test]
+    fn iterations_are_bounded_at_the_protocol_edge() {
+        let line = |n: u64| {
+            format!(r#"{{"id": 5, "op": "simulate", "flow": "paper", "iterations": {n}}}"#)
+        };
+        for n in [0, 88, MAX_ITERATIONS] {
+            match parse_line(&line(n)).unwrap() {
+                Command::Run(req) => assert_eq!(u64::from(req.iterations), n),
+                other => panic!("expected Run, got {other:?}"),
+            }
+        }
+        for n in [MAX_ITERATIONS + 1, 4_000_000_000, u64::from(u32::MAX) + 1] {
+            assert_eq!(
+                parse_line(&line(n)).unwrap_err(),
+                "iterations out of range",
+                "{n}"
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::{Response, Server};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -62,14 +62,15 @@ pub fn serve(addr: &str, server: Arc<Server>) -> io::Result<TcpHandle> {
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = stop.clone();
     let accept_thread = thread::spawn(move || {
-        let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !accept_stop.load(Ordering::SeqCst) {
+            reap_finished(&mut handlers);
             match listener.accept() {
                 Ok((stream, _)) => {
                     let server = server.clone();
                     let stop = accept_stop.clone();
                     let handle = thread::spawn(move || handle_connection(stream, &server, &stop));
-                    handlers.lock().expect("handler list").push(handle);
+                    handlers.push(handle);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     thread::sleep(Duration::from_millis(2));
@@ -77,7 +78,7 @@ pub fn serve(addr: &str, server: Arc<Server>) -> io::Result<TcpHandle> {
                 Err(_) => break,
             }
         }
-        for handle in handlers.into_inner().expect("handler list").drain(..) {
+        for handle in handlers {
             let _ = handle.join();
         }
     });
@@ -86,6 +87,16 @@ pub fn serve(addr: &str, server: Arc<Server>) -> io::Result<TcpHandle> {
         stop,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// Join every finished connection thread, releasing its stack, and keep
+/// the running ones. The accept loop calls this on every pass, so a
+/// long-running server holds one handle per *open* connection, not one
+/// per connection it ever served.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    for handle in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = handle.join();
+    }
 }
 
 fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) {
@@ -135,5 +146,35 @@ fn handle_connection(stream: TcpStream, server: &Server, stop: &AtomicBool) {
             }
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn reaping_joins_finished_threads_and_keeps_running_ones() {
+        let (release, gate) = mpsc::channel::<()>();
+        let mut handlers = vec![
+            thread::spawn(|| {}),
+            thread::spawn(move || {
+                let _ = gate.recv();
+            }),
+            thread::spawn(|| {}),
+        ];
+        while handlers.iter().filter(|h| h.is_finished()).count() < 2 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the blocked thread stays");
+        assert!(!handlers[0].is_finished());
+        release.send(()).unwrap();
+        while !handlers[0].is_finished() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
     }
 }

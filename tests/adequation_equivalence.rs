@@ -13,12 +13,14 @@
 //! [`generate_executive`] (one transfer index per schedule, one route row
 //! per source operator) must equal, executive for executive and error
 //! for error, the per-edge route plus linear timeline scan kept below as
-//! a test-only oracle.
+//! a test-only oracle. The one-pass `generate_executive_ir` must equal
+//! that executive plus its lowering through the flow's seeded symbol
+//! table on the same seeded flows.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-use pdr_adequation::executive::generate_executive;
+use pdr_adequation::executive::{generate_executive, generate_executive_ir};
 use pdr_adequation::{
     adequate, adequate_reference, adequate_with_index, AdequationError, AdequationIndex,
     AdequationOptions, AdequationResult, Executive, ItemKind, MacroInstr, Mapping, Schedule,
@@ -505,7 +507,8 @@ fn adequate_flow(flow: &DesignFlow) -> AdequationResult {
 }
 
 /// Both generators on one mapping and schedule: equal executives, or
-/// equal errors.
+/// equal errors. The one-pass generator's executive or error is checked
+/// equal to `generate_executive`'s on the way.
 fn executives(
     flow: &DesignFlow,
     mapping: &Mapping,
@@ -519,8 +522,11 @@ fn executives(
         flow.architecture(),
         flow.characterization(),
     );
+    let fast = generate_executive(algo, arch, chars, mapping, schedule);
+    let one_pass = generate_executive_ir(algo, arch, chars, mapping, schedule);
+    assert_eq!(one_pass.map(|(executive, ..)| executive), fast);
     (
-        generate_executive(algo, arch, chars, mapping, schedule),
+        fast,
         generate_executive_oracle(algo, arch, chars, mapping, schedule),
     )
 }
@@ -648,7 +654,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Generated flows of 64–512 compute operations generate the
-    /// oracle's executive. A failure quotes the seed.
+    /// oracle's executive, and the one-pass generator returns it along
+    /// with its lowering through the flow's seeded table. A failure
+    /// quotes the seed.
     #[test]
     fn generated_executives_equal_the_oracle(
         seed in 0u64..10_000,
@@ -662,6 +670,23 @@ proptest! {
         });
         let r = adequate_flow(&flow);
         let (fast, oracle) = executives(&flow, &r.mapping, &r.schedule);
-        prop_assert_eq!(fast.unwrap(), oracle.unwrap(), "seed {}", seed);
+        let fast = fast.unwrap();
+        prop_assert_eq!(&fast, &oracle.unwrap(), "seed {}", seed);
+
+        let (algo, arch) = (flow.algorithm(), flow.architecture());
+        let (executive, ir, symbols) = generate_executive_ir(
+            algo,
+            arch,
+            flow.characterization(),
+            &r.mapping,
+            &r.schedule,
+        )
+        .unwrap();
+        let mut table = arch.symbols().clone();
+        table.absorb(algo.symbols());
+        let lowered = fast.lower(&mut table);
+        prop_assert!(executive == fast, "string executive drift at seed {}", seed);
+        prop_assert!(ir == lowered, "IR drift at seed {}", seed);
+        prop_assert!(symbols == table, "symbol table drift at seed {}", seed);
     }
 }

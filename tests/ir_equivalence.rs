@@ -20,8 +20,8 @@
 //!   through either path produces bit-identical schedule-independent
 //!   outcome digests.
 
-use pdr_adequation::executive::generate_executive;
-use pdr_adequation::{adequate, AdequationOptions, MacroInstr};
+use pdr_adequation::executive::{generate_executive, generate_executive_ir};
+use pdr_adequation::{adequate, AdequationOptions, AdequationResult, ItemKind, MacroInstr};
 use pdr_bench::ir_sim;
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::gallery::{self, synthetic, SyntheticParams};
@@ -49,6 +49,110 @@ fn lowered_gallery_executives_render_byte_identically() {
             g.name
         );
     }
+}
+
+// -------------------------------------------------- one-pass generation
+
+/// `generate_executive_ir` against the chain it replaced: the string
+/// executive from `generate_executive`, then the table seeded as the
+/// flow seeds it (architecture, then `absorb` of the algorithm) and
+/// `Executive::lower` through it. All three outputs compare with `==`;
+/// returns the table.
+fn assert_one_pass_equals_lowering(
+    algo: &AlgorithmGraph,
+    arch: &ArchGraph,
+    chars: &Characterization,
+    r: &AdequationResult,
+    what: &str,
+) -> SymbolTable {
+    let (executive, ir, symbols) =
+        generate_executive_ir(algo, arch, chars, &r.mapping, &r.schedule)
+            .unwrap_or_else(|e| panic!("`{what}`: {e}"));
+    let oracle = generate_executive(algo, arch, chars, &r.mapping, &r.schedule).unwrap();
+    let mut table = arch.symbols().clone();
+    table.absorb(algo.symbols());
+    let lowered = oracle.lower(&mut table);
+    assert!(executive == oracle, "string executive drift on `{what}`");
+    assert!(ir == lowered, "IR drift on `{what}`");
+    assert!(symbols == table, "symbol table drift on `{what}`");
+    symbols
+}
+
+/// Every gallery flow and the generated 512 → 10k sweep: the one-pass
+/// generator equals generate + seed + lower, and `DesignFlow::run`
+/// carries exactly those artifacts.
+#[test]
+fn one_pass_generation_equals_lowering_on_gallery_and_sweep_flows() {
+    for (name, flow) in pdr_bench::scale::flows() {
+        let (algo, arch, chars) = (
+            flow.algorithm(),
+            flow.architecture(),
+            flow.characterization(),
+        );
+        let r = adequate(
+            algo,
+            arch,
+            chars,
+            flow.constraints(),
+            flow.adequation_options(),
+        )
+        .unwrap_or_else(|e| panic!("`{name}`: {e}"));
+        assert_one_pass_equals_lowering(algo, arch, chars, &r, &name);
+        if !name.starts_with("synthetic_gen") {
+            let art = flow.run().expect("gallery flow runs");
+            let mut table = arch.symbols().clone();
+            table.absorb(algo.symbols());
+            assert!(
+                art.ir_executive == art.executive.lower(&mut table),
+                "{name}"
+            );
+            assert!(art.symbols == table, "{name}");
+        }
+    }
+}
+
+/// A scheduled function no operation declares (a hand-edited schedule)
+/// is interned by name where lowering interns it, so the table still
+/// equals the lowering chain's.
+#[test]
+fn undeclared_scheduled_functions_intern_like_lowering() {
+    let g = gallery::by_name("paper").expect("paper flow");
+    let (algo, arch, chars) = (
+        g.flow.algorithm(),
+        g.flow.architecture(),
+        g.flow.characterization(),
+    );
+    let mut r = adequate(
+        algo,
+        arch,
+        chars,
+        g.flow.constraints(),
+        g.flow.adequation_options(),
+    )
+    .unwrap();
+    let mut renamed = 0;
+    for items in r.schedule.operator_items.values_mut() {
+        for item in items {
+            if let ItemKind::Compute { function, .. } = &mut item.kind {
+                if renamed % 2 == 0 {
+                    *function = format!("{function}_v{renamed}");
+                }
+                renamed += 1;
+            }
+        }
+    }
+    assert!(renamed > 2);
+    // Keep the reconfiguration times resolvable for renamed modules.
+    let mut chars = chars.clone();
+    chars.set_reconfig_default("op_dyn", TimePs::from_us(1));
+    let symbols =
+        assert_one_pass_equals_lowering(algo, arch, &chars, &r, "paper (renamed functions)");
+    let mut seed = arch.symbols().clone();
+    seed.absorb(algo.symbols());
+    assert!(
+        symbols.len() > seed.len(),
+        "renamed functions were not interned"
+    );
 }
 
 // ----------------------------------------------------------- simulation
