@@ -9,6 +9,18 @@ cargo fmt --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== dependency graph (production crates carry no harness or simulator edges they do not use)"
+tree=$(cargo tree --offline -e normal -p pdr-core -p pdr-server)
+if grep -E 'pdr-sweep|crossbeam' <<<"$tree"; then
+    echo "pdr-core/pdr-server must not depend on pdr-sweep or crossbeam" >&2
+    exit 1
+fi
+tree=$(cargo tree --offline -e normal -p pdr-lint)
+if grep -E 'pdr-sim' <<<"$tree"; then
+    echo "pdr-lint must not depend on pdr-sim" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -29,7 +29,7 @@
 //! graph's CSR adjacency, and a binary-heap ready queue keyed on (bottom
 //! level, id) — roughly O((V+E)·P + V log V) index arithmetic where the
 //! seed spent O(V²·P·F) on string hashing and per-pair BFS. The pre-index
-//! path survives in [`crate::reference`]; `tests/adequation_equivalence.rs`
+//! path survives in `pdr_bench::reference`; `tests/adequation_equivalence.rs`
 //! proves both return byte-identical results.
 
 use crate::error::AdequationError;
@@ -39,7 +39,7 @@ use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Tunables of the adequation heuristic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,8 +92,9 @@ pub struct AdequationResult {
     /// Schedule makespan.
     pub makespan: TimePs,
     /// Finish time of each operation within the iteration (sources/sinks
-    /// included, although they occupy no operator time).
-    pub finish_times: HashMap<OpId, TimePs>,
+    /// included, although they occupy no operator time), in operation
+    /// order, so the artifact serializes the same in every process.
+    pub finish_times: BTreeMap<OpId, TimePs>,
 }
 
 /// Dense sentinel for "no operator assigned/pinned".

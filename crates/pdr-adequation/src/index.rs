@@ -24,9 +24,10 @@
 //! distinct *(function symbol, operator)* pair, not once per operation:
 //! generated flows run thousands of operations over a few dozen symbols.
 //!
-//! The index is built once per `adequate()` call and once per annealing
-//! *run* (shared across all moves). Everything it returns is what the
-//! pre-index code computed on the fly — `tests/adequation_equivalence.rs`
+//! The index is built once per `adequate()` call and once per run of
+//! `pdr-bench`'s annealing ablation (shared across all moves). Everything
+//! it returns is what the pre-index code computed on the fly —
+//! `tests/adequation_equivalence.rs`
 //! holds the tables to `pdr-bench`'s per-cell string-probe oracle
 //! (`index_oracle`) and the schedules to the pre-index path, and
 //! `pdr-bench`'s `adequation_perf` and `scale` studies repeat both checks
@@ -44,11 +45,11 @@ const NO_FN: u32 = u32::MAX;
 /// One cell of the WCET matrix: the worst-case duration of an operation on
 /// an operator, and which of the operation's functions attains it.
 ///
-/// Two tie-break conventions coexist in the crate and both are preserved:
-/// the greedy heuristic's `wcet_on` kept the *first* function reaching the
-/// max (strict `>` update), while the annealing scheduler kept the *last*
-/// (`>=` update from zero). A cell stores both so either caller reproduces
-/// its seed behaviour exactly.
+/// Two tie-break conventions coexist and both are preserved: the greedy
+/// heuristic's `wcet_on` kept the *first* function reaching the max
+/// (strict `>` update), while the annealing scheduler in `pdr-bench` kept
+/// the *last* (`>=` update from zero). A cell stores both so either caller
+/// reproduces its seed behaviour exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WcetEntry {
     /// Worst-case duration across the operation's functions.

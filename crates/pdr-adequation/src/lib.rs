@@ -31,20 +31,18 @@
 //!   `pdr-codegen` turns into structural designs and `pdr-sim` interprets;
 //!   `generate_executive_ir` emits the interned `pdr-ir` form in the same
 //!   pass.
+//!
+//! The parity oracles (reference schedulers) and the §7 annealing
+//! ablation with its quality bounds live in `pdr-bench`.
 
-pub mod annealing;
-pub mod bounds;
 pub mod error;
 pub mod executive;
 pub mod heuristic;
 pub mod index;
 pub mod mapping;
-pub mod reference;
 pub mod schedule;
 pub mod trace;
 
-pub use annealing::{anneal, schedule_with_mapping, AnnealOptions};
-pub use bounds::{critical_path_bound, lower_bound, quality_ratio, work_bound};
 pub use error::AdequationError;
 pub use executive::{Executive, MacroInstr};
 pub use heuristic::{
@@ -53,14 +51,11 @@ pub use heuristic::{
 };
 pub use index::{AdequationIndex, WcetEntry};
 pub use mapping::Mapping;
-pub use reference::{adequate_indexed_reference, adequate_reference};
 pub use schedule::{ItemKind, Schedule, ScheduledItem};
 pub use trace::{schedule_trace, ReconfigSplit, TraceOptions, TraceResult, TraceStats};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::annealing::{anneal, schedule_with_mapping, AnnealOptions};
-    pub use crate::bounds::{critical_path_bound, lower_bound, quality_ratio, work_bound};
     pub use crate::error::AdequationError;
     pub use crate::executive::{Executive, MacroInstr};
     pub use crate::heuristic::{

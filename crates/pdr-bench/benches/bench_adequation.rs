@@ -13,9 +13,10 @@
 //!   writer.
 
 use criterion::Criterion;
-use pdr_adequation::{adequate, adequate_reference};
+use pdr_adequation::adequate;
 use pdr_bench::adequation_perf::{self, LARGEST};
 use pdr_bench::alloc_count::{allocations, CountingAlloc};
+use pdr_bench::reference::adequate_reference;
 use pdr_core::gallery;
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;

@@ -14,11 +14,12 @@
 
 use criterion::{black_box, Criterion};
 use pdr_adequation::executive::MacroInstr;
+use pdr_bench::replay;
 use pdr_core::gallery;
 use pdr_core::FlowArtifacts;
 use pdr_fabric::TimePs;
 use pdr_lint::model::{self, ModelInput};
-use pdr_lint::{rendezvous, replay, Code, ModelConfig, RendezvousPair};
+use pdr_lint::{rendezvous, Code, ModelConfig, RendezvousPair};
 use pdr_sweep::artifact::Artifact;
 use serde::json::Value;
 use std::time::Instant;

@@ -9,14 +9,15 @@
 //! ready queue on top.
 //!
 //! This study runs **both** implementations — the pre-index path is kept
-//! in-tree as [`pdr_adequation::reference::adequate_reference`] — over
+//! in-tree as [`crate::reference::adequate_reference`] — over
 //! every gallery flow and reports wall times plus exact result parity:
 //! the indexed scheduler must return a byte-identical
 //! [`pdr_adequation::AdequationResult`] on every flow, and be at least 5×
 //! faster on the 512-op `synthetic_large` flow (asserted by
 //! `benches/bench_adequation.rs` in `--test` mode, which gates ci.sh).
 
-use pdr_adequation::{adequate, adequate_reference, adequate_with_index, AdequationIndex};
+use crate::reference::adequate_reference;
+use pdr_adequation::{adequate, adequate_with_index, AdequationIndex};
 use pdr_core::{gallery, FlowError};
 use pdr_sweep::{percentiles, Percentiles};
 use serde::json::Value;

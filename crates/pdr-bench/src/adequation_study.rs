@@ -13,8 +13,8 @@
 //!   synthetic layered data-flow graphs of growing size (the cost of the
 //!   automation in Fig. 3).
 
-use pdr_adequation::annealing::{anneal, AnnealOptions};
-use pdr_adequation::bounds::quality_ratio;
+use crate::annealing::{anneal, AnnealOptions};
+use crate::bounds::quality_ratio;
 use pdr_adequation::trace::{schedule_trace, SelectorTrace, TraceOptions};
 use pdr_adequation::{adequate, AdequationOptions};
 use pdr_fabric::TimePs;

@@ -2,8 +2,8 @@
 //!
 //! §7 of the paper: *"SynDEx's heuristic needs additional developments to
 //! optimize time reconfiguration."* The greedy list scheduler
-//! ([`crate::heuristic`]) is fast but myopic — each operation is placed by
-//! local earliest-finish-time with no lookahead. This module implements
+//! ([`pdr_adequation::heuristic`]) is fast but myopic — each operation is
+//! placed by local earliest-finish-time with no lookahead. This module implements
 //! the classical global alternative: anneal over complete mappings,
 //! evaluating each candidate with a deterministic fixed-mapping scheduler,
 //! with the same reconfiguration-expectation term in the objective.
@@ -13,11 +13,9 @@
 //! mapping at (much) higher search cost — quantifying what "additional
 //! developments" buy.
 
-use crate::error::AdequationError;
-use crate::heuristic::AdequationOptions;
-use crate::index::AdequationIndex;
-use crate::mapping::Mapping;
-use crate::schedule::{ItemKind, Schedule, ScheduledItem};
+use pdr_adequation::{
+    AdequationError, AdequationIndex, AdequationOptions, ItemKind, Mapping, Schedule, ScheduledItem,
+};
 use pdr_fabric::bitstream::SplitMix64;
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
@@ -336,7 +334,7 @@ pub fn anneal(
 mod tests {
     use super::*;
     use crate::bounds::quality_ratio;
-    use crate::heuristic::adequate;
+    use pdr_adequation::adequate;
     use pdr_graph::paper;
 
     fn paper_setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {

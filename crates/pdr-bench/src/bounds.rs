@@ -12,7 +12,7 @@
 //! `makespan / lower_bound` then bounds the heuristic's suboptimality from
 //! above (a ratio of 1.0 is provably optimal).
 
-use crate::error::AdequationError;
+use pdr_adequation::AdequationError;
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 use std::collections::HashMap;
@@ -122,7 +122,7 @@ pub fn quality_ratio(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristic::{adequate, AdequationOptions};
+    use pdr_adequation::{adequate, AdequationOptions};
     use pdr_graph::paper;
 
     fn paper_setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {

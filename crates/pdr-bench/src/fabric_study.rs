@@ -17,8 +17,8 @@
 
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::gallery;
+use pdr_fabric::digest::Fnv64;
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, TimePs};
-use pdr_sweep::digest::Fnv64;
 use pdr_sweep::{Scenario, SweepEngine, SweepReport};
 use serde::json::Value;
 

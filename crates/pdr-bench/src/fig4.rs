@@ -293,7 +293,7 @@ pub fn run_ber(es_n0_points: &[f64], frames: usize) -> Fig4Ber {
 /// every point, in sweep order. Bit-exact — any change to the modulation /
 /// spreading / OFDM arithmetic moves it.
 pub fn ber_digest(sweep: &Fig4Ber) -> u64 {
-    let mut h = pdr_sweep::digest::Fnv64::new();
+    let mut h = pdr_fabric::digest::Fnv64::new();
     for p in &sweep.points {
         for v in [
             p.es_n0_db,

@@ -16,6 +16,9 @@
 //! | [`prefetch`] | abstract/§1 — prefetching vs reconfiguration stall |
 //! | [`adequation_study`] | §3/§7 — reconfiguration-aware adequation |
 //! | [`adequation_perf`] | infrastructure — reference vs indexed scheduler speedup |
+//! | [`reference`](mod@reference) | infrastructure — the pre-index and indexed reference schedulers, the oracles for `adequate` |
+//! | [`annealing`] | §7 ablation — simulated-annealing mapping, the second adequation strategy |
+//! | [`bounds`] | §7 ablation — critical-path and work lower bounds, the quality ratio |
 //! | [`area_latency`] | §6 — region size ↔ reconfiguration time |
 //! | [`compression`] | extension — compressed bitstream storage |
 //! | [`ir_sim`] | infrastructure — string vs interned interpreter speedup |
@@ -24,12 +27,15 @@
 //! | [`fabric_study`] | infrastructure — Virtex-II byte-parity + series7-like 2D fabric sweep |
 //! | [`scale`] | infrastructure — interned index build + hot-path scheduler on generated 10k-op flows |
 //! | [`index_oracle`] | infrastructure — per-cell string-probe index build, the oracle for `AdequationIndex::build` |
+//! | [`replay`] | infrastructure — model-checker witness replay and confirmation in the simulator |
 //! | [`alloc_count`] | infrastructure — the counting global allocator behind the benches' allocation gates |
 
 pub mod adequation_perf;
 pub mod adequation_study;
 pub mod alloc_count;
+pub mod annealing;
 pub mod area_latency;
+pub mod bounds;
 pub mod compression;
 pub mod fabric_study;
 pub mod fig2;
@@ -38,6 +44,8 @@ pub mod fig4;
 pub mod index_oracle;
 pub mod ir_sim;
 pub mod prefetch;
+pub mod reference;
+pub mod replay;
 pub mod rtr_study;
 pub mod scale;
 pub mod server_study;

@@ -1,8 +1,8 @@
 //! The pre-index adequation path, kept verbatim as the measurement and
 //! parity baseline.
 //!
-//! [`crate::heuristic::adequate`] was rewritten on top of the
-//! [`crate::index::AdequationIndex`] precomputation layer (dense WCET
+//! [`pdr_adequation::adequate`] was rewritten on top of the
+//! [`pdr_adequation::AdequationIndex`] precomputation layer (dense WCET
 //! matrix, all-pairs route table, CSR adjacency, heap-based ready queue).
 //! This module preserves the *original* implementation — repeated
 //! string-keyed [`Characterization::duration`] probes, O(E) edge-list
@@ -20,11 +20,10 @@
 //! Nothing in the production flow calls this module; it exists for
 //! verification and benchmarking only.
 
-use crate::error::AdequationError;
-use crate::heuristic::{AdequationOptions, AdequationResult};
-use crate::index::AdequationIndex;
-use crate::mapping::Mapping;
-use crate::schedule::{ItemKind, Schedule, ScheduledItem};
+use pdr_adequation::{
+    AdequationError, AdequationIndex, AdequationOptions, AdequationResult, ItemKind, Mapping,
+    Schedule, ScheduledItem,
+};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 use std::cmp::Reverse;
@@ -337,7 +336,7 @@ pub fn adequate_reference(
         mapping,
         schedule,
         makespan,
-        finish_times: finish,
+        finish_times: finish.into_iter().collect(),
     })
 }
 
@@ -383,9 +382,10 @@ fn feasible_operators_indexed(
 /// operation, mapping B-tree probes per (edge × candidate), one
 /// bandwidth division per probed hop, `BinaryHeap<(TimePs,
 /// Reverse<usize>)>` for the ready queue, and per-item B-tree pushes into
-/// the schedule. The overhauled core in [`crate::heuristic`] replaces all
-/// of that with reused dense workspaces; `bench_scale` measures the gap
-/// and the differential suites prove the results stayed byte-identical.
+/// the schedule. The overhauled core in [`pdr_adequation::heuristic`]
+/// replaces all of that with reused dense workspaces; `bench_scale`
+/// measures the gap and the differential suites prove the results stayed
+/// byte-identical.
 pub fn adequate_indexed_reference(
     algo: &AlgorithmGraph,
     arch: &ArchGraph,
@@ -579,7 +579,7 @@ pub fn adequate_indexed_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristic::adequate;
+    use pdr_adequation::adequate;
     use pdr_graph::paper;
 
     #[test]

@@ -1,6 +1,6 @@
 //! Witness validation: replay model-checker counterexamples.
 //!
-//! A schedule witness from [`crate::model`] is only as trustworthy as the
+//! A schedule witness from [`pdr_lint::model`] is only as trustworthy as the
 //! transition semantics that produced it, so this module validates each
 //! one twice, against *independent* implementations:
 //!
@@ -20,10 +20,10 @@
 //! the mutation suite treats that as an analyzer bug, which is the point:
 //! the analyzer and the simulator differentially test each other.
 
-use crate::model::{Step, Witness, WitnessDetail};
-use crate::rendezvous::RendezvousPair;
 use pdr_graph::{ArchGraph, ConstraintsFile};
 use pdr_ir::{IrExecutive, IrInstr, SymbolTable};
+use pdr_lint::model::{Step, Witness, WitnessDetail};
+use pdr_lint::rendezvous::RendezvousPair;
 use pdr_sim::{IrSimSystem, SimConfig, SimError, TraceKind};
 use std::collections::BTreeMap;
 

@@ -15,7 +15,7 @@
 //!    one thread.
 //! 3. **End-to-end speedup** — oracle build + the first indexed
 //!    scheduler (retained verbatim as
-//!    [`pdr_adequation::adequate_indexed_reference`]) versus build + the
+//!    [`crate::reference::adequate_indexed_reference`]) versus build + the
 //!    overhauled dense-workspace core: ≥ 2× on the same flow.
 //!
 //! The generated flows come from [`pdr_core::gallery::synthetic`], the
@@ -23,9 +23,10 @@
 //! operations).
 
 use crate::index_oracle::{self, IndexTables};
-use pdr_adequation::{adequate_indexed_reference, adequate_with_index, AdequationIndex};
+use crate::reference::adequate_indexed_reference;
+use pdr_adequation::{adequate_with_index, AdequationIndex};
 use pdr_core::{gallery, DesignFlow, FlowError};
-use pdr_sweep::digest::Fnv64;
+use pdr_fabric::digest::Fnv64;
 use serde::json::Value;
 use std::time::Instant;
 

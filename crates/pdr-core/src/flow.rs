@@ -6,10 +6,10 @@ use pdr_adequation::{
     adequate_with_index, AdequationIndex, AdequationOptions, AdequationResult, Executive,
 };
 use pdr_codegen::{generate_design, ucf, vhdl, CostModel, GeneratedDesign};
+use pdr_fabric::digest::Fnv64;
 use pdr_fabric::Device;
 use pdr_graph::prelude::*;
 use pdr_ir::{IrExecutive, SymbolTable};
-use pdr_sweep::digest::Fnv64;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -56,7 +56,7 @@ impl FlowArtifacts {
     /// interned executive (rendered through the symbol table, so it is
     /// byte-identical to the string executive's render, and hashed as it
     /// is written rather than collected into a `String`) followed by the
-    /// §4 constraints text. The hasher is [`pdr_sweep::digest::Fnv64`] —
+    /// §4 constraints text. The hasher is [`pdr_fabric::digest::Fnv64`] —
     /// the same implementation behind the sweep engine's outcome digests
     /// and `pdr-server`'s content-addressed cache, so the layers can
     /// never drift apart on what a digest means.

@@ -1,8 +1,8 @@
 //! The canonical FNV-1a digest shared by everything that content-addresses
-//! artifacts: the sweep engine's thread-count-invariant outcome digests,
-//! `FlowArtifacts::digest()` in `pdr-core`, and `pdr-server`'s
-//! content-addressed result cache. One implementation, so two layers can
-//! never disagree about what a digest covers byte-for-byte.
+//! artifacts: `FlowArtifacts::digest()` in `pdr-core`, `pdr-server`'s
+//! content-addressed result cache, and the sweep engine's
+//! thread-count-invariant outcome digests. One implementation, so two
+//! layers can never disagree about what a digest covers byte-for-byte.
 
 /// A streaming 64-bit FNV-1a hasher.
 ///

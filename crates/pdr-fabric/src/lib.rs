@@ -23,6 +23,10 @@
 //! * **Configuration ports** ([`port`]): ICAP and SelectMAP timing models,
 //!   including the paper-calibrated profile in which throughput is limited by
 //!   the external bitstream memory rather than the port itself.
+//! * **Content digests** ([`digest`]): the canonical FNV-1a hasher behind
+//!   every content address in the workspace (artifact digests, the
+//!   server's result cache, sweep outcome digests), beside the bitstream
+//!   layer's `SplitMix64` and `Crc32`.
 //! * **Time base** ([`time`]): picosecond-resolution simulation time shared by
 //!   the runtime ([`pdr-rtr`](https://docs.rs/pdr-rtr)) and the simulator.
 //!
@@ -48,6 +52,7 @@ pub mod busmacro;
 pub mod compress;
 pub mod config_mem;
 pub mod device;
+pub mod digest;
 pub mod error;
 pub mod family;
 pub mod frame;

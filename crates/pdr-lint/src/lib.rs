@@ -20,7 +20,8 @@
 //!
 //! The [`model`] pass always runs, under [`ModelConfig::default`] unless
 //! [`LintInput::with_model_check`] sets another budget; its schedule
-//! witnesses can be independently validated with [`replay`].
+//! witnesses are independently replayed, against a reference executor
+//! and the timed simulator, by `pdr_bench::replay`.
 //!
 //! ## Entry point
 //!
@@ -60,7 +61,6 @@ pub mod model;
 pub mod reconfig;
 pub mod render;
 pub mod rendezvous;
-pub mod replay;
 
 pub use diag::{Code, Diagnostic, Location, Report, Severity};
 pub use model::{ModelConfig, ModelStats};

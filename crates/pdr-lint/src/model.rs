@@ -60,7 +60,7 @@
 //! and complete for PDR004/PDR013/PDR014 *within the state budget*
 //! ([`ModelConfig::max_states`]): every report is a real reachable
 //! defect (each carries a concrete minimal-length schedule witness,
-//! replayable via [`crate::replay`]), and a clean report means no
+//! replayable via `pdr_bench::replay`), and a clean report means no
 //! reachable state violates the property. When the budget is exhausted
 //! the run stops early and says so explicitly (PDR017) instead of
 //! silently under-reporting. Witness floods are capped at
@@ -200,8 +200,8 @@ pub enum WitnessDetail {
 
 /// A concrete counterexample: a minimal-length schedule (BFS order)
 /// reaching the defect, plus what the defect is. Replay it with
-/// [`crate::replay::replay_witness`] and corroborate it against the
-/// timed simulator with [`crate::replay::confirm_in_sim`].
+/// `pdr_bench::replay::replay_witness` and corroborate it against the
+/// timed simulator with `pdr_bench::replay::confirm_in_sim`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Witness {
     /// The code this witness supports.

@@ -11,10 +11,10 @@ use crate::protocol::RequestKind;
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::flow::DesignFlow;
 use pdr_core::gallery;
+use pdr_fabric::digest::{to_hex, Fnv64};
 use pdr_graph::ConstraintsFile;
 use pdr_lint::Severity;
 use pdr_sim::SimConfig;
-use pdr_sweep::digest::{to_hex, Fnv64};
 use serde::json::Value;
 use std::collections::BTreeSet;
 

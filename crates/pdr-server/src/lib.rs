@@ -31,7 +31,7 @@
 //!
 //! All coordination uses `std::sync` primitives (the vendored
 //! `parking_lot` shim has no `Condvar`), and results reuse the FNV-1a
-//! digests from [`pdr_sweep::digest`] end to end.
+//! digests from [`pdr_fabric::digest`] end to end.
 
 pub mod compute;
 pub mod metrics;

@@ -20,20 +20,20 @@
 //!   callbacks, aggregate [`SweepStats`] (totals, failure counts,
 //!   p50/p95 scenario time) and a JSON [`artifact`] writer so every
 //!   study can persist a machine-readable `BENCH_*.json` report.
-//! * **Content addressing** — the canonical [`digest::Fnv64`] hasher
-//!   behind the artifact outcome digests, shared with `pdr-core`'s
-//!   `FlowArtifacts::digest()` and `pdr-server`'s result cache.
+//! * **Content addressing** — the artifact outcome digests use the
+//!   canonical [`Fnv64`] hasher of `pdr-fabric`, the same one behind
+//!   `pdr-core`'s `FlowArtifacts::digest()` and `pdr-server`'s result
+//!   cache.
 
 pub mod artifact;
-pub mod digest;
 mod engine;
 mod error;
 mod scenario;
 mod stats;
 
-pub use digest::Fnv64;
 pub use engine::{Progress, SweepEngine};
 pub use error::SweepError;
+pub use pdr_fabric::digest::{self, Fnv64};
 pub use scenario::{ParamValue, Scenario, ScenarioOutcome, ScenarioStatus};
 pub use stats::{percentile, percentiles, Percentiles, SweepStats};
 

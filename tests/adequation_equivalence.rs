@@ -7,7 +7,7 @@
 //! on random layered DAGs, `adequate` must return an
 //! [`pdr_adequation::AdequationResult`] identical — mapping, schedule,
 //! makespan and finish times — to the retained pre-index path
-//! [`pdr_adequation::reference::adequate_reference`].
+//! [`pdr_bench::reference::adequate_reference`].
 //!
 //! Executive generation is held to the same standard: the indexed
 //! [`generate_executive`] (one transfer index per schedule, one route row
@@ -22,10 +22,11 @@ use std::collections::BTreeMap;
 
 use pdr_adequation::executive::{generate_executive, generate_executive_ir};
 use pdr_adequation::{
-    adequate, adequate_reference, adequate_with_index, AdequationError, AdequationIndex,
-    AdequationOptions, AdequationResult, Executive, ItemKind, MacroInstr, Mapping, Schedule,
+    adequate, adequate_with_index, AdequationError, AdequationIndex, AdequationOptions,
+    AdequationResult, Executive, ItemKind, MacroInstr, Mapping, Schedule,
 };
 use pdr_bench::index_oracle::{self, IndexTables};
+use pdr_bench::reference::adequate_reference;
 use pdr_core::gallery::{self, synthetic, SyntheticParams};
 use pdr_core::DesignFlow;
 use pdr_fabric::TimePs;

@@ -174,6 +174,22 @@ fn executive_round_trips_through_serde() {
 }
 
 #[test]
+fn flow_artifacts_serialize_identically_run_to_run() {
+    // Every map in the artifacts must iterate in a fixed order: a
+    // hash-ordered field (each `HashMap` draws its own random keys)
+    // serializes differently from one run to the next.
+    use serde::Serialize;
+    for name in ["paper", "synthetic_large"] {
+        let json = || {
+            let flow = pdr_core::gallery::by_name(name).expect("gallery flow").flow;
+            let artifacts = flow.run().expect("flow runs");
+            serde::json::to_string(&artifacts.to_json())
+        };
+        assert!(json() == json(), "{name}: artifact JSON differs run to run");
+    }
+}
+
+#[test]
 fn makespan_scales_linearly_with_iterations_in_steady_state() {
     let study = PaperCaseStudy::build().expect("flow runs");
     let run = |n: u32| {

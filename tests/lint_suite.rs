@@ -14,6 +14,7 @@
 
 use pdr_adequation::executive::{generate_executive, MacroInstr};
 use pdr_adequation::{adequate, AdequationOptions};
+use pdr_bench::replay;
 use pdr_core::gallery;
 use pdr_core::{DesignFlow, FlowArtifacts};
 use pdr_fabric::{Bitstream, BusMacro, BusMacroDirection, Floorplan, ReconfigRegion, TimePs};
@@ -21,7 +22,7 @@ use pdr_graph::constraints::{ConstraintsFile, ModuleConstraints};
 use pdr_graph::prelude::*;
 use pdr_ir::{IrBuilder, SymbolTable};
 use pdr_lint::model::{self, ModelInput};
-use pdr_lint::{lint, render, rendezvous, replay};
+use pdr_lint::{lint, render, rendezvous};
 use pdr_lint::{Code, LintInput, ModelConfig, RendezvousPair, Report, Severity};
 use pdr_sim::{IrSimSystem, SimConfig, SimError};
 use proptest::prelude::*;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use pdr_adequation::annealing::{anneal, schedule_with_mapping, AnnealOptions};
+use pdr_bench::annealing::{anneal, schedule_with_mapping, AnnealOptions};
 use pdr_fabric::compress::{compress, decompress};
 use pdr_fabric::TimePs;
 use pdr_graph::hierarchy::inline_subgraph;
