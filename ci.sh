@@ -21,8 +21,8 @@ if grep -E 'pdr-sim' <<<"$tree"; then
     exit 1
 fi
 
-echo "== cargo build --release"
-cargo build --release
+echo "== cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "== cargo test (every workspace crate)"
 cargo test -q --workspace

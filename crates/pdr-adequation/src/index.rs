@@ -43,13 +43,9 @@ use pdr_graph::prelude::*;
 const NO_FN: u32 = u32::MAX;
 
 /// One cell of the WCET matrix: the worst-case duration of an operation on
-/// an operator, and which of the operation's functions attains it.
-///
-/// Two tie-break conventions coexist and both are preserved: the greedy
-/// heuristic's `wcet_on` kept the *first* function reaching the max
-/// (strict `>` update), while the annealing scheduler in `pdr-bench` kept
-/// the *last* (`>=` update from zero). A cell stores both so either caller
-/// reproduces its seed behaviour exactly.
+/// an operator, and which of the operation's functions attains it — the
+/// *first* one reaching the max (strict `>` update), the greedy
+/// heuristic's `wcet_on` tie-break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WcetEntry {
     /// Worst-case duration across the operation's functions.
@@ -57,20 +53,12 @@ pub struct WcetEntry {
     /// Index (into `op.kind.functions()`) of the first function attaining
     /// `dur`; `NO_FN` for sources/sinks.
     first_fn: u32,
-    /// Index of the last function attaining `dur`; `NO_FN` for
-    /// sources/sinks.
-    last_fn: u32,
 }
 
 impl WcetEntry {
     /// Function index under the greedy heuristic's first-max convention.
     pub fn first_fn(&self) -> Option<usize> {
         (self.first_fn != NO_FN).then_some(self.first_fn as usize)
-    }
-
-    /// Function index under the annealing scheduler's last-max convention.
-    pub fn last_fn(&self) -> Option<usize> {
-        (self.last_fn != NO_FN).then_some(self.last_fn as usize)
     }
 }
 
@@ -172,13 +160,11 @@ impl AdequationIndex {
                 // Single-function fast path (the common row shape): the
                 // row is the function's probe row, verbatim.
                 let base = *f as usize * n_oprs;
-                wcet.extend(durations[base..base + n_oprs].iter().map(|d| {
-                    d.map(|dur| WcetEntry {
-                        dur,
-                        first_fn: 0,
-                        last_fn: 0,
-                    })
-                }));
+                wcet.extend(
+                    durations[base..base + n_oprs]
+                        .iter()
+                        .map(|d| d.map(|dur| WcetEntry { dur, first_fn: 0 })),
+                );
             } else {
                 wcet.extend((0..n_oprs).map(|opr| Self::wcet_cell(fids, opr, n_oprs, &durations)));
             }
@@ -232,9 +218,9 @@ impl AdequationIndex {
     }
 
     /// One WCET cell: max duration over the operation's functions (dense
-    /// ids `fids`) on operator `opr`, tracking first- and last-max
-    /// function indices; `None` when any function is infeasible there
-    /// (the seed's `wcet_on` semantics).
+    /// ids `fids`) on operator `opr`, tracking the first-max function
+    /// index; `None` when any function is infeasible there (the seed's
+    /// `wcet_on` semantics).
     fn wcet_cell(
         fids: &[u32],
         opr: usize,
@@ -245,27 +231,19 @@ impl AdequationIndex {
             return Some(WcetEntry {
                 dur: TimePs::ZERO,
                 first_fn: NO_FN,
-                last_fn: NO_FN,
             });
         }
         let mut entry: Option<WcetEntry> = None;
         for (i, &f) in fids.iter().enumerate() {
             let d = durations[f as usize * n_oprs + opr]?;
             match &mut entry {
-                None => {
+                Some(e) if d <= e.dur => {}
+                _ => {
                     entry = Some(WcetEntry {
                         dur: d,
                         first_fn: i as u32,
-                        last_fn: i as u32,
-                    });
+                    })
                 }
-                Some(e) if d > e.dur => {
-                    e.dur = d;
-                    e.first_fn = i as u32;
-                    e.last_fn = i as u32;
-                }
-                Some(e) if d == e.dur => e.last_fn = i as u32,
-                Some(_) => {}
             }
         }
         entry
@@ -391,9 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn tie_breaks_track_first_and_last_max() {
+    fn tie_break_tracks_the_first_max() {
         // Two alternatives with equal durations on one operator: first-max
-        // must pick index 0, last-max index 1.
+        // must pick index 0.
         let mut algo = AlgorithmGraph::new("t");
         let s = algo.add_op("s", OpKind::Source).unwrap();
         let c = algo
@@ -415,9 +393,7 @@ mod tests {
         let index = AdequationIndex::build(&algo, &arch, &chars).unwrap();
         let e = index.wcet(c, cpu).unwrap();
         assert_eq!(e.first_fn(), Some(0));
-        assert_eq!(e.last_fn(), Some(1));
         assert_eq!(index.fn_name(&algo, c, e.first_fn()), "f0");
-        assert_eq!(index.fn_name(&algo, c, e.last_fn()), "f1");
         // Sources carry the sentinel.
         let se = index.wcet(s, cpu).unwrap();
         assert_eq!(se.first_fn(), None);

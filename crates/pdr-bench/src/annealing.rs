@@ -13,6 +13,7 @@
 //! mapping at (much) higher search cost — quantifying what "additional
 //! developments" buy.
 
+use crate::index_oracle::last_max_fn;
 use pdr_adequation::{
     AdequationError, AdequationIndex, AdequationOptions, ItemKind, Mapping, Schedule, ScheduledItem,
 };
@@ -143,7 +144,11 @@ fn run_fixed_mapping(
                     ScheduledItem {
                         kind: ItemKind::Compute {
                             op: id,
-                            function: index.fn_name(algo, id, entry.last_fn()),
+                            function: index.fn_name(
+                                algo,
+                                id,
+                                last_max_fn(op.kind.functions(), &arch.operator(opr).name, chars),
+                            ),
                             iteration: 0,
                         },
                         start,

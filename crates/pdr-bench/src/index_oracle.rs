@@ -14,9 +14,9 @@ use pdr_adequation::{AdequationError, AdequationIndex};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 
-/// One WCET cell: worst duration, then the first- and last-max function
-/// indices (`None` for sources and sinks); `None` when infeasible.
-pub type WcetCell = Option<(TimePs, Option<usize>, Option<usize>)>;
+/// One WCET cell: worst duration, then the first-max function index
+/// (`None` for sources and sinks); `None` when infeasible.
+pub type WcetCell = Option<(TimePs, Option<usize>)>;
 
 /// Every table an [`AdequationIndex`] holds, as plain row-major vectors.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +51,7 @@ impl IndexTables {
             n_oprs,
             wcet: ops()
                 .flat_map(|op| index.wcet_row(op))
-                .map(|c| c.map(|e| (e.dur, e.first_fn(), e.last_fn())))
+                .map(|c| c.map(|e| (e.dur, e.first_fn())))
                 .collect(),
             routes: index.route_table().to_vec(),
             topo: index.topo().to_vec(),
@@ -93,7 +93,7 @@ pub fn build(
     for &id in topo.iter().rev() {
         let best = wcet[id.0 * n_oprs..(id.0 + 1) * n_oprs]
             .iter()
-            .filter_map(|c| c.map(|(dur, _, _)| dur))
+            .filter_map(|c| c.map(|(dur, _)| dur))
             .min()
             .unwrap_or(TimePs::ZERO);
         let succ_max = algo
@@ -132,22 +132,34 @@ pub fn build(
     })
 }
 
-/// Max duration over `funcs` on `operator`, with the first (strict `>`)
-/// and last (`>=`) function index reaching it; infeasible as soon as one
-/// function is.
+/// Max duration over `funcs` on `operator`, with the first function index
+/// reaching it (strict `>` update); infeasible as soon as one function is.
 fn wcet_cell(funcs: &[String], operator: &str, chars: &Characterization) -> WcetCell {
     if funcs.is_empty() {
-        return Some((TimePs::ZERO, None, None));
+        return Some((TimePs::ZERO, None));
     }
     let mut cell: WcetCell = None;
     for (i, f) in funcs.iter().enumerate() {
         let d = chars.duration(f, operator)?;
         cell = Some(match cell {
-            None => (d, Some(i), Some(i)),
-            Some((dur, _, _)) if d > dur => (d, Some(i), Some(i)),
-            Some((dur, first, _)) if d == dur => (dur, first, Some(i)),
-            Some(kept) => kept,
+            Some((dur, first)) if d <= dur => (dur, first),
+            _ => (d, Some(i)),
         });
     }
     cell
+}
+
+/// The annealing scheduler's WCET tie-break, which the production index
+/// does not keep: the index of the *last* of `funcs` reaching the max
+/// duration on `operator` (`>=` update). `None` for sources and sinks,
+/// which have no functions, and when a function is infeasible there.
+pub fn last_max_fn(funcs: &[String], operator: &str, chars: &Characterization) -> Option<usize> {
+    let mut last: Option<(TimePs, usize)> = None;
+    for (i, f) in funcs.iter().enumerate() {
+        let d = chars.duration(f, operator)?;
+        if last.is_none_or(|(dur, _)| d >= dur) {
+            last = Some((d, i));
+        }
+    }
+    last.map(|(_, i)| i)
 }

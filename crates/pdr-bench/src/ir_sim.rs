@@ -17,8 +17,10 @@
 //! * **timing** — steady state (no selection overrides, so every
 //!   `Configure` hits the already-loaded fast path). Switching workloads
 //!   spend their wall time inside the runtime model — bitstream fetch and
-//!   port-protocol planning — rather than in the interpreters; steady
-//!   state is what actually exercises the interpreters the study compares.
+//!   port-protocol planning — rather than in the interpreters. Steady
+//!   state is also what the interned interpreter's fast-forward skips,
+//!   so its times include that skip; [`switching_workload`] is the one
+//!   that times interpretation of every iteration.
 //!
 //! Each interpreter runs over its own runtime model, as in production and
 //! in the oracle: the string [`SimSystem`] over the reference managers of
@@ -179,6 +181,24 @@ pub fn steady_workload(iterations: u32) -> SimConfig {
     SimConfig::iterations(iterations)
 }
 
+/// The server's canonical workload ([`sim_workload`]) with every dynamic
+/// region switching between its two modules at every iteration instead
+/// of every 8. Each iteration reconfigures, so the interpreter's
+/// steady-state fast-forward never applies: this is the workload that
+/// times interpretation itself.
+pub fn switching_workload(flow: &DesignFlow, iterations: u32) -> SimConfig {
+    let blocks = sim_workload(flow, 16);
+    let mut config = SimConfig::iterations(iterations);
+    for (region, modules) in &blocks.selections {
+        let (a, b) = (&modules[0], &modules[8]);
+        let seq = (0..iterations)
+            .map(|i| if i % 2 == 0 { a } else { b }.clone())
+            .collect();
+        config = config.with_selection(region, seq);
+    }
+    config
+}
+
 /// The differential oracle for [`DeployedSystem::simulate`]: the string
 /// [`SimSystem`] interpreting `art.executive` over the deployment's
 /// reference managers ([`DeployedSystem::managers`]). The two are written
@@ -307,5 +327,16 @@ mod tests {
         }
         assert!(workload("paper_fixed_qpsk", 8).selections.is_empty());
         assert!(steady_workload(8).selections.is_empty());
+    }
+
+    #[test]
+    fn switching_workload_changes_every_region_every_iteration() {
+        let flow = gallery::by_name("two_regions").expect("gallery flow").flow;
+        let cfg = switching_workload(&flow, 6);
+        assert_eq!(cfg.selections.len(), 2);
+        for sel in cfg.selections.values() {
+            assert_eq!(sel.len(), 6);
+            assert!(sel.windows(2).all(|w| w[0] != w[1]), "{sel:?}");
+        }
     }
 }

@@ -46,8 +46,8 @@ pub const BUILD_SPEEDUP_FLOOR: f64 = 3.0;
 pub const E2E_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Content digest of an [`AdequationIndex`], covering every table the
-/// schedulers read: WCET cells (duration plus both tie-break function
-/// indices), the all-pairs route table, topological order, bottom levels,
+/// schedulers read: WCET cells (duration plus the first-max function
+/// index), the all-pairs route table, topological order, bottom levels,
 /// reconfiguration worst cases and the dynamic/conditioned masks. Built
 /// only from public accessors, so it hashes what callers can observe; the
 /// artifact records it as the content fingerprint of each flow's index.
@@ -65,8 +65,7 @@ pub fn index_digest(index: &AdequationIndex) -> u64 {
                 Some(e) => {
                     h.eat_u64(1)
                         .eat_u64(e.dur.as_ps())
-                        .eat_u64(e.first_fn().map_or(u64::MAX, |f| f as u64))
-                        .eat_u64(e.last_fn().map_or(u64::MAX, |f| f as u64));
+                        .eat_u64(e.first_fn().map_or(u64::MAX, |f| f as u64));
                 }
                 None => {
                     h.eat_u64(0);

@@ -538,6 +538,90 @@ impl RtrEngine {
         }
     }
 
+    /// Append to `out` all engine state that decides what a later request
+    /// returns. Statistics are left out. Per region, in id order:
+    ///
+    /// * the resident module and the exclusion-ledger entry;
+    /// * the staging cache: used bytes and its entries in recency order;
+    /// * the prefetch and eviction policy state;
+    /// * the in-flight fetch, as its completion time relative to `now`
+    ///   (zero once complete, which every later request treats alike).
+    ///
+    /// Encodings taken at `t₁` and at `t₂` are equal only if any request
+    /// sequence issued from `t₂` gets the answers the same sequence issued
+    /// from `t₁` would get, moved by `t₂ − t₁`. No encoded time is
+    /// absolute, so a caller that fast-forwards simulated time has nothing
+    /// in the engine to shift. The simulator's steady-state fast-forward
+    /// compares these at iteration boundaries.
+    pub fn encode_state(&self, now: TimePs, out: &mut Vec<u64>) {
+        let words: usize = self
+            .regions
+            .iter()
+            .map(|st| {
+                let prefetch = match &st.prefetch {
+                    Prefetcher::None | Prefetcher::LastValue => 1,
+                    Prefetcher::Schedule(_) => 2,
+                    Prefetcher::Markov(p) => 2 + p.counts().len(),
+                };
+                let evict = match &st.evict {
+                    Evictor::Lru => 1,
+                    Evictor::Lfu(p) => 1 + p.frequencies().len(),
+                    Evictor::Belady(p) => 2 + p.next_uses().len(),
+                };
+                6 + 2 * st.cache.entries.len() + prefetch + evict
+            })
+            .sum();
+        out.reserve(words);
+        for st in &self.regions {
+            out.extend([
+                u64::from(st.resident),
+                u64::from(st.ledger_resident),
+                u64::from(st.inflight_mod),
+                st.inflight_at.saturating_sub(now).as_ps(),
+                st.cache.used_bytes as u64,
+                st.cache.entries.len() as u64,
+            ]);
+            out.extend(
+                st.cache
+                    .entries
+                    .iter()
+                    .flat_map(|&(m, bytes)| [u64::from(m), bytes as u64]),
+            );
+            match &st.prefetch {
+                Prefetcher::None => out.push(0),
+                Prefetcher::LastValue => out.push(1),
+                Prefetcher::Schedule(p) => out.extend([2, p.cursor() as u64]),
+                Prefetcher::Markov(p) => {
+                    out.extend([3, u64::from(p.last())]);
+                    out.extend_from_slice(p.counts());
+                }
+            }
+            match &st.evict {
+                Evictor::Lru => out.push(0),
+                Evictor::Lfu(p) => {
+                    out.push(1);
+                    out.extend_from_slice(p.frequencies());
+                }
+                Evictor::Belady(p) => {
+                    out.extend([2, p.cursor() as u64]);
+                    out.extend(p.next_uses().iter().map(|&u| u64::from(u)));
+                }
+            }
+        }
+    }
+
+    /// Count `hits` more `already_loaded` requests on `region`: the
+    /// statistics `hits` calls of [`RtrEngine::request`] for the resident
+    /// module add. Nothing else changes. That is exact wherever those
+    /// calls would change nothing else: an LRU or LFU region, or a Belady
+    /// region whose [`RtrEngine::encode_state`] a span of such requests
+    /// left unchanged (its trace cursor did not move).
+    pub fn replay_resident_hits(&mut self, region: u32, hits: u64) {
+        let stats = &mut self.regions[region as usize].stats;
+        stats.requests += hits;
+        stats.already_loaded += hits;
+    }
+
     /// Request `module` in `region` at simulated time `now`; returns when
     /// the region is ready plus the latency decomposition, and launches
     /// the region's next speculative fetch.
@@ -739,6 +823,99 @@ mod tests {
         assert!(out2.fetch_hidden, "prefetch should hide the fetch");
         assert_eq!(out2.fetch_wait, TimePs::ZERO);
         assert_eq!(e.stats(0).prefetch_hits, 1);
+    }
+
+    /// What an `already_loaded` request changes, per eviction policy. The
+    /// simulator's fast-forward replays resident hits as statistics only
+    /// ([`RtrEngine::replay_resident_hits`]) across spans that leave
+    /// [`RtrEngine::encode_state`] unchanged; this pins which policies
+    /// such a span can exist for.
+    #[test]
+    fn resident_hits_change_statistics_and_only_a_matching_belady_cursor() {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let cases = [
+            ("lru", EvictionSpec::Lru, true),
+            ("lfu", EvictionSpec::Lfu, true),
+            // The trace expects qpsk twice: the hit advances the cursor.
+            (
+                "belady, hit on the trace",
+                EvictionSpec::Belady(names(&["mod_qpsk", "mod_qpsk", "mod_qam16"])),
+                false,
+            ),
+            // The trace expects qam16 next: the hit leaves the cursor.
+            (
+                "belady, hit off the trace",
+                EvictionSpec::Belady(names(&["mod_qpsk", "mod_qam16"])),
+                true,
+            ),
+        ];
+        for (what, eviction, unchanged) in cases {
+            let d = Device::xc2v2000();
+            let r = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
+            let qpsk_bs = Bitstream::partial_for_region(&d, &r, 1);
+            let bytes = qpsk_bs.len_bytes();
+            let mut e = RtrEngineBuilder::new(
+                d.clone(),
+                PortProfile::icap_virtex2(),
+                MemoryModel::paper_flash(),
+            )
+            .region(
+                RegionSpec::new("op_dyn", 2 * bytes)
+                    .module("mod_qpsk", qpsk_bs)
+                    .module("mod_qam16", Bitstream::partial_for_region(&d, &r, 2))
+                    .eviction(eviction),
+            )
+            .build()
+            .unwrap();
+            let qpsk = e.module_index("mod_qpsk").unwrap();
+            let t = e.request(0, qpsk, TimePs::ZERO).unwrap().ready_at;
+            let (stats, cache) = (e.stats(0), e.cache_stats(0));
+            let mut before = Vec::new();
+            e.encode_state(t, &mut before);
+
+            let mut replayed = e.clone();
+            assert!(e.request(0, qpsk, t).unwrap().already_loaded, "{what}");
+            let mut after = Vec::new();
+            e.encode_state(t, &mut after);
+            assert_eq!(before == after, unchanged, "{what}: policy state");
+            assert_eq!(
+                e.cache_stats(0),
+                cache,
+                "{what}: the cache is not consulted"
+            );
+            assert_eq!(
+                e.stats(0),
+                ManagerStats {
+                    requests: stats.requests + 1,
+                    already_loaded: stats.already_loaded + 1,
+                    ..stats
+                },
+                "{what}: statistics"
+            );
+            replayed.replay_resident_hits(0, 1);
+            assert_eq!(replayed.stats(0), e.stats(0), "{what}: replayed statistics");
+        }
+    }
+
+    #[test]
+    fn encoded_in_flight_fetch_is_relative_until_it_completes() {
+        let seq = vec!["mod_qam16".to_string(), "mod_qpsk".to_string()];
+        let mut e = paper_engine(2, PrefetchSpec::Schedule(seq));
+        let (qpsk, qam) = (
+            e.module_index("mod_qpsk").unwrap(),
+            e.module_index("mod_qam16").unwrap(),
+        );
+        e.preload(0, qpsk).unwrap();
+        // Loading qam16 launches the speculative fetch of qpsk.
+        let ready = e.request(0, qam, TimePs::ZERO).unwrap().ready_at;
+        let encode = |at: TimePs| {
+            let mut out = Vec::new();
+            e.encode_state(at, &mut out);
+            out
+        };
+        assert_ne!(encode(ready), encode(ready + TimePs::from_ns(1)));
+        let late = ready + TimePs::from_secs(1);
+        assert_eq!(encode(late), encode(late + TimePs::from_ns(1)));
     }
 
     #[test]

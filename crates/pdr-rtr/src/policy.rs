@@ -65,6 +65,11 @@ impl SchedulePrefetch {
     pub fn new(future: Vec<u32>) -> Self {
         SchedulePrefetch { future, cursor: 0 }
     }
+
+    /// Position in the load sequence of the next expected load.
+    pub(crate) fn cursor(&self) -> usize {
+        self.cursor
+    }
 }
 
 impl PrefetchPolicy for SchedulePrefetch {
@@ -104,6 +109,16 @@ impl MarkovPrefetch {
             lex_rank,
             last: NO_MODULE,
         }
+    }
+
+    /// The last observed module ([`NO_MODULE`] before the first).
+    pub(crate) fn last(&self) -> u32 {
+        self.last
+    }
+
+    /// The row-major transition counts.
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
     }
 }
 
@@ -207,6 +222,11 @@ impl LfuEvict {
             freq: vec![0; modules],
         }
     }
+
+    /// Per-module use counts.
+    pub(crate) fn frequencies(&self) -> &[u64] {
+        &self.freq
+    }
 }
 
 impl EvictionPolicy for LfuEvict {
@@ -275,6 +295,16 @@ impl BeladyEvict {
             next_of: last_seen,
             cursor: 0,
         }
+    }
+
+    /// Position in the future trace of the next expected request.
+    pub(crate) fn cursor(&self) -> usize {
+        self.cursor
+    }
+
+    /// Per module, the trace position of its next use at the cursor.
+    pub(crate) fn next_uses(&self) -> &[u32] {
+        &self.next_of
     }
 }
 

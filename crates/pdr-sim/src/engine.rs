@@ -155,6 +155,36 @@ impl<T> EventQueue<T> {
         self.heap.peek().map(|Reverse(e)| e.at())
     }
 
+    /// Write the pending events to `out` in pop order, as `(key,
+    /// payload)` with the packed `at << 64 | seq` key. `out` is cleared
+    /// first and its buffer reused.
+    pub(crate) fn pending_in_order(&self, out: &mut Vec<(u128, T)>)
+    where
+        T: Copy,
+    {
+        out.clear();
+        out.extend(self.heap.iter().map(|Reverse(e)| (e.key, e.payload)));
+        out.sort_unstable_by_key(|&(key, _)| key);
+    }
+
+    /// Move every pending event and the clock `by` later. Every key grows
+    /// by the same amount, so the pop order, ties included, is unchanged.
+    ///
+    /// # Panics
+    /// Panics if a shifted time passes `u64::MAX`; callers check first.
+    pub(crate) fn shift(&mut self, by: TimePs) {
+        let by_key = u128::from(by.as_ps()) << 64;
+        let mut events = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(e) in &mut events {
+            e.key = e
+                .key
+                .checked_add(by_key)
+                .expect("shifted event time overflows");
+        }
+        self.heap = BinaryHeap::from(events);
+        self.now += by;
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -289,6 +319,34 @@ mod tests {
             (TimePs::from_ns(10), "later")
         );
         assert_eq!(q.pop(), Some((TimePs::from_ns(10), "tie")));
+    }
+
+    #[test]
+    fn shift_moves_times_and_keeps_the_pop_order() {
+        let mut q = EventQueue::new();
+        q.schedule(TimePs::from_ns(3), "b");
+        q.schedule(TimePs::from_ns(1), "a");
+        q.schedule(TimePs::from_ns(3), "c");
+        q.pop();
+        let mut order = Vec::new();
+        q.pending_in_order(&mut order);
+        assert_eq!(
+            order.iter().map(|&(_, p)| p).collect::<Vec<_>>(),
+            ["b", "c"]
+        );
+        q.shift(TimePs::from_ns(10));
+        assert_eq!(q.now(), TimePs::from_ns(11));
+        // A new event at the shifted time of the pending ties pops last.
+        q.schedule(TimePs::from_ns(13), "d");
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            rest,
+            [
+                (TimePs::from_ns(13), "b"),
+                (TimePs::from_ns(13), "c"),
+                (TimePs::from_ns(13), "d")
+            ]
+        );
     }
 
     #[test]

@@ -39,12 +39,58 @@
 //! that would pass `u64::MAX` ps fail with [`SimError::TimeOverflow`],
 //! as in the string interpreter.
 //!
+//! # Steady-state fast-forward
+//!
+//! The paper's runtime repeats one synchronized executive every
+//! iteration and changes the selected module only at frame boundaries,
+//! so most iterations of a run replay the one before, shifted in time.
+//! Runs without trace capture detect that and skip the repeats; the
+//! report and every error stay byte-identical to interpreting each
+//! iteration.
+//!
+//! * **Boundaries.** Boundary `k` is the moment the last non-empty stream
+//!   finishes iteration `k − 1`. There the run snapshots, into two
+//!   buffers reused for the whole run, the state that decides what
+//!   happens next: each stream's pc, iteration and status, the stream in
+//!   hand and the event queue in pop order (ties included), which blocked
+//!   streams still hold their rendezvous slot, each medium's free time
+//!   clamped at `now`, and the engine's residency, staging cache, policy
+//!   state and in-flight fetch ([`RtrEngine::encode_state`]). Times are
+//!   relative to `now` and iterations to `k`.
+//! * **Repeats.** When the snapshot at `k` equals the one at `k − 1`, the
+//!   period between them recorded no reconfiguration (so the engine saw
+//!   only `already_loaded` requests), and neither rendezvous overflow
+//!   map is in use, the next period replays it exactly, moved by
+//!   `λ = t_k − t_{k−1}`, and so does every period after it while the
+//!   inputs repeat too.
+//! * **Skipping `n` periods.** `n` stops before any stream would reach
+//!   the last iteration (where streams go `Done`), before any selection a
+//!   `Configure` read in the period changes, and before a time the state
+//!   holds would pass `u64::MAX` (that period runs exactly and reports
+//!   the overflow). Queue times, medium free times and the clock move by
+//!   `n·λ`; iterations and the iterations held by blocked streams and
+//!   their rendezvous slots move by `n`. Busy times, engine request
+//!   counts ([`RtrEngine::replay_resident_hits`]) and the period's
+//!   `iteration_ends` updates are replayed `n` times.
+//!   [`IrSimSystem::fast_forwarded`] counts the skipped iterations.
+//!
+//! The engine needs no shift. Its one time, an in-flight fetch's
+//! completion, enters the snapshot as the time remaining, so two
+//! boundaries match only once the fetch has completed; from then on its
+//! absolute value no longer changes any answer. An LRU or LFU region changes nothing but its statistics on a resident
+//! hit; a Belady region advances its trace cursor, which is part of the
+//! snapshot, so it fast-forwards only over spans where the cursor does
+//! not move. Trace capture always takes the full path, as do executives
+//! whose state never repeats (hostile ones with overwritten waiting
+//! parties, say).
+//!
 //! The equivalence suite (`tests/ir_equivalence.rs` at the workspace
 //! root) asserts report- and trace-level equality against the string
 //! interpreter — which keeps the reference `ConfigurationManager`s as its
 //! runtime model — for every gallery flow, for random graphs, and for
 //! hand-built executives full of `(time, seq)` ties, repeated tags and
-//! unknown media.
+//! unknown media. Its fast-forward section compares fast, full and
+//! string runs, errors included.
 
 use crate::engine::EventQueue;
 use crate::error::SimError;
@@ -224,6 +270,310 @@ fn resolve_transfer(
     Ok(med.transfer_time(bits))
 }
 
+/// Status words of a boundary snapshot, which records per stream its pc,
+/// its iteration relative to the boundary and one of these.
+const STATUS_READY: u64 = 0;
+const STATUS_DONE: u64 = 1;
+const STATUS_SEND: u64 = 2;
+const STATUS_RECV: u64 = 3;
+/// Set in a blocked stream's status word while its rendezvous slot still
+/// holds it (a hostile executive can overwrite a waiting party).
+const STATUS_WAITING: u64 = 4;
+
+/// The interpreter state at an iteration boundary, borrowed from
+/// [`IrSimSystem::run`]: what a snapshot reads and a skip moves.
+struct Live<'r, 'p> {
+    now: TimePs,
+    /// The stream that completed the boundary. It is stepped next, ahead
+    /// of every queued event.
+    hand: usize,
+    ops: &'r mut [IrOpRuntime<'p>],
+    queue: &'r mut EventQueue<usize>,
+    pending_send: &'r mut Pending,
+    pending_recv: &'r mut Pending,
+    medium_free: &'r mut [TimePs],
+    medium_busy: &'r mut [TimePs],
+    iteration_ends: &'r mut [TimePs],
+    engine: Option<&'r mut RtrEngine>,
+    reconfigs: usize,
+}
+
+/// One iteration boundary's snapshot. Boundary `k` is reached when every
+/// non-empty stream has finished iterations `0..k`.
+#[derive(Default)]
+struct Boundary {
+    at: TimePs,
+    /// Highest iteration a stream that is not done is in.
+    hi: u32,
+    /// Reconfigurations recorded so far.
+    reconfigs: usize,
+    /// Both rendezvous overflow maps are empty.
+    overflow_free: bool,
+    /// `words[..split]`: the state that decides what happens next, with
+    /// times relative to `at` and iterations relative to `k` (compared
+    /// with `==`). `words[split..]`: the cumulative busy times per stream
+    /// and per medium, then requests per engine region, which a skip
+    /// replays.
+    words: Vec<u64>,
+    split: usize,
+}
+
+impl Boundary {
+    fn with_capacity(words: usize) -> Self {
+        Boundary {
+            words: Vec::with_capacity(words),
+            ..Boundary::default()
+        }
+    }
+
+    fn state(&self) -> &[u64] {
+        &self.words[..self.split]
+    }
+
+    fn counters(&self) -> &[u64] {
+        &self.words[self.split..]
+    }
+
+    fn capture(&mut self, s: &Live<'_, '_>, k: u32, queued: &mut Vec<(u128, usize)>) {
+        let now = s.now;
+        self.at = now;
+        self.hi = 0;
+        self.reconfigs = s.reconfigs;
+        self.overflow_free =
+            s.pending_send.overflow.is_empty() && s.pending_recv.overflow.is_empty();
+        let w = &mut self.words;
+        w.clear();
+        w.extend([
+            s.hand as u64,
+            s.pending_send.overflow.len() as u64,
+            s.pending_recv.overflow.len() as u64,
+        ]);
+        for (i, o) in s.ops.iter().enumerate() {
+            let status = match o.status {
+                IrStatus::Ready => STATUS_READY,
+                IrStatus::Done => STATUS_DONE,
+                IrStatus::BlockedSend { iter, .. } | IrStatus::BlockedRecv { iter, .. } => {
+                    let (code, pending) = match o.status {
+                        IrStatus::BlockedSend { .. } => (STATUS_SEND, &*s.pending_send),
+                        _ => (STATUS_RECV, &*s.pending_recv),
+                    };
+                    let rank = o.comm[o.pc as usize].rank as usize;
+                    if pending.slots[rank] == (i as u32, iter) {
+                        code | STATUS_WAITING
+                    } else {
+                        code
+                    }
+                }
+            };
+            if status != STATUS_DONE {
+                self.hi = self.hi.max(o.iteration);
+            }
+            w.extend([
+                u64::from(o.pc),
+                u64::from(o.iteration.wrapping_sub(k)),
+                status,
+            ]);
+        }
+        s.queue.pending_in_order(queued);
+        for &(key, stream) in queued.iter() {
+            w.extend([stream as u64, (key >> 64) as u64 - now.as_ps()]);
+        }
+        w.extend(s.medium_free.iter().map(|&f| (f.max(now) - now).as_ps()));
+        if let Some(e) = s.engine.as_deref() {
+            e.encode_state(now, w);
+        }
+        self.split = w.len();
+        w.extend(s.ops.iter().map(|o| o.busy.as_ps()));
+        w.extend(s.medium_busy.iter().map(|b| b.as_ps()));
+        if let Some(e) = s.engine.as_deref() {
+            w.extend((0..e.region_count() as u32).map(|r| e.stats(r).requests));
+        }
+    }
+}
+
+/// Steady-state fast-forward (see the module docs): boundary detection,
+/// the last two boundary snapshots and the log of the period between
+/// them. Every buffer is sized at run start and reused.
+struct FastForward {
+    /// Lowest iteration a non-empty stream is in, and how many non-empty
+    /// streams are in it.
+    low: u32,
+    behind: usize,
+    prev: Boundary,
+    cur: Boundary,
+    /// `iteration_ends` updates since the last boundary: `(iteration,
+    /// time)`.
+    ends: Vec<(u32, TimePs)>,
+    /// Lowest and highest iteration whose selection a `Configure` read
+    /// since the last boundary.
+    reads: Option<(u32, u32)>,
+    /// Scratch: the event queue in pop order.
+    queued: Vec<(u128, usize)>,
+    /// Iterations advanced without interpretation.
+    skipped: u32,
+}
+
+impl FastForward {
+    fn new(ops: &[IrOpRuntime<'_>], media: usize, regions: usize) -> Self {
+        let streams = ops.len();
+        // Header, three words per stream, at most one queued event per
+        // stream, media; then the counters. The engine reserves its own.
+        let words = 3 + 5 * streams + media + streams + media + regions;
+        FastForward {
+            low: 0,
+            behind: ops.iter().filter(|o| !o.program.is_empty()).count(),
+            prev: Boundary::with_capacity(words),
+            cur: Boundary::with_capacity(words),
+            ends: Vec::with_capacity(streams),
+            reads: None,
+            queued: Vec::with_capacity(streams),
+            skipped: 0,
+        }
+    }
+
+    /// A `Configure` read the selection of iteration `iter`.
+    #[inline]
+    fn read(&mut self, iter: u32) {
+        self.reads = Some(
+            self.reads
+                .map_or((iter, iter), |(lo, hi)| (lo.min(iter), hi.max(iter))),
+        );
+    }
+
+    /// A non-empty stream finished iteration `done` at `now` (its
+    /// `iteration` already advanced). True when that completes boundary
+    /// `done + 1`.
+    fn finished(&mut self, done: u32, now: TimePs, ops: &[IrOpRuntime<'_>]) -> bool {
+        self.ends.push((done, now));
+        if done != self.low {
+            return false;
+        }
+        self.behind -= 1;
+        if self.behind > 0 {
+            return false;
+        }
+        self.low += 1;
+        let low = self.low;
+        self.behind = ops
+            .iter()
+            .filter(|o| !o.program.is_empty() && o.iteration == low)
+            .count();
+        true
+    }
+
+    /// Boundary `self.low`, reached at `s.now`: snapshot it and, when the
+    /// last period repeats, skip as many periods as stay exact. Moves
+    /// `s.now` by the skipped span.
+    fn at_boundary(&mut self, s: &mut Live<'_, '_>, iterations: u32) {
+        self.cur.capture(s, self.low, &mut self.queued);
+        let periods = self.periods(s, iterations);
+        if periods > 0 {
+            self.skip(s, periods);
+            self.cur.capture(s, self.low, &mut self.queued);
+        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.ends.clear();
+        self.reads = None;
+    }
+
+    /// How many periods like the one that just ended can be skipped: zero
+    /// unless the state repeats and the period reconfigured nothing.
+    fn periods(&self, s: &Live<'_, '_>, iterations: u32) -> u32 {
+        let (prev, cur) = (&self.prev, &self.cur);
+        if prev.words.is_empty()
+            || cur.reconfigs != prev.reconfigs
+            || !cur.overflow_free
+            || cur.state() != prev.state()
+        {
+            return 0;
+        }
+        // Stop before any stream would reach its last iteration...
+        let mut n = iterations.saturating_sub(cur.hi + 1);
+        // ...and before any selection a `Configure` reads changes. Each
+        // skipped period reads the iterations the last one read, moved by
+        // its index.
+        if let Some((lo, hi)) = self.reads {
+            for ids in s.ops.iter().filter_map(|o| o.sel_ids.as_deref()) {
+                let base = ids[lo as usize];
+                if ids[lo as usize..=hi as usize].iter().any(|&m| m != base) {
+                    return 0;
+                }
+                let ahead = &ids[hi as usize + 1..=hi as usize + n as usize];
+                if let Some(p) = ahead.iter().position(|&m| m != base) {
+                    n = p as u32;
+                }
+            }
+        }
+        // The latest time the state holds bounds every time the skipped
+        // periods compute. Skip only the periods that keep it within
+        // `u64`: the one that would pass it runs on the exact path, which
+        // reports the overflow.
+        let latest = self
+            .queued
+            .last()
+            .map_or(s.now, |&(key, _)| TimePs::from_ps((key >> 64) as u64))
+            .max(s.medium_free.iter().copied().max().unwrap_or(TimePs::ZERO));
+        let room = (u64::MAX - latest.as_ps()).checked_div((cur.at - prev.at).as_ps());
+        if let Some(room) = room {
+            n = n.min(u32::try_from(room).unwrap_or(u32::MAX));
+        }
+        n
+    }
+
+    /// Advance `s` by `n` periods of the one that just ended.
+    fn skip(&mut self, s: &mut Live<'_, '_>, n: u32) {
+        let period = self.cur.at - self.prev.at;
+        let span = period * u64::from(n);
+        let (prev, cur) = (self.prev.counters(), self.cur.counters());
+        let delta = |c: usize| cur[c] - prev[c];
+        let streams = s.ops.len();
+        for (i, o) in s.ops.iter_mut().enumerate() {
+            o.busy += TimePs::from_ps(delta(i)) * u64::from(n);
+            let (pending, iter) = match &mut o.status {
+                IrStatus::Done => continue,
+                IrStatus::Ready => {
+                    o.iteration += n;
+                    continue;
+                }
+                IrStatus::BlockedSend { iter, .. } => (&mut *s.pending_send, iter),
+                IrStatus::BlockedRecv { iter, .. } => (&mut *s.pending_recv, iter),
+            };
+            let slot = &mut pending.slots[o.comm[o.pc as usize].rank as usize];
+            if *slot == (i as u32, *iter) {
+                slot.1 += n;
+            }
+            *iter += n;
+            o.iteration += n;
+        }
+        for (m, (free, busy)) in s
+            .medium_free
+            .iter_mut()
+            .zip(s.medium_busy.iter_mut())
+            .enumerate()
+        {
+            *free = (*free).max(s.now) + span;
+            *busy += TimePs::from_ps(delta(streams + m)) * u64::from(n);
+        }
+        if let Some(e) = s.engine.as_deref_mut() {
+            let base = streams + s.medium_busy.len();
+            for r in 0..e.region_count() {
+                e.replay_resident_hits(r as u32, delta(base + r) * u64::from(n));
+            }
+        }
+        for j in 1..=n {
+            let moved = period * u64::from(j);
+            for &(it, t) in &self.ends {
+                let end = &mut s.iteration_ends[(it + j) as usize];
+                *end = (*end).max(t + moved);
+            }
+        }
+        s.queue.shift(span);
+        s.now += span;
+        self.low += n;
+        self.skipped += n;
+    }
+}
+
 /// A runnable system over the lowered executive: architecture +
 /// [`IrExecutive`] + the symbol table that interned it + the runtime
 /// engine. Accepts the same [`SimConfig`] as the string interpreter and
@@ -238,6 +588,8 @@ pub struct IrSimSystem<'a> {
     engine_slot: Vec<u32>,
     /// symbol index → engine module id (for default `Configure` targets).
     sym_to_mod: Vec<u32>,
+    /// Iterations the last run advanced without interpreting them.
+    fast_forwarded: u32,
 }
 
 impl<'a> IrSimSystem<'a> {
@@ -254,6 +606,7 @@ impl<'a> IrSimSystem<'a> {
             engine: None,
             engine_slot: vec![NO_SLOT; ir.operator_count()],
             sym_to_mod: Vec::new(),
+            fast_forwarded: 0,
         }
     }
 
@@ -288,8 +641,18 @@ impl<'a> IrSimSystem<'a> {
         self.engine.as_ref()
     }
 
+    /// How many iterations the last [`IrSimSystem::run`] advanced by
+    /// steady-state fast-forward instead of interpreting them (see the
+    /// module docs). Zero for runs with trace capture. It describes the
+    /// interpreter's work, not the simulated system, so it is not part of
+    /// the [`SimReport`].
+    pub fn fast_forwarded(&self) -> u32 {
+        self.fast_forwarded
+    }
+
     /// Run the system and produce a report.
     pub fn run(&mut self, config: &SimConfig) -> Result<SimReport, SimError> {
+        self.fast_forwarded = 0;
         let ir = self.ir;
         let table = self.table;
         let arch = self.arch;
@@ -430,12 +793,16 @@ impl<'a> IrSimSystem<'a> {
         let mut trace: Vec<RawTrace> = Vec::new();
         let mut makespan = TimePs::ZERO;
         let mut iteration_ends = vec![TimePs::ZERO; config.iterations as usize];
+        let mut fast = (!config.capture_trace).then(|| {
+            let regions = engine.as_ref().map_or(0, RtrEngine::region_count);
+            FastForward::new(&ops, medium_free.len(), regions)
+        });
 
         // Every wake of the stream being stepped goes through
         // `schedule_pop`, which hands the stream straight back when its
         // wake is strictly earliest (the in-place rule in `engine`).
         let mut next = queue.pop();
-        while let Some((now, i)) = next {
+        while let Some((mut now, i)) = next {
             makespan = makespan.max(now);
             if ops[i].status == IrStatus::Done {
                 next = queue.pop();
@@ -446,14 +813,37 @@ impl<'a> IrSimSystem<'a> {
             // waits; the loop yields the next event.
             next = 'step: loop {
                 if ops[i].pc as usize >= ops[i].program.len() {
-                    if !ops[i].program.is_empty() {
-                        let done = ops[i].iteration as usize;
-                        if done < iteration_ends.len() {
-                            iteration_ends[done] = iteration_ends[done].max(now);
-                        }
-                    }
+                    let done = ops[i].iteration;
                     ops[i].iteration += 1;
                     ops[i].pc = 0;
+                    if !ops[i].program.is_empty() {
+                        if (done as usize) < iteration_ends.len() {
+                            let end = &mut iteration_ends[done as usize];
+                            *end = (*end).max(now);
+                        }
+                        if let Some(ff) = fast.as_mut() {
+                            if ff.finished(done, now, &ops) && ops[i].iteration < config.iterations
+                            {
+                                let mut live = Live {
+                                    now,
+                                    hand: i,
+                                    ops: &mut ops,
+                                    queue: &mut queue,
+                                    pending_send: &mut pending_send,
+                                    pending_recv: &mut pending_recv,
+                                    medium_free: &mut medium_free,
+                                    medium_busy: &mut medium_busy,
+                                    iteration_ends: &mut iteration_ends,
+                                    engine: engine.as_mut(),
+                                    reconfigs: reconfigs.len(),
+                                };
+                                ff.at_boundary(&mut live, config.iterations);
+                                now = live.now;
+                                makespan = now;
+                                self.fast_forwarded = ff.skipped;
+                            }
+                        }
+                    }
                     if ops[i].iteration >= config.iterations {
                         ops[i].status = IrStatus::Done;
                         break 'step queue.pop();
@@ -504,7 +894,12 @@ impl<'a> IrSimSystem<'a> {
                         let (ready_at, hidden) = if engine_slot[i] != NO_SLOT {
                             let eng = engine.as_mut().expect("engine slot without engine");
                             let mid = match &ops[i].sel_ids {
-                                Some(ids) => ids[iter as usize],
+                                Some(ids) => {
+                                    if let Some(ff) = fast.as_mut() {
+                                        ff.read(iter);
+                                    }
+                                    ids[iter as usize]
+                                }
                                 None => sym_to_mod
                                     .get(module.sym().index())
                                     .copied()
