@@ -383,16 +383,17 @@ fn plan<'a>(
     // timeline tells us the times. We re-derive hop endpoints from the
     // route (deterministic, same call the scheduler made).
     let transfers = TransferIndex::new(algo.len(), schedule);
-    let placed = placement(algo.len(), mapping);
     // Routes from one BFS per source operator, filled on first use.
     let mut route_rows: Vec<Option<Vec<Option<Route>>>> = vec![None; arch.operator_count()];
     let mut endpoints: Vec<OperatorId> = Vec::new();
     let mut tag: u32 = 0;
     let assigned = |op: OpId| {
-        placed[op.0].ok_or_else(|| AdequationError::Unmappable {
-            operation: algo.op(op).name.clone(),
-            reason: "not assigned".into(),
-        })
+        mapping
+            .operator_of(op)
+            .ok_or_else(|| AdequationError::Unmappable {
+                operation: algo.op(op).name.clone(),
+                reason: "not assigned".into(),
+            })
     };
     for e in algo.edges() {
         let src = assigned(e.from)?;
@@ -513,17 +514,6 @@ fn plan<'a>(
     };
     plan.validate(|o| &arch.operator(o).name)?;
     Ok(plan)
-}
-
-/// Each operation's operator, indexed by [`OpId`].
-fn placement(ops: usize, mapping: &Mapping) -> Vec<Option<OperatorId>> {
-    let mut placed = vec![None; ops];
-    for (op, opr) in mapping.iter() {
-        if let Some(slot) = placed.get_mut(op.0) {
-            *slot = Some(opr);
-        }
-    }
-    placed
 }
 
 /// The schedule's transfer items grouped by producer operation (CSR),

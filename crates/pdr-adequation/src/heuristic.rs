@@ -97,8 +97,8 @@ pub struct AdequationResult {
     pub finish_times: BTreeMap<OpId, TimePs>,
 }
 
-/// Dense sentinel for "no operator assigned/pinned".
-const NO_OPR: u32 = u32::MAX;
+/// Dense sentinel for "no operator assigned/pinned", as in [`Mapping`].
+const NO_OPR: u32 = crate::mapping::UNASSIGNED;
 
 /// One resolved predecessor arc of the operation being placed: everything
 /// a probe needs, looked up once per operation instead of once per
@@ -550,14 +550,10 @@ pub fn adequate_with_index(
     let mut bufs = RecordBufs::default();
     run_core::<true>(algo, arch, constraints, options, index, &mut ws, &mut bufs)?;
 
-    // Assemble the B-tree-backed outputs once, in id order, from the
-    // dense per-id buffers the core filled — byte-identical to pushing
-    // them item by item, minus the per-push tree probes.
+    // The mapping takes the core's per-id operator vector as is; the
+    // schedule's B-trees are filled once, in id order, from its buffers.
     let n = algo.len();
-    let mut mapping = Mapping::new();
-    for i in 0..n {
-        mapping.assign(OpId(i), OperatorId(ws.op_operator[i] as usize));
-    }
+    let mapping = Mapping::from_dense(std::mem::take(&mut ws.op_operator));
     let mut schedule = Schedule::new();
     for (i, items) in bufs.operator_items.drain(..).enumerate() {
         if !items.is_empty() {

@@ -32,6 +32,9 @@
 //!   `generate_executive_ir` emits the interned `pdr-ir` form in the same
 //!   pass.
 //!
+//! [`Mapping`] is dense, one operator id per operation, because executive
+//! and §4 design generation read it once per operation and edge.
+//!
 //! The parity oracles (reference schedulers) and the §7 annealing
 //! ablation with its quality bounds live in `pdr-bench`.
 

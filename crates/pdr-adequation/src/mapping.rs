@@ -2,15 +2,22 @@
 
 use crate::error::AdequationError;
 use pdr_graph::prelude::*;
+use serde::json::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+/// Marks an operation with no operator in [`Mapping`]'s dense vector.
+pub(crate) const UNASSIGNED: u32 = u32::MAX;
 
 /// The mapping half of an adequation result: which operator executes each
 /// operation (conditioned operations map as a single unit; their
 /// alternatives become configurations of that one operator).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// One operator id per [`OpId`], `u32::MAX` in the gaps (never last), so
+/// `operator_of` is one index and equal mappings are equal vectors.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
 pub struct Mapping {
-    assignments: BTreeMap<OpId, OperatorId>,
+    operators: Vec<u32>,
+    assigned: usize,
 }
 
 impl Mapping {
@@ -19,38 +26,55 @@ impl Mapping {
         Self::default()
     }
 
+    /// The mapping of a per-operation vector, `UNASSIGNED` in the gaps.
+    pub(crate) fn from_dense(mut operators: Vec<u32>) -> Self {
+        let len = operators.iter().rposition(|&o| o != UNASSIGNED);
+        operators.truncate(len.map_or(0, |i| i + 1));
+        Mapping {
+            assigned: operators.iter().filter(|&&o| o != UNASSIGNED).count(),
+            operators,
+        }
+    }
+
     /// Assign `op` to `operator` (overwrites).
     pub fn assign(&mut self, op: OpId, operator: OperatorId) {
-        self.assignments.insert(op, operator);
+        assert!(operator.0 < UNASSIGNED as usize, "operator id out of range");
+        if op.0 >= self.operators.len() {
+            self.operators.resize(op.0 + 1, UNASSIGNED);
+        }
+        let slot = &mut self.operators[op.0];
+        self.assigned += usize::from(*slot == UNASSIGNED);
+        *slot = operator.0 as u32;
     }
 
     /// Operator executing `op`, if assigned.
     pub fn operator_of(&self, op: OpId) -> Option<OperatorId> {
-        self.assignments.get(&op).copied()
+        let o = *self.operators.get(op.0)?;
+        (o != UNASSIGNED).then_some(OperatorId(o as usize))
     }
 
     /// Operations assigned to `operator`, in id order.
     pub fn ops_on(&self, operator: OperatorId) -> Vec<OpId> {
-        self.assignments
-            .iter()
-            .filter(|(_, &o)| o == operator)
-            .map(|(&id, _)| id)
+        self.iter()
+            .filter(|&(_, o)| o == operator)
+            .map(|(id, _)| id)
             .collect()
     }
 
     /// Number of assignments.
     pub fn len(&self) -> usize {
-        self.assignments.len()
+        self.assigned
     }
 
     /// Is the mapping empty?
     pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
+        self.assigned == 0
     }
 
     /// Iterate (operation, operator) pairs in operation-id order.
     pub fn iter(&self) -> impl Iterator<Item = (OpId, OperatorId)> + '_ {
-        self.assignments.iter().map(|(&a, &b)| (a, b))
+        let ops = self.operators.iter().enumerate();
+        ops.filter_map(|(i, &o)| (o != UNASSIGNED).then_some((OpId(i), OperatorId(o as usize))))
     }
 
     /// Validate a mapping against graphs, characterization and constraints:
@@ -92,6 +116,14 @@ impl Mapping {
             }
         }
         Ok(())
+    }
+}
+
+/// `{"assignments": [[op, operator], ...]}`, as the `BTreeMap` field did.
+impl Serialize for Mapping {
+    fn to_json(&self) -> Value {
+        let pairs = self.iter().map(|pair| pair.to_json()).collect();
+        Value::obj(vec![("assignments", Value::Array(pairs))])
     }
 }
 
@@ -177,5 +209,65 @@ mod tests {
         let on_dyn = m.ops_on(dy);
         assert_eq!(on_dyn.len(), 1);
         assert_eq!(algo.op(on_dyn[0]).name, "modulation");
+    }
+
+    fn json(m: &Mapping) -> String {
+        serde::json::to_string(&m.to_json())
+    }
+
+    #[test]
+    fn assignment_order_does_not_matter() {
+        let pairs = [(4, 1), (0, 2), (2, 1)];
+        let mut fwd = Mapping::new();
+        let mut rev = Mapping::new();
+        for &(op, opr) in &pairs {
+            fwd.assign(OpId(op), OperatorId(opr));
+        }
+        for &(op, opr) in pairs.iter().rev() {
+            rev.assign(OpId(op), OperatorId(opr));
+        }
+        assert_eq!(fwd, rev);
+        assert_eq!(json(&fwd), json(&rev));
+        assert_eq!(json(&fwd), r#"{"assignments":[[0,2],[2,1],[4,1]]}"#);
+        // Trailing gaps in the dense vector are invisible too.
+        let dense = Mapping::from_dense(vec![2, UNASSIGNED, 1, UNASSIGNED, 1, UNASSIGNED]);
+        assert_eq!(dense, fwd);
+        assert_eq!(json(&dense), json(&fwd));
+    }
+
+    #[test]
+    fn overwrite_keeps_len() {
+        let mut m = Mapping::new();
+        m.assign(OpId(3), OperatorId(0));
+        m.assign(OpId(3), OperatorId(5));
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.operator_of(OpId(3)), Some(OperatorId(5)));
+    }
+
+    #[test]
+    fn iter_skips_gaps_in_id_order() {
+        let mut m = Mapping::new();
+        m.assign(OpId(7), OperatorId(1));
+        m.assign(OpId(2), OperatorId(0));
+        let pairs: Vec<_> = m.iter().collect();
+        assert_eq!(pairs, [(OpId(2), OperatorId(0)), (OpId(7), OperatorId(1))]);
+        assert_eq!(m.operator_of(OpId(4)), None);
+        assert_eq!(m.ops_on(OperatorId(1)), [OpId(7)]);
+    }
+
+    #[test]
+    fn operator_of_past_the_end_is_none() {
+        let mut m = Mapping::new();
+        m.assign(OpId(1), OperatorId(0));
+        assert_eq!(m.operator_of(OpId(2)), None);
+        assert_eq!(m.operator_of(OpId(usize::MAX)), None);
+    }
+
+    #[test]
+    fn empty_mapping_serializes_as_the_derived_form() {
+        let m = Mapping::new();
+        assert!(m.is_empty());
+        assert_eq!(json(&m), r#"{"assignments":[]}"#);
+        assert_eq!(m, Mapping::from_dense(vec![UNASSIGNED; 3]));
     }
 }

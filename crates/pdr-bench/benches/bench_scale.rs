@@ -18,7 +18,8 @@
 //!   plus the symbol-table seeding plus [`IR_ALLOCS_PER_STREAM`] per
 //!   stream (so emitting the IR allocates nothing per instruction); and
 //!   that one `model::check` of its executive stays under
-//!   [`MODEL_CHECK_ALLOCS_CEILING`] heap allocations;
+//!   [`MODEL_CHECK_ALLOCS_CEILING`] heap allocations; and that one
+//!   `generate_design` of it stays under [`DESIGN_ALLOCS_CEILING`];
 //! * `--out <path>` — persist the study as a `BENCH_scale.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
@@ -29,6 +30,7 @@ use pdr_adequation::{
 };
 use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_bench::scale::{self, BUILD_SPEEDUP_FLOOR, E2E_SPEEDUP_FLOOR, FLOOR_CASE};
+use pdr_codegen::{generate_design, CostModel};
 use pdr_core::{gallery, DesignFlow};
 use pdr_lint::model::{self, ModelInput};
 use pdr_lint::{rendezvous, ModelConfig};
@@ -272,6 +274,62 @@ fn probe_verify(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value 
     ])
 }
 
+/// Heap allocations one `generate_design` of the [`FLOOR_CASE`] flow may
+/// make: the count measured while the mapping was still a B-tree (351). The
+/// design holds one static entity and eight dynamic modules, so the count
+/// is per entity, module and floorplan table; an allocation per operation
+/// (ten thousand of them) fails on any host.
+const DESIGN_ALLOCS_CEILING: u64 = 351;
+
+/// Assert the design-generation allocation ceiling on the [`FLOOR_CASE`]
+/// flow and time `generate_design`: best of `reps`. Returns the artifact
+/// section.
+fn probe_design(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value {
+    let (algo, arch, chars, cons) = (
+        flow.algorithm(),
+        flow.architecture(),
+        flow.characterization(),
+        flow.constraints(),
+    );
+    let r = adequate(algo, arch, chars, cons, flow.adequation_options()).expect("schedules");
+    // Every gallery and generated flow uses the default cost model.
+    let cost = CostModel::default();
+    let generate = || {
+        generate_design(
+            algo,
+            arch,
+            chars,
+            cons,
+            &r.mapping,
+            executive,
+            flow.device(),
+            &cost,
+        )
+        .expect("design generates")
+    };
+
+    let before = allocations();
+    black_box(generate());
+    let allocations = allocations() - before;
+    assert!(
+        allocations <= DESIGN_ALLOCS_CEILING,
+        "generate_design made {allocations} heap allocations on {FLOOR_CASE} \
+         (ceiling {DESIGN_ALLOCS_CEILING})"
+    );
+    let best_ns = best_of(reps, generate);
+    println!(
+        "ok: generate_design on {FLOOR_CASE}: {allocations} heap allocations \
+         (ceiling {DESIGN_ALLOCS_CEILING}), best of {reps} {:.3} ms",
+        best_ns as f64 / 1e6
+    );
+    Value::obj(vec![
+        ("flow", Value::String(FLOOR_CASE.into())),
+        ("allocations", Value::UInt(allocations)),
+        ("allocations_ceiling", Value::UInt(DESIGN_ALLOCS_CEILING)),
+        ("best_ns", Value::UInt(best_ns)),
+    ])
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_mode = args.iter().any(|a| a == "--test");
@@ -286,6 +344,7 @@ fn main() {
     let floor_flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
     let (executive, floor_executive) = probe_executive_generation(&floor_flow, reps);
     let verify = probe_verify(&floor_flow, &floor_executive, reps);
+    let design = probe_design(&floor_flow, &floor_executive, reps);
     let study = scale::run(reps).expect("flows schedule");
     print!("{}", study.render());
     assert!(
@@ -325,6 +384,7 @@ fn main() {
         artifact.push_section("study", study.to_json());
         artifact.push_section("executive", executive);
         artifact.push_section("verify", verify);
+        artifact.push_section("design", design);
         artifact.write(path).expect("artifact written");
         println!("wrote {path}");
     }

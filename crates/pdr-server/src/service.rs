@@ -118,6 +118,26 @@ struct Maps {
     /// request (resolution builds the one named flow and digests its
     /// models; a memo probe costs a string hash).
     digests: HashMap<(String, Option<String>), u64>,
+    digest_key_bytes: usize,
+}
+
+/// Key bytes the digest memo holds before it is cleared. Clearing is safe:
+/// a memo miss re-resolves the flow to the same digest.
+const DIGEST_MEMO_BYTES: usize = 4 << 20;
+
+impl Maps {
+    /// Memoize `key → digest`, first clearing the memo if the key would
+    /// take it past `budget` key bytes (so it holds ≤ `budget` + one key).
+    fn memo_digest(&mut self, key: (String, Option<String>), digest: u64, budget: usize) {
+        let bytes = key.0.len() + key.1.as_ref().map_or(0, String::len);
+        if self.digest_key_bytes + bytes > budget {
+            self.digests.clear();
+            self.digest_key_bytes = 0;
+        }
+        if self.digests.insert(key, digest).is_none() {
+            self.digest_key_bytes += bytes;
+        }
+    }
 }
 
 /// The bounded queue.
@@ -212,8 +232,7 @@ impl Server {
                 .maps
                 .lock()
                 .expect("maps lock")
-                .digests
-                .insert(memo_key, digest);
+                .memo_digest(memo_key, digest, DIGEST_MEMO_BYTES);
             model_digest = Some(digest);
             flow = Some(resolved);
         }
@@ -586,5 +605,44 @@ mod tests {
             Response::Error { message, .. } => assert!(message.contains("shutting down")),
             other => panic!("expected shutdown error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn digest_memo_clears_at_its_budget() {
+        let mut maps = Maps::default();
+        let key = |text: &str| ("paper".to_string(), Some(text.to_string()));
+        maps.memo_digest(key("aaaa"), 1, 20);
+        maps.memo_digest(key("aaaa"), 1, 20);
+        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 9));
+        maps.memo_digest(key("bbbb"), 2, 20);
+        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (2, 18));
+        // 18 + 5 bytes would pass 20: the memo is cleared first.
+        maps.memo_digest(("paper".to_string(), None), 3, 20);
+        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 5));
+        assert_eq!(maps.digests.get(&("paper".to_string(), None)), Some(&3));
+        // A key larger than the whole budget still lands, alone.
+        maps.memo_digest(key(&"x".repeat(32)), 4, 20);
+        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 37));
+    }
+
+    #[test]
+    fn responses_are_unchanged_across_a_memo_clear() {
+        let server = Server::start(tiny());
+        let memo = || server.inner.maps.lock().unwrap().digests.clone();
+        let first = server.submit(Request::new(1, RequestKind::Compile, "paper"));
+        let before = memo();
+        // A zero budget clears the memo on the next insert.
+        server
+            .inner
+            .maps
+            .lock()
+            .unwrap()
+            .memo_digest(("other".to_string(), None), 0, 0);
+        assert!(!memo().keys().any(|(flow, _)| flow == "paper"));
+        let again = server.submit(Request::new(2, RequestKind::Compile, "paper"));
+        assert_eq!(again.cache_state(), Some(CacheState::Hit));
+        assert_eq!(first.payload_line(), again.payload_line());
+        let key = ("paper".to_string(), None);
+        assert_eq!(memo().get(&key), before.get(&key));
     }
 }

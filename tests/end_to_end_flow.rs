@@ -190,6 +190,39 @@ fn flow_artifacts_serialize_identically_run_to_run() {
 }
 
 #[test]
+fn flow_artifacts_serialize_to_pinned_bytes() {
+    // The run-to-run test above cannot see a change in how a result is
+    // represented: both runs would change together. These digests pin the
+    // artifact JSON itself, across commits.
+    use pdr_core::gallery::{self, SyntheticParams};
+    use pdr_fabric::digest::{to_hex, Fnv64};
+    use serde::Serialize;
+    let digest = |flow: pdr_core::DesignFlow| {
+        let json = serde::json::to_string(&flow.run().expect("flow runs").to_json());
+        to_hex(Fnv64::new().eat_str(&json).finish())
+    };
+    let pins = [
+        ("paper", "edc021866cc73bcb"),
+        ("paper_fixed_qpsk", "9a54a1042a10100c"),
+        ("paper_fixed_qam16", "a35481e0970fc295"),
+        ("two_regions", "d009b9e78f9d9b04"),
+        ("two_regions_xc2v4000", "e0ed4f12ba1133d5"),
+        ("synthetic_large", "1a43d8ace4142524"),
+        ("sdr_series7", "c1b09abcb9a13cf0"),
+    ];
+    for (name, pin) in pins {
+        let flow = gallery::by_name(name).expect("gallery flow").flow;
+        assert_eq!(digest(flow), pin, "{name}: artifact JSON changed");
+    }
+    let generated = gallery::synthetic(&SyntheticParams::sized(10_000));
+    assert_eq!(
+        digest(generated),
+        "09a44d5f489896da",
+        "generated 10k seed 1: artifact JSON changed"
+    );
+}
+
+#[test]
 fn makespan_scales_linearly_with_iterations_in_steady_state() {
     let study = PaperCaseStudy::build().expect("flow runs");
     let run = |n: u32| {
