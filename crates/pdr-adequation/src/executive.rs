@@ -287,22 +287,66 @@ pub fn generate_executive_ir(
     Ok((executive, ir, symbols))
 }
 
-/// Event sort key: `(time, rank, start, end, seq)`; see [`plan`].
-type EventKey = (TimePs, u8, TimePs, TimePs, u32);
+/// Event sort key (see [`plan`]) packed into one integer with the same
+/// order: the stamp of `time` in the high 64 bits, `rank` in the next 2,
+/// the stamp of the tie-breaking transfer bound in the low 62.
+type EventKey = u128;
+
+/// How timestamps enter [`EventKey`]s: as picoseconds, or — when some
+/// timestamp of the schedule needs more than 62 bits — as its rank among
+/// the schedule's distinct timestamps, which has the same order.
+enum Stamps {
+    Ps,
+    Ranked(Vec<TimePs>),
+}
+
+impl Stamps {
+    fn new(schedule: &Schedule) -> Self {
+        let items = || {
+            let operators = schedule.operator_items.values();
+            operators.chain(schedule.medium_items.values()).flatten()
+        };
+        let latest = items().map(|i| i.start.max(i.end)).max();
+        if latest.is_none_or(|t| t.as_ps() < 1 << 62) {
+            return Stamps::Ps;
+        }
+        let mut times: Vec<TimePs> = items().flat_map(|i| [i.start, i.end]).collect();
+        times.sort_unstable();
+        times.dedup();
+        Stamps::Ranked(times)
+    }
+
+    fn key(&self, time: TimePs, rank: u8, other: TimePs) -> EventKey {
+        let stamp = |t: TimePs| match self {
+            Stamps::Ps => t.as_ps(),
+            Stamps::Ranked(times) => times.binary_search(&t).unwrap_or_else(|i| i) as u64,
+        };
+        (u128::from(stamp(time)) << 64) | (u128::from(rank) << 62) | u128::from(stamp(other))
+    }
+}
 
 const RANK_RECEIVE: u8 = 0;
 const RANK_SEND: u8 = 1;
 const RANK_CONFIGURE: u8 = 2;
 const RANK_COMPUTE: u8 = 3;
 
-/// One macro-instruction as graph ids and a borrowed function name — the
-/// form both emitters read. `Copy`, no owned string; the name is a thin
-/// `&String` to keep the step at 32 bytes.
+/// Which function a compute or configure step runs: a declared function
+/// of its operation, by position in `op.kind.functions()` (the order of
+/// [`AlgorithmGraph::function_syms`]), or a name no operation declares (a
+/// hand-edited schedule), by slot in [`Plan::undeclared`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step<'a> {
+enum Function {
+    Declared(u32),
+    Undeclared(u32),
+}
+
+/// One macro-instruction as graph ids — the form both emitters read.
+/// `Copy`, no string, 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
     Compute {
         op: OpId,
-        function: &'a String,
+        function: Function,
         duration: TimePs,
     },
     Send {
@@ -319,31 +363,43 @@ enum Step<'a> {
     },
     Configure {
         op: OpId,
-        function: &'a String,
+        function: Function,
         worst_case: TimePs,
     },
 }
 
 /// One operator's instruction stream, sorted on the event key.
 #[derive(Debug)]
-struct Stream<'a> {
+struct Stream {
     opr: OperatorId,
-    events: Vec<(EventKey, Step<'a>)>,
+    events: Vec<(EventKey, Step)>,
 }
 
-impl Stream<'_> {
-    fn steps(&self) -> impl Iterator<Item = Step<'_>> + '_ {
+impl Stream {
+    fn steps(&self) -> impl Iterator<Item = Step> + '_ {
         self.events.iter().map(|&(_, step)| step)
     }
 }
 
 /// A validated executive over graph ids: the streams of every operator
 /// with instructions, in operator-name order (the string form's
-/// `BTreeMap` order), and one past the highest rendezvous tag.
+/// `BTreeMap` order), one past the highest rendezvous tag, and the
+/// scheduled function names no operation declares.
 #[derive(Debug)]
 struct Plan<'a> {
-    streams: Vec<Stream<'a>>,
+    streams: Vec<Stream>,
     tags: u32,
+    undeclared: Vec<&'a str>,
+}
+
+impl Plan<'_> {
+    /// The name of `op`'s function `f`.
+    fn function_name<'g>(&'g self, algo: &'g AlgorithmGraph, op: OpId, f: Function) -> &'g str {
+        match f {
+            Function::Declared(k) => &algo.op(op).kind.functions()[k as usize],
+            Function::Undeclared(i) => self.undeclared[i as usize],
+        }
+    }
 }
 
 /// Build and validate the id-based executive.
@@ -372,12 +428,12 @@ fn plan<'a>(
     //   * start/end — the transfer's interval, identical on both
     //     endpoints, so peers break remaining ties identically;
     //   * seq — insertion order, a final deterministic tie-break.
-    let mut events: Vec<Vec<(EventKey, Step<'a>)>> = vec![Vec::new(); arch.operator_count()];
-    let mut seq: u32 = 0;
-    let mut next = || {
-        seq += 1;
-        seq
-    };
+    // At equal (time, rank) a Send's start and a Receive's end are that
+    // time, and a Configure/Compute has no interval, so only the other
+    // bound can still differ: the packed key holds (time, rank, other
+    // bound), and a stable sort keeps insertion order for `seq`.
+    let stamps = Stamps::new(schedule);
+    let mut events: Vec<Vec<(EventKey, Step)>> = vec![Vec::new(); arch.operator_count()];
 
     // Transfers: walk each algorithm edge's route; hop k of the medium
     // timeline tells us the times. We re-derive hop endpoints from the
@@ -446,7 +502,7 @@ fn plan<'a>(
             let sender = endpoints[hop];
             let receiver = endpoints[hop + 1];
             events[sender.0].push((
-                (item.start, RANK_SEND, item.start, item.end, next()),
+                stamps.key(item.start, RANK_SEND, item.end),
                 Step::Send {
                     to: receiver,
                     medium: m,
@@ -455,7 +511,7 @@ fn plan<'a>(
                 },
             ));
             events[receiver.0].push((
-                (item.end, RANK_RECEIVE, item.start, item.end, next()),
+                stamps.key(item.end, RANK_RECEIVE, item.start),
                 Step::Receive {
                     from: sender,
                     medium: m,
@@ -466,26 +522,37 @@ fn plan<'a>(
         }
     }
 
-    // Computations (with Configure prologues on dynamic operators).
+    // Computations (with Configure prologues on dynamic operators). Each
+    // names its function by position among its operation's functions; a
+    // name the operation does not declare gets an undeclared slot.
+    let mut undeclared: Vec<&'a str> = Vec::new();
     for (&opr, items) in &schedule.operator_items {
         for item in items {
             if let ItemKind::Compute { op, function, .. } = &item.kind {
-                let at = item.start;
-                if algo.op(*op).kind.is_conditioned() && arch.operator(opr).kind.is_dynamic() {
-                    let wc = chars.reconfig_time(function, &arch.operator(opr).name)?;
+                let (op, at, name) = (*op, item.start, &**function);
+                let declared = algo.op(op).kind.functions();
+                let function = match declared.iter().position(|f| f == name) {
+                    Some(k) => Function::Declared(k as u32),
+                    None => {
+                        undeclared.push(name);
+                        Function::Undeclared(undeclared.len() as u32 - 1)
+                    }
+                };
+                if algo.op(op).kind.is_conditioned() && arch.operator(opr).kind.is_dynamic() {
+                    let wc = chars.reconfig_time(name, &arch.operator(opr).name)?;
                     events[opr.0].push((
-                        (at, RANK_CONFIGURE, at, at, next()),
+                        stamps.key(at, RANK_CONFIGURE, at),
                         Step::Configure {
-                            op: *op,
+                            op,
                             function,
                             worst_case: wc,
                         },
                     ));
                 }
                 events[opr.0].push((
-                    (at, RANK_COMPUTE, at, at, next()),
+                    stamps.key(at, RANK_COMPUTE, at),
                     Step::Compute {
-                        op: *op,
+                        op,
                         function,
                         duration: item.duration(),
                     },
@@ -494,13 +561,12 @@ fn plan<'a>(
         }
     }
 
-    let mut streams: Vec<Stream<'a>> = events
+    let mut streams: Vec<Stream> = events
         .into_iter()
         .enumerate()
         .filter(|(_, evs)| !evs.is_empty())
         .map(|(o, mut evs)| {
-            // `seq` makes every key unique, so an unstable sort is exact.
-            evs.sort_unstable_by_key(|&(key, _)| key);
+            evs.sort_by_key(|&(key, _)| key);
             Stream {
                 opr: OperatorId(o),
                 events: evs,
@@ -511,6 +577,7 @@ fn plan<'a>(
     let plan = Plan {
         streams,
         tags: tag + 1,
+        undeclared,
     };
     plan.validate(|o| &arch.operator(o).name)?;
     Ok(plan)
@@ -658,7 +725,7 @@ impl Plan<'_> {
                             duration,
                         } => MacroInstr::Compute {
                             op: algo.op(op).name.clone(),
-                            function: function.to_string(),
+                            function: self.function_name(algo, op, function).to_string(),
                             duration,
                         },
                         Step::Send {
@@ -684,11 +751,11 @@ impl Plan<'_> {
                             tag,
                         },
                         Step::Configure {
+                            op,
                             function,
                             worst_case,
-                            ..
                         } => MacroInstr::Configure {
-                            module: function.to_string(),
+                            module: self.function_name(algo, op, function).to_string(),
                             worst_case,
                         },
                     })
@@ -702,9 +769,9 @@ impl Plan<'_> {
     /// The lowered executive, through `table` — the architecture's table
     /// extended by the algorithm's, whose handles `remap` translates.
     /// Operator and medium symbols are the architecture's own (its table
-    /// is the prefix of `table`); a compute's function that is not among
-    /// its operation's functions is interned by name, where lowering
-    /// would intern it.
+    /// is the prefix of `table`), and a declared function's is its
+    /// operation's function symbol; an undeclared function is interned by
+    /// name, where lowering would intern it.
     fn to_ir(
         &self,
         algo: &AlgorithmGraph,
@@ -718,16 +785,8 @@ impl Plan<'_> {
         let media: Vec<pdr_ir::MediumId> = (0..arch.medium_count())
             .map(|m| arch.medium_sym(MediumId(m)))
             .collect();
-        let function_sym = |op: OpId, function: &str| {
-            let k = algo
-                .op(op)
-                .kind
-                .functions()
-                .iter()
-                .position(|f| f == function)?;
-            Some(ModuleId::new(
-                remap[algo.function_syms(op)[k].sym().index()],
-            ))
+        let declared = |op: OpId, k: u32| {
+            ModuleId::new(remap[algo.function_syms(op)[k as usize].sym().index()])
         };
         let mut b = IrBuilder::new(table);
         for stream in &self.streams {
@@ -738,12 +797,15 @@ impl Plan<'_> {
                         op,
                         function,
                         duration,
-                    } => match function_sym(op, function) {
-                        Some(f) => {
+                    } => match function {
+                        Function::Declared(k) => {
+                            let f = declared(op, k);
                             let op = pdr_ir::OpId::new(remap[algo.op_sym(op).sym().index()]);
                             b.compute_id(op, f, duration);
                         }
-                        None => b.compute(&algo.op(op).name, function, duration),
+                        Function::Undeclared(i) => {
+                            b.compute(&algo.op(op).name, self.undeclared[i as usize], duration)
+                        }
                     },
                     Step::Send {
                         to,
@@ -761,9 +823,11 @@ impl Plan<'_> {
                         op,
                         function,
                         worst_case,
-                    } => match function_sym(op, function) {
-                        Some(f) => b.configure_id(f, worst_case),
-                        None => b.configure(function, worst_case),
+                    } => match function {
+                        Function::Declared(k) => b.configure_id(declared(op, k), worst_case),
+                        Function::Undeclared(i) => {
+                            b.configure(self.undeclared[i as usize], worst_case)
+                        }
                     },
                 }
             }
@@ -956,7 +1020,6 @@ mod tests {
         media.dedup();
         let opr = |n: &str| OperatorId(names.binary_search(&n).unwrap());
         let med = |n: &str| MediumId(media.binary_search(&n).unwrap());
-        let function = String::new();
         let mut tags = 0;
         let streams = e
             .per_operator
@@ -969,12 +1032,12 @@ mod tests {
                         let step = match i {
                             MacroInstr::Compute { duration, .. } => Step::Compute {
                                 op: OpId(0),
-                                function: &function,
+                                function: Function::Declared(0),
                                 duration: *duration,
                             },
                             MacroInstr::Configure { worst_case, .. } => Step::Configure {
                                 op: OpId(0),
-                                function: &function,
+                                function: Function::Declared(0),
                                 worst_case: *worst_case,
                             },
                             MacroInstr::Send {
@@ -1003,8 +1066,7 @@ mod tests {
                         if let Step::Send { tag, .. } | Step::Receive { tag, .. } = step {
                             tags = tags.max(tag + 1);
                         }
-                        let at = TimePs::ZERO;
-                        ((at, 0, at, at, seq as u32), step)
+                        (seq as EventKey, step)
                     })
                     .collect();
                 Stream {
@@ -1013,7 +1075,13 @@ mod tests {
                 }
             })
             .collect();
-        Plan { streams, tags }.validate(|o| names[o.0])
+        let undeclared = Vec::new();
+        Plan {
+            streams,
+            tags,
+            undeclared,
+        }
+        .validate(|o| names[o.0])
     }
 
     fn send(to: &str, medium: &str, bits: u64, tag: u32) -> MacroInstr {

@@ -33,13 +33,13 @@
 //! proves both return byte-identical results.
 
 use crate::error::AdequationError;
-use crate::index::AdequationIndex;
+use crate::index::{AdequationIndex, WcetEntry};
 use crate::mapping::Mapping;
 use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
+use serde::json::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tunables of the adequation heuristic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,7 +83,7 @@ impl AdequationOptions {
 }
 
 /// Output of [`adequate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct AdequationResult {
     /// Operation → operator assignment.
     pub mapping: Mapping,
@@ -92,9 +92,24 @@ pub struct AdequationResult {
     /// Schedule makespan.
     pub makespan: TimePs,
     /// Finish time of each operation within the iteration (sources/sinks
-    /// included, although they occupy no operator time), in operation
-    /// order, so the artifact serializes the same in every process.
-    pub finish_times: BTreeMap<OpId, TimePs>,
+    /// included, although they occupy no operator time), indexed by
+    /// [`OpId`]. It serializes as the `[[op, time], …]` pairs of the map
+    /// it replaced, in operation order.
+    pub finish_times: Vec<TimePs>,
+}
+
+/// The derived form, with `finish_times` written as `(OpId, time)` pairs.
+impl Serialize for AdequationResult {
+    fn to_json(&self) -> Value {
+        let finish = self.finish_times.iter().enumerate();
+        let pairs = finish.map(|(i, t)| (OpId(i), t).to_json()).collect();
+        Value::obj(vec![
+            ("mapping", self.mapping.to_json()),
+            ("schedule", self.schedule.to_json()),
+            ("makespan", self.makespan.to_json()),
+            ("finish_times", Value::Array(pairs)),
+        ])
+    }
 }
 
 /// Dense sentinel for "no operator assigned/pinned", as in [`Mapping`].
@@ -227,7 +242,7 @@ impl EvalWorkspace {
 }
 
 /// Recording buffers of the `RECORD = true` instantiation: per-id item
-/// vectors, folded into the [`Schedule`]'s B-trees once at the end.
+/// vectors, moved into the [`Schedule`]'s B-trees once at the end.
 #[derive(Debug, Default)]
 struct RecordBufs {
     operator_items: Vec<Vec<ScheduledItem>>,
@@ -237,9 +252,9 @@ struct RecordBufs {
 /// The scheduler core, monomorphized over whether it records.
 ///
 /// Both instantiations take identical decisions and perform identical
-/// commits (operator/medium horizon updates, finish times) — `RECORD =
-/// true` additionally materializes the schedule items and function-name
-/// strings, `RECORD = false` only tracks the running makespan.
+/// commits (operator/medium horizon updates, finish times) and return the
+/// makespan — `RECORD = true` additionally materializes the schedule
+/// items, each naming its function by the index's shared name.
 fn run_core<const RECORD: bool>(
     algo: &AlgorithmGraph,
     arch: &ArchGraph,
@@ -342,7 +357,7 @@ fn run_core<const RECORD: bool>(
         }
 
         // Pick the operator minimizing the finish-time estimate.
-        let mut best: Option<(TimePs, TimePs, OperatorId, TimePs, Option<usize>)> = None;
+        let mut best: Option<(TimePs, TimePs, OperatorId, WcetEntry)> = None;
         let mut any_feasible = false;
         let (lo, hi) = match single {
             Some(o) => (o.0, o.0 + 1),
@@ -405,10 +420,10 @@ fn run_core<const RECORD: bool>(
                 Some((b_eft, ..)) => eft < *b_eft,
             };
             if better {
-                best = Some((eft, est, cand, dur, entry.first_fn()));
+                best = Some((eft, est, cand, *entry));
             }
         }
-        let Some((_, est, chosen, dur, wcet_fn)) = best else {
+        let Some((_, est, chosen, wcet)) = best else {
             // A pinned/constrained candidate set is never empty, so its
             // failures are routing failures; the open set is empty only
             // when no operator implements the operation.
@@ -458,13 +473,13 @@ fn run_core<const RECORD: bool>(
             data_ready = data_ready.max(t);
         }
         let start = est.max(data_ready).max(ws.operator_free[chosen.0]);
-        let end = start + dur;
-        if !dur.is_zero() {
+        let end = start + wcet.dur;
+        if !wcet.dur.is_zero() {
             if RECORD {
                 bufs.operator_items[chosen.0].push(ScheduledItem {
                     kind: ItemKind::Compute {
                         op: next,
-                        function: index.fn_name(algo, next, wcet_fn),
+                        function: index.fn_name(&wcet),
                         iteration: 0,
                     },
                     start,
@@ -548,11 +563,11 @@ pub fn adequate_with_index(
 
     let mut ws = EvalWorkspace::new();
     let mut bufs = RecordBufs::default();
-    run_core::<true>(algo, arch, constraints, options, index, &mut ws, &mut bufs)?;
+    let makespan = run_core::<true>(algo, arch, constraints, options, index, &mut ws, &mut bufs)?;
 
-    // The mapping takes the core's per-id operator vector as is; the
-    // schedule's B-trees are filled once, in id order, from its buffers.
-    let n = algo.len();
+    // The mapping and the finish times take the core's per-id vectors as
+    // they are; the schedule's B-trees are filled once, in id order, from
+    // its buffers.
     let mapping = Mapping::from_dense(std::mem::take(&mut ws.op_operator));
     let mut schedule = Schedule::new();
     for (i, items) in bufs.operator_items.drain(..).enumerate() {
@@ -568,12 +583,14 @@ pub fn adequate_with_index(
 
     schedule.validate()?;
     mapping.validate(algo, arch, chars, constraints)?;
-    let makespan = schedule.makespan();
+    // The core's makespan is the latest end of any recorded item, which
+    // is what `Schedule::makespan` would recompute.
+    debug_assert_eq!(makespan, schedule.makespan());
     Ok(AdequationResult {
         mapping,
         schedule,
         makespan,
-        finish_times: (0..n).map(|i| (OpId(i), ws.finish[i])).collect(),
+        finish_times: std::mem::take(&mut ws.finish),
     })
 }
 
@@ -641,7 +658,7 @@ mod tests {
         let r = adequate(&algo, &arch, &chars, &cons, &paper_options()).unwrap();
         for e in algo.edges() {
             assert!(
-                r.finish_times[&e.from] <= r.finish_times[&e.to],
+                r.finish_times[e.from.0] <= r.finish_times[e.to.0],
                 "edge {} -> {} violates precedence",
                 algo.op(e.from).name,
                 algo.op(e.to).name

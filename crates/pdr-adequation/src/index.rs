@@ -18,7 +18,9 @@
 //!   list scheduler's priority function);
 //! * the worst **reconfiguration time** per (conditioned op, operator),
 //!   feeding the expected-penalty term of the reconfiguration-aware cost
-//!   model.
+//!   model;
+//! * one shared **name** (`Arc<str>`) per function symbol, which every
+//!   scheduled item of that function clones as a pointer.
 //!
 //! The build is sequential and probes the characterization once per
 //! distinct *(function symbol, operator)* pair, not once per operation:
@@ -36,6 +38,7 @@
 use crate::error::AdequationError;
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
+use std::sync::Arc;
 
 /// Sentinel function index for operations with no function symbols
 /// (sources and sinks): they cost zero everywhere and schedule items never
@@ -53,6 +56,9 @@ pub struct WcetEntry {
     /// Index (into `op.kind.functions()`) of the first function attaining
     /// `dur`; `NO_FN` for sources/sinks.
     first_fn: u32,
+    /// Dense id of that function (its slot in the index's name table);
+    /// `NO_FN` for sources/sinks.
+    fn_id: u32,
 }
 
 impl WcetEntry {
@@ -83,6 +89,9 @@ pub struct AdequationIndex {
     dynamic: Vec<bool>,
     /// Per operation: is it conditioned?
     conditioned: Vec<bool>,
+    /// Per dense function id: its name, shared by every scheduled item
+    /// of the function.
+    fn_names: Vec<Arc<str>>,
 }
 
 impl AdequationIndex {
@@ -160,11 +169,13 @@ impl AdequationIndex {
                 // Single-function fast path (the common row shape): the
                 // row is the function's probe row, verbatim.
                 let base = *f as usize * n_oprs;
-                wcet.extend(
-                    durations[base..base + n_oprs]
-                        .iter()
-                        .map(|d| d.map(|dur| WcetEntry { dur, first_fn: 0 })),
-                );
+                wcet.extend(durations[base..base + n_oprs].iter().map(|d| {
+                    d.map(|dur| WcetEntry {
+                        dur,
+                        first_fn: 0,
+                        fn_id: *f,
+                    })
+                }));
             } else {
                 wcet.extend((0..n_oprs).map(|opr| Self::wcet_cell(fids, opr, n_oprs, &durations)));
             }
@@ -214,6 +225,7 @@ impl AdequationIndex {
             reconfig_worst,
             dynamic,
             conditioned,
+            fn_names: fn_names.into_iter().map(Arc::from).collect(),
         })
     }
 
@@ -231,6 +243,7 @@ impl AdequationIndex {
             return Some(WcetEntry {
                 dur: TimePs::ZERO,
                 first_fn: NO_FN,
+                fn_id: NO_FN,
             });
         }
         let mut entry: Option<WcetEntry> = None;
@@ -242,6 +255,7 @@ impl AdequationIndex {
                     entry = Some(WcetEntry {
                         dur: d,
                         first_fn: i as u32,
+                        fn_id: f,
                     })
                 }
             }
@@ -314,13 +328,14 @@ impl AdequationIndex {
         self.conditioned[op.0]
     }
 
-    /// Resolve a stored function index back to its symbol, cloning for
-    /// schedule items (`String::new()` for the source/sink sentinel, as
-    /// the seed produced).
-    pub fn fn_name(&self, algo: &AlgorithmGraph, op: OpId, fn_idx: Option<usize>) -> String {
-        match fn_idx {
-            Some(i) => algo.op(op).kind.functions()[i].clone(),
-            None => String::new(),
+    /// The shared name of the function a WCET cell selects, for schedule
+    /// items: a pointer clone, no allocation. Sources and sinks name no
+    /// function and get a fresh empty name, as the seed produced (they
+    /// take no operator time, so the schedulers never record one).
+    pub fn fn_name(&self, entry: &WcetEntry) -> Arc<str> {
+        match self.fn_names.get(entry.fn_id as usize) {
+            Some(name) => name.clone(),
+            None => Arc::from(""),
         }
     }
 }
@@ -393,11 +408,11 @@ mod tests {
         let index = AdequationIndex::build(&algo, &arch, &chars).unwrap();
         let e = index.wcet(c, cpu).unwrap();
         assert_eq!(e.first_fn(), Some(0));
-        assert_eq!(index.fn_name(&algo, c, e.first_fn()), "f0");
+        assert_eq!(&*index.fn_name(e), "f0");
         // Sources carry the sentinel.
         let se = index.wcet(s, cpu).unwrap();
         assert_eq!(se.first_fn(), None);
-        assert_eq!(index.fn_name(&algo, s, se.first_fn()), "");
+        assert_eq!(&*index.fn_name(se), "");
     }
 
     #[test]

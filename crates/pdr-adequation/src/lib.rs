@@ -32,8 +32,13 @@
 //!   `generate_executive_ir` emits the interned `pdr-ir` form in the same
 //!   pass.
 //!
-//! [`Mapping`] is dense, one operator id per operation, because executive
-//! and §4 design generation read it once per operation and edge.
+//! The adequation result is dense. [`Mapping`] holds one operator id per
+//! operation, because executive and §4 design generation read it once
+//! per operation and edge. `finish_times` holds one time per operation.
+//! Scheduled items share one `Arc<str>` name per function symbol, owned
+//! by the [`AdequationIndex`], so recording a schedule allocates nothing
+//! per item. The JSON of all three is what the map- and string-based
+//! forms wrote.
 //!
 //! The parity oracles (reference schedulers) and the §7 annealing
 //! ablation with its quality bounds live in `pdr-bench`.

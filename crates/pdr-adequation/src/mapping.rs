@@ -83,6 +83,12 @@ impl Mapping {
     /// * every function of the operation is feasible on its operator;
     /// * sources/sinks may sit anywhere (they model interfaces);
     /// * constrained modules sit on their constrained region.
+    ///
+    /// Operations are checked in id order and the first failure is
+    /// returned. Generated flows repeat a few dozen functions over
+    /// thousands of operations, so the characterization and constraints
+    /// are probed once per distinct (function symbol, operator) pair and
+    /// the verdict is reused; a failing verdict rebuilds its message.
     pub fn validate(
         &self,
         algo: &AlgorithmGraph,
@@ -90,33 +96,77 @@ impl Mapping {
         chars: &Characterization,
         constraints: &ConstraintsFile,
     ) -> Result<(), AdequationError> {
-        for (id, op) in algo.ops() {
+        let n_oprs = arch.operator_count();
+        // Per function symbol, the base of its row of `n_oprs` verdicts,
+        // allocated when the symbol is first met. Operations are read by
+        // their interned function symbols; names are read only to probe
+        // or to report.
+        const NO_ROW: usize = usize::MAX;
+        let mut row_of = vec![NO_ROW; algo.symbols().len()];
+        let mut verdicts: Vec<Verdict> = Vec::new();
+        for i in 0..algo.len() {
+            let id = OpId(i);
             let Some(opr) = self.operator_of(id) else {
                 return Err(AdequationError::Unmappable {
-                    operation: op.name.clone(),
+                    operation: algo.op(id).name.clone(),
                     reason: "not assigned".into(),
                 });
             };
-            let opr_name = &arch.operator(opr).name;
-            for f in op.kind.functions() {
-                if !chars.feasible(f, opr_name) {
-                    return Err(AdequationError::Unmappable {
-                        operation: op.name.clone(),
-                        reason: format!("function `{f}` infeasible on `{opr_name}`"),
-                    });
+            for (k, sym) in algo.function_syms(id).iter().enumerate() {
+                let row = &mut row_of[sym.sym().index()];
+                if *row == NO_ROW {
+                    *row = verdicts.len();
+                    verdicts.resize(verdicts.len() + n_oprs, Verdict::Unprobed);
                 }
-                if let Some(mc) = constraints.module(f) {
-                    if &mc.region != opr_name {
+                let verdict = &mut verdicts[*row + opr.0];
+                if *verdict == Verdict::Valid {
+                    continue;
+                }
+                let op = algo.op(id);
+                let f = &op.kind.functions()[k];
+                let opr_name = &arch.operator(opr).name;
+                if *verdict == Verdict::Unprobed {
+                    *verdict = if !chars.feasible(f, opr_name) {
+                        Verdict::Infeasible
+                    } else if constraints
+                        .module(f)
+                        .is_some_and(|mc| &mc.region != opr_name)
+                    {
+                        Verdict::Conflict
+                    } else {
+                        Verdict::Valid
+                    };
+                }
+                match verdict {
+                    Verdict::Infeasible => {
+                        return Err(AdequationError::Unmappable {
+                            operation: op.name.clone(),
+                            reason: format!("function `{f}` infeasible on `{opr_name}`"),
+                        })
+                    }
+                    Verdict::Conflict => {
+                        let region = constraints.module(f).map_or("", |mc| mc.region.as_str());
                         return Err(AdequationError::ConstraintConflict(format!(
-                            "module `{f}` is constrained to region `{}` but mapped to `{opr_name}`",
-                            mc.region
+                            "module `{f}` is constrained to region `{region}` but mapped to `{opr_name}`"
                         )));
                     }
+                    Verdict::Valid | Verdict::Unprobed => {}
                 }
             }
         }
         Ok(())
     }
+}
+
+/// [`Mapping::validate`]'s verdict on one (function, operator) pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    Unprobed,
+    Valid,
+    /// The characterization has no duration for the pair.
+    Infeasible,
+    /// The function is a module constrained to another region.
+    Conflict,
 }
 
 /// `{"assignments": [[op, operator], ...]}`, as the `BTreeMap` field did.
@@ -199,6 +249,156 @@ mod tests {
             .validate(&algo, &arch, &chars, &ConstraintsFile::new())
             .unwrap_err();
         assert!(err.to_string().contains("infeasible"));
+    }
+
+    /// The text of `validate`'s error.
+    fn error_text(
+        m: &Mapping,
+        (algo, arch, chars, cons): (
+            &AlgorithmGraph,
+            &ArchGraph,
+            &Characterization,
+            &ConstraintsFile,
+        ),
+    ) -> String {
+        m.validate(algo, arch, chars, cons).unwrap_err().to_string()
+    }
+
+    /// A mapping of the paper flow with `edit` applied.
+    fn paper_mapping_with(
+        algo: &AlgorithmGraph,
+        arch: &ArchGraph,
+        edit: &[(&str, Option<&str>)],
+    ) -> Mapping {
+        let full = full_mapping(algo, arch);
+        let mut m = Mapping::new();
+        for (id, opr) in full.iter() {
+            match edit.iter().find(|(op, _)| *op == algo.op(id).name) {
+                Some((_, Some(to))) => m.assign(id, arch.operator_by_name(to).unwrap()),
+                Some((_, None)) => {}
+                None => m.assign(id, opr),
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn validate_reports_each_failure_with_its_text() {
+        let (algo, arch, chars, cons) = setup();
+        let models = (&algo, &arch, &chars, &cons);
+        let m = paper_mapping_with(&algo, &arch, &[("ifft64", None)]);
+        assert_eq!(
+            error_text(&m, models),
+            "operation `ifft64` cannot be mapped: not assigned"
+        );
+        let m = paper_mapping_with(&algo, &arch, &[("ifft64", Some("op_dyn"))]);
+        assert_eq!(
+            error_text(&m, models),
+            "operation `ifft64` cannot be mapped: function `ifft64` infeasible on `op_dyn`"
+        );
+        let m = paper_mapping_with(&algo, &arch, &[("modulation", Some("fpga_static"))]);
+        assert_eq!(
+            error_text(&m, models),
+            "constraints conflict: module `mod_qpsk` is constrained to region `op_dyn` \
+             but mapped to `fpga_static`"
+        );
+    }
+
+    #[test]
+    fn validate_reports_the_first_failure_in_op_order() {
+        let (algo, arch, chars, cons) = setup();
+        let models = (&algo, &arch, &chars, &cons);
+        // `modulation` precedes `spreading` and `ifft64` in id order.
+        let m = paper_mapping_with(
+            &algo,
+            &arch,
+            &[
+                ("ifft64", None),
+                ("spreading", Some("op_dyn")),
+                ("modulation", Some("fpga_static")),
+            ],
+        );
+        assert_eq!(
+            error_text(&m, models),
+            "constraints conflict: module `mod_qpsk` is constrained to region `op_dyn` \
+             but mapped to `fpga_static`"
+        );
+        let m = paper_mapping_with(
+            &algo,
+            &arch,
+            &[("ifft64", None), ("spreading", Some("op_dyn"))],
+        );
+        assert_eq!(
+            error_text(&m, models),
+            "operation `spreading` cannot be mapped: function `spreading` infeasible on `op_dyn`"
+        );
+    }
+
+    /// `s -> a -> c -> b -> k` on two processors: `a` and `b` both run
+    /// `kern`, feasible on `cpu` only; `c` is conditioned on `f0 | f1`,
+    /// and `f1` runs on `cpu` only while `f0` runs on both.
+    fn shared_functions() -> (AlgorithmGraph, ArchGraph, Characterization) {
+        let mut algo = AlgorithmGraph::new("t");
+        let s = algo.add_op("s", OpKind::Source).unwrap();
+        let kern = || OpKind::Compute {
+            function: "kern".into(),
+        };
+        let a = algo.add_op("a", kern()).unwrap();
+        let c = algo
+            .add_op(
+                "c",
+                OpKind::Conditioned {
+                    alternatives: vec!["f0".into(), "f1".into()],
+                },
+            )
+            .unwrap();
+        let b = algo.add_op("b", kern()).unwrap();
+        let k = algo.add_op("k", OpKind::Sink).unwrap();
+        for (x, y) in [(s, a), (a, c), (c, b), (b, k)] {
+            algo.connect(x, y, 8).unwrap();
+        }
+        let mut arch = ArchGraph::new("t");
+        arch.add_operator("cpu", OperatorKind::Processor).unwrap();
+        arch.add_operator("dsp", OperatorKind::Processor).unwrap();
+        let mut chars = Characterization::new();
+        chars.set_duration("kern", "cpu", pdr_fabric::TimePs::from_us(1));
+        chars.set_duration("f0", "cpu", pdr_fabric::TimePs::from_us(1));
+        chars.set_duration("f0", "dsp", pdr_fabric::TimePs::from_us(1));
+        chars.set_duration("f1", "cpu", pdr_fabric::TimePs::from_us(1));
+        (algo, arch, chars)
+    }
+
+    #[test]
+    fn validate_checks_every_alternative_and_every_sharer() {
+        let (algo, arch, chars) = shared_functions();
+        let cons = ConstraintsFile::new();
+        let models = (&algo, &arch, &chars, &cons);
+        let map = |oprs: [&str; 5]| {
+            let mut m = Mapping::new();
+            for (i, o) in oprs.iter().enumerate() {
+                m.assign(OpId(i), arch.operator_by_name(o).unwrap());
+            }
+            m
+        };
+        map(["dsp", "cpu", "cpu", "cpu", "dsp"])
+            .validate(&algo, &arch, &chars, &cons)
+            .unwrap();
+        // One infeasible alternative makes the conditioned op infeasible.
+        assert_eq!(
+            error_text(&map(["dsp", "cpu", "dsp", "cpu", "dsp"]), models),
+            "operation `c` cannot be mapped: function `f1` infeasible on `dsp`"
+        );
+        // `a` passes on `cpu`; `b`, running the same function on `dsp`,
+        // does not.
+        assert_eq!(
+            error_text(&map(["dsp", "cpu", "cpu", "dsp", "dsp"]), models),
+            "operation `b` cannot be mapped: function `kern` infeasible on `dsp`"
+        );
+        // Both fail: the first in id order is reported.
+        assert_eq!(
+            error_text(&map(["dsp", "dsp", "cpu", "dsp", "dsp"]), models),
+            "operation `a` cannot be mapped: function `kern` infeasible on `dsp`"
+        );
     }
 
     #[test]

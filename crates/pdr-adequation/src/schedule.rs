@@ -14,8 +14,14 @@ use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What a scheduled item does.
+///
+/// Function names are shared, not owned: every item of one function
+/// symbol holds the same `Arc<str>` (the [`crate::AdequationIndex`] keeps
+/// one per symbol), so recording an item allocates nothing. They
+/// serialize as the plain strings they name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ItemKind {
     /// Execute `function` for operation `op` (iteration-stamped).
@@ -24,7 +30,7 @@ pub enum ItemKind {
         op: OpId,
         /// Concrete function symbol (the active alternative for conditioned
         /// operations).
-        function: String,
+        function: Arc<str>,
         /// Iteration index (0 for single-iteration schedules).
         iteration: u32,
     },
@@ -42,7 +48,7 @@ pub enum ItemKind {
     /// Reconfigure a dynamic operator to `function`.
     Reconfigure {
         /// Function (module) being loaded.
-        function: String,
+        function: Arc<str>,
         /// Iteration whose computation required the load.
         iteration: u32,
         /// True when the bitstream fetch leg was prefetched (overlapped);

@@ -382,7 +382,7 @@ pub fn schedule_trace(
                         opr,
                         ScheduledItem {
                             kind: ItemKind::Reconfigure {
-                                function: f.clone(),
+                                function: f.as_str().into(),
                                 iteration: it,
                                 prefetched,
                             },
@@ -409,7 +409,7 @@ pub fn schedule_trace(
                     ScheduledItem {
                         kind: ItemKind::Compute {
                             op: id,
-                            function: function.clone().unwrap_or_default(),
+                            function: function.as_deref().unwrap_or_default().into(),
                             iteration: it,
                         },
                         start,

@@ -7,14 +7,18 @@
 //!   on every gallery flow under every parity option set, identical
 //!   direct-replay `RequestTiming`s/`ManagerStats`, the >= 5x throughput
 //!   floor over the reference replay, the >= 1M req/s absolute engine
-//!   floor, and that the steady-state request path performs zero heap
-//!   allocations;
+//!   floor, that the steady-state request path performs zero heap
+//!   allocations, and that building the engine of the generated 10k flow
+//!   makes at least one heap allocation per module fewer than
+//!   [`ENGINE_BUILD_ALLOCS_VIA_IMAGE`];
 //! * `--out <path>` — persist the study as a `BENCH_rtr.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
 use criterion::{black_box, Criterion};
 use pdr_bench::alloc_count::{allocations, CountingAlloc};
 use pdr_bench::rtr_study;
+use pdr_core::gallery::{self, SyntheticParams};
+use pdr_core::{DeployedSystem, RuntimeOptions};
 use pdr_sweep::artifact::{outcome_digest, Artifact};
 use pdr_sweep::SweepEngine;
 use serde::json::Value;
@@ -41,6 +45,49 @@ fn assert_steady_state_requests_are_allocation_free() {
          over 100000 requests"
     );
     println!("ok: 100000 steady-state requests, 0 heap allocations");
+}
+
+/// Heap allocations of one `DeployedSystem::rtr_engine` on the generated
+/// 10k flow (seed 1) while the protocol builder validated each module's
+/// stream through its encoded byte image.
+const ENGINE_BUILD_ALLOCS_VIA_IMAGE: u64 = 159;
+
+/// Assert that building the generated 10k flow's engine validates its
+/// streams without copying them: at least one allocation per module
+/// fewer than [`ENGINE_BUILD_ALLOCS_VIA_IMAGE`]. Returns the artifact
+/// section.
+fn assert_engine_build_validates_in_place() -> Value {
+    let flow = gallery::synthetic(&SyntheticParams {
+        seed: 1,
+        ..SyntheticParams::sized(10_000)
+    });
+    let artifacts = flow.run().expect("generated flow compiles");
+    let deployed = DeployedSystem::new(
+        flow.architecture(),
+        &artifacts,
+        flow.device().clone(),
+        RuntimeOptions::paper_baseline(),
+    );
+    let modules = deployed.rtr_engine().expect("engine builds").module_count() as u64;
+    let before = allocations();
+    black_box(deployed.rtr_engine().expect("engine builds"));
+    let allocs = allocations() - before;
+    let ceiling = ENGINE_BUILD_ALLOCS_VIA_IMAGE - modules;
+    assert!(
+        allocs <= ceiling,
+        "rtr_engine on generated 10k seed 1 made {allocs} heap allocations for \
+         {modules} modules (ceiling {ceiling}: {ENGINE_BUILD_ALLOCS_VIA_IMAGE} through \
+         encoded images, less one per module)"
+    );
+    println!(
+        "ok: rtr_engine on generated 10k seed 1: {allocs} heap allocations, {modules} \
+         modules (ceiling {ceiling})"
+    );
+    Value::obj(vec![
+        ("modules", Value::UInt(modules)),
+        ("allocations", Value::UInt(allocs)),
+        ("allocations_ceiling", Value::UInt(ceiling)),
+    ])
 }
 
 fn main() {
@@ -102,6 +149,7 @@ fn main() {
         );
         assert_steady_state_requests_are_allocation_free();
     }
+    let engine_build = assert_engine_build_validates_in_place();
 
     if let Some(path) = &out {
         let mut artifact = Artifact::new("rtr")
@@ -115,6 +163,7 @@ fn main() {
             Value::Array(parity.iter().map(|c| c.to_json()).collect()),
         );
         artifact.push_section("throughput", tp.to_json());
+        artifact.push_section("engine_build", engine_build);
         artifact.push_section(
             "policies",
             sweep.to_json_with(rtr_study::PolicyPoint::to_json),

@@ -19,7 +19,11 @@
 //!   stream (so emitting the IR allocates nothing per instruction); and
 //!   that one `model::check` of its executive stays under
 //!   [`MODEL_CHECK_ALLOCS_CEILING`] heap allocations; and that one
-//!   `generate_design` of it stays under [`DESIGN_ALLOCS_CEILING`];
+//!   `generate_design` of it stays under [`DESIGN_ALLOCS_CEILING`]; and
+//!   that one `adequate_with_index` of the generated 2048- and
+//!   10000-operation flows stays under one ceiling, the same for both:
+//!   [`ADEQUATE_ALLOCS_PER_RESOURCE`] per operator and medium plus
+//!   [`ADEQUATE_ALLOCS_FIXED`];
 //! * `--out <path>` — persist the study as a `BENCH_scale.json` artifact
 //!   through the `pdr-sweep` JSON writer.
 
@@ -330,6 +334,76 @@ fn probe_design(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value 
     ])
 }
 
+/// Heap allocations one `adequate_with_index` may make per operator and
+/// per medium: the growth of that resource's item vector (doubling, so
+/// about log2 of its item count), its validation label and its share of
+/// the schedule's B-tree.
+const ADEQUATE_ALLOCS_PER_RESOURCE: u64 = 16;
+
+/// Heap allocations one `adequate_with_index` may make besides those per
+/// resource: input validation, the scheduler workspace (whose dense
+/// vectors become the mapping and the finish times) and the mapping
+/// check's verdict table.
+const ADEQUATE_ALLOCS_FIXED: u64 = 64;
+
+/// Assert the adequation allocation ceiling on the generated 2048- and
+/// 10000-operation flows. Both share one architecture, so the ceiling
+/// is the same number for both; an allocation per scheduled item
+/// (thousands of them) fails it on any host. Returns the artifact
+/// section.
+fn probe_adequation_allocations() -> Value {
+    let mut ceilings = Vec::new();
+    let mut rows = Vec::new();
+    for ops in [2048, 10_000] {
+        let flow = gallery::synthetic(&gallery::SyntheticParams::sized(ops));
+        let (algo, arch, chars) = (
+            flow.algorithm(),
+            flow.architecture(),
+            flow.characterization(),
+        );
+        let (cons, opts) = (flow.constraints(), flow.adequation_options());
+        let index = AdequationIndex::build(algo, arch, chars).expect("index builds");
+        let adequate = || adequate_with_index(algo, arch, chars, cons, opts, &index);
+        black_box(adequate().expect("schedules"));
+        let before = allocations();
+        let result = adequate().expect("schedules");
+        let allocations = allocations() - before;
+        let items: usize = result
+            .schedule
+            .operator_items
+            .values()
+            .chain(result.schedule.medium_items.values())
+            .map(Vec::len)
+            .sum();
+        let resources = (arch.operator_count() + arch.medium_count()) as u64;
+        let ceiling = ADEQUATE_ALLOCS_PER_RESOURCE * resources + ADEQUATE_ALLOCS_FIXED;
+        let case = format!("synthetic_gen_{ops}");
+        assert!(
+            allocations <= ceiling,
+            "adequate_with_index made {allocations} heap allocations on {case} \
+             ({items} scheduled items; ceiling {ceiling}: {ADEQUATE_ALLOCS_PER_RESOURCE} x \
+             {resources} operators and media + {ADEQUATE_ALLOCS_FIXED})"
+        );
+        println!(
+            "ok: adequate_with_index on {case}: {items} scheduled items, {allocations} heap \
+             allocations (ceiling {ceiling}: {ADEQUATE_ALLOCS_PER_RESOURCE} x {resources} \
+             operators and media + {ADEQUATE_ALLOCS_FIXED})"
+        );
+        ceilings.push(ceiling);
+        rows.push(Value::obj(vec![
+            ("flow", Value::String(case)),
+            ("scheduled_items", Value::UInt(items as u64)),
+            ("allocations", Value::UInt(allocations)),
+            ("allocations_ceiling", Value::UInt(ceiling)),
+        ]));
+    }
+    assert_eq!(
+        ceilings[0], ceilings[1],
+        "the adequation ceiling must not depend on the operation count"
+    );
+    Value::Array(rows)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let test_mode = args.iter().any(|a| a == "--test");
@@ -345,6 +419,7 @@ fn main() {
     let (executive, floor_executive) = probe_executive_generation(&floor_flow, reps);
     let verify = probe_verify(&floor_flow, &floor_executive, reps);
     let design = probe_design(&floor_flow, &floor_executive, reps);
+    let adequation = probe_adequation_allocations();
     let study = scale::run(reps).expect("flows schedule");
     print!("{}", study.render());
     assert!(
@@ -385,6 +460,7 @@ fn main() {
         artifact.push_section("executive", executive);
         artifact.push_section("verify", verify);
         artifact.push_section("design", design);
+        artifact.push_section("adequation", adequation);
         artifact.write(path).expect("artifact written");
         println!("wrote {path}");
     }

@@ -144,11 +144,12 @@ fn run_fixed_mapping(
                     ScheduledItem {
                         kind: ItemKind::Compute {
                             op: id,
-                            function: index.fn_name(
-                                algo,
-                                id,
-                                last_max_fn(op.kind.functions(), &arch.operator(opr).name, chars),
-                            ),
+                            function: last_max_fn(
+                                op.kind.functions(),
+                                &arch.operator(opr).name,
+                                chars,
+                            )
+                            .map_or_else(|| "".into(), |k| op.kind.functions()[k].as_str().into()),
                             iteration: 0,
                         },
                         start,

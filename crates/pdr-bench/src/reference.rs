@@ -312,7 +312,7 @@ pub fn adequate_reference(
                 ScheduledItem {
                     kind: ItemKind::Compute {
                         op: next,
-                        function: wcet_fn,
+                        function: wcet_fn.into(),
                         iteration: 0,
                     },
                     start,
@@ -336,7 +336,7 @@ pub fn adequate_reference(
         mapping,
         schedule,
         makespan,
-        finish_times: finish.into_iter().collect(),
+        finish_times: algo.ops().map(|(id, _)| finish[&id]).collect(),
     })
 }
 
@@ -544,7 +544,10 @@ pub fn adequate_indexed_reference(
                 ScheduledItem {
                     kind: ItemKind::Compute {
                         op: next,
-                        function: index.fn_name(algo, next, wcet_fn),
+                        function: wcet_fn.map_or_else(
+                            || "".into(),
+                            |k| algo.op(next).kind.functions()[k].as_str().into(),
+                        ),
                         iteration: 0,
                     },
                     start,
@@ -572,7 +575,7 @@ pub fn adequate_indexed_reference(
         mapping,
         schedule,
         makespan,
-        finish_times: (0..n).map(|i| (OpId(i), finish[i])).collect(),
+        finish_times: finish,
     })
 }
 

@@ -18,9 +18,10 @@
 //! fingerprint, so its packets are generated once per geometry and shared
 //! (a [`Bitstream`] holds its packets behind an `Arc`, making clones O(1)).
 //!
-//! The `pdr-rtr` protocol builder consumes [`Bitstream::encode`]'s byte image
-//! and feeds it to a configuration-port model; the paper's latency numbers
-//! come straight from those byte counts.
+//! The paper's latency numbers come straight from the byte counts of
+//! [`Bitstream::encode`]'s image. The `pdr-rtr` protocol builder checks a
+//! stream with [`Bitstream::validate`], which reads the packets in place
+//! under the same rules [`Bitstream::decode`] applies to an image.
 
 use crate::device::Device;
 use crate::error::FabricError;
@@ -100,6 +101,28 @@ impl Packet {
             Packet::Far(_) => 2, // header + address word
             Packet::Fdri(data) => 1 + data.len(),
             Packet::Crc(_) => 1,
+        }
+    }
+
+    /// The encoded words before any frame data: the first `n` of the
+    /// returned pair. FDRI frame data follows as [`Packet::payload`].
+    fn head(&self) -> ([u32; 2], usize) {
+        match self {
+            Packet::Sync => ([DUMMY_WORD, SYNC_WORD], 2),
+            Packet::Cmd(c) => ([(TAG_CMD << 28) | c.code(), 0], 1),
+            Packet::Far(a) => ([TAG_FAR << 28, a.pack()], 2),
+            Packet::Fdri(data) => ([(TAG_FDRI << 28) | (data.len() as u32 & 0x0FFF_FFFF), 0], 1),
+            // The CRC travels as its 28 low bits, folded into the header;
+            // decode verifies those.
+            Packet::Crc(c) => ([(TAG_CRC << 28) | (c & 0x0FFF_FFFF), 0], 1),
+        }
+    }
+
+    /// The frame data of an FDRI packet (empty for the others).
+    fn payload(&self) -> &[u32] {
+        match self {
+            Packet::Fdri(data) => data,
+            _ => &[],
         }
     }
 }
@@ -290,28 +313,9 @@ impl Bitstream {
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.len_bytes());
         for p in self.packets.iter() {
-            match p {
-                Packet::Sync => {
-                    buf.put_u32(DUMMY_WORD);
-                    buf.put_u32(SYNC_WORD);
-                }
-                Packet::Cmd(c) => buf.put_u32((TAG_CMD << 28) | c.code()),
-                Packet::Far(a) => {
-                    buf.put_u32(TAG_FAR << 28);
-                    buf.put_u32(a.pack());
-                }
-                Packet::Fdri(data) => {
-                    buf.put_u32((TAG_FDRI << 28) | (data.len() as u32 & 0x0FFF_FFFF));
-                    for w in data {
-                        buf.put_u32(*w);
-                    }
-                }
-                Packet::Crc(c) => {
-                    // CRC packets carry the value in a follow-up read during
-                    // decode; we fold 28 low bits into the header and verify
-                    // the rest structurally.
-                    buf.put_u32((TAG_CRC << 28) | (c & 0x0FFF_FFFF));
-                }
+            let (head, n) = p.head();
+            for &w in head[..n].iter().chain(p.payload()) {
+                buf.put_u32(w);
             }
         }
         buf.freeze()
@@ -328,7 +332,7 @@ impl Bitstream {
         module_fingerprint: u64,
     ) -> Result<Bitstream, FabricError> {
         let mut packets = Vec::new();
-        let frames = walk(bytes, device, |p| {
+        let frames = walk(ImageWords::new(bytes)?, device, |p| {
             packets.push(match p {
                 RawPacket::Sync => Packet::Sync,
                 RawPacket::Cmd(c) => Packet::Cmd(c),
@@ -353,7 +357,15 @@ impl Bitstream {
     /// frame data or building a packet list. Returns the number of
     /// configuration frames the stream carries.
     pub fn validate_encoded(bytes: &[u8], device: &Device) -> Result<u32, FabricError> {
-        walk(bytes, device, |_| {})
+        walk(ImageWords::new(bytes)?, device, |_| {})
+    }
+
+    /// Validate this stream for `device` in place: exactly the checks
+    /// [`Bitstream::validate_encoded`] runs on [`Bitstream::encode`]'s
+    /// image, with the same errors, read from the packets without
+    /// building the image. Returns the number of configuration frames.
+    pub fn validate(&self, device: &Device) -> Result<u32, FabricError> {
+        walk(PacketWords::new(&self.packets), device, |_| {})
     }
 
     /// Check the stream targets the given device.
@@ -417,14 +429,118 @@ fn synthetic_payload(rng: &mut SplitMix64, words: usize) -> Vec<u32> {
     data
 }
 
-/// One packet of an encoded stream, viewed in place: the FDRI payload
-/// borrows the byte image instead of being copied out of it.
-enum RawPacket<'a> {
+/// One packet of an encoded stream, viewed in place: the FDRI payload is
+/// whatever the [`Words`] source hands out (a borrowed slice of a byte
+/// image), never a copy.
+enum RawPacket<P> {
     Sync,
     Cmd(Command),
     Far(FrameAddress),
-    Fdri(&'a [u8]),
+    Fdri(P),
     Crc(u32),
+}
+
+/// An encoded stream read front to back, one 32-bit word at a time.
+trait Words {
+    /// An FDRI payload as [`walk`] hands it to its visitor.
+    type Payload;
+    /// The next word, `None` at the end.
+    fn next_word(&mut self) -> Option<u32>;
+    /// The next `n` words as one payload, fed to `crc` in stream order;
+    /// `None` when fewer than `n` remain.
+    fn payload(&mut self, n: usize, crc: &mut Crc32) -> Option<Self::Payload>;
+}
+
+/// A byte image, big-endian words; payloads borrow it.
+struct ImageWords<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> ImageWords<'a> {
+    /// The words of `bytes`, which must be whole words.
+    fn new(bytes: &'a [u8]) -> Result<Self, FabricError> {
+        if !bytes.len().is_multiple_of(4) {
+            return Err(malformed(format!(
+                "length {} is not word-aligned",
+                bytes.len()
+            )));
+        }
+        Ok(ImageWords { rest: bytes })
+    }
+}
+
+impl<'a> Words for ImageWords<'a> {
+    type Payload = &'a [u8];
+
+    fn next_word(&mut self) -> Option<u32> {
+        let (word, rest) = self.rest.split_first_chunk::<4>()?;
+        self.rest = rest;
+        Some(u32::from_be_bytes(*word))
+    }
+
+    fn payload(&mut self, n: usize, crc: &mut Crc32) -> Option<&'a [u8]> {
+        let len = n.checked_mul(4).filter(|&len| len <= self.rest.len())?;
+        let (payload, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        crc.update_bytes(payload);
+        Some(payload)
+    }
+}
+
+/// The words [`Bitstream::encode`] would write for a packet list, read
+/// from the packets: each packet's [`Packet::head`], then its payload.
+struct PacketWords<'a> {
+    packets: std::slice::Iter<'a, Packet>,
+    /// Head words of the current packet not yet read.
+    head: std::iter::Take<std::array::IntoIter<u32, 2>>,
+    /// Payload words of the current packet not yet read.
+    data: &'a [u32],
+}
+
+impl<'a> PacketWords<'a> {
+    fn new(packets: &'a [Packet]) -> Self {
+        PacketWords {
+            packets: packets.iter(),
+            head: [0; 2].into_iter().take(0),
+            data: &[],
+        }
+    }
+}
+
+impl Words for PacketWords<'_> {
+    type Payload = ();
+
+    fn next_word(&mut self) -> Option<u32> {
+        loop {
+            if let Some(w) = self.head.next() {
+                return Some(w);
+            }
+            if let Some((&w, rest)) = self.data.split_first() {
+                self.data = rest;
+                return Some(w);
+            }
+            let p = self.packets.next()?;
+            let (head, n) = p.head();
+            self.head = head.into_iter().take(n);
+            self.data = p.payload();
+        }
+    }
+
+    fn payload(&mut self, n: usize, crc: &mut Crc32) -> Option<()> {
+        // A well-formed FDRI packet declares exactly its own frame data.
+        if self.head.len() == 0 && n <= self.data.len() {
+            let (payload, rest) = self.data.split_at(n);
+            crc.update_words(payload);
+            self.data = rest;
+            return Some(());
+        }
+        // Otherwise (a payload longer than its 28-bit length field can
+        // declare) the declared words run on into the following packets.
+        for _ in 0..n {
+            crc.update_word(self.next_word()?);
+        }
+        Some(())
+    }
 }
 
 fn be_word(c: &[u8]) -> u32 {
@@ -437,31 +553,23 @@ fn malformed(reason: impl Into<String>) -> FabricError {
     }
 }
 
-/// The one copy of the stream rules: walk `bytes` word by word, check
-/// alignment, sync, command codes, frame addresses, FDRI bounds, the CRC
-/// and the frame multiple, hand every packet to `visit`, and return the
-/// number of frames carried.
-fn walk<'a>(
-    bytes: &'a [u8],
+/// The one copy of the stream rules: read `words` front to back, check
+/// sync, command codes, frame addresses, FDRI bounds, the CRC and the
+/// frame multiple, hand every packet to `visit`, and return the number of
+/// frames carried.
+fn walk<W: Words>(
+    mut words: W,
     device: &Device,
-    mut visit: impl FnMut(RawPacket<'a>),
+    mut visit: impl FnMut(RawPacket<W::Payload>),
 ) -> Result<u32, FabricError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(malformed(format!(
-            "length {} is not word-aligned",
-            bytes.len()
-        )));
-    }
-    let n_words = bytes.len() / 4;
-    let word = |i: usize| (i < n_words).then(|| be_word(&bytes[4 * i..4 * i + 4]));
+    // Index of the word being read, for error messages.
     let mut i = 0usize;
     let mut frames_words = 0usize;
     let mut crc_seen = false;
     let mut computed_crc = Crc32::new();
-    while i < n_words {
-        let w = be_word(&bytes[4 * i..4 * i + 4]);
+    while let Some(w) = words.next_word() {
         if w == DUMMY_WORD {
-            if word(i + 1) != Some(SYNC_WORD) {
+            if words.next_word() != Some(SYNC_WORD) {
                 return Err(malformed("dummy word not followed by sync word"));
             }
             visit(RawPacket::Sync);
@@ -476,7 +584,9 @@ fn walk<'a>(
                 i += 1;
             }
             TAG_FAR => {
-                let addr_word = word(i + 1).ok_or_else(|| malformed("truncated FAR packet"))?;
+                let addr_word = words
+                    .next_word()
+                    .ok_or_else(|| malformed("truncated FAR packet"))?;
                 let addr = FrameAddress::unpack(addr_word)
                     .ok_or_else(|| malformed(format!("bad frame address {addr_word:#010x}")))?;
                 visit(RawPacket::Far(addr));
@@ -484,17 +594,12 @@ fn walk<'a>(
             }
             TAG_FDRI => {
                 let n = (w & 0x0FFF_FFFF) as usize;
-                let end = i + 1 + n;
-                if end > n_words {
-                    return Err(malformed(format!(
-                        "truncated FDRI packet: {n} words declared"
-                    )));
-                }
-                let payload = &bytes[4 * (i + 1)..4 * end];
-                computed_crc.update_bytes(payload);
+                let payload = words.payload(n, &mut computed_crc).ok_or_else(|| {
+                    malformed(format!("truncated FDRI packet: {n} words declared"))
+                })?;
                 frames_words += n;
                 visit(RawPacket::Fdri(payload));
-                i = end;
+                i += 1 + n;
             }
             TAG_CRC => {
                 let stored = w & 0x0FFF_FFFF;
@@ -874,6 +979,128 @@ mod tests {
         );
         assert_eq!(Packet::Fdri(vec![0; 10]).words(), 11);
         assert_eq!(Packet::Crc(0).words(), 1);
+    }
+
+    /// `bs` with its packets replaced by `edit` of them.
+    fn edited(bs: &Bitstream, edit: impl FnOnce(&mut Vec<Packet>)) -> Bitstream {
+        let mut packets = bs.packets().to_vec();
+        edit(&mut packets);
+        Bitstream {
+            packets: packets.into(),
+            ..bs.clone()
+        }
+    }
+
+    #[test]
+    fn validate_in_place_matches_the_encoded_image() {
+        let d = dev();
+        let good = Bitstream::partial_for_region(&d, &region(), 3);
+        let fdri = |p: &[Packet]| p.iter().position(|p| matches!(p, Packet::Fdri(_))).unwrap();
+        let crc = |p: &[Packet]| p.iter().position(|p| matches!(p, Packet::Crc(_))).unwrap();
+        let cases = [
+            ("intact", good.clone()),
+            (
+                "corrupted CRC",
+                edited(&good, |p| {
+                    let i = crc(p);
+                    p[i] = Packet::Crc(0x0123_4567);
+                }),
+            ),
+            (
+                "no CRC",
+                edited(&good, |p| {
+                    let i = crc(p);
+                    p.remove(i);
+                }),
+            ),
+            (
+                "frame data off the frame multiple, CRC consistent",
+                edited(&good, |p| {
+                    let i = fdri(p);
+                    let Packet::Fdri(data) = &mut p[i] else {
+                        unreachable!()
+                    };
+                    data.pop();
+                    let mut c = Crc32::new();
+                    c.update_words(data);
+                    let j = crc(p);
+                    p[j] = Packet::Crc(c.finish());
+                }),
+            ),
+            ("empty", edited(&good, |p| p.clear())),
+        ];
+        for (what, bs) in &cases {
+            let in_place = bs.validate(&d);
+            assert_eq!(
+                in_place,
+                Bitstream::validate_encoded(&bs.encode(), &d),
+                "{what}"
+            );
+            assert_eq!(in_place.is_ok(), *what == "intact", "{what}: {in_place:?}");
+        }
+        assert_eq!(good.validate(&d), Ok(good.frames()));
+        // A stream built for another geometry fails the frame multiple.
+        let other = Device::custom(d.name.clone(), d.clb_rows + 8, d.clb_cols, d.bram_cols);
+        let err = good.validate(&other).unwrap_err();
+        assert_eq!(
+            Err(err),
+            Bitstream::validate_encoded(&good.encode(), &other)
+        );
+    }
+
+    /// The packet reader yields the image's words, and a payload read of
+    /// any length — within the packet, running on into the following
+    /// packets (what a payload longer than its length field would
+    /// declare), or past the end — sees what the image reader sees.
+    #[test]
+    fn packet_words_read_as_the_image() {
+        let bs = Bitstream::partial_for_region(&dev(), &region(), 5);
+        let image = bs.encode();
+        let mut from_packets = PacketWords::new(bs.packets());
+        let mut from_image = ImageWords::new(&image).unwrap();
+        let mut n = 0;
+        while let Some(w) = from_image.next_word() {
+            assert_eq!(from_packets.next_word(), Some(w), "word {n}");
+            n += 1;
+        }
+        assert_eq!(from_packets.next_word(), None);
+        assert_eq!(n, bs.len_words());
+
+        let header = 1 + bs
+            .packets()
+            .iter()
+            .take_while(|p| !matches!(p, Packet::Fdri(_)))
+            .map(Packet::words)
+            .sum::<usize>();
+        let data = bs.packets().iter().find_map(|p| match p {
+            Packet::Fdri(data) => Some(data.len()),
+            _ => None,
+        });
+        let data = data.unwrap();
+        for take in [
+            0,
+            1,
+            data - 1,
+            data,
+            data + 1,
+            data + 3,
+            n - header,
+            n - header + 1,
+        ] {
+            let mut from_packets = PacketWords::new(bs.packets());
+            let mut from_image = ImageWords::new(&image).unwrap();
+            for _ in 0..header {
+                assert_eq!(from_packets.next_word(), from_image.next_word());
+            }
+            let (mut crc_p, mut crc_i) = (Crc32::new(), Crc32::new());
+            let read_p = from_packets.payload(take, &mut crc_p).is_some();
+            let read_i = from_image.payload(take, &mut crc_i).is_some();
+            assert_eq!(read_p, read_i, "payload of {take} words");
+            if read_i {
+                assert_eq!(crc_p.finish(), crc_i.finish(), "payload of {take} words");
+                assert_eq!(from_packets.next_word(), from_image.next_word());
+            }
+        }
     }
 
     #[test]

@@ -997,6 +997,29 @@ mod tests {
         assert!(matches!(err, RtrError::RegionMismatch { .. }));
     }
 
+    /// A stream built for another geometry of the same part is refused
+    /// at build with the stream walk's own error text.
+    #[test]
+    fn stream_for_another_geometry_rejected_at_build() {
+        let d = Device::xc2v2000();
+        let r = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
+        let bs = Bitstream::partial_for_region(&d, &r, 1);
+        let bytes = bs.len_bytes();
+        let taller = Device::custom(d.name.clone(), d.clb_rows + 8, d.clb_cols, d.bram_cols);
+        let err = RtrEngineBuilder::new(
+            taller,
+            PortProfile::icap_virtex2(),
+            MemoryModel::paper_flash(),
+        )
+        .region(RegionSpec::new("op_dyn", bytes).module("mod_a", bs))
+        .build()
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed bitstream: frame payload of 12408 words is not a multiple of the device frame length (161 words)"
+        );
+    }
+
     #[test]
     fn compressed_storage_shortens_only_the_fetch_leg() {
         let d = Device::xc2v2000();

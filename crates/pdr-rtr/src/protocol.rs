@@ -34,8 +34,8 @@ pub struct LoadPlan {
 pub struct ProtocolBuilder {
     device: Device,
     port: PortProfile,
-    /// Validate CRC/structure on every request (costs an encode pass and
-    /// one in-place walk of the image; can be disabled for large batch
+    /// Validate CRC/structure on every request (costs one in-place walk
+    /// of the stream's packets; can be disabled for large batch
     /// simulations).
     pub verify_streams: bool,
 }
@@ -74,7 +74,7 @@ impl ProtocolBuilder {
             _ => {}
         }
         if self.verify_streams {
-            Bitstream::validate_encoded(&bs.encode(), &self.device)?;
+            bs.validate(&self.device)?;
         }
         let bytes = bs.len_bytes();
         Ok(LoadPlan {

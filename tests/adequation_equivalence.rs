@@ -32,6 +32,79 @@ use pdr_core::DesignFlow;
 use pdr_fabric::TimePs;
 use pdr_graph::prelude::*;
 
+/// The `finish_times` field of an adequation result's JSON.
+fn finish_times_json(r: &AdequationResult) -> serde::json::Value {
+    use serde::Serialize;
+    let serde::json::Value::Object(fields) = r.to_json() else {
+        panic!("an adequation result serializes as an object");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["mapping", "schedule", "makespan", "finish_times"]);
+    fields
+        .into_iter()
+        .find(|(k, _)| k == "finish_times")
+        .unwrap()
+        .1
+}
+
+/// `finish_times` serializes as the `[[op, time], …]` pairs of the
+/// `BTreeMap<OpId, TimePs>` it once was, byte for byte on every gallery
+/// flow (digests taken from the map form), and indexing it by `id.0`
+/// reads the time those pairs give operation `id`.
+#[test]
+fn finish_times_serialize_and_index_as_the_map_did() {
+    use pdr_fabric::digest::{to_hex, Fnv64};
+    let pins = [
+        ("paper", "45aa06ba90da4ff7"),
+        ("paper_fixed_qpsk", "7ee1f9991ef78f27"),
+        ("paper_fixed_qam16", "8d9987f4b55c2f3d"),
+        ("two_regions", "b7c1fbe7a8fbac7b"),
+        ("two_regions_xc2v4000", "b7c1fbe7a8fbac7b"),
+        ("synthetic_large", "8a7c76aab16439f0"),
+        ("sdr_series7", "b7c1fbe7a8fbac7b"),
+    ];
+    let mut got = Vec::new();
+    for g in gallery::all() {
+        let f = &g.flow;
+        let r = adequate(
+            f.algorithm(),
+            f.architecture(),
+            f.characterization(),
+            f.constraints(),
+            f.adequation_options(),
+        )
+        .unwrap();
+        let pairs = finish_times_json(&r);
+        let serde::json::Value::Array(pairs_list) = &pairs else {
+            panic!("{}: finish_times is not an array", g.name);
+        };
+        let map: BTreeMap<u64, u64> = pairs_list
+            .iter()
+            .map(|pair| match pair {
+                serde::json::Value::Array(kv) => match kv.as_slice() {
+                    [serde::json::Value::UInt(op), serde::json::Value::UInt(t)] => (*op, *t),
+                    _ => panic!("{}: malformed pair {kv:?}", g.name),
+                },
+                _ => panic!("{}: malformed pair {pair:?}", g.name),
+            })
+            .collect();
+        assert_eq!(map.len(), f.algorithm().len(), "{}", g.name);
+        assert_eq!(r.finish_times.len(), f.algorithm().len(), "{}", g.name);
+        for (id, _) in f.algorithm().ops() {
+            assert_eq!(
+                r.finish_times[id.0].as_ps(),
+                map[&(id.0 as u64)],
+                "{}: {id}",
+                g.name
+            );
+        }
+        let json = serde::json::to_string(&pairs);
+        got.push((g.name, to_hex(Fnv64::new().eat_str(&json).finish())));
+    }
+    let pins: Vec<(&str, String)> = pins.iter().map(|(n, p)| (*n, p.to_string())).collect();
+    assert_eq!(got, pins);
+}
+
 /// Every gallery flow — both §6 case-study variants, the two-region
 /// designs and the 512-op synthetic — schedules identically on both
 /// paths.
@@ -464,7 +537,7 @@ fn generate_executive_oracle(
                             next(&mut seq),
                         ),
                         MacroInstr::Configure {
-                            module: function.clone(),
+                            module: function.to_string(),
                             worst_case: wc,
                         },
                     ));
@@ -479,7 +552,7 @@ fn generate_executive_oracle(
                     ),
                     MacroInstr::Compute {
                         op: op_name,
-                        function: function.clone(),
+                        function: function.to_string(),
                         duration: item.duration(),
                     },
                 ));
@@ -551,6 +624,30 @@ fn gallery_executives_equal_the_oracle() {
                 .iter()
                 .any(|i| matches!(i, MacroInstr::Receive { from, .. } if from == "dsp")));
         }
+    }
+}
+
+/// A schedule whose timestamps need more than 62 bits (every gallery
+/// schedule shifted by 2^62 ps) orders its events as the oracle does:
+/// the packed event key then ranks the timestamps instead of storing
+/// them.
+#[test]
+fn timestamps_past_62_bits_order_like_the_oracle() {
+    let shift = TimePs::from_ps(1 << 62);
+    for g in gallery::all() {
+        let r = adequate_flow(&g.flow);
+        let mut schedule = r.schedule.clone();
+        let timelines = schedule.operator_items.values_mut();
+        for item in timelines
+            .chain(schedule.medium_items.values_mut())
+            .flatten()
+        {
+            item.start += shift;
+            item.end += shift;
+        }
+        let (fast, oracle) = executives(&g.flow, &r.mapping, &schedule);
+        let fast = fast.unwrap_or_else(|e| panic!("`{}`: {e}", g.name));
+        assert_eq!(fast, oracle.unwrap(), "{}", g.name);
     }
 }
 

@@ -404,6 +404,8 @@ fn gallery_streams_validate_like_the_oracle() {
         let bytes = bs.encode();
         assert_agree(&bytes, device, &bs.kind, "pristine");
         assert_eq!(Bitstream::validate_encoded(&bytes, device), Ok(bs.frames()));
+        // In place, from the packets: the same verdict as the image's.
+        assert_eq!(bs.validate(device), Ok(bs.frames()));
     }
 }
 

@@ -144,7 +144,7 @@ fn undeclared_scheduled_functions_intern_like_lowering() {
         for item in items {
             if let ItemKind::Compute { function, .. } = &mut item.kind {
                 if renamed % 2 == 0 {
-                    *function = format!("{function}_v{renamed}");
+                    *function = format!("{function}_v{renamed}").into();
                 }
                 renamed += 1;
             }

@@ -221,7 +221,7 @@ proptest! {
         ).unwrap();
         r.schedule.validate().unwrap();
         for e in g.edges() {
-            prop_assert!(r.finish_times[&e.from] <= r.finish_times[&e.to]);
+            prop_assert!(r.finish_times[e.from.0] <= r.finish_times[e.to.0]);
         }
         // Makespan is at least the critical path of any single chain and at
         // most the serialized sum of all WCETs (on the fastest operator) —
