@@ -24,6 +24,16 @@ fi
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "== pdr-server binary (one compile over stdin, with reuse and --cold)"
+for flags in "" "--cold"; do
+    # shellcheck disable=SC2086 # empty flags must expand to no argument
+    reply=$(echo '{"id":1,"op":"compile","flow":"paper"}' | ./target/release/pdr-server $flags)
+    if ! grep -q '"status":"ok"' <<<"$reply"; then
+        echo "pdr-server ${flags:-(default)} replied: $reply" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo test (every workspace crate)"
 cargo test -q --workspace
 

@@ -78,7 +78,6 @@ pub struct DesignFlow {
     constraints: ConstraintsFile,
     device: Device,
     adequation_options: AdequationOptions,
-    cost_model: CostModel,
 }
 
 impl DesignFlow {
@@ -96,7 +95,6 @@ impl DesignFlow {
             constraints: ConstraintsFile::new(),
             device,
             adequation_options: AdequationOptions::default(),
-            cost_model: CostModel::default(),
         }
     }
 
@@ -109,12 +107,6 @@ impl DesignFlow {
     /// Override the adequation options (pins, reconfiguration awareness).
     pub fn with_adequation_options(mut self, options: AdequationOptions) -> Self {
         self.adequation_options = options;
-        self
-    }
-
-    /// Override the synthesis-analog cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost_model = cost;
         self
     }
 
@@ -199,16 +191,15 @@ impl DesignFlow {
 
     /// Canonical digest of the *complete* model content: everything that
     /// determines this flow's artifacts — the index inputs plus device,
-    /// constraints file, adequation options and cost model. This is the
-    /// content address `pdr-server` keys its result cache on: equal
-    /// digests ⇒ byte-identical [`FlowArtifacts`].
+    /// constraints file, adequation options and the (fixed, default)
+    /// cost model. Equal digests ⇒ byte-identical [`FlowArtifacts`].
     pub fn model_digest(&self) -> u64 {
         let mut h = Fnv64::new();
         self.eat_index_inputs(&mut h);
         h.eat_str(&self.device.name);
         h.eat_str(&self.constraints.to_string());
         h.eat_str(&format!("{:?}", self.adequation_options));
-        h.eat_str(&format!("{:?}", self.cost_model));
+        h.eat_str(&format!("{:?}", CostModel::default()));
         h.finish()
     }
 
@@ -259,7 +250,7 @@ impl DesignFlow {
             &adequation.mapping,
             &executive,
             &self.device,
-            &self.cost_model,
+            &CostModel::default(),
         )?;
         let mut vhdl_out = BTreeMap::new();
         for (name, entity) in &design.entities {

@@ -33,8 +33,7 @@
 
 use crate::error::RtrError;
 use crate::policy::{
-    BeladyEvict, EvictionPolicy, Evictor, LfuEvict, MarkovPrefetch, PrefetchPolicy, Prefetcher,
-    SchedulePrefetch, NO_MODULE,
+    BeladyEvict, Evictor, LfuEvict, MarkovPrefetch, Prefetcher, SchedulePrefetch, NO_MODULE,
 };
 use crate::protocol::ProtocolBuilder;
 use crate::reference::{ManagerStats, RequestTiming};
@@ -162,7 +161,7 @@ impl EngineCache {
             let e = self.entries.remove(pos);
             self.entries.push(e);
             self.stats.hits += 1;
-            evict.on_access(module);
+            evict.on_use(module);
             true
         } else {
             self.stats.misses += 1;
@@ -195,7 +194,7 @@ impl EngineCache {
         }
         self.entries.push((module, bytes));
         self.used_bytes += bytes;
-        evict.on_insert(module);
+        evict.on_use(module);
         true
     }
 }
@@ -478,12 +477,6 @@ impl RtrEngine {
     /// Staging-cache statistics of `region`.
     pub fn cache_stats(&self, region: u32) -> CacheStats {
         self.regions[region as usize].cache.stats
-    }
-
-    /// Prefetch / eviction policy names of `region` (for reports).
-    pub fn policy_names(&self, region: u32) -> (&'static str, &'static str) {
-        let st = &self.regions[region as usize];
-        (st.prefetch.name(), st.evict.name())
     }
 
     /// Cross-region exclusion loads refused so far.

@@ -55,7 +55,7 @@ pub use engine::{EvictionSpec, PrefetchSpec, RegionSpec, RtrEngine, RtrEngineBui
 pub use error::RtrError;
 pub use exclusion::ExclusionLedger;
 pub use loader::{DeviceLoader, LoaderStats};
-pub use policy::{EvictionPolicy, Evictor, PrefetchPolicy, Prefetcher, NO_MODULE};
+pub use policy::{Evictor, Prefetcher, NO_MODULE};
 pub use prefetch::{FirstOrderMarkov, LastValue, Predictor, ScheduleDriven};
 pub use protocol::ProtocolBuilder;
 pub use reference::{ConfigurationManager, ManagerStats, RequestOutcome, RequestTiming};
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::error::RtrError;
     pub use crate::exclusion::ExclusionLedger;
     pub use crate::loader::{DeviceLoader, LoaderStats};
-    pub use crate::policy::{EvictionPolicy, Evictor, PrefetchPolicy, Prefetcher, NO_MODULE};
+    pub use crate::policy::{Evictor, Prefetcher, NO_MODULE};
     pub use crate::prefetch::{FirstOrderMarkov, LastValue, Predictor, ScheduleDriven};
     pub use crate::protocol::ProtocolBuilder;
     pub use crate::reference::{ConfigurationManager, ManagerStats, RequestOutcome, RequestTiming};

@@ -34,20 +34,6 @@
 /// Sentinel module index: "no module" / "no prediction".
 pub const NO_MODULE: u32 = u32::MAX;
 
-/// A next-configuration predictor over dense module indices.
-///
-/// Implemented by the concrete policies and by the [`Prefetcher`] enum
-/// that the engine stores; the enum dispatches with a plain `match`, so
-/// the hot path never goes through a vtable.
-pub trait PrefetchPolicy {
-    /// Called after `module` becomes the active configuration; returns
-    /// the predicted next module, or [`NO_MODULE`] for no prediction.
-    fn observe_and_predict(&mut self, module: u32) -> u32;
-
-    /// Policy name (for reports).
-    fn name(&self) -> &'static str;
-}
-
 /// Replays a known future load sequence (off-line, schedule-driven).
 ///
 /// Entries that could not be resolved to a stored module at construction
@@ -70,18 +56,12 @@ impl SchedulePrefetch {
     pub(crate) fn cursor(&self) -> usize {
         self.cursor
     }
-}
 
-impl PrefetchPolicy for SchedulePrefetch {
-    fn observe_and_predict(&mut self, module: u32) -> u32 {
+    pub(crate) fn observe_and_predict(&mut self, module: u32) -> u32 {
         if self.future.get(self.cursor).copied() == Some(module) {
             self.cursor += 1;
         }
         self.future.get(self.cursor).copied().unwrap_or(NO_MODULE)
-    }
-
-    fn name(&self) -> &'static str {
-        "schedule-driven"
     }
 }
 
@@ -120,10 +100,8 @@ impl MarkovPrefetch {
     pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
-}
 
-impl PrefetchPolicy for MarkovPrefetch {
-    fn observe_and_predict(&mut self, module: u32) -> u32 {
+    pub(crate) fn observe_and_predict(&mut self, module: u32) -> u32 {
         let m = module as usize;
         if self.last != NO_MODULE && self.last != module {
             self.counts[self.last as usize * self.n + m] += 1;
@@ -145,10 +123,6 @@ impl PrefetchPolicy for MarkovPrefetch {
         }
         best
     }
-
-    fn name(&self) -> &'static str {
-        "markov-1"
-    }
 }
 
 /// The prefetch policy an engine region runs — enum-dispatched, no `Box`.
@@ -164,9 +138,11 @@ pub enum Prefetcher {
     Markov(MarkovPrefetch),
 }
 
-impl PrefetchPolicy for Prefetcher {
+impl Prefetcher {
+    /// Called after `module` becomes the active configuration; returns
+    /// the predicted next module, or [`NO_MODULE`] for no prediction.
     #[inline]
-    fn observe_and_predict(&mut self, module: u32) -> u32 {
+    pub fn observe_and_predict(&mut self, module: u32) -> u32 {
         match self {
             Prefetcher::None => NO_MODULE,
             Prefetcher::Schedule(p) => p.observe_and_predict(module),
@@ -174,39 +150,6 @@ impl PrefetchPolicy for Prefetcher {
             Prefetcher::Markov(p) => p.observe_and_predict(module),
         }
     }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Prefetcher::None => "none",
-            Prefetcher::Schedule(p) => p.name(),
-            Prefetcher::LastValue => "last-value",
-            Prefetcher::Markov(p) => p.name(),
-        }
-    }
-}
-
-/// An eviction policy over the engine's staging cache.
-///
-/// The cache keeps its entries in recency order (least recently used
-/// first) regardless of policy; the policy only picks the victim and
-/// maintains whatever side tables it needs. All hooks are allocation-free.
-pub trait EvictionPolicy {
-    /// Called once per configuration request on the region, *before* any
-    /// cache activity (Belady advances its trace cursor here).
-    fn on_request(&mut self, module: u32);
-
-    /// Called when a cache lookup hits `module`.
-    fn on_access(&mut self, module: u32);
-
-    /// Called when `module` is inserted into the cache.
-    fn on_insert(&mut self, module: u32);
-
-    /// Index (into `entries`, recency order, LRU first) of the entry to
-    /// evict. `entries` is never empty when called.
-    fn victim(&self, entries: &[(u32, usize)]) -> usize;
-
-    /// Policy name (for reports).
-    fn name(&self) -> &'static str;
 }
 
 /// Least frequently used, ties broken toward the least recently used.
@@ -227,20 +170,13 @@ impl LfuEvict {
     pub(crate) fn frequencies(&self) -> &[u64] {
         &self.freq
     }
-}
 
-impl EvictionPolicy for LfuEvict {
-    fn on_request(&mut self, _module: u32) {}
-
-    fn on_access(&mut self, module: u32) {
+    /// Count one use of `module` (a hit or an insert).
+    pub(crate) fn on_use(&mut self, module: u32) {
         self.freq[module as usize] += 1;
     }
 
-    fn on_insert(&mut self, module: u32) {
-        self.freq[module as usize] += 1;
-    }
-
-    fn victim(&self, entries: &[(u32, usize)]) -> usize {
+    pub(crate) fn victim(&self, entries: &[(u32, usize)]) -> usize {
         let mut best = 0usize;
         let mut best_freq = u64::MAX;
         for (pos, &(m, _)) in entries.iter().enumerate() {
@@ -251,10 +187,6 @@ impl EvictionPolicy for LfuEvict {
             }
         }
         best
-    }
-
-    fn name(&self) -> &'static str {
-        "lfu"
     }
 }
 
@@ -306,21 +238,15 @@ impl BeladyEvict {
     pub(crate) fn next_uses(&self) -> &[u32] {
         &self.next_of
     }
-}
 
-impl EvictionPolicy for BeladyEvict {
-    fn on_request(&mut self, module: u32) {
+    pub(crate) fn on_request(&mut self, module: u32) {
         if self.future.get(self.cursor).copied() == Some(module) {
             self.next_of[module as usize] = self.next_use[self.cursor];
             self.cursor += 1;
         }
     }
 
-    fn on_access(&mut self, _module: u32) {}
-
-    fn on_insert(&mut self, _module: u32) {}
-
-    fn victim(&self, entries: &[(u32, usize)]) -> usize {
+    pub(crate) fn victim(&self, entries: &[(u32, usize)]) -> usize {
         let mut best = 0usize;
         let mut best_next = 0u32;
         for (pos, &(m, _)) in entries.iter().enumerate() {
@@ -332,13 +258,13 @@ impl EvictionPolicy for BeladyEvict {
         }
         best
     }
-
-    fn name(&self) -> &'static str {
-        "belady"
-    }
 }
 
 /// The eviction policy an engine region runs — enum-dispatched, no `Box`.
+///
+/// The cache keeps its entries in recency order (least recently used
+/// first) regardless of policy; the policy only picks the victim and
+/// maintains whatever side tables it needs. All hooks are allocation-free.
 #[derive(Debug, Clone)]
 pub enum Evictor {
     /// Least recently used (the reference cache's behavior).
@@ -349,48 +275,32 @@ pub enum Evictor {
     Belady(BeladyEvict),
 }
 
-impl EvictionPolicy for Evictor {
+impl Evictor {
+    /// Called once per configuration request on the region, *before* any
+    /// cache activity (Belady advances its trace cursor here).
     #[inline]
-    fn on_request(&mut self, module: u32) {
-        match self {
-            Evictor::Lru => {}
-            Evictor::Lfu(p) => p.on_request(module),
-            Evictor::Belady(p) => p.on_request(module),
+    pub fn on_request(&mut self, module: u32) {
+        if let Evictor::Belady(p) = self {
+            p.on_request(module);
         }
     }
 
+    /// Called when a cache lookup hits `module` or `module` is inserted.
     #[inline]
-    fn on_access(&mut self, module: u32) {
-        match self {
-            Evictor::Lru => {}
-            Evictor::Lfu(p) => p.on_access(module),
-            Evictor::Belady(p) => p.on_access(module),
+    pub fn on_use(&mut self, module: u32) {
+        if let Evictor::Lfu(p) = self {
+            p.on_use(module);
         }
     }
 
+    /// Index (into `entries`, recency order, LRU first) of the entry to
+    /// evict. `entries` is never empty when called.
     #[inline]
-    fn on_insert(&mut self, module: u32) {
-        match self {
-            Evictor::Lru => {}
-            Evictor::Lfu(p) => p.on_insert(module),
-            Evictor::Belady(p) => p.on_insert(module),
-        }
-    }
-
-    #[inline]
-    fn victim(&self, entries: &[(u32, usize)]) -> usize {
+    pub fn victim(&self, entries: &[(u32, usize)]) -> usize {
         match self {
             Evictor::Lru => 0,
             Evictor::Lfu(p) => p.victim(entries),
             Evictor::Belady(p) => p.victim(entries),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Evictor::Lru => "lru",
-            Evictor::Lfu(p) => p.name(),
-            Evictor::Belady(p) => p.name(),
         }
     }
 }
@@ -438,10 +348,10 @@ mod tests {
     #[test]
     fn lfu_victim_prefers_cold_entries() {
         let mut p = LfuEvict::new(3);
-        p.on_insert(0);
-        p.on_access(0);
-        p.on_insert(1);
-        p.on_insert(2);
+        p.on_use(0);
+        p.on_use(0);
+        p.on_use(1);
+        p.on_use(2);
         // Frequencies: 0 -> 2, 1 -> 1, 2 -> 1; tie between 1 and 2 breaks
         // toward the older (earlier) entry.
         assert_eq!(p.victim(&[(0, 10), (1, 10), (2, 10)]), 1);
@@ -457,25 +367,5 @@ mod tests {
         assert_eq!(p.victim(&[(0, 10), (1, 10), (2, 10)]), 1);
         p.on_request(0); // 0 never recurs either now
         assert_eq!(p.victim(&[(0, 10), (2, 10)]), 0);
-    }
-
-    #[test]
-    fn enum_dispatch_names() {
-        assert_eq!(Prefetcher::None.name(), "none");
-        assert_eq!(Prefetcher::LastValue.name(), "last-value");
-        assert_eq!(
-            Prefetcher::Schedule(SchedulePrefetch::new(vec![])).name(),
-            "schedule-driven"
-        );
-        assert_eq!(
-            Prefetcher::Markov(MarkovPrefetch::new(vec![])).name(),
-            "markov-1"
-        );
-        assert_eq!(Evictor::Lru.name(), "lru");
-        assert_eq!(Evictor::Lfu(LfuEvict::new(0)).name(), "lfu");
-        assert_eq!(
-            Evictor::Belady(BeladyEvict::new(vec![], 0)).name(),
-            "belady"
-        );
     }
 }

@@ -21,9 +21,6 @@ pub trait Predictor {
     /// Called after `module` becomes the active configuration; returns the
     /// predicted *next* configuration to prefetch (None = no prediction).
     fn observe_and_predict(&mut self, module: &str) -> Option<String>;
-
-    /// Predictor name (for reports).
-    fn name(&self) -> &'static str;
 }
 
 /// Replays a known future sequence (off-line, schedule-driven prefetching).
@@ -52,10 +49,6 @@ impl Predictor for ScheduleDriven {
         }
         self.future.get(self.cursor).cloned()
     }
-
-    fn name(&self) -> &'static str {
-        "schedule-driven"
-    }
 }
 
 /// Predicts the configuration will not change.
@@ -65,10 +58,6 @@ pub struct LastValue;
 impl Predictor for LastValue {
     fn observe_and_predict(&mut self, module: &str) -> Option<String> {
         Some(module.to_string())
-    }
-
-    fn name(&self) -> &'static str {
-        "last-value"
     }
 }
 
@@ -103,10 +92,6 @@ impl Predictor for FirstOrderMarkov {
             .max_by(|((_, a), ca), ((_, b), cb)| ca.cmp(cb).then(b.cmp(a)))
             .map(|((_, next), _)| next.clone())
     }
-
-    fn name(&self) -> &'static str {
-        "markov-1"
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +109,6 @@ mod tests {
         assert_eq!(p.observe_and_predict("qpsk").as_deref(), Some("qam16"));
         // Sequence exhausted after the final load.
         assert_eq!(p.observe_and_predict("qam16"), None);
-        assert_eq!(p.name(), "schedule-driven");
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! optionally also on TCP.
 //!
 //! ```text
-//! pdr-server [--workers N] [--queue-limit N] [--no-cache]
-//!            [--no-single-flight] [--addr HOST:PORT]
+//! pdr-server [--workers N] [--queue-limit N] [--cold] [--addr HOST:PORT]
 //! ```
+//!
+//! `--cold` turns result reuse off (no cache, no coalescing): every
+//! request computes fresh.
 //!
 //! Requests are read line by line from stdin and answered on stdout
 //! (one JSON object per line — see `pdr_server::protocol`), so the
@@ -50,13 +52,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--queue-limit: {e}"))?
             }
-            "--no-cache" => opts.config.cache = false,
-            "--no-single-flight" => opts.config.single_flight = false,
+            "--cold" => opts.config.reuse = false,
             "--addr" => opts.addr = Some(value("--addr")?),
             "--help" | "-h" => {
-                return Err("usage: pdr-server [--workers N] [--queue-limit N] \
-                            [--no-cache] [--no-single-flight] [--addr HOST:PORT]"
-                    .into())
+                return Err(
+                    "usage: pdr-server [--workers N] [--queue-limit N] [--cold] [--addr HOST:PORT]"
+                        .into(),
+                )
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }

@@ -1,5 +1,5 @@
-//! Request execution: gallery flow resolution, content addressing, and
-//! the per-kind result payloads.
+//! Request execution: gallery flow resolution and the per-kind result
+//! payloads.
 //!
 //! [`execute`] is a pure function of `(kind, flow models, iterations)` —
 //! no clocks, no randomness, no worker identity — which is what makes the
@@ -11,7 +11,7 @@ use crate::protocol::RequestKind;
 use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::flow::DesignFlow;
 use pdr_core::gallery;
-use pdr_fabric::digest::{to_hex, Fnv64};
+use pdr_fabric::digest::to_hex;
 use pdr_graph::ConstraintsFile;
 use pdr_lint::Severity;
 use pdr_sim::SimConfig;
@@ -38,19 +38,6 @@ pub fn resolve_flow(name: &str, constraints: Option<&str>) -> Result<DesignFlow,
             Ok(flow.with_constraints(parsed))
         }
     }
-}
-
-/// The content address of a request's result: kind tag + the flow's
-/// complete model digest + the iteration count (which only matters to
-/// simulate, but hashing it uniformly keeps the key rule simple). Equal
-/// keys ⇒ byte-identical payloads, which is the cache's correctness
-/// contract.
-pub fn cache_key(kind: RequestKind, model_digest: u64, iterations: u32) -> u64 {
-    let mut h = Fnv64::new();
-    h.eat_str(kind.as_str());
-    h.eat_u64(model_digest);
-    h.eat_u64(iterations as u64);
-    h.finish()
 }
 
 /// The canonical simulation workload for a flow: for every dynamic region
@@ -200,30 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn constraint_override_changes_the_model_digest() {
+    fn constraint_override_replaces_the_file_but_shares_the_index() {
         let base = resolve_flow("paper", None).unwrap();
-        let same = resolve_flow("paper", Some(&base.constraints().to_string())).unwrap();
-        assert_eq!(base.model_digest(), same.model_digest());
+        let text = base.constraints().to_string();
+        let same = resolve_flow("paper", Some(&text)).unwrap();
+        assert_eq!(same.constraints().to_string(), text);
         let stripped = resolve_flow("paper", Some("")).unwrap();
-        assert_ne!(base.model_digest(), stripped.model_digest());
+        assert!(stripped.constraints().modules().is_empty());
         // The index doesn't see constraints, so it stays shared.
         assert_eq!(base.index_digest(), stripped.index_digest());
-    }
-
-    #[test]
-    fn cache_keys_separate_kinds_and_iterations() {
-        let d = resolve_flow("paper", None).unwrap().model_digest();
-        let compile = cache_key(RequestKind::Compile, d, 64);
-        let verify = cache_key(RequestKind::Verify, d, 64);
-        let sim64 = cache_key(RequestKind::Simulate, d, 64);
-        let sim32 = cache_key(RequestKind::Simulate, d, 32);
-        let keys = [compile, verify, sim64, sim32];
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
-        assert_eq!(cache_key(RequestKind::Compile, d, 64), compile);
     }
 
     #[test]

@@ -15,23 +15,25 @@
 //!   metrics so callers can assert byte-identical results across
 //!   concurrency levels.
 //! * [`compute`] — gallery flow resolution (with constraints-text
-//!   overrides), the content-address rule
-//!   (`kind × model_digest × iterations`), and the per-kind payloads.
-//!   Pure: no clocks, no randomness.
+//!   overrides) and the per-kind payloads. Pure: no clocks, no
+//!   randomness.
 //! * [`service`] — [`Server`]: bounded queue + worker pool (explicit
-//!   `overloaded` responses instead of unbounded buffering), result cache
-//!   keyed on [`pdr_core::DesignFlow::model_digest`], an
+//!   `overloaded` responses instead of unbounded buffering), a result
+//!   cache keyed on the request content itself (kind, flow name,
+//!   constraints text, iterations — compared for equality, never
+//!   reduced to a hash) and bounded in key bytes, an
 //!   [`pdr_adequation::AdequationIndex`] pool keyed on
 //!   [`pdr_core::DesignFlow::index_digest`] (flows sharing models share
 //!   one index, even across devices), and single-flight coalescing of
-//!   duplicate in-flight keys.
+//!   duplicate in-flight requests. Workers resolve the flow; the request
+//!   thread builds nothing.
 //! * [`metrics`] — lifetime counters reported by the `stats` op.
 //! * [`tcp`] — a thread-per-connection TCP transport; the `pdr-server`
 //!   binary adds a stdin/stdout loop for transport-free use.
 //!
 //! All coordination uses `std::sync` primitives (the vendored
-//! `parking_lot` shim has no `Condvar`), and results reuse the FNV-1a
-//! digests from [`pdr_fabric::digest`] end to end.
+//! `parking_lot` shim has no `Condvar`). Payloads carry the FNV-1a
+//! artifact digest from [`pdr_fabric::digest`].
 
 pub mod compute;
 pub mod metrics;

@@ -1,18 +1,29 @@
-//! The service core: bounded queue, worker pool, content-addressed cache,
-//! shared adequation indexes and single-flight coalescing.
+//! The service core: bounded queue, worker pool, result cache keyed on
+//! the request itself, shared adequation indexes and single-flight
+//! coalescing.
 //!
 //! ## Request path
 //!
 //! ```text
-//! submit(request)
-//!   ├─ resolve gallery flow (+ constraints override) → model digest
+//! submit(request) — one pass under `maps`, builds no flow
 //!   ├─ cache probe ──────────────► hit: respond immediately, never queues
 //!   ├─ single-flight probe ──────► identical key in flight: park on the
 //!   │                              leader's completion, respond coalesced
 //!   └─ bounded queue ────────────► full: typed `overloaded` response
-//!                    └─ worker: shared index → compute → publish to
-//!                       cache + every parked waiter
+//!                    └─ worker: resolve flow → shared index → compute →
+//!                       publish to cache + every parked waiter
 //! ```
+//!
+//! ## Keys
+//!
+//! A result is keyed on the request content that decides it — kind, flow
+//! name, constraints text and iterations (`Key`) — and `HashMap`
+//! equality, not a digest, decides a hit. Two requests share a result
+//! only if they are the same request, so no crafted text can reach
+//! another tenant's entry. Constraints text that is equivalent to, but not
+//! byte-equal with, an earlier one computes separately. The cache holds
+//! at most `CACHE_KEY_BYTES` of key bytes (plus one key): an insert
+//! that would pass the budget clears it first.
 //!
 //! ## Locking
 //!
@@ -25,11 +36,12 @@
 //!   enqueue (the window in which a duplicate leader could be admitted).
 //! * `queue` guards the bounded job queue, with a `Condvar` for worker
 //!   wake-up. Workers pop holding only this lock, and take `maps` again
-//!   only after computing — so a worker never holds both.
+//!   only to share an index and to publish — so a worker never holds both.
 //!
-//! Workers run the pipeline under `catch_unwind` (mirroring the sweep
-//! engine): a panicking model turns into an `error` response for every
-//! parked requester instead of a hung client and a poisoned pool.
+//! Workers resolve and run the flow under `catch_unwind` (mirroring the
+//! sweep engine): a bad request or a panicking model turns into an
+//! `error` response for every parked requester instead of a hung client
+//! and a poisoned pool.
 
 use crate::compute;
 use crate::metrics::ServerStats;
@@ -51,10 +63,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Maximum queued (not yet executing) jobs before `overloaded`.
     pub queue_limit: usize,
-    /// Serve repeated content from the result cache.
-    pub cache: bool,
-    /// Coalesce duplicate in-flight keys onto one computation.
-    pub single_flight: bool,
+    /// Serve repeated requests from the result cache and coalesce
+    /// duplicate in-flight requests onto one computation.
+    pub reuse: bool,
 }
 
 impl Default for ServerConfig {
@@ -62,80 +73,80 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue_limit: 64,
-            cache: true,
-            single_flight: true,
+            reuse: true,
         }
     }
 }
 
 impl ServerConfig {
-    /// Both reuse mechanisms off: every request computes fresh. The cold
-    /// path the server benchmark measures against.
+    /// Reuse off: every request computes fresh. The cold path the server
+    /// benchmark measures against.
     pub fn cold() -> Self {
         ServerConfig {
-            cache: false,
-            single_flight: false,
+            reuse: false,
             ..Self::default()
         }
     }
 }
 
-/// A cached result: the artifact digest and the deterministic payload.
-struct CacheEntry {
-    digest: u64,
-    payload: Value,
+/// The request content that decides a payload: the cache and
+/// single-flight key. Equal keys ⇒ byte-identical payloads.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Key {
+    kind: RequestKind,
+    flow: String,
+    constraints: Option<String>,
+    iterations: u32,
 }
+
+impl Key {
+    /// The text bytes the key holds (what the cache budget counts).
+    fn bytes(&self) -> usize {
+        self.flow.len() + self.constraints.as_ref().map_or(0, String::len)
+    }
+}
+
+/// Key bytes the result cache holds before it is cleared. Clearing is
+/// safe: a cleared key computes again to the same payload.
+const CACHE_KEY_BYTES: usize = 4 << 20;
 
 /// What a worker reports back to the leader and every coalesced waiter.
 #[derive(Clone)]
 struct Done {
-    result: Result<(u64, Value), String>,
+    result: Result<Value, String>,
     queue_us: u64,
     service_us: u64,
 }
 
 /// One queued job (the single-flight leader's computation).
 struct Job {
-    key: u64,
-    kind: RequestKind,
-    flow: DesignFlow,
-    flow_name: String,
-    iterations: u32,
+    key: Key,
     delay_us: u64,
-    cacheable: bool,
     reply: Sender<Done>,
     enqueued: Instant,
 }
 
-/// Cache, single-flight registry, index pool and digest memo — one lock.
+/// Cache, single-flight registry and index pool — one lock. With reuse
+/// off nothing enters the cache or the registry, so both probes miss.
 #[derive(Default)]
 struct Maps {
-    cache: HashMap<u64, Arc<CacheEntry>>,
-    inflight: HashMap<u64, Vec<Sender<Done>>>,
+    cache: HashMap<Key, Value>,
+    cache_key_bytes: usize,
+    inflight: HashMap<Key, Vec<Sender<Done>>>,
     indexes: HashMap<u64, Arc<AdequationIndex>>,
-    /// `(flow name, constraints override) → model_digest`: spares the hit
-    /// path from rebuilding and re-digesting gallery models on every
-    /// request (resolution builds the one named flow and digests its
-    /// models; a memo probe costs a string hash).
-    digests: HashMap<(String, Option<String>), u64>,
-    digest_key_bytes: usize,
 }
 
-/// Key bytes the digest memo holds before it is cleared. Clearing is safe:
-/// a memo miss re-resolves the flow to the same digest.
-const DIGEST_MEMO_BYTES: usize = 4 << 20;
-
 impl Maps {
-    /// Memoize `key → digest`, first clearing the memo if the key would
+    /// Cache `key → payload`, first clearing the cache if the key would
     /// take it past `budget` key bytes (so it holds ≤ `budget` + one key).
-    fn memo_digest(&mut self, key: (String, Option<String>), digest: u64, budget: usize) {
-        let bytes = key.0.len() + key.1.as_ref().map_or(0, String::len);
-        if self.digest_key_bytes + bytes > budget {
-            self.digests.clear();
-            self.digest_key_bytes = 0;
+    fn cache_insert(&mut self, key: Key, payload: Value, budget: usize) {
+        let bytes = key.bytes();
+        if self.cache_key_bytes + bytes > budget {
+            self.cache.clear();
+            self.cache_key_bytes = 0;
         }
-        if self.digests.insert(key, digest).is_none() {
-            self.digest_key_bytes += bytes;
+        if self.cache.insert(key, payload).is_none() {
+            self.cache_key_bytes += bytes;
         }
     }
 }
@@ -204,154 +215,93 @@ impl Server {
         let inner = &*self.inner;
         ServerStats::bump(&inner.stats.requests);
         let started = Instant::now();
-        // Content addressing without model building when possible: the
-        // digest memo lets repeat requests go straight to the cache probe.
-        // `flow` is resolved lazily — only when a job must actually run.
-        let memo_key = (req.flow.clone(), req.constraints.clone());
-        let mut flow: Option<DesignFlow> = None;
-        let mut model_digest = inner
-            .maps
-            .lock()
-            .expect("maps lock")
-            .digests
-            .get(&memo_key)
-            .copied();
-        if model_digest.is_none() {
-            let resolved = match compute::resolve_flow(&req.flow, req.constraints.as_deref()) {
-                Ok(flow) => flow,
-                Err(message) => {
+        let (id, delay_us) = (req.id, req.delay_us);
+        let key = Key {
+            kind: req.kind,
+            flow: req.flow,
+            constraints: req.constraints,
+            iterations: req.iterations,
+        };
+        let (tx, rx) = channel();
+        let coalesced = {
+            let mut maps = inner.maps.lock().expect("maps lock");
+            if let Some(payload) = maps.cache.get(&key) {
+                ServerStats::bump(&inner.stats.cache_hits);
+                return Response::Ok {
+                    id,
+                    metrics: Metrics {
+                        queue_us: 0,
+                        service_us: started.elapsed().as_micros() as u64,
+                        cache: CacheState::Hit,
+                    },
+                    payload: payload.clone(),
+                };
+            }
+            if let Some(waiters) = maps.inflight.get_mut(&key) {
+                waiters.push(tx);
+                true
+            } else {
+                // Fixed lock order: `maps` is held, take `queue` second.
+                let mut queue = inner.queue.lock().expect("queue lock");
+                if !queue.open {
                     ServerStats::bump(&inner.stats.errors);
                     return Response::Error {
-                        id: req.id,
-                        message,
+                        id,
+                        message: "server is shutting down".into(),
                     };
                 }
-            };
-            let digest = resolved.model_digest();
-            inner
-                .maps
-                .lock()
-                .expect("maps lock")
-                .memo_digest(memo_key, digest, DIGEST_MEMO_BYTES);
-            model_digest = Some(digest);
-            flow = Some(resolved);
-        }
-        let key = compute::cache_key(
-            req.kind,
-            model_digest.expect("digest resolved above"),
-            req.iterations,
-        );
-        let (tx, rx) = channel();
-        let mut cache_state = CacheState::Miss;
-        // At most two passes: the second only after a memoized digest
-        // missed the cache and the flow had to be resolved outside the
-        // lock (the cache/in-flight state may have moved meanwhile).
-        loop {
-            let mut maps = inner.maps.lock().expect("maps lock");
-            if inner.config.cache {
-                if let Some(entry) = maps.cache.get(&key) {
-                    ServerStats::bump(&inner.stats.cache_hits);
-                    return Response::Ok {
-                        id: req.id,
-                        metrics: Metrics {
-                            queue_us: 0,
-                            service_us: started.elapsed().as_micros() as u64,
-                            cache: CacheState::Hit,
-                        },
-                        payload: entry.payload.clone(),
+                if queue.jobs.len() >= inner.config.queue_limit {
+                    ServerStats::bump(&inner.stats.overloaded);
+                    return Response::Overloaded {
+                        id,
+                        queue_depth: queue.jobs.len(),
+                        queue_limit: inner.config.queue_limit,
                     };
                 }
-            }
-            if inner.config.single_flight {
-                if let Some(waiters) = maps.inflight.get_mut(&key) {
-                    waiters.push(tx.clone());
-                    cache_state = CacheState::Coalesced;
-                    break;
+                if inner.config.reuse {
+                    maps.inflight.insert(key.clone(), Vec::new());
                 }
-            }
-            let Some(job_flow) = flow.take() else {
-                // Memoized digest but no models in hand: resolve outside
-                // the lock, then re-probe.
-                drop(maps);
-                match compute::resolve_flow(&req.flow, req.constraints.as_deref()) {
-                    Ok(resolved) => flow = Some(resolved),
-                    Err(message) => {
-                        ServerStats::bump(&inner.stats.errors);
-                        return Response::Error {
-                            id: req.id,
-                            message,
-                        };
-                    }
-                }
-                continue;
-            };
-            // Fixed lock order: `maps` is held, take `queue` second.
-            let mut queue = inner.queue.lock().expect("queue lock");
-            if !queue.open {
-                ServerStats::bump(&inner.stats.errors);
-                return Response::Error {
-                    id: req.id,
-                    message: "server is shutting down".into(),
-                };
-            }
-            if queue.jobs.len() >= inner.config.queue_limit {
-                ServerStats::bump(&inner.stats.overloaded);
-                return Response::Overloaded {
-                    id: req.id,
-                    queue_depth: queue.jobs.len(),
-                    queue_limit: inner.config.queue_limit,
-                };
-            }
-            if inner.config.single_flight {
-                maps.inflight.insert(key, Vec::new());
-            }
-            queue.jobs.push_back(Job {
-                key,
-                kind: req.kind,
-                flow: job_flow,
-                flow_name: req.flow.clone(),
-                iterations: req.iterations,
-                delay_us: req.delay_us,
-                cacheable: inner.config.cache,
-                reply: tx,
-                enqueued: Instant::now(),
-            });
-            inner.ready.notify_one();
-            break;
-        }
-        let done = match rx.recv() {
-            Ok(done) => done,
-            Err(_) => {
-                ServerStats::bump(&inner.stats.errors);
-                return Response::Error {
-                    id: req.id,
-                    message: "worker dropped the request".into(),
-                };
+                queue.jobs.push_back(Job {
+                    key,
+                    delay_us,
+                    reply: tx,
+                    enqueued: Instant::now(),
+                });
+                inner.ready.notify_one();
+                false
             }
         };
-        if cache_state == CacheState::Coalesced {
+        let Ok(done) = rx.recv() else {
+            ServerStats::bump(&inner.stats.errors);
+            return Response::Error {
+                id,
+                message: "worker dropped the request".into(),
+            };
+        };
+        if coalesced {
             ServerStats::bump(&inner.stats.coalesced);
         }
         match done.result {
-            Ok((_digest, payload)) => Response::Ok {
-                id: req.id,
+            Ok(payload) => Response::Ok {
+                id,
                 metrics: Metrics {
                     queue_us: done.queue_us,
-                    service_us: if cache_state == CacheState::Coalesced {
+                    service_us: if coalesced {
                         started.elapsed().as_micros() as u64
                     } else {
                         done.service_us
                     },
-                    cache: cache_state,
+                    cache: if coalesced {
+                        CacheState::Coalesced
+                    } else {
+                        CacheState::Miss
+                    },
                 },
                 payload,
             },
             Err(message) => {
                 ServerStats::bump(&inner.stats.errors);
-                Response::Error {
-                    id: req.id,
-                    message,
-                }
+                Response::Error { id, message }
             }
         }
     }
@@ -379,7 +329,6 @@ impl Server {
             snap.push_field("cache_entries", Value::UInt(maps.cache.len() as u64));
             snap.push_field("inflight", Value::UInt(maps.inflight.len() as u64));
             snap.push_field("shared_indexes", Value::UInt(maps.indexes.len() as u64));
-            snap.push_field("digest_memo", Value::UInt(maps.digests.len() as u64));
         }
         {
             let queue = inner.queue.lock().expect("queue lock");
@@ -442,12 +391,16 @@ fn worker_loop(inner: &Inner) {
         };
         let queue_us = job.enqueued.elapsed().as_micros() as u64;
         let started = Instant::now();
+        let key = &job.key;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let index = shared_index(inner, &job.flow)?;
+            let flow = compute::resolve_flow(&key.flow, key.constraints.as_deref())?;
+            let index = shared_index(inner, &flow)?;
             if job.delay_us > 0 {
                 thread::sleep(Duration::from_micros(job.delay_us));
             }
-            compute::execute(job.kind, &job.flow, &job.flow_name, job.iterations, &index)
+            let (_, payload) =
+                compute::execute(key.kind, &flow, &key.flow, key.iterations, &index)?;
+            Ok(payload)
         }))
         .unwrap_or_else(|panic| {
             let what = panic
@@ -464,18 +417,13 @@ fn worker_loop(inner: &Inner) {
         // Publish: fill the cache, then release every parked requester.
         let waiters = {
             let mut maps = inner.maps.lock().expect("maps lock");
-            if job.cacheable {
-                if let Ok((digest, payload)) = &result {
-                    maps.cache.insert(
-                        job.key,
-                        Arc::new(CacheEntry {
-                            digest: *digest,
-                            payload: payload.clone(),
-                        }),
-                    );
+            let waiters = maps.inflight.remove(&job.key).unwrap_or_default();
+            if inner.config.reuse {
+                if let Ok(payload) = &result {
+                    maps.cache_insert(job.key, payload.clone(), CACHE_KEY_BYTES);
                 }
             }
-            maps.inflight.remove(&job.key).unwrap_or_default()
+            waiters
         };
         let done = Done {
             result,
@@ -489,31 +437,10 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// The digest a cached entry advertises (test hook: the cache proptest
-/// checks entries against fresh compiles through the public `Response`
-/// payload, but unit tests peek at the stored digest directly).
-impl Server {
-    /// The cached artifact digest for a content key, if present.
-    pub fn cached_digest(
-        &self,
-        kind: RequestKind,
-        model_digest: u64,
-        iterations: u32,
-    ) -> Option<u64> {
-        let key = compute::cache_key(kind, model_digest, iterations);
-        self.inner
-            .maps
-            .lock()
-            .expect("maps lock")
-            .cache
-            .get(&key)
-            .map(|e| e.digest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::Ordering;
 
     fn tiny() -> ServerConfig {
@@ -521,6 +448,15 @@ mod tests {
             workers: 2,
             queue_limit: 8,
             ..ServerConfig::default()
+        }
+    }
+
+    fn key(kind: RequestKind, flow: &str, constraints: Option<&str>, iterations: u32) -> Key {
+        Key {
+            kind,
+            flow: flow.into(),
+            constraints: constraints.map(String::from),
+            iterations,
         }
     }
 
@@ -537,25 +473,53 @@ mod tests {
         assert_eq!(snap.get("cache_hits").and_then(Value::as_u64), Some(1));
         assert_eq!(snap.get("executed").and_then(Value::as_u64), Some(1));
         assert_eq!(snap.get("cache_entries").and_then(Value::as_u64), Some(1));
-        // The artifact digest in the cache matches the flow's own.
+        // The cached payload advertises the flow's own artifact digest.
         let flow = compute::resolve_flow("paper", None).unwrap();
-        let cached = server
-            .cached_digest(RequestKind::Compile, flow.model_digest(), 64)
-            .unwrap();
-        assert_eq!(cached, flow.run().unwrap().digest());
+        let digest = pdr_fabric::digest::to_hex(flow.run().unwrap().digest());
+        let maps = server.inner.maps.lock().unwrap();
+        let cached = &maps.cache[&key(RequestKind::Compile, "paper", None, 64)];
+        assert_eq!(cached.get("digest").and_then(Value::as_str), Some(&*digest));
     }
 
     #[test]
-    fn unknown_flow_is_an_error_response() {
+    fn keys_separate_kinds_flows_texts_and_iterations() {
+        let keys = [
+            key(RequestKind::Compile, "paper", None, 64),
+            key(RequestKind::Verify, "paper", None, 64),
+            key(RequestKind::Simulate, "paper", None, 64),
+            key(RequestKind::Simulate, "paper", None, 32),
+            key(RequestKind::Compile, "two_regions", None, 64),
+            key(RequestKind::Compile, "paper", Some(""), 64),
+            key(RequestKind::Compile, "paper", Some(" "), 64),
+        ];
+        let distinct: HashSet<&Key> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len());
+        // Equality is on content: an identical request is the same key.
+        assert_eq!(key(RequestKind::Compile, "paper", None, 64), keys[0]);
+        assert_eq!(keys[5].bytes(), 5);
+        assert_eq!(keys[6].bytes(), 6);
+    }
+
+    #[test]
+    fn resolve_errors_keep_their_text_and_count_once() {
         let server = Server::start(tiny());
-        match server.submit(Request::new(5, RequestKind::Compile, "nope")) {
-            Response::Error { id, message } => {
-                assert_eq!(id, 5);
-                assert!(message.contains("unknown flow"));
+        let cases = [("nope", None), ("paper", Some("[module"))];
+        for (n, (flow, text)) in cases.into_iter().enumerate() {
+            let expected = compute::resolve_flow(flow, text).unwrap_err();
+            let mut req = Request::new(n as u64, RequestKind::Compile, flow);
+            req.constraints = text.map(String::from);
+            match server.submit(req) {
+                Response::Error { id, message } => {
+                    assert_eq!(id, n as u64);
+                    assert_eq!(message, expected);
+                }
+                other => panic!("expected error, got {other:?}"),
             }
-            other => panic!("expected error, got {other:?}"),
+            assert_eq!(server.stats().errors.load(Ordering::Relaxed), n as u64 + 1);
         }
-        assert_eq!(server.stats().errors.load(Ordering::Relaxed), 1);
+        let snap = server.stats_snapshot();
+        assert_eq!(snap.get("cache_entries").and_then(Value::as_u64), Some(0));
+        assert_eq!(snap.get("inflight").and_then(Value::as_u64), Some(0));
     }
 
     #[test]
@@ -608,41 +572,40 @@ mod tests {
     }
 
     #[test]
-    fn digest_memo_clears_at_its_budget() {
+    fn cache_clears_at_its_key_byte_budget() {
         let mut maps = Maps::default();
-        let key = |text: &str| ("paper".to_string(), Some(text.to_string()));
-        maps.memo_digest(key("aaaa"), 1, 20);
-        maps.memo_digest(key("aaaa"), 1, 20);
-        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 9));
-        maps.memo_digest(key("bbbb"), 2, 20);
-        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (2, 18));
-        // 18 + 5 bytes would pass 20: the memo is cleared first.
-        maps.memo_digest(("paper".to_string(), None), 3, 20);
-        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 5));
-        assert_eq!(maps.digests.get(&("paper".to_string(), None)), Some(&3));
+        let text = |t: &str| key(RequestKind::Compile, "paper", Some(t), 64);
+        let entries = |maps: &Maps| (maps.cache.len(), maps.cache_key_bytes);
+        maps.cache_insert(text("aaaa"), Value::UInt(1), 20);
+        maps.cache_insert(text("aaaa"), Value::UInt(1), 20);
+        assert_eq!(entries(&maps), (1, 9));
+        maps.cache_insert(text("bbbb"), Value::UInt(2), 20);
+        assert_eq!(entries(&maps), (2, 18));
+        // 18 + 5 bytes would pass 20: the cache is cleared first.
+        let plain = key(RequestKind::Compile, "paper", None, 64);
+        maps.cache_insert(plain.clone(), Value::UInt(3), 20);
+        assert_eq!(entries(&maps), (1, 5));
+        assert_eq!(maps.cache.get(&plain), Some(&Value::UInt(3)));
         // A key larger than the whole budget still lands, alone.
-        maps.memo_digest(key(&"x".repeat(32)), 4, 20);
-        assert_eq!((maps.digests.len(), maps.digest_key_bytes), (1, 37));
+        maps.cache_insert(text(&"x".repeat(32)), Value::UInt(4), 20);
+        assert_eq!(entries(&maps), (1, 37));
     }
 
     #[test]
-    fn responses_are_unchanged_across_a_memo_clear() {
+    fn responses_are_unchanged_across_a_cache_clear() {
         let server = Server::start(tiny());
-        let memo = || server.inner.maps.lock().unwrap().digests.clone();
         let first = server.submit(Request::new(1, RequestKind::Compile, "paper"));
-        let before = memo();
-        // A zero budget clears the memo on the next insert.
-        server
-            .inner
-            .maps
-            .lock()
-            .unwrap()
-            .memo_digest(("other".to_string(), None), 0, 0);
-        assert!(!memo().keys().any(|(flow, _)| flow == "paper"));
+        // A zero budget clears the cache on the next insert.
+        let other = key(RequestKind::Compile, "other", None, 64);
+        let mut maps = server.inner.maps.lock().unwrap();
+        maps.cache_insert(other, Value::Null, 0);
+        assert_eq!(maps.cache.len(), 1);
+        drop(maps);
         let again = server.submit(Request::new(2, RequestKind::Compile, "paper"));
-        assert_eq!(again.cache_state(), Some(CacheState::Hit));
+        assert_eq!(again.cache_state(), Some(CacheState::Miss));
         assert_eq!(first.payload_line(), again.payload_line());
-        let key = ("paper".to_string(), None);
-        assert_eq!(memo().get(&key), before.get(&key));
+        let hit = server.submit(Request::new(3, RequestKind::Compile, "paper"));
+        assert_eq!(hit.cache_state(), Some(CacheState::Hit));
+        assert_eq!(first.payload_line(), hit.payload_line());
     }
 }

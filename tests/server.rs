@@ -117,8 +117,7 @@ fn saturated_queue_rejects_with_overloaded_and_loses_nothing() {
     let server = Arc::new(Server::start(ServerConfig {
         workers: 1,
         queue_limit: 2,
-        cache: false,
-        single_flight: false,
+        reuse: false,
     }));
     let clients = 10usize;
     let per_client = 3usize;
@@ -446,6 +445,33 @@ proptest! {
             );
         }
     }
+}
+
+/// The cache keys on the request text, not on what the text means:
+/// `paper`'s own constraints file sent inline is a second entry beside
+/// the plain request, and both payloads equal a direct computation.
+#[test]
+fn equivalent_constraints_text_is_a_separate_cache_entry() {
+    let server = Server::start(ServerConfig::default());
+    let own = gallery::by_name("paper")
+        .unwrap()
+        .flow
+        .constraints()
+        .to_string();
+    for (id, text) in [(1, None), (2, Some(own))] {
+        let mut req = Request::new(id, RequestKind::Compile, "paper");
+        req.constraints = text.clone();
+        let resp = server.submit(req);
+        assert_eq!(resp.cache_state(), Some(CacheState::Miss));
+        assert_eq!(
+            serde::json::to_string(resp.payload().unwrap()),
+            fresh_payload(RequestKind::Compile, "paper", text.as_deref(), 64)
+        );
+    }
+    let snap = server.stats_snapshot();
+    let stat = |f: &str| snap.get(f).and_then(serde::json::Value::as_u64);
+    assert_eq!(stat("cache_entries"), Some(2));
+    assert_eq!(stat("executed"), Some(2));
 }
 
 /// The same content served as miss, then hit, then coalesced (same key
