@@ -558,7 +558,9 @@ pub fn adequate_with_index(
     options: &AdequationOptions,
     index: &AdequationIndex,
 ) -> Result<AdequationResult, AdequationError> {
-    algo.validate()?;
+    // Building `index` sorted `algo`, so only the structural checks
+    // remain.
+    algo.validate_structure()?;
     constraints.validate()?;
 
     let mut ws = EvalWorkspace::new();

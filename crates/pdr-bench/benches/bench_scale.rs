@@ -17,7 +17,8 @@
 //!   `generate_executive_ir`, allocates no more than `generate_executive`
 //!   plus the symbol-table seeding plus [`IR_ALLOCS_PER_STREAM`] per
 //!   stream (so emitting the IR allocates nothing per instruction); and
-//!   that one `model::check` of its executive stays under
+//!   that one `model::check` of the generated 2048- and 10000-operation
+//!   flows' executives stays under one ceiling for both,
 //!   [`MODEL_CHECK_ALLOCS_CEILING`] heap allocations; and that one
 //!   `generate_design` of it stays under [`DESIGN_ALLOCS_CEILING`]; and
 //!   that one `adequate_with_index` of the generated 2048- and
@@ -200,82 +201,76 @@ fn probe_executive_generation(flow: &DesignFlow, reps: usize) -> (Value, Executi
     (section, executive)
 }
 
-/// Heap allocations one `model::check` of the [`FLOOR_CASE`] executive
-/// may make. Its state arena, probe table and node list grow
-/// geometrically and the rest is per-check setup, so the count stays
-/// near a hundred whatever the state count; an allocation per visited
-/// state (tens of thousands of states) fails on any host.
+/// Heap allocations one `model::check` of a generated flow's executive
+/// may make, whatever its size. The checker walks these flows' single
+/// path in place; its node list and the hand-off search's arena and
+/// probe table grow geometrically and the rest is per-check setup, so
+/// the count stays well under a hundred; an allocation per visited state
+/// (thousands of states) fails on any host.
 const MODEL_CHECK_ALLOCS_CEILING: u64 = 256;
 
-/// Assert the model-checker allocation ceiling on the [`FLOOR_CASE`]
-/// executive, and time the model checker and the rendezvous pass: best
-/// of `reps` each. Returns the artifact section.
-fn probe_verify(flow: &DesignFlow, executive: &Executive, reps: usize) -> Value {
-    let mut table = Default::default();
-    let ir = executive.lower(&mut table);
-    let rv = rendezvous::check(&ir, &table);
-    assert!(rv.diagnostics.is_empty(), "{:?}", rv.diagnostics);
-    let input = ModelInput {
-        ir: &ir,
-        table: &table,
-        pairs: &rv.pairs,
-        constraints: Some(flow.constraints()),
-    };
-    let config = ModelConfig::default();
+/// Assert the model-checker allocation ceiling on the generated 2048-
+/// and 10000-operation flows, checked as `DesignFlow::verify` checks
+/// them, and time the model checker and the rendezvous pass on each:
+/// best of `reps`. Returns the artifact section.
+fn probe_verify(reps: usize) -> Value {
+    let mut rows = Vec::new();
+    for ops in [2048, 10_000] {
+        let flow = gallery::synthetic(&gallery::SyntheticParams::sized(ops));
+        let case = format!("synthetic_gen_{ops}");
+        let art = flow.run().expect("generated flow runs");
+        let (ir, table) = (&art.ir_executive, &art.symbols);
+        let rv = rendezvous::check(ir, table);
+        assert!(rv.diagnostics.is_empty(), "{:?}", rv.diagnostics);
+        let input = ModelInput {
+            ir,
+            table,
+            pairs: &rv.pairs,
+            constraints: Some(flow.constraints()),
+        };
+        let config = ModelConfig::default();
 
-    let before = allocations();
-    let outcome = model::check(&input, &config);
-    let allocations = allocations() - before;
-    assert!(
-        outcome.diagnostics.is_empty(),
-        "{FLOOR_CASE} does not model-check clean: {:?}",
-        outcome.diagnostics
-    );
-    assert!(
-        allocations <= MODEL_CHECK_ALLOCS_CEILING,
-        "model::check made {allocations} heap allocations on {FLOOR_CASE} \
-         ({} states; ceiling {MODEL_CHECK_ALLOCS_CEILING})",
-        outcome.stats.states
-    );
+        let before = allocations();
+        let outcome = model::check(&input, &config);
+        let allocations = allocations() - before;
+        assert!(
+            outcome.diagnostics.is_empty(),
+            "{case} does not model-check clean: {:?}",
+            outcome.diagnostics
+        );
+        let stats = outcome.stats;
+        assert!(
+            allocations <= MODEL_CHECK_ALLOCS_CEILING,
+            "model::check made {allocations} heap allocations on {case} \
+             ({} states; ceiling {MODEL_CHECK_ALLOCS_CEILING})",
+            stats.states
+        );
 
-    let best_of = |f: &dyn Fn()| {
-        (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_nanos() as u64
-            })
-            .min()
-            .unwrap_or(0)
-    };
-    let model_ns = best_of(&|| {
-        black_box(model::check(&input, &config));
-    });
-    let rendezvous_ns = best_of(&|| {
-        black_box(rendezvous::check(&ir, &table));
-    });
-    let stats = outcome.stats;
-    println!(
-        "ok: model::check on {FLOOR_CASE}: {} states, {} transitions, {allocations} \
-         heap allocations (ceiling {MODEL_CHECK_ALLOCS_CEILING}), best of {reps} {:.3} ms; \
-         rendezvous::check best of {reps} {:.3} ms",
-        stats.states,
-        stats.transitions,
-        model_ns as f64 / 1e6,
-        rendezvous_ns as f64 / 1e6
-    );
-    Value::obj(vec![
-        ("flow", Value::String(FLOOR_CASE.into())),
-        ("states", Value::UInt(stats.states)),
-        ("transitions", Value::UInt(stats.transitions)),
-        ("model_check_allocations", Value::UInt(allocations)),
-        (
-            "model_check_allocations_ceiling",
-            Value::UInt(MODEL_CHECK_ALLOCS_CEILING),
-        ),
-        ("model_check_best_ns", Value::UInt(model_ns)),
-        ("rendezvous_best_ns", Value::UInt(rendezvous_ns)),
-    ])
+        let model_ns = best_of(reps, || model::check(&input, &config));
+        let rendezvous_ns = best_of(reps, || rendezvous::check(ir, table));
+        println!(
+            "ok: model::check on {case}: {} states, {} transitions, {allocations} \
+             heap allocations (ceiling {MODEL_CHECK_ALLOCS_CEILING}), best of {reps} {:.3} ms; \
+             rendezvous::check best of {reps} {:.3} ms",
+            stats.states,
+            stats.transitions,
+            model_ns as f64 / 1e6,
+            rendezvous_ns as f64 / 1e6
+        );
+        rows.push(Value::obj(vec![
+            ("flow", Value::String(case)),
+            ("states", Value::UInt(stats.states)),
+            ("transitions", Value::UInt(stats.transitions)),
+            ("model_check_allocations", Value::UInt(allocations)),
+            (
+                "model_check_allocations_ceiling",
+                Value::UInt(MODEL_CHECK_ALLOCS_CEILING),
+            ),
+            ("model_check_best_ns", Value::UInt(model_ns)),
+            ("rendezvous_best_ns", Value::UInt(rendezvous_ns)),
+        ]));
+    }
+    Value::Array(rows)
 }
 
 /// Heap allocations one `generate_design` of the [`FLOOR_CASE`] flow may
@@ -417,7 +412,7 @@ fn main() {
     let reps = if test_mode { 3 } else { 5 };
     let floor_flow = gallery::synthetic(&gallery::SyntheticParams::sized(10_000));
     let (executive, floor_executive) = probe_executive_generation(&floor_flow, reps);
-    let verify = probe_verify(&floor_flow, &floor_executive, reps);
+    let verify = probe_verify(reps);
     let design = probe_design(&floor_flow, &floor_executive, reps);
     let adequation = probe_adequation_allocations();
     let study = scale::run(reps).expect("flows schedule");

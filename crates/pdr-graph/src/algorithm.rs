@@ -291,14 +291,20 @@ impl AlgorithmGraph {
         self.out_edges(id).map(|e| e.to).collect()
     }
 
-    /// Validate the graph:
-    /// * acyclic (a single iteration must be a DAG),
+    /// Validate the graph: acyclic (a single iteration must be a DAG),
+    /// then [`AlgorithmGraph::validate_structure`].
+    pub fn validate(&self) -> Result<(), GraphError> {
+        self.topo_order()?;
+        self.validate_structure()
+    }
+
+    /// The structural half of [`AlgorithmGraph::validate`], for callers
+    /// that already sorted the graph with [`AlgorithmGraph::topo_order`]:
     /// * sources have no inputs, sinks no outputs,
     /// * every non-source has at least one input and every non-sink at least
     ///   one output (the data-flow semantics leave no dangling vertices),
     /// * conditioned operations have a control input (some predecessor).
-    pub fn validate(&self) -> Result<(), GraphError> {
-        self.topo_order()?;
+    pub fn validate_structure(&self) -> Result<(), GraphError> {
         for (id, op) in self.ops() {
             let ins = self.in_edges(id).count();
             let outs = self.out_edges(id).count();

@@ -23,7 +23,8 @@
 //! streams at once, as in the synchronized executive's semantics).
 //!
 //! A state is packed into a fixed-width record: 4 bytes per program
-//! counter, 1 byte per residency slot and per in-flight datum. Every
+//! counter, 1 byte per residency slot and per in-flight datum. In the
+//! breadth-first search (after [path mode](#path-mode) hands off), every
 //! visited record sits in one arena and a node id is its record index.
 //! Breadth-first search hands out ids in discovery order, so the FIFO
 //! frontier is a cursor over ids, and the explorer expands a state by
@@ -53,6 +54,47 @@
 //! `synthetic_large` (512 instructions, 8 streams) verifies in under a
 //! thousand states instead of the unreduced combinatorial blow-up
 //! (hundreds of thousands of states — see `bench_model`).
+//!
+//! ## Path mode
+//!
+//! On every flow the generator produces, the ample set is one transition
+//! at every state, so the explored graph is a single path (transitions
+//! = states − 1). The explorer therefore starts in path mode: from the
+//! root, while the ample set is one transition, it applies that
+//! transition in place on one record and appends the new state's
+//! `(parent, step)` to the node list, so witnesses replay as before. It
+//! keeps no visited table and no arena. This is exact: every transition
+//! raises a program counter, so no state on a path from the root can
+//! recur, and the search would have numbered the path's states in the
+//! same order. Node ids, `stats`, every finding and every minimal
+//! witness are those of the search alone, and the state budget cuts the
+//! path at the same state.
+//!
+//! Path mode reads an incremental enabled set instead of scanning every
+//! stream. It caches each stream's enabled transition and keeps stream
+//! bitsets: one of streams with an invisible transition (its lowest bit
+//! is the ample set), one of all enabled streams, and one each of
+//! enabled tracked `Configure`s and `Compute`s (PDR013 runs only when
+//! both are non-empty). A `Send` whose receiver is not yet at the
+//! matching `Receive` waits in that receiver's waiter set. After a
+//! transition, only the streams it advanced and their waiters are
+//! recomputed. A debug build checks the set against a full scan at every
+//! path state.
+//!
+//! At the first terminal state, or the first state that expands two or
+//! more transitions (with the reduction off, the first with two enabled
+//! transitions), path mode seeds the breadth-first search with that
+//! state. No earlier path state is reachable from it, because each has a
+//! smaller program-counter sum; the search then runs unchanged.
+//!
+//! Cost per state:
+//!
+//! * on the path: O(1) to apply the transition, O(1) per stream it
+//!   advanced and per waiting `Send` to refresh the set, O(streams / 64)
+//!   for the bitset reads, and one node-list entry per state;
+//! * in the search: an O(streams) enabled scan, a record copy and an
+//!   incremental hash per expanded transition, a visited-table probe, and
+//!   a record appended to the arena per new state.
 //!
 //! ## Soundness and completeness
 //!
@@ -237,7 +279,7 @@ pub struct ModelOutcome {
 }
 
 /// Dense per-instruction classification, precomputed once.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Action {
     /// Invisible local instruction (static compute, untracked configure).
     Local,
@@ -409,8 +451,8 @@ struct Tracked {
     region_of: Vec<u8>,
     /// Dense region index -> region name.
     regions: Vec<String>,
-    /// Reverse map for classification.
-    module_ix: HashMap<ModuleId, u8>,
+    /// Symbol index -> dense module index ([`NONE`] when untracked).
+    module_ix: Vec<u8>,
 }
 
 impl Tracked {
@@ -419,12 +461,13 @@ impl Tracked {
             modules: Vec::new(),
             region_of: Vec::new(),
             regions: Vec::new(),
-            module_ix: HashMap::new(),
+            module_ix: Vec::new(),
         };
         let Some(cons) = constraints else { return t };
         if cons.modules().len() > MAX_TRACKED {
             return t;
         }
+        t.module_ix = vec![NONE; table.len()];
         let mut region_ix: HashMap<&str, u8> = HashMap::new();
         for mc in cons.modules() {
             // A module name the executive never interned cannot appear in
@@ -439,26 +482,117 @@ impl Tracked {
             let ix = t.modules.len() as u8;
             t.modules.push(ModuleId::new(sym));
             t.region_of.push(region);
-            t.module_ix.insert(ModuleId::new(sym), ix);
+            t.module_ix[sym.index()] = ix;
         }
         t
+    }
+
+    /// The dense index of `module`, if it is tracked.
+    fn module(&self, module: ModuleId) -> Option<u8> {
+        let ix = *self.module_ix.get(module.sym().index())?;
+        (ix != NONE).then_some(ix)
     }
 }
 
 /// A node's incoming step, stored compactly; [`Explorer::step`] rebuilds
 /// the [`Step`] for witnesses.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Edge {
     Local { stream: u32, index: u32 },
     Rendezvous { pair: u32 },
 }
 
 /// An enabled transition at some state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Trans {
     edge: Edge,
     action: Action,
     stream: usize,
+}
+
+/// What one stream's next instruction can do at a state.
+enum Next {
+    /// It fires this transition.
+    Fires(Trans),
+    /// It is a matched `Send` whose receiver, the given stream, has not
+    /// reached the matching `Receive`.
+    WaitsFor(usize),
+    /// The stream is finished, at a `Receive` (fired from its send side)
+    /// or at an unpaired communication.
+    Idle,
+}
+
+/// The streams in one `u64` word of a stream set, in ascending order.
+fn bits(word: u64) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        let low = rest.trailing_zeros() as usize;
+        rest &= rest.wrapping_sub(1);
+        (low < 64).then_some(low)
+    })
+}
+
+/// The members of a stream set (one bit per stream), in ascending order.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter()
+        .enumerate()
+        .flat_map(|(w, &word)| bits(word).map(move |b| 64 * w + b))
+}
+
+/// Path mode's incremental enabled set: each stream's enabled transition,
+/// cached, plus the stream sets that the ample-set choice and the PDR013
+/// check read. After a transition only the streams it advanced and the
+/// sends waiting on them are recomputed ([`Explorer::refresh_after`]).
+struct EnabledSet {
+    /// `u64` words per stream set.
+    words: usize,
+    /// Each stream's enabled transition, valid while its `enabled` bit is
+    /// set.
+    trans: Vec<Trans>,
+    /// Streams with an enabled transition.
+    enabled: Vec<u64>,
+    /// Streams whose enabled transition is invisible.
+    invisible: Vec<u64>,
+    /// Streams whose enabled transition is a tracked `Configure`.
+    configures: Vec<u64>,
+    /// Streams whose enabled transition is a tracked `Compute`.
+    computes: Vec<u64>,
+    /// `waiters[r * words..(r + 1) * words]`: the streams whose `Send`
+    /// waits for stream `r` to reach the matching `Receive`.
+    waiters: Vec<u64>,
+    /// The stream each stream's `Send` waits for, or `u32::MAX`.
+    waits_for: Vec<u32>,
+}
+
+impl EnabledSet {
+    /// The ample set's only transition, or `None` when the state is
+    /// terminal or expands several transitions.
+    fn single(&self, por: bool) -> Option<Trans> {
+        if por {
+            if let Some(s) = members(&self.invisible).next() {
+                return Some(self.trans[s]);
+            }
+        }
+        let mut enabled = members(&self.enabled);
+        match (enabled.next(), enabled.next()) {
+            (Some(s), None) => Some(self.trans[s]),
+            _ => None,
+        }
+    }
+
+    /// The enabled tracked `Configure`s and `Compute`s into `out`, each in
+    /// stream order, when both kinds are enabled (PDR013 needs one of
+    /// each); `false` otherwise.
+    fn co_enabled(&self, out: &mut Vec<Trans>) -> bool {
+        let any = |set: &[u64]| set.iter().any(|&w| w != 0);
+        if !any(&self.configures) || !any(&self.computes) {
+            return false;
+        }
+        out.clear();
+        out.extend(members(&self.configures).map(|s| self.trans[s]));
+        out.extend(members(&self.computes).map(|s| self.trans[s]));
+        true
+    }
 }
 
 struct Explorer<'a> {
@@ -476,6 +610,13 @@ struct Explorer<'a> {
     nodes: Vec<(u32, Edge)>,
     executed: Vec<bool>,
     stats: ModelStats,
+    /// The first PDR004 witness found.
+    deadlock: Option<Witness>,
+    /// PDR013 witnesses by `(configure stream, index, compute stream,
+    /// index)`.
+    races: BTreeMap<(usize, usize, usize, usize), Witness>,
+    /// PDR014 witnesses by `(send stream, index, producer)`.
+    stales: BTreeMap<(usize, usize, u8), Witness>,
 }
 
 impl<'a> Explorer<'a> {
@@ -488,12 +629,12 @@ impl<'a> Explorer<'a> {
         for stream in 0..streams {
             starts.push(actions.len());
             actions.extend(ir.program(stream).iter().map(|instr| match instr {
-                IrInstr::Compute { function, .. } => match tracked.module_ix.get(function) {
-                    Some(&m) => Action::ComputeTracked { module: m },
+                IrInstr::Compute { function, .. } => match tracked.module(*function) {
+                    Some(m) => Action::ComputeTracked { module: m },
                     None => Action::Local,
                 },
-                IrInstr::Configure { module, .. } => match tracked.module_ix.get(module) {
-                    Some(&m) => Action::ConfigureTracked {
+                IrInstr::Configure { module, .. } => match tracked.module(*module) {
+                    Some(m) => Action::ConfigureTracked {
                         module: m,
                         region: tracked.region_of[m as usize],
                     },
@@ -532,8 +673,12 @@ impl<'a> Explorer<'a> {
             tracked,
             layout,
             config,
-            nodes: Vec::new(),
+            // Path mode adds at most one state per instruction.
+            nodes: Vec::with_capacity(ir.len() + 1),
             stats: ModelStats::default(),
+            deadlock: None,
+            races: BTreeMap::new(),
+            stales: BTreeMap::new(),
         }
     }
 
@@ -547,36 +692,129 @@ impl<'a> Explorer<'a> {
         self.starts[stream + 1] - self.starts[stream]
     }
 
-    /// All enabled transitions at `rec` into `out`, in stream order
-    /// (rendezvous enumerated at their send side).
+    /// What `stream`'s next instruction can do at `rec` (a rendezvous is
+    /// enumerated at its send side).
+    fn next(&self, rec: &[u8], stream: usize) -> Next {
+        let at = pc(rec, stream);
+        if at >= self.len(stream) {
+            return Next::Idle;
+        }
+        let action = self.actions[self.starts[stream] + at];
+        match action {
+            Action::Wait => Next::Idle,
+            Action::Send { pair } => {
+                let p = &self.pairs[pair as usize];
+                if pc(rec, p.recv_stream) == p.recv_idx {
+                    Next::Fires(Trans {
+                        edge: Edge::Rendezvous { pair },
+                        action,
+                        stream,
+                    })
+                } else {
+                    Next::WaitsFor(p.recv_stream)
+                }
+            }
+            _ => Next::Fires(Trans {
+                edge: Edge::Local {
+                    stream: stream as u32,
+                    index: at as u32,
+                },
+                action,
+                stream,
+            }),
+        }
+    }
+
+    /// All enabled transitions at `rec` into `out`, in stream order.
     fn enabled(&self, rec: &[u8], out: &mut Vec<Trans>) {
         out.clear();
-        for stream in 0..self.layout.streams {
-            let at = pc(rec, stream);
-            if at >= self.len(stream) {
-                continue;
-            }
-            let action = self.actions[self.starts[stream] + at];
-            match action {
-                Action::Wait => {}
-                Action::Send { pair } => {
-                    let p = &self.pairs[pair as usize];
-                    if pc(rec, p.recv_stream) == p.recv_idx {
-                        out.push(Trans {
-                            edge: Edge::Rendezvous { pair },
-                            action,
-                            stream,
-                        });
-                    }
+        out.extend(
+            (0..self.layout.streams).filter_map(|s| match self.next(rec, s) {
+                Next::Fires(t) => Some(t),
+                _ => None,
+            }),
+        );
+    }
+
+    /// The incremental enabled set of `rec`, computed stream by stream.
+    fn enabled_set(&self, rec: &[u8]) -> EnabledSet {
+        let streams = self.layout.streams;
+        let words = streams.div_ceil(64);
+        let mut set = EnabledSet {
+            words,
+            trans: vec![
+                Trans {
+                    edge: Edge::Rendezvous { pair: 0 },
+                    action: Action::Wait,
+                    stream: 0,
+                };
+                streams
+            ],
+            enabled: vec![0; words],
+            invisible: vec![0; words],
+            configures: vec![0; words],
+            computes: vec![0; words],
+            waiters: vec![0; streams * words],
+            waits_for: vec![u32::MAX; streams],
+        };
+        for stream in 0..streams {
+            self.refresh(&mut set, rec, stream);
+        }
+        set
+    }
+
+    /// Recompute `stream`'s entry of `set` at `rec`.
+    fn refresh(&self, set: &mut EnabledSet, rec: &[u8], stream: usize) {
+        let (w, bit) = (stream / 64, 1u64 << (stream % 64));
+        for word in [
+            &mut set.enabled[w],
+            &mut set.invisible[w],
+            &mut set.configures[w],
+            &mut set.computes[w],
+        ] {
+            *word &= !bit;
+        }
+        let r = std::mem::replace(&mut set.waits_for[stream], u32::MAX);
+        if r != u32::MAX {
+            set.waiters[r as usize * set.words + w] &= !bit;
+        }
+        match self.next(rec, stream) {
+            Next::Fires(t) => {
+                set.trans[stream] = t;
+                set.enabled[w] |= bit;
+                if self.invisible(rec, &t) {
+                    set.invisible[w] |= bit;
                 }
-                _ => out.push(Trans {
-                    edge: Edge::Local {
-                        stream: stream as u32,
-                        index: at as u32,
-                    },
-                    action,
-                    stream,
-                }),
+                match t.action {
+                    Action::ConfigureTracked { .. } => set.configures[w] |= bit,
+                    Action::ComputeTracked { .. } => set.computes[w] |= bit,
+                    _ => {}
+                }
+            }
+            Next::WaitsFor(r) => {
+                set.waiters[r * set.words + w] |= bit;
+                set.waits_for[stream] = r as u32;
+            }
+            Next::Idle => {}
+        }
+    }
+
+    /// Bring `set` up to date with `rec` after `t` fired: recompute the
+    /// streams `t` advanced and the sends waiting on them.
+    fn refresh_after(&self, set: &mut EnabledSet, rec: &[u8], t: &Trans) {
+        let (first, second) = match t.edge {
+            Edge::Local { stream, .. } => (stream as usize, None),
+            Edge::Rendezvous { pair } => {
+                let p = &self.pairs[pair as usize];
+                (p.send_stream, Some(p.recv_stream))
+            }
+        };
+        for stream in std::iter::once(first).chain(second) {
+            self.refresh(set, rec, stream);
+            for w in 0..set.words {
+                for b in bits(set.waiters[stream * set.words + w]) {
+                    self.refresh(set, rec, 64 * w + b);
+                }
             }
         }
     }
@@ -590,8 +828,8 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Apply `t` to `next` (a copy of its source state); the defect hook
-    /// reports a stale hand-off (PDR014).
+    /// Apply `t` to `next` (its source state) and count it; the defect
+    /// hook reports a stale hand-off (PDR014).
     fn apply(&mut self, next: &mut NextState, t: &Trans) -> Option<(usize, usize, u8)> {
         let layout = self.layout;
         let mut stale = None;
@@ -628,6 +866,88 @@ impl<'a> Explorer<'a> {
         stale
     }
 
+    /// Fire `t` from `node` on `next` (`node`'s record, or a copy of it)
+    /// and keep a PDR014 witness when it hands off stale data.
+    fn fire(&mut self, next: &mut NextState, node: usize, t: &Trans) {
+        let Some((send_stream, send_idx, produced)) = self.apply(next, t) else {
+            return;
+        };
+        let site = (send_stream, send_idx, produced);
+        if self.stales.len() >= MAX_WITNESSES_PER_CODE || self.stales.contains_key(&site) {
+            return;
+        }
+        let mut schedule = self.schedule_to(node);
+        schedule.push(self.step(t.edge));
+        let region = self.tracked.region_of[produced as usize] as usize;
+        let witness = Witness {
+            code: Code::UseAfterReconfigure,
+            schedule,
+            detail: WitnessDetail::StaleData {
+                send: (send_stream, send_idx),
+                producer: self.tracked.modules[produced as usize],
+                region: self.tracked.regions[region].clone(),
+            },
+        };
+        self.stales.insert(site, witness);
+    }
+
+    /// PDR004: keep the first terminal state with unfinished streams.
+    fn note_deadlock(&mut self, rec: &[u8], node: usize) {
+        if self.deadlock.is_some() {
+            return;
+        }
+        let stuck: Vec<(usize, usize)> = (0..self.layout.streams)
+            .map(|s| (s, pc(rec, s)))
+            .filter(|&(s, at)| at < self.len(s))
+            .collect();
+        if !stuck.is_empty() {
+            self.deadlock = Some(Witness {
+                code: Code::Deadlock,
+                schedule: self.schedule_to(node),
+                detail: WitnessDetail::Deadlock { stuck },
+            });
+        }
+    }
+
+    /// PDR013: a `Configure` co-enabled at `node` with a `Compute` of the
+    /// module its target region currently holds, on different streams.
+    /// `enabled` lists the state's enabled transitions in stream order
+    /// (at least its tracked `Configure`s and `Compute`s).
+    fn note_races(&mut self, rec: &[u8], node: usize, enabled: &[Trans]) {
+        for c in enabled {
+            let Action::ConfigureTracked { region, .. } = c.action else {
+                continue;
+            };
+            for w in enabled {
+                let Action::ComputeTracked { module } = w.action else {
+                    continue;
+                };
+                if w.stream == c.stream
+                    || self.tracked.region_of[module as usize] != region
+                    || rec[self.layout.resident(region as usize)] != module
+                {
+                    continue;
+                }
+                let (ci, wi) = (pc(rec, c.stream), pc(rec, w.stream));
+                let site = (c.stream, ci, w.stream, wi);
+                if self.races.len() >= MAX_WITNESSES_PER_CODE || self.races.contains_key(&site) {
+                    continue;
+                }
+                let witness = Witness {
+                    code: Code::ReconfigRace,
+                    schedule: self.schedule_to(node),
+                    detail: WitnessDetail::Race {
+                        configure: (c.stream, ci),
+                        compute: (w.stream, wi),
+                        module: self.tracked.modules[module as usize],
+                        region: self.tracked.regions[region as usize].clone(),
+                    },
+                };
+                self.races.insert(site, witness);
+            }
+        }
+    }
+
     fn step(&self, edge: Edge) -> Step {
         match edge {
             Edge::Local { stream, index } => Step::Local {
@@ -661,13 +981,11 @@ impl<'a> Explorer<'a> {
 pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
     let mut ex = Explorer::new(input, *config);
     let layout = ex.layout;
-    let mut visited = Visited::new(layout.width());
-
-    let mut cur = ex.initial();
-    let root_hash = record_hash(layout, &cur);
-    if let Err(slot) = visited.find(&cur, root_hash) {
-        visited.insert(slot, &cur, root_hash);
-    }
+    let root = ex.initial();
+    let mut next = NextState {
+        hash: record_hash(layout, &root),
+        rec: root,
+    };
     ex.nodes.push((
         u32::MAX,
         Edge::Local {
@@ -675,79 +993,64 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
             index: 0,
         },
     ));
-    let mut next = NextState {
-        rec: cur.clone(),
-        hash: root_hash,
-    };
     let mut enabled: Vec<Trans> = Vec::new();
 
-    let mut deadlock: Option<Witness> = None;
-    let mut races: BTreeMap<(usize, usize, usize, usize), Witness> = BTreeMap::new();
-    let mut stales: BTreeMap<(usize, usize, u8), Witness> = BTreeMap::new();
+    // Path mode: while the ample set is one transition, fire it in place.
+    // Node `k` of the path is its `k`-th state, as breadth-first search
+    // numbers it. The walk ends at a terminal or branching state, which
+    // seeds the search below, or where the state budget runs out.
+    let mut set = ex.enabled_set(&next.rec);
+    let handed_off = loop {
+        debug_assert!(
+            {
+                ex.enabled(&next.rec, &mut enabled);
+                enabled
+                    .iter()
+                    .copied()
+                    .eq(members(&set.enabled).map(|s| set.trans[s]))
+            },
+            "the incremental enabled set diverged from a full scan"
+        );
+        let Some(t) = set.single(ex.config.por) else {
+            break true;
+        };
+        let node = ex.nodes.len() - 1;
+        if set.co_enabled(&mut enabled) {
+            ex.note_races(&next.rec, node, &enabled);
+        }
+        ex.fire(&mut next, node, &t);
+        if ex.nodes.len() >= ex.config.max_states {
+            ex.stats.truncated = true;
+            break false;
+        }
+        ex.nodes.push((node as u32, t.edge));
+        ex.refresh_after(&mut set, &next.rec, &t);
+    };
 
-    // Breadth-first: ids are handed out in discovery order, so visiting
-    // them in id order is the FIFO queue.
+    // Breadth-first from the hand-off state, node `base` (no earlier path
+    // state is reachable from it: each has a smaller program-counter
+    // sum). Ids are handed out in discovery order, so visiting them in id
+    // order is the FIFO queue; visited record `k` is node `base + k`.
+    let mut visited = Visited::new(layout.width());
+    if handed_off {
+        if let Err(slot) = visited.find(&next.rec, next.hash) {
+            visited.insert(slot, &next.rec, next.hash);
+        }
+    }
+    let base = ex.nodes.len() - visited.len();
+    let mut cur = next.rec.clone();
     let mut cursor = 0;
     while cursor < visited.len() {
-        let node = cursor;
+        let node = base + cursor;
+        cur.copy_from_slice(visited.record(cursor));
+        let hash = visited.hashes[cursor];
         cursor += 1;
-        cur.copy_from_slice(visited.record(node));
-        let hash = visited.hashes[node];
         ex.enabled(&cur, &mut enabled);
-
-        // PDR004: terminal state with unfinished streams.
         if enabled.is_empty() {
-            if deadlock.is_none() {
-                let stuck: Vec<(usize, usize)> = (0..layout.streams)
-                    .map(|s| (s, pc(&cur, s)))
-                    .filter(|&(s, at)| at < ex.len(s))
-                    .collect();
-                if !stuck.is_empty() {
-                    deadlock = Some(Witness {
-                        code: Code::Deadlock,
-                        schedule: ex.schedule_to(node),
-                        detail: WitnessDetail::Deadlock { stuck },
-                    });
-                }
-            }
+            ex.note_deadlock(&cur, node);
             continue;
         }
-
-        // PDR013: a Configure co-enabled with a Compute of the module its
-        // target region currently holds, on different streams.
-        for c in &enabled {
-            let Action::ConfigureTracked { region, .. } = c.action else {
-                continue;
-            };
-            for w in &enabled {
-                let Action::ComputeTracked { module } = w.action else {
-                    continue;
-                };
-                if w.stream == c.stream
-                    || ex.tracked.region_of[module as usize] != region
-                    || cur[layout.resident(region as usize)] != module
-                {
-                    continue;
-                }
-                let (ci, wi) = (pc(&cur, c.stream), pc(&cur, w.stream));
-                let site = (c.stream, ci, w.stream, wi);
-                if races.len() < MAX_WITNESSES_PER_CODE && !races.contains_key(&site) {
-                    races.insert(
-                        site,
-                        Witness {
-                            code: Code::ReconfigRace,
-                            schedule: ex.schedule_to(node),
-                            detail: WitnessDetail::Race {
-                                configure: (c.stream, ci),
-                                compute: (w.stream, wi),
-                                module: ex.tracked.modules[module as usize],
-                                region: ex.tracked.regions[region as usize].clone(),
-                            },
-                        },
-                    );
-                }
-            }
-        }
+        ex.note_races(&cur, node, &enabled);
 
         // Ample set: expand one invisible transition when possible.
         let first_invisible = if ex.config.por {
@@ -763,31 +1066,11 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
         for t in ample {
             next.rec.copy_from_slice(&cur);
             next.hash = hash;
-            if let Some((send_stream, send_idx, produced)) = ex.apply(&mut next, t) {
-                let site = (send_stream, send_idx, produced);
-                if stales.len() < MAX_WITNESSES_PER_CODE && !stales.contains_key(&site) {
-                    let mut schedule = ex.schedule_to(node);
-                    schedule.push(ex.step(t.edge));
-                    stales.insert(
-                        site,
-                        Witness {
-                            code: Code::UseAfterReconfigure,
-                            schedule,
-                            detail: WitnessDetail::StaleData {
-                                send: (send_stream, send_idx),
-                                producer: ex.tracked.modules[produced as usize],
-                                region: ex.tracked.regions
-                                    [ex.tracked.region_of[produced as usize] as usize]
-                                    .clone(),
-                            },
-                        },
-                    );
-                }
-            }
+            ex.fire(&mut next, node, t);
             let Err(slot) = visited.find(&next.rec, next.hash) else {
                 continue;
             };
-            if visited.len() >= ex.config.max_states {
+            if ex.nodes.len() >= ex.config.max_states {
                 ex.stats.truncated = true;
                 continue;
             }
@@ -801,15 +1084,15 @@ pub fn check(input: &ModelInput<'_>, config: &ModelConfig) -> ModelOutcome {
     // Assemble diagnostics + witnesses in deterministic order.
     let mut diagnostics = Vec::new();
     let mut witnesses = Vec::new();
-    if let Some(w) = deadlock {
+    if let Some(w) = ex.deadlock.take() {
         diagnostics.push(render_deadlock(ex.ir, input.table, ex.pairs, &w));
         witnesses.push(w);
     }
-    for w in races.into_values() {
+    for w in std::mem::take(&mut ex.races).into_values() {
         diagnostics.push(render_race(ex.ir, input.table, &w));
         witnesses.push(w);
     }
-    for w in stales.into_values() {
+    for w in std::mem::take(&mut ex.stales).into_values() {
         diagnostics.push(render_stale(ex.ir, input.table, &w));
         witnesses.push(w);
     }

@@ -31,9 +31,9 @@
 //! * [`tcp`] — a thread-per-connection TCP transport; the `pdr-server`
 //!   binary adds a stdin/stdout loop for transport-free use.
 //!
-//! All coordination uses `std::sync` primitives (the vendored
-//! `parking_lot` shim has no `Condvar`). Payloads carry the FNV-1a
-//! artifact digest from [`pdr_fabric::digest`].
+//! The service's locks and its condition variable are `parking_lot`'s,
+//! which do not poison. Payloads carry the FNV-1a artifact digest from
+//! [`pdr_fabric::digest`].
 
 pub mod compute;
 pub mod metrics;

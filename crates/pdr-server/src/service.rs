@@ -27,8 +27,10 @@
 //!
 //! ## Locking
 //!
-//! Two `std::sync` mutexes, acquired in a fixed order — `maps` before
-//! `queue`, never the reverse:
+//! Two `parking_lot` mutexes, acquired in a fixed order — `maps` before
+//! `queue`, never the reverse. They do not poison: a thread that panics
+//! while holding one leaves it usable, so one panic cannot fail every
+//! later request.
 //!
 //! * `maps` guards the result cache, the single-flight registry and the
 //!   index pool. Submission holds it across the probe-then-enqueue
@@ -46,13 +48,14 @@
 use crate::compute;
 use crate::metrics::ServerStats;
 use crate::protocol::{CacheState, Command, Metrics, Request, RequestKind, Response};
+use parking_lot::{Condvar, Mutex};
 use pdr_adequation::AdequationIndex;
 use pdr_core::flow::DesignFlow;
 use serde::json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -224,7 +227,7 @@ impl Server {
         };
         let (tx, rx) = channel();
         let coalesced = {
-            let mut maps = inner.maps.lock().expect("maps lock");
+            let mut maps = inner.maps.lock();
             if let Some(payload) = maps.cache.get(&key) {
                 ServerStats::bump(&inner.stats.cache_hits);
                 return Response::Ok {
@@ -242,7 +245,7 @@ impl Server {
                 true
             } else {
                 // Fixed lock order: `maps` is held, take `queue` second.
-                let mut queue = inner.queue.lock().expect("queue lock");
+                let mut queue = inner.queue.lock();
                 if !queue.open {
                     ServerStats::bump(&inner.stats.errors);
                     return Response::Error {
@@ -325,13 +328,13 @@ impl Server {
         let inner = &*self.inner;
         let mut snap = inner.stats.snapshot();
         {
-            let maps = inner.maps.lock().expect("maps lock");
+            let maps = inner.maps.lock();
             snap.push_field("cache_entries", Value::UInt(maps.cache.len() as u64));
             snap.push_field("inflight", Value::UInt(maps.inflight.len() as u64));
             snap.push_field("shared_indexes", Value::UInt(maps.indexes.len() as u64));
         }
         {
-            let queue = inner.queue.lock().expect("queue lock");
+            let queue = inner.queue.lock();
             snap.push_field("queue_depth", Value::UInt(queue.jobs.len() as u64));
         }
         snap.push_field("workers", Value::UInt(inner.config.workers as u64));
@@ -344,7 +347,7 @@ impl Server {
     /// refused. Called by [`Drop`] if not called explicitly.
     pub fn shutdown(&mut self) {
         {
-            let mut queue = self.inner.queue.lock().expect("queue lock");
+            let mut queue = self.inner.queue.lock();
             queue.open = false;
             self.inner.ready.notify_all();
         }
@@ -367,18 +370,18 @@ impl Drop for Server {
 /// results.
 fn shared_index(inner: &Inner, flow: &DesignFlow) -> Result<Arc<AdequationIndex>, String> {
     let digest = flow.index_digest();
-    if let Some(index) = inner.maps.lock().expect("maps lock").indexes.get(&digest) {
+    if let Some(index) = inner.maps.lock().indexes.get(&digest) {
         return Ok(index.clone());
     }
     let built = Arc::new(flow.build_index().map_err(|e| e.to_string())?);
-    let mut maps = inner.maps.lock().expect("maps lock");
+    let mut maps = inner.maps.lock();
     Ok(maps.indexes.entry(digest).or_insert(built).clone())
 }
 
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut queue = inner.queue.lock().expect("queue lock");
+            let mut queue = inner.queue.lock();
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
                     break job;
@@ -386,7 +389,7 @@ fn worker_loop(inner: &Inner) {
                 if !queue.open {
                     return;
                 }
-                queue = inner.ready.wait(queue).expect("queue wait");
+                inner.ready.wait(&mut queue);
             }
         };
         let queue_us = job.enqueued.elapsed().as_micros() as u64;
@@ -416,7 +419,7 @@ fn worker_loop(inner: &Inner) {
         ServerStats::add(&inner.stats.total_service_us, service_us);
         // Publish: fill the cache, then release every parked requester.
         let waiters = {
-            let mut maps = inner.maps.lock().expect("maps lock");
+            let mut maps = inner.maps.lock();
             let waiters = maps.inflight.remove(&job.key).unwrap_or_default();
             if inner.config.reuse {
                 if let Ok(payload) = &result {
@@ -460,6 +463,24 @@ mod tests {
         }
     }
 
+    /// A thread that panics while it holds `maps` leaves the lock usable:
+    /// later requests are served as before.
+    #[test]
+    fn a_panic_under_the_maps_lock_leaves_the_server_serving() {
+        let server = Server::start(tiny());
+        let inner = server.inner.clone();
+        let panicked = thread::spawn(move || {
+            let _maps = inner.maps.lock();
+            panic!("holder panics");
+        })
+        .join();
+        assert!(panicked.is_err(), "the holder panicked");
+        let reply = server.handle_line(r#"{"id":1,"op":"compile","flow":"paper"}"#);
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+        let stats = server.handle_line(r#"{"id":2,"op":"stats"}"#);
+        assert!(stats.contains(r#""status":"stats""#), "{stats}");
+    }
+
     #[test]
     fn compile_then_hit_then_stats() {
         let server = Server::start(tiny());
@@ -476,7 +497,7 @@ mod tests {
         // The cached payload advertises the flow's own artifact digest.
         let flow = compute::resolve_flow("paper", None).unwrap();
         let digest = pdr_fabric::digest::to_hex(flow.run().unwrap().digest());
-        let maps = server.inner.maps.lock().unwrap();
+        let maps = server.inner.maps.lock();
         let cached = &maps.cache[&key(RequestKind::Compile, "paper", None, 64)];
         assert_eq!(cached.get("digest").and_then(Value::as_str), Some(&*digest));
     }
@@ -597,7 +618,7 @@ mod tests {
         let first = server.submit(Request::new(1, RequestKind::Compile, "paper"));
         // A zero budget clears the cache on the next insert.
         let other = key(RequestKind::Compile, "other", None, 64);
-        let mut maps = server.inner.maps.lock().unwrap();
+        let mut maps = server.inner.maps.lock();
         maps.cache_insert(other, Value::Null, 0);
         assert_eq!(maps.cache.len(), 1);
         drop(maps);

@@ -751,6 +751,73 @@ fn broken_inputs_fail_like_the_oracle() {
     assert_eq!(fast.to_string(), oracle.to_string());
 }
 
+/// A cyclic graph and an acyclic one with a dangling operation fail
+/// `adequate()`, the reference scheduler and `DesignFlow::run` with the
+/// error `AlgorithmGraph::validate` names first, word for word: the flow
+/// sorts the graph while it builds the index, and the scheduler then
+/// checks only its structure.
+#[test]
+fn broken_graphs_fail_with_the_first_validation_error() {
+    let g = gallery::by_name("paper").expect("paper flow");
+    let flow = &g.flow;
+    let is_compute =
+        |algo: &AlgorithmGraph, id: OpId| matches!(algo.op(id).kind, OpKind::Compute { .. });
+
+    let mut cyclic = flow.algorithm().clone();
+    let back = cyclic
+        .edges()
+        .iter()
+        .find(|e| is_compute(&cyclic, e.from) && is_compute(&cyclic, e.to))
+        .map(|e| (e.to, e.from))
+        .expect("a compute-to-compute edge");
+    cyclic
+        .connect(back.0, back.1, 8)
+        .expect("back edge connects");
+
+    let mut dangling = flow.algorithm().clone();
+    let function = flow
+        .algorithm()
+        .ops()
+        .find_map(|(_, op)| match &op.kind {
+            OpKind::Compute { function } => Some(function.clone()),
+            _ => None,
+        })
+        .expect("a compute operation");
+    dangling
+        .add_op("lonely", OpKind::Compute { function })
+        .expect("operation adds");
+
+    for (case, algo, text) in [
+        ("cyclic", cyclic, "cycle"),
+        (
+            "dangling",
+            dangling,
+            "`lonely` must have inputs and outputs",
+        ),
+    ] {
+        let expected = AdequationError::from(algo.validate().expect_err(case));
+        assert!(expected.to_string().contains(text), "{case}: {expected}");
+        let (arch, chars) = (flow.architecture(), flow.characterization());
+        let (cons, opts) = (flow.constraints(), flow.adequation_options());
+        let fast = adequate(&algo, arch, chars, cons, opts).expect_err(case);
+        let oracle = adequate_reference(&algo, arch, chars, cons, opts).expect_err(case);
+        assert_eq!(fast, expected, "{case}: adequate");
+        assert_eq!(oracle, expected, "{case}: reference");
+        assert_eq!(fast.to_string(), expected.to_string(), "{case}");
+        let broken = DesignFlow::new(algo, arch.clone(), chars.clone(), flow.device().clone())
+            .with_constraints(cons.clone())
+            .with_adequation_options(opts.clone());
+        let Err(err) = broken.run() else {
+            panic!("{case}: the flow runs");
+        };
+        assert_eq!(
+            err.to_string(),
+            pdr_core::FlowError::from(expected).to_string(),
+            "{case}: DesignFlow::run"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -1,9 +1,11 @@
 //! Model checker and rendezvous pass vs their hash-map oracles.
 //!
-//! `pdr_lint::model::check` keeps every visited state as a fixed-width
-//! record in one arena, finds states through an incrementally hashed
-//! open-addressed table and walks the breadth-first frontier as a cursor
-//! over node ids; `pdr_lint::rendezvous::check` matches tags by sorting
+//! `pdr_lint::model::check` walks a single-transition prefix in place on
+//! an incremental enabled set, then keeps every visited state as a
+//! fixed-width record in one arena, finds states through an
+//! incrementally hashed open-addressed table and walks the breadth-first
+//! frontier as a cursor over node ids; `pdr_lint::rendezvous::check`
+//! matches tags by sorting
 //! `(tag, walk position)` once. Both are optimizations, not behaviour
 //! changes. The explorer they replaced (a cloned `State` per transition,
 //! a `HashMap<Vec<u8>, u32>` visited set, a `VecDeque` frontier) and the
@@ -13,10 +15,11 @@
 //! * model checker — equal `stats`, equal witnesses (full schedules) and
 //!   equal diagnostic code/location sequences, with PDR016 locations
 //!   taken from the oracle's own executed marks; on every gallery flow,
-//!   seeded 64–512-op generated flows, POR off (`synthetic_large`'s full
-//!   610 566 states included), tight state budgets (PDR017), hand-built
-//!   deadlock / race / stale hand-off executives and random executives
-//!   over two tracked regions;
+//!   seeded 64–512-op generated flows, the generated 10k-op flow, POR off
+//!   (`synthetic_large`'s full 610 566 states included), tight state
+//!   budgets (PDR017), hand-built deadlock / race / stale hand-off
+//!   executives, an executive whose path hands off to the search mid-run
+//!   and random executives over two tracked regions;
 //! * rendezvous pass — equal diagnostics (rendered and structural) and
 //!   equal `pairs` on random malformed executives.
 
@@ -723,6 +726,116 @@ fn state_budgets_truncate_like_the_oracle() {
                 .diagnostics
                 .iter()
                 .any(|d| d.code == Code::StateBudgetExceeded));
+        }
+    }
+}
+
+/// A generated 10k-operation flow, model-checked as `DesignFlow::verify`
+/// checks it: its own lowered executive, symbol table and constraints,
+/// the rendezvous pass's pairs, the default configuration. Its ample set
+/// is one transition at every state, so the checker walks one path.
+#[test]
+fn generated_10k_flow_verifies_like_the_oracles() {
+    let flow = synthetic(&SyntheticParams::sized(10_000));
+    let art = flow.run().expect("generated flow runs");
+    let out = assert_verify_equal(
+        "generated 10k",
+        &art.ir_executive,
+        &art.symbols,
+        Some(flow.constraints()),
+        &ModelConfig::default(),
+    );
+    assert_eq!((out.stats.states, out.stats.transitions), (20_885, 20_884));
+    assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
+}
+
+/// Static computes on `a` between its stale hand-off and its tracked
+/// configure in [`late_branching_executive`].
+const PREFIX: usize = 24;
+
+/// An executive whose state graph is one long path before it branches.
+/// `a` alone can move at first: it computes `mod_c`, reconfigures region
+/// `d2` to `mod_d` and hands the stale result to `c` (PDR014), runs
+/// [`PREFIX`] static computes, configures `mod_a` on `d1` and passes a
+/// token to `b`. Then `a` computes `mod_a`, `b` forwards a token to `d`
+/// and reconfigures `d1` to `mod_b` (PDR013 against that compute, and a
+/// second PDR014 when `a` sends its result after it), and `d` runs three
+/// static computes. Without the reduction the search branches right
+/// after the first token; with it, after `d`'s computes (the race is
+/// found before that, while `d`'s invisible computes are the ample set).
+fn late_branching_executive() -> (IrExecutive, SymbolTable) {
+    let mut table = SymbolTable::new();
+    let mut b = IrBuilder::new(&mut table);
+    b.begin_operator("a");
+    b.configure("mod_c", TimePs::from_ms(1));
+    b.compute("x", "mod_c", TimePs::from_us(1));
+    b.configure("mod_d", TimePs::from_ms(1));
+    b.send("c", "m", 8, 0);
+    for _ in 0..PREFIX {
+        b.compute("pad", "soft", TimePs::from_us(1));
+    }
+    b.configure("mod_a", TimePs::from_ms(1));
+    b.send("b", "m", 8, 1);
+    b.compute("y", "mod_a", TimePs::from_us(1));
+    b.send("c", "m", 8, 2);
+    b.begin_operator("b");
+    b.receive("a", "m", 8, 1);
+    b.send("d", "m", 8, 3);
+    b.configure("mod_b", TimePs::from_ms(1));
+    b.begin_operator("c");
+    b.receive("a", "m", 8, 0);
+    b.receive("a", "m", 8, 2);
+    b.begin_operator("d");
+    b.receive("b", "m", 8, 3);
+    for _ in 0..3 {
+        b.compute("pad", "soft", TimePs::from_us(1));
+    }
+    let ir = b.finish();
+    (ir, table)
+}
+
+/// The checker walks the single path in place and hands its last state to
+/// the breadth-first search: witnesses found on the path and after the
+/// hand-off, with and without the reduction, and state budgets that run
+/// out inside the path, one state before the hand-off state, exactly at
+/// it and one state after it, all equal the oracle's.
+#[test]
+fn late_branches_explore_like_the_oracle() {
+    let (ir, table) = late_branching_executive();
+    let cons = two_region_constraints();
+    // States up to and including the first one that expands two
+    // transitions: `a` fires 4 + PREFIX + 2 transitions first, then `b`
+    // one and `d` three more under the reduction.
+    for (config, handoff) in [
+        (ModelConfig::default(), PREFIX + 11),
+        (ModelConfig::default().without_por(), PREFIX + 7),
+    ] {
+        let label = format!("late branch, por {}", config.por);
+        let out = assert_verify_equal(&label, &ir, &table, Some(&cons), &config);
+        let codes: Vec<Code> = out.witnesses.iter().map(|w| w.code).collect();
+        assert_eq!(
+            codes,
+            [
+                Code::ReconfigRace,
+                Code::UseAfterReconfigure,
+                Code::UseAfterReconfigure
+            ],
+            "{label}"
+        );
+        assert!(
+            out.stats.transitions >= out.stats.states,
+            "{label}: branches"
+        );
+        for budget in [PREFIX / 2, handoff - 1, handoff, handoff + 1] {
+            let out = assert_verify_equal(
+                &format!("{label}, budget {budget}"),
+                &ir,
+                &table,
+                Some(&cons),
+                &config.with_max_states(budget),
+            );
+            assert!(out.stats.truncated, "{label}, budget {budget}");
+            assert_eq!(out.stats.states, budget as u64, "{label}");
         }
     }
 }
