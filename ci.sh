@@ -24,7 +24,7 @@ fi
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "== pdr-server binary (one compile over stdin, with reuse and --cold)"
+echo "== pdr-server binary (one compile over stdin, with reuse and --cold, and one with a wire delay)"
 for flags in "" "--cold"; do
     # shellcheck disable=SC2086 # empty flags must expand to no argument
     reply=$(echo '{"id":1,"op":"compile","flow":"paper"}' | ./target/release/pdr-server $flags)
@@ -33,6 +33,13 @@ for flags in "" "--cold"; do
         exit 1
     fi
 done
+# A delay on the wire is ignored: the worker must not sleep for it.
+reply=$(echo '{"id":1,"op":"compile","flow":"paper","delay_us":18446744073709551615}' \
+    | timeout 60 ./target/release/pdr-server) || true
+if ! grep -q '"status":"ok"' <<<"$reply"; then
+    echo "pdr-server with a wire delay replied: $reply" >&2
+    exit 1
+fi
 
 echo "== cargo test (every workspace crate)"
 cargo test -q --workspace

@@ -527,6 +527,10 @@ pub fn evaluate_makespan(
 }
 
 /// Run the adequation: map and schedule one iteration of `algo` onto `arch`.
+///
+/// Building the index sorts the graph, so a cycle is the first error
+/// reported, then the structural and constraints checks of
+/// [`adequate_with_index`].
 pub fn adequate(
     algo: &AlgorithmGraph,
     arch: &ArchGraph,
@@ -534,8 +538,6 @@ pub fn adequate(
     constraints: &ConstraintsFile,
     options: &AdequationOptions,
 ) -> Result<AdequationResult, AdequationError> {
-    algo.validate()?;
-    constraints.validate()?;
     let index = AdequationIndex::build(algo, arch, chars)?;
     adequate_with_index(algo, arch, chars, constraints, options, &index)
 }

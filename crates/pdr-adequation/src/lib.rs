@@ -61,17 +61,3 @@ pub use index::{AdequationIndex, WcetEntry};
 pub use mapping::Mapping;
 pub use schedule::{ItemKind, Schedule, ScheduledItem};
 pub use trace::{schedule_trace, ReconfigSplit, TraceOptions, TraceResult, TraceStats};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::error::AdequationError;
-    pub use crate::executive::{Executive, MacroInstr};
-    pub use crate::heuristic::{
-        adequate, adequate_with_index, evaluate_makespan, AdequationOptions, AdequationResult,
-        EvalWorkspace,
-    };
-    pub use crate::index::{AdequationIndex, WcetEntry};
-    pub use crate::mapping::Mapping;
-    pub use crate::schedule::{ItemKind, Schedule, ScheduledItem};
-    pub use crate::trace::{schedule_trace, ReconfigSplit, TraceOptions, TraceResult, TraceStats};
-}

@@ -53,14 +53,6 @@ impl Mapping {
         (o != UNASSIGNED).then_some(OperatorId(o as usize))
     }
 
-    /// Operations assigned to `operator`, in id order.
-    pub fn ops_on(&self, operator: OperatorId) -> Vec<OpId> {
-        self.iter()
-            .filter(|&(_, o)| o == operator)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Number of assignments.
     pub fn len(&self) -> usize {
         self.assigned
@@ -401,16 +393,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ops_on_lists_assignments() {
-        let (algo, arch, ..) = setup();
-        let m = full_mapping(&algo, &arch);
-        let dy = arch.operator_by_name("op_dyn").unwrap();
-        let on_dyn = m.ops_on(dy);
-        assert_eq!(on_dyn.len(), 1);
-        assert_eq!(algo.op(on_dyn[0]).name, "modulation");
-    }
-
     fn json(m: &Mapping) -> String {
         serde::json::to_string(&m.to_json())
     }
@@ -452,7 +434,6 @@ mod tests {
         let pairs: Vec<_> = m.iter().collect();
         assert_eq!(pairs, [(OpId(2), OperatorId(0)), (OpId(7), OperatorId(1))]);
         assert_eq!(m.operator_of(OpId(4)), None);
-        assert_eq!(m.ops_on(OperatorId(1)), [OpId(7)]);
     }
 
     #[test]

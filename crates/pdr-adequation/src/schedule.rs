@@ -165,25 +165,6 @@ impl Schedule {
         v
     }
 
-    /// Number of reconfigurations.
-    pub fn reconfiguration_count(&self) -> usize {
-        self.operator_items
-            .values()
-            .flat_map(|v| v.iter())
-            .filter(|i| i.kind.is_reconfigure())
-            .count()
-    }
-
-    /// Total time spent reconfiguring (sum of reconfigure item durations).
-    pub fn reconfiguration_time(&self) -> TimePs {
-        self.operator_items
-            .values()
-            .flat_map(|v| v.iter())
-            .filter(|i| i.kind.is_reconfigure())
-            .map(|i| i.duration())
-            .sum()
-    }
-
     /// Consistency check: on every resource, items are sorted by start and
     /// non-overlapping, and every item has `end > start` (zero-length items
     /// are tolerated for zero-bit bookkeeping only — we reject them here to
@@ -268,7 +249,7 @@ mod tests {
     fn empty_schedule() {
         let s = Schedule::new();
         assert_eq!(s.makespan(), TimePs::ZERO);
-        assert_eq!(s.reconfiguration_count(), 0);
+        assert!(s.reconfigurations().is_empty());
         s.validate().unwrap();
     }
 
@@ -309,8 +290,6 @@ mod tests {
         s.push_operator_item(OperatorId(1), reconf(0, 4000, false));
         s.push_operator_item(OperatorId(1), item(4000, 4002));
         s.push_operator_item(OperatorId(1), reconf(5000, 6000, true));
-        assert_eq!(s.reconfiguration_count(), 2);
-        assert_eq!(s.reconfiguration_time(), TimePs::from_us(5000));
         let rs = s.reconfigurations();
         assert_eq!(rs.len(), 2);
         assert!(rs[0].1.start <= rs[1].1.start);

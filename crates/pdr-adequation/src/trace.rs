@@ -45,18 +45,15 @@ pub struct ReconfigSplit {
     pub load: TimePs,
 }
 
+/// Fraction of each reconfiguration spent on the memory fetch leg. The
+/// paper-calibrated port chain is memory-limited: 3 of its 4 ms.
+const FETCH_FRACTION: f64 = 0.75;
+
 impl ReconfigSplit {
-    /// Split a total reconfiguration time: `fetch_fraction` of it is the
+    /// Split a total reconfiguration time: three quarters of it are the
     /// memory-fetch leg.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= fetch_fraction < 1.0`.
-    pub fn from_total(total: TimePs, fetch_fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fetch_fraction),
-            "fetch_fraction must be in [0, 1)"
-        );
-        let fetch = TimePs::from_ps((total.as_ps() as f64 * fetch_fraction).round() as u64);
+    pub fn from_total(total: TimePs) -> Self {
+        let fetch = TimePs::from_ps((total.as_ps() as f64 * FETCH_FRACTION).round() as u64);
         ReconfigSplit {
             fetch,
             load: total - fetch,
@@ -74,27 +71,18 @@ impl ReconfigSplit {
 pub struct TraceOptions {
     /// Enable configuration prefetching.
     pub prefetch: bool,
-    /// Fraction of each reconfiguration spent on the memory fetch leg.
-    /// The paper-calibrated port chain is memory-limited: 0.75 (3 of 4 ms).
-    pub fetch_fraction: f64,
 }
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        TraceOptions {
-            prefetch: true,
-            fetch_fraction: 0.75,
-        }
+        TraceOptions { prefetch: true }
     }
 }
 
 impl TraceOptions {
     /// The non-prefetching baseline.
     pub fn no_prefetch() -> Self {
-        TraceOptions {
-            prefetch: false,
-            ..Default::default()
-        }
+        TraceOptions { prefetch: false }
     }
 }
 
@@ -358,7 +346,7 @@ pub fn schedule_trace(
                 let is_dynamic = arch.operator(opr).kind.is_dynamic();
                 if is_dynamic && loaded.get(&opr).map(|l| l.as_deref()) != Some(Some(f.as_str())) {
                     let total = chars.reconfig_time(f, &opr_name)?;
-                    let split = ReconfigSplit::from_total(total, options.fetch_fraction);
+                    let split = ReconfigSplit::from_total(total);
                     let (rc_start, rc_end, prefetched) = if options.prefetch {
                         // Fetch begins when the selector value is *produced*
                         // at its source (the manager observes it there); for
@@ -616,19 +604,10 @@ mod tests {
 
     #[test]
     fn split_arithmetic() {
-        let s = ReconfigSplit::from_total(TimePs::from_ms(4), 0.75);
+        let s = ReconfigSplit::from_total(TimePs::from_ms(4));
         assert_eq!(s.fetch, TimePs::from_ms(3));
         assert_eq!(s.load, TimePs::from_ms(1));
         assert_eq!(s.total(), TimePs::from_ms(4));
-        let z = ReconfigSplit::from_total(TimePs::from_ms(4), 0.0);
-        assert_eq!(z.fetch, TimePs::ZERO);
-        assert_eq!(z.load, TimePs::from_ms(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "fetch_fraction")]
-    fn split_rejects_full_fraction() {
-        let _ = ReconfigSplit::from_total(TimePs::from_ms(4), 1.0);
     }
 
     #[test]

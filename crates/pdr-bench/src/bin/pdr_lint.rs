@@ -21,8 +21,8 @@
 //! (errors always; warnings under `--deny-warnings`), 2 on usage errors.
 
 use pdr_core::gallery;
-use pdr_core::lint::render;
-use pdr_core::lint::{Code, ModelConfig, Report};
+use pdr_lint::render;
+use pdr_lint::{Code, ModelConfig, Report};
 use serde::json::Value;
 use serde::Serialize;
 use std::process::ExitCode;

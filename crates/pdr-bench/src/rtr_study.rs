@@ -29,8 +29,8 @@ use pdr_core::deploy::{DeployedSystem, RuntimeOptions};
 use pdr_core::{gallery, FlowError};
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, TimePs};
 use pdr_rtr::{
-    BitstreamCache, BitstreamStore, ConfigurationManager, EvictionSpec, FirstOrderMarkov,
-    MemoryModel, PrefetchSpec, ProtocolBuilder, RegionSpec, RtrEngine, RtrEngineBuilder,
+    BitstreamCache, BitstreamStore, ConfigurationManager, EvictionSpec, MemoryModel, PrefetchSpec,
+    ProtocolBuilder, RegionSpec, RtrEngine, RtrEngineBuilder,
 };
 use pdr_sweep::{percentiles, Percentiles, Scenario, SweepEngine, SweepReport};
 use serde::json::Value;
@@ -147,7 +147,7 @@ pub fn replay_reference(
     let cache = BitstreamCache::sized_for(cache_modules, bytes);
     let builder = ProtocolBuilder::new(Device::xc2v2000(), PortProfile::icap_virtex2());
     ConfigurationManager::new(builder, store, cache, MemoryModel::paper_flash(), "dyn")
-        .with_predictor(Box::new(FirstOrderMarkov::new()))
+        .with_prefetch(PrefetchSpec::Markov)
 }
 
 /// The engine side of the replay: the same region under [`RtrEngine`],
@@ -560,15 +560,11 @@ pub fn run_point(
     for (name, bs) in modules {
         spec = spec.module(name.clone(), bs.clone());
     }
-    // Streams were already validated by every other construction of these
-    // bitstreams; skip re-validation so the sweep spends its time on the
-    // request path under study. Timing semantics are unaffected.
     let mut engine = RtrEngineBuilder::new(
         Device::xc2v2000(),
         PortProfile::icap_virtex2(),
         MemoryModel::paper_flash(),
     )
-    .verify_streams(false)
     .region(spec)
     .build()
     .expect("sweep modules validate");

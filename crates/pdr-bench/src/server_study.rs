@@ -185,48 +185,46 @@ pub fn run_load(
         }
     }
     let started = Instant::now();
-    let per_client: Vec<(Vec<u64>, Vec<&'static str>, PayloadMap)> =
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let server = server.clone();
-                    let base = &base;
-                    scope.spawn(move |_| {
-                        let mut latencies = Vec::with_capacity(base.len() * rounds);
-                        let mut statuses = Vec::with_capacity(base.len() * rounds);
-                        let mut payloads = PayloadMap::new();
-                        for round in 0..rounds {
-                            for (i, req) in base.iter().enumerate() {
-                                let mut req = req.clone();
-                                req.id = ((c * rounds + round) * base.len() + i) as u64;
-                                let t = Instant::now();
-                                let resp = server.submit(req.clone());
-                                latencies.push(t.elapsed().as_micros() as u64);
-                                statuses.push(match &resp {
-                                    Response::Ok { .. } => "ok",
-                                    Response::Overloaded { .. } => "overloaded",
-                                    _ => "error",
-                                });
-                                if resp.is_ok() {
-                                    let key = content_key(&req);
-                                    let line = resp.payload_line();
-                                    if let Some(prev) = payloads.get(&key) {
-                                        assert_eq!(
-                                            prev, &line,
-                                            "client {c} saw two payloads for {key}"
-                                        );
-                                    }
-                                    payloads.insert(key, line);
+    let per_client: Vec<(Vec<u64>, Vec<&'static str>, PayloadMap)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let server = server.clone();
+                let base = &base;
+                scope.spawn(move || {
+                    let mut latencies = Vec::with_capacity(base.len() * rounds);
+                    let mut statuses = Vec::with_capacity(base.len() * rounds);
+                    let mut payloads = PayloadMap::new();
+                    for round in 0..rounds {
+                        for (i, req) in base.iter().enumerate() {
+                            let mut req = req.clone();
+                            req.id = ((c * rounds + round) * base.len() + i) as u64;
+                            let t = Instant::now();
+                            let resp = server.submit(req.clone());
+                            latencies.push(t.elapsed().as_micros() as u64);
+                            statuses.push(match &resp {
+                                Response::Ok { .. } => "ok",
+                                Response::Overloaded { .. } => "overloaded",
+                                _ => "error",
+                            });
+                            if resp.is_ok() {
+                                let key = content_key(&req);
+                                let line = resp.payload_line();
+                                if let Some(prev) = payloads.get(&key) {
+                                    assert_eq!(
+                                        prev, &line,
+                                        "client {c} saw two payloads for {key}"
+                                    );
                                 }
+                                payloads.insert(key, line);
                             }
                         }
-                        (latencies, statuses, payloads)
-                    })
+                    }
+                    (latencies, statuses, payloads)
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-        .expect("client scope");
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
     let elapsed_us = started.elapsed().as_micros() as u64;
 
     let mut latencies_us = Vec::new();

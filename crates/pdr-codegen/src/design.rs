@@ -85,15 +85,6 @@ impl EntityDesign {
         }
     }
 
-    /// Total sequencer states across processes of a kind.
-    pub fn states_of(&self, kind: ProcessKind) -> u32 {
-        self.processes
-            .iter()
-            .filter(|p| p.kind == kind)
-            .map(|p| p.states)
-            .sum()
-    }
-
     /// Count of processes of a kind.
     pub fn process_count(&self, kind: ProcessKind) -> usize {
         self.processes.iter().filter(|p| p.kind == kind).count()
@@ -156,9 +147,7 @@ mod tests {
             kind: ProcessKind::ComputationSequencer,
             states: 8,
         });
-        assert_eq!(e.states_of(ProcessKind::CommunicationSequencer), 10);
         assert_eq!(e.process_count(ProcessKind::CommunicationSequencer), 2);
-        assert_eq!(e.states_of(ProcessKind::ProtocolBuilder), 0);
     }
 
     #[test]

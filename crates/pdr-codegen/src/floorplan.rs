@@ -16,7 +16,6 @@
 
 use crate::design::DynamicModuleDesign;
 use crate::error::CodegenError;
-use crate::estimate::CostModel;
 use pdr_fabric::{
     Bitstream, BusMacro, BusMacroDirection, Device, Floorplan, ReconfigRegion, Resources,
 };
@@ -54,19 +53,12 @@ impl FloorplanResult {
 #[derive(Debug, Clone)]
 pub struct Floorplanner {
     device: Device,
-    /// Cost model used to sanity-check region I/O budgets.
-    cost: CostModel,
 }
 
 impl Floorplanner {
-    /// Floorplanner for `device` with the given cost model.
-    pub fn new(device: Device, cost: CostModel) -> Self {
-        Floorplanner { device, cost }
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+    /// Floorplanner for `device`.
+    pub fn new(device: Device) -> Self {
+        Floorplanner { device }
     }
 
     /// The target device.
@@ -409,6 +401,7 @@ fn fingerprint(module: &str, region: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::design::{ProcessKind, ProcessSpec};
+    use crate::estimate::CostModel;
     use pdr_graph::{constraints::ModuleConstraints, ConstraintsFile};
 
     fn module(name: &str, region: &str, slices: u32) -> (DynamicModuleDesign, Resources) {
@@ -434,7 +427,7 @@ mod tests {
     }
 
     fn planner() -> Floorplanner {
-        Floorplanner::new(Device::xc2v2000(), CostModel::default())
+        Floorplanner::new(Device::xc2v2000())
     }
 
     fn paper_pin() -> ConstraintsFile {
@@ -565,7 +558,7 @@ mod tests {
     #[test]
     fn s7_place_uses_clock_region_rectangles() {
         let device = Device::by_name("XC7A100T").unwrap();
-        let planner = Floorplanner::new(device.clone(), CostModel::default());
+        let planner = Floorplanner::new(device.clone());
         let modules = [module("a", "r1", 500), module("b", "r2", 500)];
         let r = planner
             .place(&modules, Resources::ZERO, &ConstraintsFile::new())
@@ -598,7 +591,7 @@ mod tests {
     #[test]
     fn s7_bram_demand_widens_the_rectangle() {
         let device = Device::by_name("XC7A100T").unwrap();
-        let planner = Floorplanner::new(device.clone(), CostModel::default());
+        let planner = Floorplanner::new(device.clone());
         let light = [module("l", "r", 100)];
         let narrow = planner
             .place(&light, Resources::ZERO, &ConstraintsFile::new())
@@ -624,7 +617,7 @@ mod tests {
         // Many small regions wrap onto the next clock-region band once a
         // shelf runs out of columns.
         let device = Device::by_name("XC7A50T").unwrap();
-        let planner = Floorplanner::new(device.clone(), CostModel::default());
+        let planner = Floorplanner::new(device.clone());
         let modules: Vec<_> = (0..4)
             .map(|i| module(&format!("m{i}"), &format!("r{i}"), 800))
             .collect();

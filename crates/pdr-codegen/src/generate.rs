@@ -257,7 +257,7 @@ pub fn generate_design(
     }
 
     // Floorplan + bitstreams.
-    let planner = Floorplanner::new(device.clone(), cost.clone());
+    let planner = Floorplanner::new(device.clone());
     let floorplan = planner.place(&priced_modules, static_resources, constraints)?;
 
     Ok(GeneratedDesign {

@@ -44,14 +44,3 @@ pub use error::CodegenError;
 pub use estimate::{CostModel, ResourceReport};
 pub use floorplan::{FloorplanResult, Floorplanner};
 pub use generate::{generate_design, GeneratedDesign};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::design::{
-        BufferSpec, DynamicModuleDesign, EntityDesign, ProcessKind, ProcessSpec,
-    };
-    pub use crate::error::CodegenError;
-    pub use crate::estimate::{CostModel, ResourceReport};
-    pub use crate::floorplan::{FloorplanResult, Floorplanner};
-    pub use crate::generate::{generate_design, GeneratedDesign};
-}

@@ -106,7 +106,7 @@ mod tests {
         mc.pin = Some((20, 4));
         cons.add(mc).unwrap();
         let modules = [module("mod_qpsk"), module("mod_qam16")];
-        Floorplanner::new(Device::xc2v2000(), cost.clone())
+        Floorplanner::new(Device::xc2v2000())
             .place(&modules, Resources::logic(2_000, 3_500, 2_400), &cons)
             .unwrap()
     }
@@ -164,7 +164,7 @@ mod tests {
             },
             Resources::logic(200, 350, 300),
         );
-        let result = Floorplanner::new(Device::by_name("XC7A100T").unwrap(), cost)
+        let result = Floorplanner::new(Device::by_name("XC7A100T").unwrap())
             .place(&[module], Resources::ZERO, &ConstraintsFile::new())
             .unwrap();
         let ucf = emit_ucf(&result);

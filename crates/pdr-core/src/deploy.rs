@@ -12,11 +12,11 @@ use crate::error::FlowError;
 use crate::flow::FlowArtifacts;
 use parking_lot::Mutex;
 use pdr_fabric::{Bitstream, Device, PortProfile};
-use pdr_graph::ArchGraph;
+use pdr_graph::{ArchGraph, ConstraintsFile};
 use pdr_rtr::{
     BitstreamCache, BitstreamStore, ConfigurationManager, DeviceLoader, EvictionSpec,
-    ExclusionLedger, FirstOrderMarkov, LastValue, LoaderStats, MemoryModel, Predictor,
-    PrefetchSpec, ProtocolBuilder, RegionSpec, RtrEngine, RtrEngineBuilder, ScheduleDriven,
+    ExclusionLedger, LoaderStats, MemoryModel, PrefetchSpec, ProtocolBuilder, RegionSpec,
+    RtrEngine, RtrEngineBuilder,
 };
 use pdr_sim::{IrSimSystem, SimConfig, SimReport};
 use std::sync::Arc;
@@ -138,8 +138,12 @@ impl<'a> DeployedSystem<'a> {
     }
 
     /// Build the configuration manager for one region from the generated
-    /// bitstreams.
-    fn manager_for(&self, region: &str) -> Result<ConfigurationManager, FlowError> {
+    /// bitstreams and the parsed constraints file.
+    fn manager_for(
+        &self,
+        region: &str,
+        constraints: &ConstraintsFile,
+    ) -> Result<ConfigurationManager, FlowError> {
         let mut store = if self.options.compressed_storage {
             BitstreamStore::with_compression()
         } else {
@@ -151,19 +155,9 @@ impl<'a> DeployedSystem<'a> {
         }
         let cache = BitstreamCache::sized_for(self.options.cache_modules.max(1), module_bytes);
         let builder = ProtocolBuilder::new(self.device.clone(), self.options.port.clone());
-        let mut mgr = ConfigurationManager::new(builder, store, cache, self.options.memory, region);
-        let predictor: Option<Box<dyn Predictor>> = match &self.options.prefetch {
-            PrefetchSpec::None => None,
-            PrefetchSpec::Schedule(seq) => Some(Box::new(ScheduleDriven::new(seq.clone()))),
-            PrefetchSpec::LastValue => Some(Box::new(LastValue)),
-            PrefetchSpec::Markov => Some(Box::new(FirstOrderMarkov::new())),
-        };
-        if let Some(p) = predictor {
-            mgr = mgr.with_predictor(p);
-        }
+        let mut mgr = ConfigurationManager::new(builder, store, cache, self.options.memory, region)
+            .with_prefetch(self.options.prefetch.clone());
         // Honor load = at_start from the constraints file.
-        let constraints = pdr_graph::ConstraintsFile::parse(&self.artifacts.constraints_text)
-            .map_err(FlowError::Graph)?;
         for mc in constraints.modules_in_region(region) {
             if mc.load == pdr_graph::LoadPolicy::AtStart {
                 mgr.preload(&mc.module).map_err(FlowError::Runtime)?;
@@ -178,14 +172,14 @@ impl<'a> DeployedSystem<'a> {
     /// [`DeployedSystem::simulate`], and separates deployment setup from
     /// interpretation (the `bench_ir_sim` benchmark times `run()` alone).
     pub fn managers(&self) -> Result<Vec<(String, ConfigurationManager)>, FlowError> {
-        let constraints = pdr_graph::ConstraintsFile::parse(&self.artifacts.constraints_text)
-            .map_err(FlowError::Graph)?;
+        let constraints =
+            ConstraintsFile::parse(&self.artifacts.constraints_text).map_err(FlowError::Graph)?;
         let ledger = Arc::new(Mutex::new(ExclusionLedger::from_constraints(&constraints)));
         let mut out = Vec::new();
         for region in self.artifacts.design.floorplan.floorplan.regions() {
             out.push((
                 region.name.clone(),
-                self.manager_for(&region.name)?
+                self.manager_for(&region.name, &constraints)?
                     .with_exclusions(ledger.clone()),
             ));
         }
@@ -198,8 +192,8 @@ impl<'a> DeployedSystem<'a> {
     /// construction, exclusions imported from the constraints file, and
     /// `load = at_start` modules preloaded.
     pub fn rtr_engine(&self) -> Result<RtrEngine, FlowError> {
-        let constraints = pdr_graph::ConstraintsFile::parse(&self.artifacts.constraints_text)
-            .map_err(FlowError::Graph)?;
+        let constraints =
+            ConstraintsFile::parse(&self.artifacts.constraints_text).map_err(FlowError::Graph)?;
         let mut builder = RtrEngineBuilder::new(
             self.device.clone(),
             self.options.port.clone(),

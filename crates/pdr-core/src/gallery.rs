@@ -10,6 +10,7 @@
 use crate::flow::DesignFlow;
 use crate::paper::PaperCaseStudy;
 use pdr_adequation::AdequationOptions;
+use pdr_fabric::bitstream::SplitMix64;
 use pdr_fabric::{Device, Resources, TimePs};
 use pdr_graph::constraints::{LoadPolicy, ModuleConstraints};
 use pdr_graph::paper as models;
@@ -594,30 +595,6 @@ impl SyntheticParams {
             ..SyntheticParams::default()
         }
     }
-
-    /// Compute operations the generated DAG will contain.
-    pub fn compute_ops(&self) -> usize {
-        self.layers * self.width
-    }
-}
-
-/// Inline splitmix64: pdr-core carries no RNG dependency, and the
-/// generator only needs a deterministic, well-mixed u64 stream.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (n ≥ 1); bias is irrelevant for a generator.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
 }
 
 /// Generate a complete, lint-clean design flow from `params`.
@@ -634,7 +611,7 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
     assert!(params.regions >= 1, "at least one dynamic region");
     assert!(params.alternatives >= 2, "conditioned ops need ≥ 2 alts");
     assert!(params.fn_pool >= 1, "non-empty kernel pool");
-    let mut rng = SplitMix64(params.seed ^ 0xa076_1d64_78bd_642f);
+    let mut rng = SplitMix64::new(params.seed ^ 0xa076_1d64_78bd_642f);
 
     // --- algorithm -----------------------------------------------------
     let mut g = AlgorithmGraph::new("synthetic_gen");
@@ -643,7 +620,7 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
     for layer in 0..params.layers {
         let mut row = Vec::with_capacity(params.width);
         for slot in 0..params.width {
-            let kern = rng.below(params.fn_pool as u64);
+            let kern = rng.next_u64() % params.fn_pool as u64;
             let op = g
                 .add_op(
                     format!("g{layer:03}_{slot:02}"),
@@ -652,7 +629,7 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
                     },
                 )
                 .expect("fresh graph");
-            let bits = 256 + rng.below(5) * 128;
+            let bits = 256 + rng.next_u64() % 5 * 128;
             if layer == 0 {
                 g.connect(src, op, bits).expect("valid edge");
             } else if params.coupling != 0 && layer % params.coupling == 0 {
@@ -750,7 +727,7 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
     let mut c = Characterization::new();
     for k in 0..params.fn_pool {
         let f = format!("synth_block_{k:02}_fir_decim_q15");
-        let jitter = rng.below(params.wcet_spread_us.max(1));
+        let jitter = rng.next_u64() % params.wcet_spread_us.max(1);
         for i in 0..params.cpus {
             // Each kernel has a home processor it is tuned for; everywhere
             // else costs a fixed detuning penalty (same shape as
@@ -768,7 +745,7 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
         let region = format!("d{}", r + 1);
         for aidx in 0..params.alternatives {
             let f = format!("pr_region{r}_alt{aidx}_bitstream");
-            let w = 6 + rng.below(12);
+            let w = 6 + rng.next_u64() % 12;
             c.set_duration(&f, &region, us(w));
             c.set_duration(&f, "cpu0", us(w * 20));
             let step = aidx as u32;
@@ -883,8 +860,8 @@ mod tests {
 
     #[test]
     fn sized_params_hit_the_requested_op_count() {
-        assert_eq!(SyntheticParams::sized(10_000).compute_ops(), 10_000);
-        assert_eq!(SyntheticParams::sized(512).compute_ops(), 512);
+        let p = SyntheticParams::sized(10_000);
+        assert_eq!(p.layers * p.width, 10_000);
         let flow = synthetic(&SyntheticParams::sized(512));
         let computes = flow
             .algorithm()

@@ -56,21 +56,3 @@ pub mod paper;
 pub use deploy::{DeployedSystem, EvictionChoice, RuntimeOptions};
 pub use error::FlowError;
 pub use flow::{DesignFlow, FlowArtifacts};
-
-// Re-export the component crates so downstream users need one dependency.
-pub use pdr_adequation as adequation;
-pub use pdr_codegen as codegen;
-pub use pdr_fabric as fabric;
-pub use pdr_graph as graph;
-pub use pdr_lint as lint;
-pub use pdr_mccdma as mccdma;
-pub use pdr_rtr as rtr;
-pub use pdr_sim as sim;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::deploy::{DeployedSystem, EvictionChoice, RuntimeOptions};
-    pub use crate::error::FlowError;
-    pub use crate::flow::{DesignFlow, FlowArtifacts};
-    pub use crate::paper::PaperCaseStudy;
-}

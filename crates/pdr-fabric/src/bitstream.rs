@@ -27,7 +27,6 @@ use crate::device::Device;
 use crate::error::FabricError;
 use crate::frame::{BlockType, FrameAddress};
 use crate::region::ReconfigRegion;
-use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -310,15 +309,15 @@ impl Bitstream {
     }
 
     /// Encode to the byte image shipped over ICAP/SelectMAP.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.len_bytes());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.len_bytes());
         for p in self.packets.iter() {
             let (head, n) = p.head();
             for &w in head[..n].iter().chain(p.payload()) {
-                buf.put_u32(w);
+                buf.extend_from_slice(&w.to_be_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decode a byte image back into a bitstream (structure + CRC check).
@@ -653,11 +652,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Reflected IEEE CRC-32 polynomial.
@@ -821,7 +815,7 @@ mod tests {
     fn decode_detects_corruption() {
         let d = dev();
         let bs = Bitstream::partial_for_region(&d, &region(), 42);
-        let mut bytes = bs.encode().to_vec();
+        let mut bytes = bs.encode();
         // Flip a bit inside the frame payload.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;

@@ -16,7 +16,6 @@
 //! ```
 
 use crate::error::FabricError;
-use bytes::{BufMut, Bytes, BytesMut};
 
 const TAG_ZEROS: u8 = 0x00;
 const TAG_LITERAL: u8 = 0x01;
@@ -27,13 +26,13 @@ const MAX_RUN: usize = 255;
 ///
 /// # Panics
 /// Panics if `bytes.len()` is not a multiple of 4 (bitstreams always are).
-pub fn compress(bytes: &[u8]) -> Bytes {
+pub fn compress(bytes: &[u8]) -> Vec<u8> {
     assert!(bytes.len().is_multiple_of(4), "input must be word-aligned");
     let words: Vec<u32> = bytes
         .chunks_exact(4)
         .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
-    let mut out = BytesMut::with_capacity(bytes.len() / 2);
+    let mut out = Vec::with_capacity(bytes.len() / 2);
     let mut i = 0usize;
     while i < words.len() {
         if words[i] == 0 {
@@ -41,23 +40,21 @@ pub fn compress(bytes: &[u8]) -> Bytes {
             while n < MAX_RUN && i + n < words.len() && words[i + n] == 0 {
                 n += 1;
             }
-            out.put_u8(TAG_ZEROS);
-            out.put_u8(n as u8);
+            out.extend_from_slice(&[TAG_ZEROS, n as u8]);
             i += n;
         } else {
             let mut n = 1;
             while n < MAX_RUN && i + n < words.len() && words[i + n] != 0 {
                 n += 1;
             }
-            out.put_u8(TAG_LITERAL);
-            out.put_u8(n as u8);
+            out.extend_from_slice(&[TAG_LITERAL, n as u8]);
             for &w in &words[i..i + n] {
-                out.put_u32(w);
+                out.extend_from_slice(&w.to_be_bytes());
             }
             i += n;
         }
     }
-    out.freeze()
+    out
 }
 
 /// Decompress back to the raw word-aligned image.

@@ -46,11 +46,6 @@ impl ConfigMemory {
         &self.device
     }
 
-    /// Total frames held.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Frames written since power-up.
     pub fn frames_written(&self) -> u64 {
         self.frames_written

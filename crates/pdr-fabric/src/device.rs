@@ -23,8 +23,6 @@ pub const SLICES_PER_CLB: u32 = 4;
 pub const LUTS_PER_SLICE: u32 = 2;
 /// Flip-flops per slice.
 pub const FFS_PER_SLICE: u32 = 2;
-/// A CLB is two slices wide and two slices tall.
-pub const SLICE_COLS_PER_CLB_COL: u32 = 2;
 /// BRAM blocks per BRAM column is `clb_rows / 4` in Virtex-II.
 pub const CLB_ROWS_PER_BRAM: u32 = 4;
 

@@ -33,7 +33,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use pdr_fabric::prelude::*;
+//! use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion};
 //!
 //! let dev = Device::xc2v2000();
 //! // A dynamic region 4 CLB columns wide (the paper's ~8 % module).
@@ -72,18 +72,3 @@ pub use port::{PortKind, PortProfile};
 pub use region::{Floorplan, ReconfigRegion, RowSpan, MIN_REGION_CLB_COLS};
 pub use resources::Resources;
 pub use time::TimePs;
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::bitstream::{Bitstream, BitstreamKind, Packet};
-    pub use crate::busmacro::{BusMacro, BusMacroDirection};
-    pub use crate::config_mem::ConfigMemory;
-    pub use crate::device::{ColumnKind, Device, DeviceFamily};
-    pub use crate::error::FabricError;
-    pub use crate::family::FabricCapabilities;
-    pub use crate::frame::{BlockType, FrameAddress, FrameCounts};
-    pub use crate::port::{PortKind, PortProfile};
-    pub use crate::region::{Floorplan, ReconfigRegion, RowSpan};
-    pub use crate::resources::Resources;
-    pub use crate::time::TimePs;
-}

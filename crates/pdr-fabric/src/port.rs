@@ -96,12 +96,6 @@ impl PortProfile {
         }
     }
 
-    /// Effective sustained throughput in bytes/second.
-    pub fn throughput_bytes_per_sec(&self) -> f64 {
-        let beats_per_sec = self.clock_hz as f64 / self.cycles_per_beat as f64;
-        beats_per_sec * (self.data_width_bits as f64 / 8.0)
-    }
-
     /// Beats needed to push `bytes` through the port.
     pub fn beats_for(&self, bytes: usize) -> u64 {
         let bits = bytes as u64 * 8;
@@ -112,11 +106,6 @@ impl PortProfile {
     pub fn transfer_time(&self, bytes: usize) -> TimePs {
         let cycles = self.beats_for(bytes) * self.cycles_per_beat;
         self.setup + TimePs::cycles_at(cycles, self.clock_hz)
-    }
-
-    /// Time to transfer a single beat (used by cycle-stepped simulation).
-    pub fn beat_time(&self) -> TimePs {
-        TimePs::cycles_at(self.cycles_per_beat, self.clock_hz)
     }
 }
 
@@ -130,7 +119,8 @@ mod tests {
     #[test]
     fn raw_icap_is_50_mb_per_sec() {
         let p = PortProfile::icap_virtex2();
-        assert!((p.throughput_bytes_per_sec() - 50e6).abs() < 1.0);
+        // 8-bit beats at 50 MHz, one cycle each: 50 MB take one second.
+        assert_eq!(p.transfer_time(50_000_000) - p.setup, TimePs::from_secs(1));
     }
 
     #[test]
@@ -184,12 +174,6 @@ mod tests {
         let t1 = p.transfer_time(10_000) - p.setup;
         let t2 = p.transfer_time(20_000) - p.setup;
         assert_eq!(t2.as_ps(), 2 * t1.as_ps());
-    }
-
-    #[test]
-    fn beat_time_matches_cycles() {
-        let p = PortProfile::paper_calibrated();
-        assert_eq!(p.beat_time(), TimePs::from_ns(80)); // 4 cycles @ 50 MHz
     }
 
     #[test]

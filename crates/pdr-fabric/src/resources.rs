@@ -6,7 +6,6 @@
 //! what the `pdr-codegen` estimator produces and the Table 1 harness prints.
 
 use crate::device::Device;
-use crate::region::ReconfigRegion;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -79,14 +78,6 @@ impl Resources {
             && self.mults <= d.multipliers()
     }
 
-    /// Does this fit in a single full-height region of the device?
-    /// (BRAM/mult columns inside the window are not tracked per-region by the
-    /// geometry model, so only logic resources are constrained here.)
-    pub fn fits_region(&self, d: &Device, r: &ReconfigRegion) -> bool {
-        let s = r.slices(d);
-        self.slices <= s && self.luts <= s * 2 && self.ffs <= s * 2
-    }
-
     /// Component-wise: does this supply cover `demand`? Used by 2D
     /// placement to test a candidate rectangle's resource vector against a
     /// region envelope (tbufs are routing, not a windowed resource, and are
@@ -97,11 +88,6 @@ impl Resources {
             && self.ffs >= demand.ffs
             && self.brams >= demand.brams
             && self.mults >= demand.mults
-    }
-
-    /// Slice utilization as a percentage of the device.
-    pub fn slice_percent(&self, d: &Device) -> f64 {
-        100.0 * self.slices as f64 / d.slices() as f64
     }
 
     /// Is every field zero?
@@ -217,17 +203,6 @@ mod tests {
         assert!(small.fits_device(&d));
         let huge = Resources::logic(20_000, 0, 0);
         assert!(!huge.fits_device(&d));
-        let r = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
-        // Region holds 56*4*4 = 896 slices.
-        assert!(Resources::logic(800, 0, 0).fits_region(&d, &r));
-        assert!(!Resources::logic(1000, 0, 0).fits_region(&d, &r));
-    }
-
-    #[test]
-    fn slice_percent_matches_paper_region() {
-        let d = Device::xc2v2000();
-        let r = Resources::logic(896, 0, 0); // the full 4-column region
-        assert!((r.slice_percent(&d) - 8.33).abs() < 0.05);
     }
 
     #[test]

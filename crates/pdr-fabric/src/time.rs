@@ -57,14 +57,6 @@ impl TimePs {
         TimePs(s * 1_000_000_000_000)
     }
 
-    /// The period of a clock of the given frequency, rounded to the nearest
-    /// picosecond (minimum 1 ps for sub-THz sanity).
-    #[inline]
-    pub fn clock_period(hz: u64) -> Self {
-        assert!(hz > 0, "clock frequency must be positive");
-        TimePs(((1_000_000_000_000u128 + (hz as u128) / 2) / hz as u128).max(1) as u64)
-    }
-
     /// `cycles` periods of a clock of the given frequency. Computed as a
     /// single 128-bit multiply/divide so that rounding error does not
     /// accumulate per cycle.
@@ -225,24 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn clock_period_is_exact_for_50mhz() {
-        assert_eq!(TimePs::clock_period(50_000_000).as_ps(), 20_000);
-        assert_eq!(TimePs::clock_period(100_000_000).as_ps(), 10_000);
-    }
-
-    #[test]
-    fn clock_period_rounds_33mhz() {
-        // 1e12 / 33e6 = 30303.03 -> 30303
-        assert_eq!(TimePs::clock_period(33_000_000).as_ps(), 30_303);
-    }
-
-    #[test]
     fn cycles_at_does_not_accumulate_rounding() {
         // 33 million cycles at 33 MHz is exactly one second.
         let t = TimePs::cycles_at(33_000_000, 33_000_000);
         assert_eq!(t, TimePs::from_secs(1));
         // Per-cycle rounding would have drifted by ~1 us here.
-        let drift = TimePs::clock_period(33_000_000) * 33_000_000;
+        let drift = TimePs::from_ps(30_303) * 33_000_000;
         assert_ne!(drift, TimePs::from_secs(1));
     }
 

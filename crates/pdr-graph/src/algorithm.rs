@@ -276,11 +276,6 @@ impl AlgorithmGraph {
         self.in_adj[id.0].len()
     }
 
-    /// Out-degree of `id` without touching the edge list.
-    pub fn out_degree(&self, id: OpId) -> usize {
-        self.out_adj[id.0].len()
-    }
-
     /// Direct predecessors of `id`.
     pub fn predecessors(&self, id: OpId) -> Vec<OpId> {
         self.in_edges(id).map(|e| e.from).collect()
@@ -377,19 +372,6 @@ impl AlgorithmGraph {
             return Err(GraphError::Cycle { involving: stuck });
         }
         Ok(order)
-    }
-
-    /// Total bits crossing the cut between two disjoint operation sets
-    /// (used by mapping heuristics to weigh inter-operator traffic).
-    pub fn cut_bits(&self, a: &HashSet<OpId>, b: &HashSet<OpId>) -> u64 {
-        self.edges
-            .iter()
-            .filter(|e| {
-                (a.contains(&e.from) && b.contains(&e.to))
-                    || (b.contains(&e.from) && a.contains(&e.to))
-            })
-            .map(|e| e.bits)
-            .sum()
     }
 
     /// The conditioned operations of the graph (the dynamic-implementation
@@ -537,16 +519,6 @@ mod tests {
         expect.sort();
         assert_eq!(preds, expect);
         assert_eq!(g.predecessors(sink), vec![cond]);
-    }
-
-    #[test]
-    fn cut_bits_counts_both_directions() {
-        let (g, src, sel, a, cond, sink) = small();
-        let left: HashSet<OpId> = [src, sel, a].into_iter().collect();
-        let right: HashSet<OpId> = [cond, sink].into_iter().collect();
-        // a->cond (64) + sel->cond (2).
-        assert_eq!(g.cut_bits(&left, &right), 66);
-        assert_eq!(g.cut_bits(&right, &left), 66);
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl Route {
     pub fn hops(&self) -> usize {
         self.media.len()
     }
-
-    /// Is this the trivial on-operator route?
-    pub fn is_local(&self) -> bool {
-        self.media.is_empty()
-    }
 }
 
 /// The bipartite operator/medium architecture graph.
@@ -526,7 +521,7 @@ mod tests {
     fn local_route_is_empty() {
         let (a, dsp, ..) = fig1_like();
         let r = a.route(dsp, dsp).unwrap();
-        assert!(r.is_local());
+        assert_eq!(r.hops(), 0);
         assert_eq!(r.transfer_time(&a, 1_000_000), TimePs::ZERO);
     }
 
@@ -643,7 +638,7 @@ mod tests {
         let p = a.add_operator("p", OperatorKind::Processor).unwrap();
         let q = a.add_operator("q", OperatorKind::Processor).unwrap();
         let table = a.routes_from(p);
-        assert!(table[p.0].as_ref().unwrap().is_local());
+        assert_eq!(table[p.0].as_ref().unwrap().hops(), 0);
         assert!(table[q.0].is_none());
     }
 

@@ -16,7 +16,6 @@
 //!
 //! Transfer costs live on the architecture's media ([`crate::Medium`]).
 
-use crate::architecture::{ArchGraph, OperatorId};
 use crate::error::GraphError;
 use pdr_fabric::{Resources, TimePs};
 use serde::{Deserialize, Serialize};
@@ -60,22 +59,6 @@ impl Characterization {
     /// loop's feasibility-and-cost probe.
     pub fn duration(&self, function: &str, operator: &str) -> Option<TimePs> {
         self.durations.get(function)?.get(operator).copied()
-    }
-
-    /// Like [`Characterization::duration`] but resolving the operator via an
-    /// architecture graph, and erroring when infeasible.
-    pub fn duration_on(
-        &self,
-        function: &str,
-        arch: &ArchGraph,
-        op: OperatorId,
-    ) -> Result<TimePs, GraphError> {
-        let name = &arch.operator(op).name;
-        self.duration(function, name).ok_or_else(|| {
-            GraphError::MissingCharacterization(format!(
-                "duration of `{function}` on operator `{name}`"
-            ))
-        })
     }
 
     /// Can `function` execute on the named operator at all?
@@ -204,7 +187,6 @@ impl Characterization {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::architecture::OperatorKind;
 
     fn chars() -> Characterization {
         let mut c = Characterization::new();
@@ -226,16 +208,6 @@ mod tests {
         assert!(!c.feasible("viterbi", "dsp"));
         assert_eq!(c.feasible_operators("fft"), ["dsp", "fpga_static"]);
         assert!(c.feasible_operators("nothing").is_empty());
-    }
-
-    #[test]
-    fn duration_on_errors_when_missing() {
-        let c = chars();
-        let mut a = ArchGraph::new("t");
-        let dsp = a.add_operator("dsp", OperatorKind::Processor).unwrap();
-        assert!(c.duration_on("fft", &a, dsp).is_ok());
-        let err = c.duration_on("viterbi", &a, dsp).unwrap_err();
-        assert!(err.to_string().contains("viterbi"));
     }
 
     #[test]

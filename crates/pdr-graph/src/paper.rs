@@ -27,8 +27,6 @@ use pdr_fabric::{Resources, TimePs};
 
 /// Number of OFDM subcarriers in the case study (a 64-point IFFT).
 pub const SUBCARRIERS: u64 = 64;
-/// Walsh–Hadamard spreading factor.
-pub const SPREAD_FACTOR: u64 = 32;
 /// Bits per OFDM symbol entering the modulator at QAM-16 (worst case used
 /// to size edges): 64 carriers × 4 bits.
 pub const MOD_IN_BITS: u64 = SUBCARRIERS * 4;

@@ -187,20 +187,6 @@ impl IrExecutive {
             .position(|s| self.names[s.name.0 as usize] == sym)
     }
 
-    /// Map a global index (into [`IrExecutive::instrs`]) back to its
-    /// `(stream, local index)` coordinates — the inverse of
-    /// `stream_start(i) + local`. `None` when `global` is out of range.
-    /// Witness tooling (model-checker schedules, replay) addresses
-    /// instructions by stream coordinates while graph passes use flat
-    /// numbering; this is the bridge between the two.
-    pub fn stream_of(&self, global: usize) -> Option<(usize, usize)> {
-        let g = global as u32;
-        self.streams
-            .iter()
-            .position(|s| g >= s.start && g < s.end)
-            .map(|i| (i, global - self.streams[i].start as usize))
-    }
-
     /// Pretty-print through `table` — byte-identical to the string
     /// `Executive::render` for a lowered executive (streams are lowered
     /// in the string form's alphabetical order).
@@ -468,19 +454,6 @@ mod tests {
         assert_eq!(ir.stream_start(1), 2);
         assert!(matches!(ir.program(0)[1], IrInstr::Send { .. }));
         assert!(matches!(ir.program(1)[0], IrInstr::Receive { .. }));
-    }
-
-    #[test]
-    fn stream_of_inverts_flat_numbering() {
-        let (_, ir) = demo();
-        for global in 0..ir.len() {
-            let (stream, local) = ir.stream_of(global).unwrap();
-            assert_eq!(ir.stream_start(stream) + local, global);
-            assert!(local < ir.program(stream).len());
-        }
-        assert_eq!(ir.stream_of(0), Some((0, 0)));
-        assert_eq!(ir.stream_of(3), Some((1, 1)));
-        assert_eq!(ir.stream_of(ir.len()), None);
     }
 
     #[test]

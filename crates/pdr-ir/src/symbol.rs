@@ -31,13 +31,6 @@ impl Sym {
     pub fn raw(self) -> u32 {
         self.0
     }
-
-    /// Rebuild a handle from a raw value previously obtained via
-    /// [`Sym::raw`]. The caller is responsible for pairing it with the
-    /// table that produced it.
-    pub fn from_raw(raw: u32) -> Sym {
-        Sym(raw)
-    }
 }
 
 impl fmt::Display for Sym {

@@ -29,11 +29,6 @@ impl AwgnChannel {
         self.es_n0_db
     }
 
-    /// Change the operating point.
-    pub fn set_es_n0_db(&mut self, db: f64) {
-        self.es_n0_db = db;
-    }
-
     /// A standard-normal sample (Box–Muller; two uniforms per call pair).
     fn gauss(&mut self) -> f64 {
         loop {

@@ -49,13 +49,6 @@ impl WalshHadamard {
         &self.codes[user * self.sf..(user + 1) * self.sf]
     }
 
-    /// Spread one symbol of one user into `sf` chips.
-    pub fn spread_symbol(&self, user: usize, symbol: Cplx) -> Vec<Cplx> {
-        let mut out = Vec::with_capacity(self.sf);
-        self.spread_into(user, &[symbol], &mut out);
-        out
-    }
-
     /// Spread a symbol stream of one user (concatenated chip blocks).
     pub fn spread(&self, user: usize, symbols: &[Cplx]) -> Vec<Cplx> {
         let mut out = Vec::with_capacity(symbols.len() * self.sf);

@@ -41,9 +41,6 @@ use crate::store::{CacheStats, MemoryModel};
 use pdr_fabric::{Bitstream, Device, PortProfile, TimePs};
 use std::collections::HashMap;
 
-/// Sentinel region index: "no region".
-pub const NO_REGION: u32 = u32::MAX;
-
 /// Which prefetch policy a region runs (resolved to an indexed
 /// [`Prefetcher`] at build time).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +224,6 @@ pub struct RtrEngineBuilder {
     port: PortProfile,
     memory: MemoryModel,
     compressed: bool,
-    verify_streams: bool,
     regions: Vec<RegionSpec>,
     exclusions: Vec<(String, String)>,
 }
@@ -240,7 +236,6 @@ impl RtrEngineBuilder {
             port,
             memory,
             compressed: false,
-            verify_streams: true,
             regions: Vec::new(),
             exclusions: Vec::new(),
         }
@@ -250,13 +245,6 @@ impl RtrEngineBuilder {
     /// accounting) shrinks, the port load leg is unchanged.
     pub fn compressed_storage(mut self, on: bool) -> Self {
         self.compressed = on;
-        self
-    }
-
-    /// Validate structure + CRC of every stream at build time (on by
-    /// default; the engine never re-validates per request).
-    pub fn verify_streams(mut self, on: bool) -> Self {
-        self.verify_streams = on;
         self
     }
 
@@ -281,8 +269,7 @@ impl RtrEngineBuilder {
     /// request: device mismatch, CRC corruption, or a bitstream built for
     /// a different region than the one it was registered under.
     pub fn build(self) -> Result<RtrEngine, RtrError> {
-        let mut builder = ProtocolBuilder::new(self.device, self.port);
-        builder.verify_streams = self.verify_streams;
+        let builder = ProtocolBuilder::new(self.device, self.port);
 
         let mut module_names: Vec<String> = Vec::new();
         let mut module_ids: HashMap<String, u32> = HashMap::new();

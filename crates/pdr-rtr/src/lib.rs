@@ -16,11 +16,11 @@
 //!   ([`store::BitstreamCache`], LRU) that prefetching fills;
 //! * [`protocol`] — the protocol configuration builder: validates a stream
 //!   and packetizes it for a configuration port, yielding exact load times;
-//! * [`prefetch`] — next-configuration predictors (schedule-driven, last
-//!   value, first-order Markov) behind one trait;
 //! * [`mod@reference`] — the configuration manager: a *timed functional model*
 //!   (`request(module, now) → ready_at` plus a latency breakdown) with
-//!   cache, prefetch hints, and statistics. This is the retained
+//!   cache, prefetching and statistics. Its predictors (schedule-driven,
+//!   last value, first-order Markov) work on module names and are written
+//!   apart from the engine's indexed [`policy`] twins. This is the retained
 //!   string-keyed reference implementation; unit tests and parity gates
 //!   drive it;
 //! * [`engine`] — the allocation-free indexed runtime: one
@@ -45,7 +45,7 @@ pub mod error;
 pub mod exclusion;
 pub mod loader;
 pub mod policy;
-pub mod prefetch;
+mod prefetch;
 pub mod protocol;
 pub mod reference;
 pub mod store;
@@ -56,21 +56,6 @@ pub use error::RtrError;
 pub use exclusion::ExclusionLedger;
 pub use loader::{DeviceLoader, LoaderStats};
 pub use policy::{Evictor, Prefetcher, NO_MODULE};
-pub use prefetch::{FirstOrderMarkov, LastValue, Predictor, ScheduleDriven};
 pub use protocol::ProtocolBuilder;
 pub use reference::{ConfigurationManager, ManagerStats, RequestOutcome, RequestTiming};
 pub use store::{BitstreamCache, BitstreamStore, CacheStats, MemoryModel};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::arch::{LatencyBreakdown, ReconfigArchitecture};
-    pub use crate::engine::{EvictionSpec, PrefetchSpec, RegionSpec, RtrEngine, RtrEngineBuilder};
-    pub use crate::error::RtrError;
-    pub use crate::exclusion::ExclusionLedger;
-    pub use crate::loader::{DeviceLoader, LoaderStats};
-    pub use crate::policy::{Evictor, Prefetcher, NO_MODULE};
-    pub use crate::prefetch::{FirstOrderMarkov, LastValue, Predictor, ScheduleDriven};
-    pub use crate::protocol::ProtocolBuilder;
-    pub use crate::reference::{ConfigurationManager, ManagerStats, RequestOutcome, RequestTiming};
-    pub use crate::store::{BitstreamCache, BitstreamStore, CacheStats, MemoryModel};
-}

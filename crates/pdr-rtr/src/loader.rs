@@ -29,8 +29,6 @@ pub struct DeviceLoader {
     memory: ConfigMemory,
     regions: BTreeMap<String, ReconfigRegion>,
     resident: BTreeMap<String, String>,
-    /// Verify every load by readback-compare.
-    pub verify_loads: bool,
     stats: LoaderStats,
 }
 
@@ -41,7 +39,6 @@ impl DeviceLoader {
             memory: ConfigMemory::new(device),
             regions: BTreeMap::new(),
             resident: BTreeMap::new(),
-            verify_loads: true,
             stats: LoaderStats::default(),
         }
     }
@@ -70,8 +67,8 @@ impl DeviceLoader {
         &self.memory
     }
 
-    /// Apply `bs` as module `module` into `region`; verifies by readback
-    /// when [`DeviceLoader::verify_loads`] is set.
+    /// Apply `bs` as module `module` into `region` and verify it by
+    /// readback-compare.
     pub fn load(&mut self, region: &str, module: &str, bs: &Bitstream) -> Result<(), RtrError> {
         let r = self
             .regions
@@ -80,17 +77,15 @@ impl DeviceLoader {
             .clone();
         self.memory.apply(bs).map_err(RtrError::Fabric)?;
         self.stats.loads += 1;
-        if self.verify_loads {
-            self.stats.verifications += 1;
-            let ok = self.memory.verify(&r, bs).map_err(RtrError::Fabric)?;
-            if !ok {
-                self.stats.verify_failures += 1;
-                return Err(RtrError::Fabric(
-                    pdr_fabric::FabricError::MalformedBitstream {
-                        reason: format!("readback verification of `{module}` in `{region}` failed"),
-                    },
-                ));
-            }
+        self.stats.verifications += 1;
+        let ok = self.memory.verify(&r, bs).map_err(RtrError::Fabric)?;
+        if !ok {
+            self.stats.verify_failures += 1;
+            return Err(RtrError::Fabric(
+                pdr_fabric::FabricError::MalformedBitstream {
+                    reason: format!("readback verification of `{module}` in `{region}` failed"),
+                },
+            ));
         }
         self.resident.insert(region.to_string(), module.to_string());
         Ok(())
@@ -157,16 +152,6 @@ mod tests {
         let mut loader = DeviceLoader::new(Device::xc2v2000());
         loader.add_region(r).unwrap();
         assert!(loader.load("op_dyn", "m", &foreign).is_err());
-    }
-
-    #[test]
-    fn verification_can_be_disabled() {
-        let (d, r, qpsk, _) = setup();
-        let mut loader = DeviceLoader::new(d);
-        loader.verify_loads = false;
-        loader.add_region(r).unwrap();
-        loader.load("op_dyn", "mod_qpsk", &qpsk).unwrap();
-        assert_eq!(loader.stats().verifications, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Indexed prefetch and eviction policies for the [`crate::engine::RtrEngine`].
 //!
-//! The reference [`crate::prefetch::Predictor`] trait deals in owned
-//! `String`s behind a `Box<dyn>`; at millions of requests per second both
-//! the allocation and the virtual dispatch show up. The policies here
+//! The reference [`crate::ConfigurationManager`]'s predictors deal in
+//! owned `String`s; at millions of requests per second the allocations
+//! show up. The policies here
 //! operate on dense module indices (`u32`, with [`NO_MODULE`] as the
 //! none-sentinel) and are selected through the [`Prefetcher`]/[`Evictor`]
 //! enums — one `match` on a discriminant, no boxing, no heap traffic on
@@ -14,12 +14,12 @@
 //!
 //! * [`SchedulePrefetch`] — replay a known load sequence (the paper's
 //!   off-line, schedule-driven setting). Index-for-index equivalent to
-//!   the reference [`crate::prefetch::ScheduleDriven`].
+//!   the reference manager's [`crate::PrefetchSpec::Schedule`] predictor.
 //! * [`Prefetcher::LastValue`] — predict "no change" (straw man),
-//!   equivalent to [`crate::prefetch::LastValue`].
+//!   equivalent to the reference's [`crate::PrefetchSpec::LastValue`].
 //! * [`MarkovPrefetch`] — learn each module's most frequent follower in a
 //!   dense transition matrix, equivalent (including the lexicographic
-//!   tie-break) to [`crate::prefetch::FirstOrderMarkov`].
+//!   tie-break) to the reference's [`crate::PrefetchSpec::Markov`].
 //!
 //! Eviction (which staging-cache entry to displace):
 //!
@@ -322,11 +322,12 @@ mod tests {
 
     #[test]
     fn markov_matches_reference_tie_break() {
-        use crate::prefetch::{FirstOrderMarkov, Predictor};
+        use crate::engine::PrefetchSpec;
+        use crate::prefetch::NamePredictor;
         // Names chosen so index order disagrees with name order: module 0
         // is "z", module 1 is "a". lex_rank: z -> 1, a -> 0.
         let mut idx = MarkovPrefetch::new(vec![1, 0, 2]);
-        let mut s = FirstOrderMarkov::new();
+        let mut s = NamePredictor::new(PrefetchSpec::Markov).unwrap();
         let names = ["z", "a", "m"];
         // Train cur=2 -> 0 and cur=2 -> 1 once each: tied counts.
         for seq in [[2u32, 0], [2, 1], [2, 0], [2, 1]] {

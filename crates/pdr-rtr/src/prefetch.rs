@@ -1,96 +1,85 @@
-//! Configuration prefetching: next-configuration predictors.
+//! Configuration prefetching: the reference manager's next-configuration
+//! predictors.
 //!
 //! The abstract promises a manager that *"uses prefetching technic to
 //! minimize reconfiguration latency"*. Prefetching needs a prediction of
-//! the next configuration; this module provides three predictors behind the
-//! [`Predictor`] trait:
+//! the next configuration; [`NamePredictor`] implements each
+//! [`PrefetchSpec`] policy over module names:
 //!
-//! * [`ScheduleDriven`] — the adequation already knows the selector trace
+//! * `Schedule` — the adequation already knows the selector trace
 //!   (off-line scheduling, §3); the predictor replays it. This is the
 //!   paper's setting: dynamic specification is known at a high level.
-//! * [`LastValue`] — predict "no change" (cheap hardware, catches nothing
+//! * `LastValue` — predict "no change" (cheap hardware, catches nothing
 //!   on alternating workloads; the natural straw-man baseline).
-//! * [`FirstOrderMarkov`] — learn the most frequent follower of each
-//!   configuration on-line (what an adaptive manager can do when the trace
-//!   is not known).
+//! * `Markov` — learn the most frequent follower of each configuration
+//!   on-line (what an adaptive manager can do when the trace is not
+//!   known).
+//!
+//! These are written independently of the engine's indexed policies in
+//! [`crate::policy`], so the reference manager stays a separate oracle.
 
+use crate::engine::PrefetchSpec;
 use std::collections::HashMap;
 
-/// A next-configuration predictor.
-pub trait Predictor {
+/// A next-configuration predictor over module names.
+#[derive(Debug, Clone)]
+pub(crate) enum NamePredictor {
+    /// Replays a known future load sequence.
+    Schedule { future: Vec<String>, cursor: usize },
+    /// Predicts the configuration will not change.
+    LastValue,
+    /// Learns, per configuration, its most frequent successor.
+    Markov {
+        /// Follower counts: (current, next) -> count.
+        counts: HashMap<(String, String), u64>,
+        last: Option<String>,
+    },
+}
+
+impl NamePredictor {
+    /// The predictor of `spec`; `None` for [`PrefetchSpec::None`].
+    pub(crate) fn new(spec: PrefetchSpec) -> Option<Self> {
+        match spec {
+            PrefetchSpec::None => None,
+            PrefetchSpec::Schedule(future) => Some(NamePredictor::Schedule { future, cursor: 0 }),
+            PrefetchSpec::LastValue => Some(NamePredictor::LastValue),
+            PrefetchSpec::Markov => Some(NamePredictor::Markov {
+                counts: HashMap::new(),
+                last: None,
+            }),
+        }
+    }
+
     /// Called after `module` becomes the active configuration; returns the
     /// predicted *next* configuration to prefetch (None = no prediction).
-    fn observe_and_predict(&mut self, module: &str) -> Option<String>;
-}
-
-/// Replays a known future sequence (off-line, schedule-driven prefetching).
-#[derive(Debug, Clone)]
-pub struct ScheduleDriven {
-    future: Vec<String>,
-    cursor: usize,
-}
-
-impl ScheduleDriven {
-    /// Predictor over the known load sequence (in load order).
-    pub fn new(sequence: Vec<String>) -> Self {
-        ScheduleDriven {
-            future: sequence,
-            cursor: 0,
-        }
-    }
-}
-
-impl Predictor for ScheduleDriven {
-    fn observe_and_predict(&mut self, module: &str) -> Option<String> {
-        // Advance the cursor past the observation if it matches the
-        // schedule; then the next scheduled entry is the prediction.
-        if self.future.get(self.cursor).map(String::as_str) == Some(module) {
-            self.cursor += 1;
-        }
-        self.future.get(self.cursor).cloned()
-    }
-}
-
-/// Predicts the configuration will not change.
-#[derive(Debug, Clone, Default)]
-pub struct LastValue;
-
-impl Predictor for LastValue {
-    fn observe_and_predict(&mut self, module: &str) -> Option<String> {
-        Some(module.to_string())
-    }
-}
-
-/// Learns, per configuration, its most frequent successor.
-#[derive(Debug, Clone, Default)]
-pub struct FirstOrderMarkov {
-    /// follower counts: (current, next) -> count.
-    counts: HashMap<(String, String), u64>,
-    last: Option<String>,
-}
-
-impl FirstOrderMarkov {
-    /// Fresh, untrained predictor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Predictor for FirstOrderMarkov {
-    fn observe_and_predict(&mut self, module: &str) -> Option<String> {
-        if let Some(prev) = self.last.take() {
-            if prev != module {
-                *self.counts.entry((prev, module.to_string())).or_insert(0) += 1;
+    pub(crate) fn observe_and_predict(&mut self, module: &str) -> Option<String> {
+        match self {
+            NamePredictor::Schedule { future, cursor } => {
+                // Advance the cursor past the observation if it matches
+                // the schedule; then the next scheduled entry is the
+                // prediction.
+                if future.get(*cursor).map(String::as_str) == Some(module) {
+                    *cursor += 1;
+                }
+                future.get(*cursor).cloned()
+            }
+            NamePredictor::LastValue => Some(module.to_string()),
+            NamePredictor::Markov { counts, last } => {
+                if let Some(prev) = last.take() {
+                    if prev != module {
+                        *counts.entry((prev, module.to_string())).or_insert(0) += 1;
+                    }
+                }
+                *last = Some(module.to_string());
+                // Most frequent follower of `module`; ties broken
+                // lexicographically for determinism.
+                counts
+                    .iter()
+                    .filter(|((cur, _), _)| cur == module)
+                    .max_by(|((_, a), ca), ((_, b), cb)| ca.cmp(cb).then(b.cmp(a)))
+                    .map(|((_, next), _)| next.clone())
             }
         }
-        self.last = Some(module.to_string());
-        // Most frequent follower of `module`; ties broken lexicographically
-        // for determinism.
-        self.counts
-            .iter()
-            .filter(|((cur, _), _)| cur == module)
-            .max_by(|((_, a), ca), ((_, b), cb)| ca.cmp(cb).then(b.cmp(a)))
-            .map(|((_, next), _)| next.clone())
     }
 }
 
@@ -100,7 +89,12 @@ mod tests {
 
     #[test]
     fn schedule_driven_replays_future() {
-        let mut p = ScheduleDriven::new(vec!["qam16".into(), "qpsk".into(), "qam16".into()]);
+        let mut p = NamePredictor::new(PrefetchSpec::Schedule(vec![
+            "qam16".into(),
+            "qpsk".into(),
+            "qam16".into(),
+        ]))
+        .unwrap();
         // Initially loaded qpsk (not in the sequence head): prediction is
         // the first scheduled load.
         assert_eq!(p.observe_and_predict("qpsk").as_deref(), Some("qam16"));
@@ -113,14 +107,14 @@ mod tests {
 
     #[test]
     fn last_value_predicts_no_change() {
-        let mut p = LastValue;
+        let mut p = NamePredictor::new(PrefetchSpec::LastValue).unwrap();
         assert_eq!(p.observe_and_predict("a").as_deref(), Some("a"));
         assert_eq!(p.observe_and_predict("b").as_deref(), Some("b"));
     }
 
     #[test]
     fn markov_learns_alternation() {
-        let mut p = FirstOrderMarkov::new();
+        let mut p = NamePredictor::new(PrefetchSpec::Markov).unwrap();
         // Train on a,b,a,b.
         assert_eq!(p.observe_and_predict("a"), None);
         let _ = p.observe_and_predict("b");
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn markov_prefers_most_frequent_follower() {
-        let mut p = FirstOrderMarkov::new();
+        let mut p = NamePredictor::new(PrefetchSpec::Markov).unwrap();
         for next in ["b", "c", "b"] {
             let _ = p.observe_and_predict("a");
             let _ = p.observe_and_predict(next);
@@ -143,7 +137,7 @@ mod tests {
 
     #[test]
     fn markov_self_transitions_ignored() {
-        let mut p = FirstOrderMarkov::new();
+        let mut p = NamePredictor::new(PrefetchSpec::Markov).unwrap();
         let _ = p.observe_and_predict("a");
         let _ = p.observe_and_predict("a");
         let _ = p.observe_and_predict("a");

@@ -34,20 +34,12 @@ pub struct LoadPlan {
 pub struct ProtocolBuilder {
     device: Device,
     port: PortProfile,
-    /// Validate CRC/structure on every request (costs one in-place walk
-    /// of the stream's packets; can be disabled for large batch
-    /// simulations).
-    pub verify_streams: bool,
 }
 
 impl ProtocolBuilder {
     /// Builder for `device` driving `port`.
     pub fn new(device: Device, port: PortProfile) -> Self {
-        ProtocolBuilder {
-            device,
-            port,
-            verify_streams: true,
-        }
+        ProtocolBuilder { device, port }
     }
 
     /// The port profile in use.
@@ -73,9 +65,7 @@ impl ProtocolBuilder {
             }
             _ => {}
         }
-        if self.verify_streams {
-            bs.validate(&self.device)?;
-        }
+        bs.validate(&self.device)?;
         let bytes = bs.len_bytes();
         Ok(LoadPlan {
             module: module.to_string(),
@@ -133,17 +123,5 @@ mod tests {
         let full = Bitstream::full_for_device(&d, 7);
         let pb = ProtocolBuilder::new(d, PortProfile::selectmap_virtex2());
         assert!(pb.plan("boot", "whatever", &full).is_ok());
-    }
-
-    #[test]
-    fn verification_can_be_disabled() {
-        let (d, _, bs) = setup();
-        let mut pb = ProtocolBuilder::new(d, PortProfile::icap_virtex2());
-        pb.verify_streams = false;
-        // Still produces identical timing.
-        let p1 = pb.plan("m", "op_dyn", &bs).unwrap();
-        pb.verify_streams = true;
-        let p2 = pb.plan("m", "op_dyn", &bs).unwrap();
-        assert_eq!(p1, p2);
     }
 }

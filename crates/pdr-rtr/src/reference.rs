@@ -19,8 +19,9 @@
 //! * the external [`BitstreamStore`] + [`MemoryModel`] (fetch leg),
 //! * the staging [`BitstreamCache`] (prefetch target, LRU),
 //! * the [`ProtocolBuilder`] + port (load leg),
-//! * a [`Predictor`] that it consults after every completed load to start
-//!   the next speculative fetch.
+//! * a predictor (the [`PrefetchSpec`] policy, over module names) that it
+//!   consults after every completed load to start the next speculative
+//!   fetch.
 //!
 //! A speculative fetch occupies the memory channel from the moment the
 //! prediction is made; if the next request names the predicted module, the
@@ -28,9 +29,10 @@
 //! zero when the pipeline had enough slack, which is exactly the paper's
 //! "prefetching hides the reconfiguration latency".
 
+use crate::engine::PrefetchSpec;
 use crate::error::RtrError;
 use crate::exclusion::ExclusionLedger;
-use crate::prefetch::Predictor;
+use crate::prefetch::NamePredictor;
 use crate::protocol::ProtocolBuilder;
 use crate::store::{BitstreamCache, BitstreamStore, MemoryModel};
 use parking_lot::Mutex;
@@ -105,7 +107,7 @@ pub struct ConfigurationManager {
     memory: MemoryModel,
     region: String,
     loaded: Option<String>,
-    predictor: Option<Box<dyn Predictor>>,
+    predictor: Option<NamePredictor>,
     /// Speculative fetch in flight: (module, completes_at).
     inflight: Option<(String, TimePs)>,
     /// Optional shared exclusion ledger (§4 "exclusion" relation): loads
@@ -127,7 +129,7 @@ impl std::fmt::Debug for ConfigurationManager {
 
 impl ConfigurationManager {
     /// Manager for `region` with the given plumbing. Prefetching is off
-    /// until a predictor is attached.
+    /// until [`ConfigurationManager::with_prefetch`] selects a policy.
     pub fn new(
         builder: ProtocolBuilder,
         store: BitstreamStore,
@@ -149,9 +151,9 @@ impl ConfigurationManager {
         }
     }
 
-    /// Attach a prefetch predictor (enables prefetching).
-    pub fn with_predictor(mut self, p: Box<dyn Predictor>) -> Self {
-        self.predictor = Some(p);
+    /// Prefetch under `policy` ([`PrefetchSpec::None`] turns it off).
+    pub fn with_prefetch(mut self, policy: PrefetchSpec) -> Self {
+        self.predictor = NamePredictor::new(policy);
         self
     }
 
@@ -296,13 +298,9 @@ impl ConfigurationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetch::{LastValue, ScheduleDriven};
     use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion};
 
-    fn manager(
-        cache_modules: usize,
-        predictor: Option<Box<dyn Predictor>>,
-    ) -> ConfigurationManager {
+    fn manager(cache_modules: usize, prefetch: PrefetchSpec) -> ConfigurationManager {
         let d = Device::xc2v2000();
         let r = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
         let mut store = BitstreamStore::new();
@@ -313,17 +311,13 @@ mod tests {
         store.insert("mod_qam16", qam);
         let cache = BitstreamCache::sized_for(cache_modules, bytes);
         let builder = ProtocolBuilder::new(d, PortProfile::icap_virtex2());
-        let mut m =
-            ConfigurationManager::new(builder, store, cache, MemoryModel::paper_flash(), "op_dyn");
-        if let Some(p) = predictor {
-            m = m.with_predictor(p);
-        }
-        m
+        ConfigurationManager::new(builder, store, cache, MemoryModel::paper_flash(), "op_dyn")
+            .with_prefetch(prefetch)
     }
 
     #[test]
     fn cold_request_pays_fetch_plus_load() {
-        let mut m = manager(2, None);
+        let mut m = manager(2, PrefetchSpec::None);
         let out = m.request("mod_qpsk", TimePs::ZERO).unwrap();
         assert!(!out.already_loaded);
         assert!(!out.fetch_hidden);
@@ -335,7 +329,7 @@ mod tests {
 
     #[test]
     fn repeat_request_is_free() {
-        let mut m = manager(2, None);
+        let mut m = manager(2, PrefetchSpec::None);
         let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
         let out = m.request("mod_qpsk", t1).unwrap();
         assert!(out.already_loaded);
@@ -345,7 +339,7 @@ mod tests {
 
     #[test]
     fn cache_hit_skips_fetch() {
-        let mut m = manager(2, None);
+        let mut m = manager(2, PrefetchSpec::None);
         let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
         let t2 = m.request("mod_qam16", t1).unwrap().ready_at;
         // Back to qpsk: still cached (capacity 2).
@@ -359,7 +353,7 @@ mod tests {
 
     #[test]
     fn eviction_with_tiny_cache() {
-        let mut m = manager(1, None);
+        let mut m = manager(1, PrefetchSpec::None);
         let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
         let t2 = m.request("mod_qam16", t1).unwrap().ready_at;
         // qpsk was evicted by qam16.
@@ -371,7 +365,7 @@ mod tests {
     #[test]
     fn correct_prefetch_hides_fetch_given_slack() {
         let seq = vec!["mod_qam16".to_string(), "mod_qpsk".to_string()];
-        let mut m = manager(2, Some(Box::new(ScheduleDriven::new(seq))));
+        let mut m = manager(2, PrefetchSpec::Schedule(seq));
         m.preload("mod_qpsk").unwrap();
         // Warm the predictor: request qpsk (no-op but... already loaded
         // short-circuits before prediction). Request qam16 cold instead.
@@ -388,7 +382,7 @@ mod tests {
     #[test]
     fn prefetch_partially_covers_without_slack() {
         let seq = vec!["mod_qam16".to_string(), "mod_qpsk".to_string()];
-        let mut m = manager(2, Some(Box::new(ScheduleDriven::new(seq))));
+        let mut m = manager(2, PrefetchSpec::Schedule(seq));
         let out1 = m.request("mod_qam16", TimePs::ZERO).unwrap();
         // Request immediately: the ~3 ms speculative fetch just started.
         let out2 = m.request("mod_qpsk", out1.ready_at).unwrap();
@@ -402,7 +396,7 @@ mod tests {
     #[test]
     fn wrong_prediction_costs_full_fetch() {
         // LastValue predicts "no change", which is always wrong on switches.
-        let mut m = manager(2, Some(Box::new(LastValue)));
+        let mut m = manager(2, PrefetchSpec::LastValue);
         let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
         let out = m.request("mod_qam16", t1 + TimePs::from_ms(50)).unwrap();
         assert!(!out.fetch_hidden);
@@ -411,7 +405,7 @@ mod tests {
 
     #[test]
     fn unknown_module_errors() {
-        let mut m = manager(2, None);
+        let mut m = manager(2, PrefetchSpec::None);
         assert!(matches!(
             m.request("ghost", TimePs::ZERO),
             Err(RtrError::UnknownModule(_))
@@ -494,7 +488,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut m = manager(2, None);
+        let mut m = manager(2, PrefetchSpec::None);
         let t1 = m.request("mod_qpsk", TimePs::ZERO).unwrap().ready_at;
         let t2 = m.request("mod_qam16", t1).unwrap().ready_at;
         let _ = m.request("mod_qam16", t2).unwrap();

@@ -33,14 +33,6 @@ impl MemoryModel {
         }
     }
 
-    /// A fast memory (e.g. DSP-side SDRAM over EMIF): 100 MB/s.
-    pub fn fast_sdram() -> Self {
-        MemoryModel {
-            bytes_per_sec: 100_000_000,
-            setup: TimePs::from_us(2),
-        }
-    }
-
     /// Time to read `bytes` from this memory.
     pub fn read_time(&self, bytes: usize) -> TimePs {
         assert!(self.bytes_per_sec > 0, "memory bandwidth must be positive");
@@ -78,11 +70,6 @@ impl BitstreamStore {
         }
     }
 
-    /// Is the store compressed?
-    pub fn is_compressed(&self) -> bool {
-        self.compressed
-    }
-
     /// Store (or replace) the bitstream of `module`.
     pub fn insert(&mut self, module: impl Into<String>, bs: Bitstream) {
         let module = module.into();
@@ -100,12 +87,6 @@ impl BitstreamStore {
         self.streams
             .get(module)
             .ok_or_else(|| RtrError::UnknownModule(module.to_string()))
-    }
-
-    /// Raw (uncompressed) size in bytes of `module`'s stream — what the
-    /// configuration port must transfer.
-    pub fn size_of(&self, module: &str) -> Result<usize, RtrError> {
-        Ok(self.get(module)?.len_bytes())
     }
 
     /// Stored size in bytes — what the memory fetch must transfer
@@ -267,7 +248,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.modules(), ["mod_qam16", "mod_qpsk"]);
         assert!(s.get("mod_qpsk").is_ok());
-        assert!(s.size_of("mod_qpsk").unwrap() > 40_000);
+        assert!(s.stored_size_of("mod_qpsk").unwrap() > 40_000);
         assert!(matches!(s.get("ghost"), Err(RtrError::UnknownModule(_))));
     }
 
@@ -277,15 +258,6 @@ mod tests {
         let t = MemoryModel::paper_flash().read_time(bytes);
         let ms = t.as_millis_f64();
         assert!((2.5..3.5).contains(&ms), "fetch {ms} ms");
-    }
-
-    #[test]
-    fn fast_memory_is_faster() {
-        let bytes = 50_000;
-        assert!(
-            MemoryModel::fast_sdram().read_time(bytes)
-                < MemoryModel::paper_flash().read_time(bytes)
-        );
     }
 
     #[test]

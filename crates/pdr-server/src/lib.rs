@@ -44,10 +44,3 @@ pub mod tcp;
 pub use metrics::ServerStats;
 pub use protocol::{CacheState, Command, Metrics, Request, RequestKind, Response};
 pub use service::{Server, ServerConfig};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::metrics::ServerStats;
-    pub use crate::protocol::{CacheState, Command, Metrics, Request, RequestKind, Response};
-    pub use crate::service::{Server, ServerConfig};
-}

@@ -23,9 +23,7 @@
 //! * `"iterations"` — simulation length (ignored by compile/verify), at
 //!   most 65 536: a simulation builds a selector string per iteration and
 //!   region, so an unbounded count could exhaust memory before a worker
-//!   runs;
-//! * `"delay_us"` — synthetic extra service time, a load-testing knob for
-//!   saturating the queue deterministically.
+//!   runs.
 //!
 //! ## Responses
 //!
@@ -88,7 +86,9 @@ pub struct Request {
     pub iterations: u32,
     /// Optional constraints-file text overriding the flow's own.
     pub constraints: Option<String>,
-    /// Synthetic extra service time in µs (load-testing knob).
+    /// Synthetic extra service time in µs, for in-process load tests.
+    /// Never read from or written to the wire: a request line could
+    /// otherwise park a worker for as long as it asked.
     pub delay_us: u64,
 }
 
@@ -135,9 +135,6 @@ impl Request {
         }
         if let Some(c) = &self.constraints {
             obj.push_field("constraints", Value::String(c.clone()));
-        }
-        if self.delay_us > 0 {
-            obj.push_field("delay_us", Value::UInt(self.delay_us));
         }
         json::to_string(&obj)
     }
@@ -193,9 +190,6 @@ pub fn parse_line(line: &str) -> Result<Command, String> {
     }
     if let Some(c) = value.get("constraints").and_then(Value::as_str) {
         req.constraints = Some(c.to_string());
-    }
-    if let Some(d) = value.get("delay_us").and_then(Value::as_u64) {
-        req.delay_us = d;
     }
     Ok(Command::Run(req))
 }
@@ -430,9 +424,7 @@ mod tests {
 
     #[test]
     fn request_roundtrips_through_render_and_parse() {
-        let req = Request::new(7, RequestKind::Simulate, "paper")
-            .with_iterations(32)
-            .with_delay_us(150);
+        let req = Request::new(7, RequestKind::Simulate, "paper").with_iterations(32);
         match parse_line(&req.render()).unwrap() {
             Command::Run(parsed) => assert_eq!(parsed, req),
             other => panic!("expected Run, got {other:?}"),
@@ -475,6 +467,20 @@ mod tests {
                 "{n}"
             );
         }
+    }
+
+    #[test]
+    fn a_delay_on_the_wire_is_ignored() {
+        let line = format!(
+            r#"{{"id":1,"op":"compile","flow":"paper","delay_us":{}}}"#,
+            u64::MAX
+        );
+        match parse_line(&line).unwrap() {
+            Command::Run(req) => assert_eq!(req.delay_us, 0),
+            other => panic!("expected Run, got {other:?}"),
+        }
+        let delayed = Request::new(2, RequestKind::Compile, "paper").with_delay_us(150);
+        assert!(!delayed.render().contains("delay_us"));
     }
 
     #[test]

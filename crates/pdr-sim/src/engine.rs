@@ -136,12 +136,6 @@ impl<T> EventQueue<T> {
         key
     }
 
-    /// Schedule `payload` after a delay from now.
-    pub fn schedule_in(&mut self, delay: TimePs, payload: T) {
-        let at = self.now + delay;
-        self.schedule(at, payload);
-    }
-
     /// Pop the next event, advancing the clock. `None` when empty.
     pub fn pop(&mut self) -> Option<(TimePs, T)> {
         let Reverse(event) = self.heap.pop()?;
@@ -230,16 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(TimePs::from_us(1), "first");
-        q.pop();
-        q.schedule_in(TimePs::from_us(2), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, TimePs::from_us(3));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn scheduling_into_past_panics() {
         let mut q = EventQueue::new();
@@ -252,8 +236,9 @@ mod tests {
     fn storage_tracks_pending_events_not_history() {
         let mut q = EventQueue::new();
         for i in 0..10_000u64 {
-            q.schedule_in(TimePs::from_ns(1 + i % 3), i);
-            q.schedule_in(TimePs::from_ns(2), i);
+            let now = q.now();
+            q.schedule(now + TimePs::from_ns(1 + i % 3), i);
+            q.schedule(now + TimePs::from_ns(2), i);
             q.pop();
             q.pop();
         }

@@ -39,13 +39,3 @@ pub use error::SimError;
 pub use ir::IrSimSystem;
 pub use report::{ReconfigEvent, SimReport, TraceEvent, TraceKind};
 pub use system::{SimConfig, SimSystem};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::engine::EventQueue;
-    pub use crate::error::SimError;
-    pub use crate::gantt::{to_csv, to_gantt};
-    pub use crate::ir::IrSimSystem;
-    pub use crate::report::{ReconfigEvent, SimReport, TraceEvent, TraceKind};
-    pub use crate::system::{SimConfig, SimSystem};
-}

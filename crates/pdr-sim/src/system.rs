@@ -426,7 +426,7 @@ mod tests {
     use pdr_adequation::{adequate, AdequationOptions};
     use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion};
     use pdr_graph::paper;
-    use pdr_rtr::{BitstreamCache, BitstreamStore, MemoryModel, ProtocolBuilder, ScheduleDriven};
+    use pdr_rtr::{BitstreamCache, BitstreamStore, MemoryModel, PrefetchSpec, ProtocolBuilder};
 
     struct Setup {
         arch: ArchGraph,
@@ -467,7 +467,7 @@ mod tests {
             "op_dyn",
         );
         if let Some(seq) = prefetch_seq {
-            mgr = mgr.with_predictor(Box::new(ScheduleDriven::new(seq)));
+            mgr = mgr.with_prefetch(PrefetchSpec::Schedule(seq));
         }
         mgr.preload("mod_qpsk").unwrap();
         mgr

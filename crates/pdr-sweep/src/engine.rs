@@ -133,14 +133,13 @@ impl SweepEngine {
                 merged[idx] = Some(outcome);
             }
         } else {
-            let batches = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|_| s.spawn(|_| run_worker())).collect();
+            let batches = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("sweep worker never panics"))
                     .collect::<Vec<_>>()
-            })
-            .expect("sweep scope");
+            });
             for batch in batches {
                 for (idx, outcome) in batch {
                     merged[idx] = Some(outcome);

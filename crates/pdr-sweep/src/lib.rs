@@ -8,7 +8,7 @@
 //!
 //! * [`Scenario`] — a labelled, parameterized, seeded unit of work
 //!   returning `Result<Outcome, SweepError>`.
-//! * [`SweepEngine`] — a crossbeam-scoped worker pool executing a batch
+//! * [`SweepEngine`] — a `std::thread::scope` worker pool executing a batch
 //!   of scenarios. The reduction is **deterministic**: outcomes come
 //!   back in submission order, bit-identical for 1 or N workers
 //!   (DESIGN.md §8 — all randomness is in the scenarios' explicit

@@ -488,7 +488,7 @@ proptest! {
     ) {
         let streams = distinct_layouts();
         let (device, bs) = streams[pick % streams.len()];
-        let mut m = bs.encode().to_vec();
+        let mut m = bs.encode();
         for (pos, mask) in &flips {
             let len = m.len();
             m[pos % len] ^= mask;

@@ -19,7 +19,7 @@ fn corrupted_bitstream_rejected_by_protocol_builder() {
     let region = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
     let good = Bitstream::partial_for_region(&d, &region, 1);
     // Re-decode a corrupted image: must fail on CRC.
-    let mut bytes = good.encode().to_vec();
+    let mut bytes = good.encode();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     let err = Bitstream::decode(&bytes, &d, good.kind, 1).unwrap_err();

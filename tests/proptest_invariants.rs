@@ -40,7 +40,7 @@ proptest! {
         let device = Device::by_name("XC2V250").unwrap();
         let region = ReconfigRegion::new("r", 2, 2).unwrap();
         let bs = Bitstream::partial_for_region(&device, &region, fingerprint);
-        let mut bytes = bs.encode().to_vec();
+        let mut bytes = bs.encode();
         // Corrupt inside the FDRI payload (skip the 7-word preamble and
         // the 3-word trailer).
         let lo = 7 * 4;

@@ -13,9 +13,8 @@ use proptest::prelude::*;
 use parking_lot::Mutex;
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, TimePs};
 use pdr_rtr::{
-    BitstreamCache, BitstreamStore, ConfigurationManager, ExclusionLedger, FirstOrderMarkov,
-    LastValue, MemoryModel, Predictor, PrefetchSpec, ProtocolBuilder, RegionSpec, RtrEngine,
-    RtrEngineBuilder, RtrError, ScheduleDriven,
+    BitstreamCache, BitstreamStore, ConfigurationManager, ExclusionLedger, MemoryModel,
+    PrefetchSpec, ProtocolBuilder, RegionSpec, RtrEngine, RtrEngineBuilder, RtrError,
 };
 use std::sync::Arc;
 
@@ -39,8 +38,7 @@ fn rig_bitstreams() -> Vec<(String, Bitstream)> {
         .collect()
 }
 
-/// Reference manager over the rig with the chosen policy (0 = none,
-/// 1 = schedule over `loads`, 2 = last-value, 3 = markov).
+/// Reference manager over the rig with the policy [`rig_policy`] numbers.
 fn rig_reference(cache_modules: usize, policy: u8, loads: &[String]) -> ConfigurationManager {
     let mut store = BitstreamStore::new();
     let mut bytes = 0usize;
@@ -50,16 +48,18 @@ fn rig_reference(cache_modules: usize, policy: u8, loads: &[String]) -> Configur
     }
     let cache = BitstreamCache::sized_for(cache_modules, bytes);
     let builder = ProtocolBuilder::new(Device::xc2v2000(), PortProfile::icap_virtex2());
-    let mgr = ConfigurationManager::new(builder, store, cache, MemoryModel::paper_flash(), "dyn");
-    let predictor: Option<Box<dyn Predictor>> = match policy {
-        0 => None,
-        1 => Some(Box::new(ScheduleDriven::new(loads.to_vec()))),
-        2 => Some(Box::new(LastValue)),
-        _ => Some(Box::new(FirstOrderMarkov::new())),
-    };
-    match predictor {
-        Some(p) => mgr.with_predictor(p),
-        None => mgr,
+    ConfigurationManager::new(builder, store, cache, MemoryModel::paper_flash(), "dyn")
+        .with_prefetch(rig_policy(policy, loads))
+}
+
+/// The prefetch policy numbered `policy` (0 = none, 1 = schedule over
+/// `loads`, 2 = last-value, 3 = markov).
+fn rig_policy(policy: u8, loads: &[String]) -> PrefetchSpec {
+    match policy {
+        0 => PrefetchSpec::None,
+        1 => PrefetchSpec::Schedule(loads.to_vec()),
+        2 => PrefetchSpec::LastValue,
+        _ => PrefetchSpec::Markov,
     }
 }
 
@@ -67,12 +67,8 @@ fn rig_reference(cache_modules: usize, policy: u8, loads: &[String]) -> Configur
 fn rig_engine(cache_modules: usize, policy: u8, loads: &[String]) -> RtrEngine {
     let streams = rig_bitstreams();
     let bytes = streams.iter().map(|(_, bs)| bs.len_bytes()).max().unwrap();
-    let mut spec = RegionSpec::new("dyn", cache_modules * bytes).prefetch(match policy {
-        0 => PrefetchSpec::None,
-        1 => PrefetchSpec::Schedule(loads.to_vec()),
-        2 => PrefetchSpec::LastValue,
-        _ => PrefetchSpec::Markov,
-    });
+    let mut spec =
+        RegionSpec::new("dyn", cache_modules * bytes).prefetch(rig_policy(policy, loads));
     for (name, bs) in streams {
         spec = spec.module(name, bs);
     }

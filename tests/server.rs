@@ -79,11 +79,11 @@ fn duplicate_inflight_requests_coalesce_onto_one_execution() {
         ..ServerConfig::default()
     }));
     let clients = 6;
-    let responses: Vec<Response> = crossbeam::thread::scope(|scope| {
+    let responses: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let server = server.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     server.submit(
                         Request::new(c as u64, RequestKind::Compile, "two_regions")
                             .with_delay_us(30_000),
@@ -92,8 +92,7 @@ fn duplicate_inflight_requests_coalesce_onto_one_execution() {
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .unwrap();
+    });
     let payloads: BTreeSet<String> = responses.iter().map(|r| r.payload_line()).collect();
     assert_eq!(payloads.len(), 1, "all clients see one payload");
     assert!(responses.iter().all(Response::is_ok));
@@ -121,11 +120,11 @@ fn saturated_queue_rejects_with_overloaded_and_loses_nothing() {
     }));
     let clients = 10usize;
     let per_client = 3usize;
-    let responses: Vec<Response> = crossbeam::thread::scope(|scope| {
+    let responses: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let server = server.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     (0..per_client)
                         .map(|i| {
                             server.submit(
@@ -145,8 +144,7 @@ fn saturated_queue_rejects_with_overloaded_and_loses_nothing() {
             .into_iter()
             .flat_map(|h| h.join().unwrap())
             .collect()
-    })
-    .unwrap();
+    });
 
     // Exactly one response per request id — nothing lost or duplicated.
     let ids: BTreeSet<u64> = responses.iter().map(Response::id).collect();
