@@ -24,7 +24,7 @@ fi
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "== pdr-server binary (one compile over stdin, with reuse and --cold, and one with a wire delay)"
+echo "== pdr-server binary (one compile over stdin, with reuse and --cold, one with a wire delay, and compile/verify/simulate with a 31 000-section override)"
 for flags in "" "--cold"; do
     # shellcheck disable=SC2086 # empty flags must expand to no argument
     reply=$(echo '{"id":1,"op":"compile","flow":"paper"}' | ./target/release/pdr-server $flags)
@@ -40,6 +40,19 @@ if ! grep -q '"status":"ok"' <<<"$reply"; then
     echo "pdr-server with a wire delay replied: $reply" >&2
     exit 1
 fi
+# A constraints override of 31 000 sections (a line just under the TCP
+# transport's 1 MiB cap) is linear work: each stage must finish within a
+# second.
+sections=$(seq 0 30999 | awk '{ printf "[module m%d]\\nregion = op_dyn\\n", $1 }')
+for op in '"op":"compile"' '"op":"verify"' '"op":"simulate","iterations":16'; do
+    reply=$(printf '{"id":1,%s,"flow":"paper","constraints":"%s"}\n' "$op" "$sections" \
+        | timeout 60 ./target/release/pdr-server) || true
+    service_us=$(grep -o '"service_us":[0-9]*' <<<"$reply" | cut -d: -f2)
+    if ! grep -q '"status":"ok"' <<<"$reply" || [ "${service_us:-1000000}" -ge 1000000 ]; then
+        echo "pdr-server with a 31 000-section override ($op) replied: ${reply:0:400}" >&2
+        exit 1
+    fi
+done
 
 echo "== cargo test (every workspace crate)"
 cargo test -q --workspace

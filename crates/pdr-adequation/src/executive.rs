@@ -25,7 +25,7 @@ use crate::error::AdequationError;
 use crate::mapping::Mapping;
 use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, MediumId, OpId, OperatorId, Route};
 use pdr_ir::{IrBuilder, IrExecutive, ModuleId, Sym, SymbolTable};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};

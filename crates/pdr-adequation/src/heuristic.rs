@@ -37,7 +37,10 @@ use crate::index::{AdequationIndex, WcetEntry};
 use crate::mapping::Mapping;
 use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, GraphError, MediumId, OpId,
+    OperatorId,
+};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 
@@ -601,7 +604,7 @@ pub fn adequate_with_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdr_graph::paper;
+    use pdr_graph::{paper, MediumKind, OperatorKind};
 
     fn paper_setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {
         (

@@ -37,7 +37,7 @@
 
 use crate::error::AdequationError;
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, OpId, OperatorId, Route};
 use std::sync::Arc;
 
 /// Sentinel function index for operations with no function symbols
@@ -96,8 +96,8 @@ pub struct AdequationIndex {
 
 impl AdequationIndex {
     /// Build every table. Fails only on a cyclic algorithm graph (the
-    /// topological sort propagates the same [`GraphError::Cycle`] the
-    /// pre-index path produced).
+    /// topological sort propagates the same
+    /// [`pdr_graph::GraphError::Cycle`] the pre-index path produced).
     ///
     /// Operations sharing a function symbol share its characterization:
     /// each distinct function gets a dense id (through the graph's
@@ -125,15 +125,12 @@ impl AdequationIndex {
         let mut fns_flat: Vec<u32> = Vec::with_capacity(n_ops);
         let mut fns_off: Vec<u32> = Vec::with_capacity(n_ops + 1);
         fns_off.push(0);
-        for (id, op) in algo.ops() {
-            for f in op.kind.functions() {
-                let sym = symbols
-                    .lookup(f)
-                    .expect("function symbols are interned at construction");
-                let dense = &mut dense_of_sym[sym.index()];
+        for (id, _) in algo.ops() {
+            for &f in algo.function_syms(id) {
+                let dense = &mut dense_of_sym[f.sym().index()];
                 if *dense == NO_FN {
                     *dense = fn_names.len() as u32;
-                    fn_names.push(f);
+                    fn_names.push(f.resolve(symbols));
                     fn_conditioned.push(false);
                 }
                 fn_conditioned[*dense as usize] |= conditioned[id.0];
@@ -343,7 +340,7 @@ impl AdequationIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdr_graph::paper;
+    use pdr_graph::{paper, GraphError, OpKind, OperatorKind};
 
     fn paper_index() -> (AlgorithmGraph, ArchGraph, Characterization, AdequationIndex) {
         let algo = paper::mccdma_algorithm();

@@ -1,7 +1,7 @@
 //! Operation → operator mappings.
 
 use crate::error::AdequationError;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, OpId, OperatorId};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 
@@ -172,7 +172,7 @@ impl Serialize for Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdr_graph::paper;
+    use pdr_graph::{paper, OpKind, OperatorKind};
 
     fn setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {
         (

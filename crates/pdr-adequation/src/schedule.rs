@@ -11,7 +11,7 @@
 
 use crate::error::AdequationError;
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{MediumId, OpId, OperatorId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;

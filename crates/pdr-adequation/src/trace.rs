@@ -32,7 +32,10 @@ use crate::mapping::Mapping;
 use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::constraints::LoadPolicy;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, GraphError, MediumId, OpId,
+    OpKind, OperatorId, Route,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 

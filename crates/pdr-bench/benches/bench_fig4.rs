@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdr_core::paper::PaperCaseStudy;
 use pdr_core::RuntimeOptions;
-use pdr_mccdma::prelude::*;
+use pdr_mccdma::{McCdmaReceiver, McCdmaTransmitter, Modulation, Prbs, TxConfig};
 use pdr_sim::SimConfig;
 use std::hint::black_box;
 

@@ -19,7 +19,7 @@ use pdr_adequation::trace::{schedule_trace, SelectorTrace, TraceOptions};
 use pdr_adequation::{adequate, AdequationOptions};
 use pdr_fabric::TimePs;
 use pdr_graph::paper;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, Characterization, ConstraintsFile, OpId, OpKind};
 use pdr_sweep::{Scenario, SweepEngine, SweepError, SweepReport};
 use serde::json::Value;
 use std::time::Instant;

@@ -19,7 +19,10 @@ use pdr_adequation::{
 };
 use pdr_fabric::bitstream::SplitMix64;
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, GraphError, OpId, Operation,
+    OperatorId,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -341,7 +344,7 @@ mod tests {
     use super::*;
     use crate::bounds::quality_ratio;
     use pdr_adequation::adequate;
-    use pdr_graph::paper;
+    use pdr_graph::{paper, MediumKind, OpKind, OperatorKind};
 
     fn paper_setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {
         (

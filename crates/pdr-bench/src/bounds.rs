@@ -14,7 +14,7 @@
 
 use pdr_adequation::AdequationError;
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, OpId, Operation};
 use std::collections::HashMap;
 
 /// Best-case duration of an operation across all operators (0 for
@@ -123,7 +123,7 @@ pub fn quality_ratio(
 mod tests {
     use super::*;
     use pdr_adequation::{adequate, AdequationOptions};
-    use pdr_graph::paper;
+    use pdr_graph::{paper, ConstraintsFile, OpKind, OperatorKind};
 
     fn paper_setup() -> (AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile) {
         (

@@ -15,7 +15,10 @@
 use pdr_core::paper::PaperCaseStudy;
 use pdr_core::{FlowError, RuntimeOptions};
 use pdr_fabric::TimePs;
-use pdr_mccdma::prelude::*;
+use pdr_mccdma::{
+    AdaptivePolicy, AwgnChannel, McCdmaReceiver, McCdmaTransmitter, Modulation, Prbs, SnrTrace,
+    TxConfig,
+};
 use pdr_sim::SimConfig;
 use pdr_sweep::{Scenario, SweepEngine, SweepReport};
 use serde::json::Value;

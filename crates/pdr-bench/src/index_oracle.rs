@@ -12,7 +12,7 @@
 
 use pdr_adequation::{AdequationError, AdequationIndex};
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, OpId, OperatorId, Route};
 
 /// One WCET cell: worst duration, then the first-max function index
 /// (`None` for sources and sinks); `None` when infeasible.

@@ -25,7 +25,10 @@ use pdr_adequation::{
     Schedule, ScheduledItem,
 };
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, DataEdge, GraphError, MediumId,
+    OpId, Operation, OperatorId,
+};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 

@@ -30,7 +30,7 @@ use crate::estimate::{CostModel, ResourceReport};
 use crate::floorplan::{FloorplanResult, Floorplanner};
 use pdr_adequation::{Executive, MacroInstr, Mapping};
 use pdr_fabric::{Device, Resources};
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, OperatorKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 

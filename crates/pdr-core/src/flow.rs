@@ -8,7 +8,7 @@ use pdr_adequation::{
 use pdr_codegen::{generate_design, ucf, vhdl, CostModel, GeneratedDesign};
 use pdr_fabric::digest::Fnv64;
 use pdr_fabric::Device;
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile};
 use pdr_ir::{IrExecutive, SymbolTable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

@@ -12,9 +12,10 @@ use crate::paper::PaperCaseStudy;
 use pdr_adequation::AdequationOptions;
 use pdr_fabric::bitstream::SplitMix64;
 use pdr_fabric::{Device, Resources, TimePs};
-use pdr_graph::constraints::{LoadPolicy, ModuleConstraints};
-use pdr_graph::paper as models;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    paper as models, AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, LoadPolicy,
+    MediumKind, ModuleConstraints, OpId, OpKind, OperatorKind,
+};
 
 /// A named flow with a one-line description.
 pub struct GalleryFlow {
@@ -93,8 +94,9 @@ pub fn all() -> Vec<GalleryFlow> {
     GALLERY.iter().map(build).collect()
 }
 
-/// The §6 case-study flow (dynamic modulation).
-fn paper_flow() -> DesignFlow {
+/// The §6 case-study flow (dynamic modulation), which
+/// [`PaperCaseStudy::build`] runs.
+pub(crate) fn paper_flow() -> DesignFlow {
     DesignFlow::new(
         models::mccdma_algorithm(),
         models::sundance_architecture(),
@@ -351,40 +353,13 @@ pub fn synthetic_large_algorithm() -> AlgorithmGraph {
     let rate_sel = g
         .add_op("rate_select", OpKind::Source)
         .expect("fresh graph");
-    let mut prev: Vec<OpId> = Vec::new();
-    for layer in 0..SYN_LAYERS {
-        let mut row = Vec::with_capacity(SYN_WIDTH);
-        for slot in 0..SYN_WIDTH {
-            let idx = layer * SYN_WIDTH + slot;
-            let op = g
-                .add_compute(&format!("c{layer:02}_{slot}"))
-                .expect("fresh graph");
-            let bits = 256 + (idx as u64 % 5) * 128;
-            if layer == 0 {
-                g.connect(src, op, bits).expect("valid edge");
-            } else if layer % 6 == 0 {
-                // Every sixth layer couples neighbouring slots (up to
-                // three distinct predecessors chosen by a fixed stride),
-                // so the graph is reproducible and never decouples into
-                // embarrassingly parallel chains.
-                let mut preds = vec![slot, (slot + 1) % SYN_WIDTH, (slot + layer) % SYN_WIDTH];
-                preds.sort_unstable();
-                preds.dedup();
-                for p in preds {
-                    g.connect(prev[p], op, bits).expect("valid edge");
-                }
-            } else {
-                // The other layers are slot-local: runs of independent
-                // computation between the coupling layers, which is what
-                // gives the scheduled executive genuine cross-operator
-                // concurrency (and interleaving-level analyses a state
-                // space worth reducing).
-                g.connect(prev[slot], op, bits).expect("valid edge");
-            }
-            row.push(op);
-        }
-        prev = row;
-    }
+    let prev = layered(&mut g, src, SYN_LAYERS, SYN_WIDTH, 6, |g, layer, slot| {
+        let op = g
+            .add_compute(&format!("c{layer:02}_{slot}"))
+            .expect("fresh graph");
+        let idx = layer * SYN_WIDTH + slot;
+        (op, 256 + (idx as u64 % 5) * 128)
+    });
     let equalizer = g
         .add_op(
             "equalizer",
@@ -410,6 +385,50 @@ pub fn synthetic_large_algorithm() -> AlgorithmGraph {
     g.connect(rate_sel, postcoder, 2).expect("valid edge");
     g.connect(postcoder, sink, 512).expect("valid edge");
     g
+}
+
+/// Add a `layers` × `width` layered compute DAG fed by `src` and return
+/// its last layer. `add` creates the operation at (layer, slot) and
+/// returns it with the width of its input edges. Layer 0 reads `src`.
+fn layered(
+    g: &mut AlgorithmGraph,
+    src: OpId,
+    layers: usize,
+    width: usize,
+    coupling: usize,
+    mut add: impl FnMut(&mut AlgorithmGraph, usize, usize) -> (OpId, u64),
+) -> Vec<OpId> {
+    let mut prev: Vec<OpId> = Vec::new();
+    for layer in 0..layers {
+        let mut row = Vec::with_capacity(width);
+        for slot in 0..width {
+            let (op, bits) = add(g, layer, slot);
+            if layer == 0 {
+                g.connect(src, op, bits).expect("valid edge");
+            } else if coupling != 0 && layer % coupling == 0 {
+                // Every `coupling`-th layer couples neighbouring slots (up
+                // to three distinct predecessors chosen by a fixed
+                // stride), so the graph is reproducible and never
+                // decouples into embarrassingly parallel chains.
+                let mut preds = vec![slot, (slot + 1) % width, (slot + layer) % width];
+                preds.sort_unstable();
+                preds.dedup();
+                for p in preds {
+                    g.connect(prev[p], op, bits).expect("valid edge");
+                }
+            } else {
+                // The other layers are slot-local: runs of independent
+                // computation between the coupling layers, which is what
+                // gives the scheduled executive genuine cross-operator
+                // concurrency (and interleaving-level analyses a state
+                // space worth reducing).
+                g.connect(prev[slot], op, bits).expect("valid edge");
+            }
+            row.push(op);
+        }
+        prev = row;
+    }
+    prev
 }
 
 /// The 8-operator synthetic platform: five processors and one static
@@ -599,7 +618,7 @@ impl SyntheticParams {
 
 /// Generate a complete, lint-clean design flow from `params`.
 ///
-/// The shape mirrors `synthetic_large` — a layered compute DAG with
+/// The shape is `synthetic_large`'s — the same layered compute DAG with
 /// periodic coupling layers, feeding one conditioned operation per
 /// dynamic region — but every count is a parameter and the edge widths,
 /// kernel assignment and WCET tables are drawn from the seed. The same
@@ -616,10 +635,13 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
     // --- algorithm -----------------------------------------------------
     let mut g = AlgorithmGraph::new("synthetic_gen");
     let src = g.add_op("stream_in", OpKind::Source).expect("fresh graph");
-    let mut prev: Vec<OpId> = Vec::new();
-    for layer in 0..params.layers {
-        let mut row = Vec::with_capacity(params.width);
-        for slot in 0..params.width {
+    let prev = layered(
+        &mut g,
+        src,
+        params.layers,
+        params.width,
+        params.coupling,
+        |g, layer, slot| {
             let kern = rng.next_u64() % params.fn_pool as u64;
             let op = g
                 .add_op(
@@ -629,27 +651,9 @@ pub fn synthetic(params: &SyntheticParams) -> DesignFlow {
                     },
                 )
                 .expect("fresh graph");
-            let bits = 256 + rng.next_u64() % 5 * 128;
-            if layer == 0 {
-                g.connect(src, op, bits).expect("valid edge");
-            } else if params.coupling != 0 && layer % params.coupling == 0 {
-                let mut preds = vec![
-                    slot,
-                    (slot + 1) % params.width,
-                    (slot + layer) % params.width,
-                ];
-                preds.sort_unstable();
-                preds.dedup();
-                for p in preds {
-                    g.connect(prev[p], op, bits).expect("valid edge");
-                }
-            } else {
-                g.connect(prev[slot], op, bits).expect("valid edge");
-            }
-            row.push(op);
-        }
-        prev = row;
-    }
+            (op, 256 + rng.next_u64() % 5 * 128)
+        },
+    );
     // One conditioned stage per region, chained after the compute block.
     let mut stage_prev: Option<OpId> = None;
     for r in 0..params.regions {

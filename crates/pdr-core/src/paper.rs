@@ -12,8 +12,6 @@ use crate::deploy::{DeployedSystem, RuntimeOptions};
 use crate::error::FlowError;
 use crate::flow::{DesignFlow, FlowArtifacts};
 use pdr_adequation::AdequationOptions;
-use pdr_fabric::Device;
-use pdr_graph::{paper as models, ArchGraph};
 use pdr_mccdma::{AdaptivePolicy, Modulation};
 
 /// The built case study.
@@ -22,8 +20,6 @@ pub struct PaperCaseStudy {
     pub flow: DesignFlow,
     /// All pipeline artifacts.
     pub artifacts: FlowArtifacts,
-    /// The platform graph (shared with the flow).
-    pub arch: ArchGraph,
 }
 
 impl PaperCaseStudy {
@@ -39,26 +35,19 @@ impl PaperCaseStudy {
 
     /// Build the complete case study (runs the whole Fig. 3 pipeline).
     pub fn build() -> Result<Self, FlowError> {
-        let arch = models::sundance_architecture();
-        let flow = DesignFlow::new(
-            models::mccdma_algorithm(),
-            arch.clone(),
-            models::mccdma_characterization(),
-            Device::xc2v2000(),
-        )
-        .with_constraints(models::mccdma_constraints())
-        .with_adequation_options(Self::adequation_options());
+        let flow = crate::gallery::paper_flow();
         let artifacts = flow.run()?;
-        Ok(PaperCaseStudy {
-            flow,
-            artifacts,
-            arch,
-        })
+        Ok(PaperCaseStudy { flow, artifacts })
     }
 
     /// Deploy onto the simulator with the given runtime options.
     pub fn deploy(&self, options: RuntimeOptions) -> DeployedSystem<'_> {
-        DeployedSystem::new(&self.arch, &self.artifacts, Device::xc2v2000(), options)
+        DeployedSystem::new(
+            self.flow.architecture(),
+            &self.artifacts,
+            self.flow.device().clone(),
+            options,
+        )
     }
 
     /// Run the adaptive policy over an SNR trace and return the

@@ -16,7 +16,7 @@
 use crate::error::GraphError;
 use pdr_ir::SymbolTable;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Index of an operation within its [`AlgorithmGraph`].
@@ -97,10 +97,13 @@ pub struct AlgorithmGraph {
     pub name: String,
     ops: Vec<Operation>,
     edges: Vec<DataEdge>,
-    by_name: HashMap<String, OpId>,
     /// Interner holding every operation and function-symbol name,
-    /// populated at construction for allocation-free lowering.
+    /// populated at construction for allocation-free lowering. The
+    /// graph's only name index.
     symbols: SymbolTable,
+    /// Per symbol, the operation it names (`None` for a symbol that
+    /// names functions only).
+    op_of_sym: Vec<Option<OpId>>,
     /// Per operation, its interned name (index = [`OpId`]), as
     /// [`AlgorithmGraph::add_op`] interned it.
     op_syms: Vec<pdr_ir::OpId>,
@@ -127,8 +130,8 @@ impl AlgorithmGraph {
             name: name.into(),
             ops: Vec::new(),
             edges: Vec::new(),
-            by_name: HashMap::new(),
             symbols: SymbolTable::new(),
+            op_of_sym: Vec::new(),
             op_syms: Vec::new(),
             fn_syms: Vec::new(),
             fn_base: vec![0],
@@ -140,7 +143,7 @@ impl AlgorithmGraph {
     /// Add an operation; names must be unique.
     pub fn add_op(&mut self, name: impl Into<String>, kind: OpKind) -> Result<OpId, GraphError> {
         let name = name.into();
-        if self.by_name.contains_key(&name) {
+        if self.by_name(&name).is_some() {
             return Err(GraphError::DuplicateName(name));
         }
         if let OpKind::Conditioned { alternatives } = &kind {
@@ -157,13 +160,14 @@ impl AlgorithmGraph {
             }
         }
         let id = OpId(self.ops.len());
-        self.by_name.insert(name.clone(), id);
-        self.op_syms
-            .push(pdr_ir::OpId::intern(&mut self.symbols, &name));
+        let sym = pdr_ir::OpId::intern(&mut self.symbols, &name);
+        self.op_syms.push(sym);
         for f in kind.functions() {
             self.fn_syms
                 .push(pdr_ir::ModuleId::intern(&mut self.symbols, f));
         }
+        self.op_of_sym.resize(self.symbols.len(), None);
+        self.op_of_sym[sym.sym().index()] = Some(id);
         self.fn_base.push(self.fn_syms.len() as u32);
         self.ops.push(Operation { name, kind });
         self.in_adj.push(Vec::new());
@@ -248,7 +252,7 @@ impl AlgorithmGraph {
 
     /// Look an operation up by name.
     pub fn by_name(&self, name: &str) -> Option<OpId> {
-        self.by_name.get(name).copied()
+        self.op_of_sym[self.symbols.lookup(name)?.index()]
     }
 
     /// All operations with their ids.
@@ -387,6 +391,7 @@ impl AlgorithmGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// source -> a -> cond(x|y) -> sink, with sel -> cond control edge.
     fn small() -> (AlgorithmGraph, OpId, OpId, OpId, OpId, OpId) {
@@ -534,9 +539,34 @@ mod tests {
 
     #[test]
     fn by_name_lookup() {
-        let (g, src, ..) = small();
+        let (mut g, src, _, a, ..) = small();
         assert_eq!(g.by_name("src"), Some(src));
         assert_eq!(g.by_name("nope"), None);
+        // A name that is only a function (an alternative of `cond`) is
+        // interned but names no operation.
+        assert!(g.symbols().lookup("x").is_some());
+        assert_eq!(g.by_name("x"), None);
+        // An operation named like its own function, or like another
+        // operation's function, resolves.
+        assert_eq!(g.by_name("a"), Some(a));
+        let x = g.add_compute("x").unwrap();
+        assert_eq!(g.by_name("x"), Some(x));
+        let paper = crate::paper::mccdma_algorithm();
+        assert_eq!(paper.by_name("mod_qpsk"), None);
+    }
+
+    #[test]
+    fn rejected_ops_leave_the_symbol_table_unchanged() {
+        let (mut g, ..) = small();
+        let before = g.symbols().clone();
+        assert!(g.add_op("a", OpKind::Source).is_err());
+        assert!(g.add_compute("cond").is_err());
+        let lone = OpKind::Conditioned {
+            alternatives: vec!["fresh".into()],
+        };
+        assert!(g.add_op("fresh_op", lone).is_err());
+        assert_eq!(g.symbols(), &before);
+        assert_eq!(g.by_name("fresh_op"), None);
     }
 
     #[test]
@@ -554,5 +584,10 @@ mod tests {
             .collect();
         assert_eq!(fns, ["x", "y"]);
         assert!(g.function_syms(src).is_empty());
+        let g = crate::paper::mccdma_algorithm();
+        for (id, op) in g.ops() {
+            assert_eq!(g.op_sym(id).resolve(g.symbols()), op.name);
+            assert_eq!(g.by_name(&op.name), Some(id));
+        }
     }
 }

@@ -149,12 +149,24 @@ pub struct ArchGraph {
     op_links: Vec<Vec<MediumId>>,
     /// Adjacency: medium -> operators connected to it.
     med_links: Vec<Vec<OperatorId>>,
-    op_by_name: HashMap<String, OperatorId>,
-    med_by_name: HashMap<String, MediumId>,
     /// Interner holding every operator and medium name, populated at
     /// construction so downstream stages can lower to `pdr-ir` handles
-    /// without re-hashing strings.
+    /// without re-hashing strings. The graph's only name index: names are
+    /// unique across operators and media.
     symbols: SymbolTable,
+    /// Per symbol, the vertex it names.
+    vertex_of_sym: Vec<Vertex>,
+    /// Per operator, its interned name.
+    op_syms: Vec<pdr_ir::OperatorId>,
+    /// Per medium, its interned name.
+    med_syms: Vec<pdr_ir::MediumId>,
+}
+
+/// The vertex an [`ArchGraph`] name denotes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum Vertex {
+    Operator(OperatorId),
+    Medium(MediumId),
 }
 
 impl ArchGraph {
@@ -166,9 +178,10 @@ impl ArchGraph {
             media: Vec::new(),
             op_links: Vec::new(),
             med_links: Vec::new(),
-            op_by_name: HashMap::new(),
-            med_by_name: HashMap::new(),
             symbols: SymbolTable::new(),
+            vertex_of_sym: Vec::new(),
+            op_syms: Vec::new(),
+            med_syms: Vec::new(),
         }
     }
 
@@ -179,12 +192,12 @@ impl ArchGraph {
         kind: OperatorKind,
     ) -> Result<OperatorId, GraphError> {
         let name = name.into();
-        if self.op_by_name.contains_key(&name) || self.med_by_name.contains_key(&name) {
+        if self.symbols.lookup(&name).is_some() {
             return Err(GraphError::DuplicateName(name));
         }
         if let OperatorKind::FpgaDynamic { host } = &kind {
-            match self.op_by_name.get(host) {
-                Some(&h) if matches!(self.operators[h.0].kind, OperatorKind::FpgaStatic) => {}
+            match self.operator_by_name(host) {
+                Some(h) if matches!(self.operators[h.0].kind, OperatorKind::FpgaStatic) => {}
                 Some(_) => {
                     return Err(GraphError::Structural(format!(
                         "dynamic operator `{name}` host `{host}` is not an FpgaStatic operator"
@@ -194,8 +207,9 @@ impl ArchGraph {
             }
         }
         let id = OperatorId(self.operators.len());
-        self.op_by_name.insert(name.clone(), id);
-        self.symbols.intern(&name);
+        self.op_syms
+            .push(pdr_ir::OperatorId::intern(&mut self.symbols, &name));
+        self.vertex_of_sym.push(Vertex::Operator(id));
         self.operators.push(Operator { name, kind });
         self.op_links.push(Vec::new());
         Ok(id)
@@ -210,7 +224,7 @@ impl ArchGraph {
         latency: TimePs,
     ) -> Result<MediumId, GraphError> {
         let name = name.into();
-        if self.med_by_name.contains_key(&name) || self.op_by_name.contains_key(&name) {
+        if self.symbols.lookup(&name).is_some() {
             return Err(GraphError::DuplicateName(name));
         }
         if bits_per_sec == 0 {
@@ -219,8 +233,9 @@ impl ArchGraph {
             )));
         }
         let id = MediumId(self.media.len());
-        self.med_by_name.insert(name.clone(), id);
-        self.symbols.intern(&name);
+        self.med_syms
+            .push(pdr_ir::MediumId::intern(&mut self.symbols, &name));
+        self.vertex_of_sym.push(Vertex::Medium(id));
         self.media.push(Medium {
             name,
             kind,
@@ -263,30 +278,28 @@ impl ArchGraph {
 
     /// Interned name of an operator.
     pub fn operator_sym(&self, id: OperatorId) -> pdr_ir::OperatorId {
-        let sym = self
-            .symbols
-            .lookup(&self.operators[id.0].name)
-            .expect("operator names are interned at construction");
-        pdr_ir::OperatorId::new(sym)
+        self.op_syms[id.0]
     }
 
     /// Interned name of a medium.
     pub fn medium_sym(&self, id: MediumId) -> pdr_ir::MediumId {
-        let sym = self
-            .symbols
-            .lookup(&self.media[id.0].name)
-            .expect("medium names are interned at construction");
-        pdr_ir::MediumId::new(sym)
+        self.med_syms[id.0]
     }
 
     /// Operator lookup by name.
     pub fn operator_by_name(&self, name: &str) -> Option<OperatorId> {
-        self.op_by_name.get(name).copied()
+        match self.vertex_of_sym[self.symbols.lookup(name)?.index()] {
+            Vertex::Operator(id) => Some(id),
+            Vertex::Medium(_) => None,
+        }
     }
 
     /// Medium lookup by name.
     pub fn medium_by_name(&self, name: &str) -> Option<MediumId> {
-        self.med_by_name.get(name).copied()
+        match self.vertex_of_sym[self.symbols.lookup(name)?.index()] {
+            Vertex::Medium(id) => Some(id),
+            Vertex::Operator(_) => None,
+        }
     }
 
     /// All operators with ids.
@@ -618,6 +631,47 @@ mod tests {
         assert_eq!(a.operator_sym(d1).resolve(a.symbols()), "d1");
         let shb = a.medium_by_name("shb").unwrap();
         assert_eq!(a.medium_sym(shb).resolve(a.symbols()), "shb");
+        let a = crate::paper::sundance_architecture();
+        for (id, o) in a.operators() {
+            assert_eq!(a.operator_sym(id).resolve(a.symbols()), o.name);
+            assert_eq!(a.operator_by_name(&o.name), Some(id));
+        }
+        for (id, m) in a.media() {
+            assert_eq!(a.medium_sym(id).resolve(a.symbols()), m.name);
+            assert_eq!(a.medium_by_name(&m.name), Some(id));
+        }
+    }
+
+    #[test]
+    fn operator_and_medium_names_do_not_cross() {
+        let (a, dsp, ..) = fig1_like();
+        let shb = a.medium_by_name("shb").unwrap();
+        assert_eq!(a.operator_by_name("dsp"), Some(dsp));
+        assert_eq!(a.operator_by_name("shb"), None);
+        assert_eq!(a.medium_by_name("dsp"), None);
+        assert_eq!(a.medium_by_name("nope"), None);
+        assert_eq!(a.operator_by_name("nope"), None);
+        assert_eq!(a.medium(shb).name, "shb");
+    }
+
+    #[test]
+    fn rejected_vertices_leave_the_symbol_table_unchanged() {
+        let (mut a, ..) = fig1_like();
+        let before = a.symbols().clone();
+        assert!(a.add_operator("dsp", OperatorKind::Processor).is_err());
+        assert!(a.add_operator("shb", OperatorKind::Processor).is_err());
+        assert!(a
+            .add_medium("il", MediumKind::Bus, 1, TimePs::ZERO)
+            .is_err());
+        assert!(a
+            .add_medium("d1", MediumKind::Bus, 1, TimePs::ZERO)
+            .is_err());
+        assert!(a.add_medium("m", MediumKind::Bus, 0, TimePs::ZERO).is_err());
+        let kind = OperatorKind::FpgaDynamic { host: "dsp".into() };
+        assert!(a.add_operator("d3", kind).is_err());
+        assert_eq!(a.symbols(), &before);
+        assert_eq!(a.operator_by_name("d3"), None);
+        assert_eq!(a.medium_by_name("m"), None);
     }
 
     #[test]

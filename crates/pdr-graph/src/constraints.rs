@@ -20,6 +20,7 @@
 //! ```
 
 use crate::error::GraphError;
+use pdr_ir::SymbolTable;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -93,6 +94,9 @@ impl ModuleConstraints {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConstraintsFile {
     modules: Vec<ModuleConstraints>,
+    /// Every module name, interned in file order: a name's symbol is its
+    /// module's position in `modules`.
+    names: SymbolTable,
 }
 
 impl ConstraintsFile {
@@ -103,9 +107,10 @@ impl ConstraintsFile {
 
     /// Add a module section. Duplicate module names are rejected.
     pub fn add(&mut self, mc: ModuleConstraints) -> Result<(), GraphError> {
-        if self.modules.iter().any(|m| m.module == mc.module) {
+        if self.names.lookup(&mc.module).is_some() {
             return Err(GraphError::DuplicateName(mc.module));
         }
+        self.names.intern(&mc.module);
         self.modules.push(mc);
         Ok(())
     }
@@ -117,7 +122,7 @@ impl ConstraintsFile {
 
     /// Lookup by module name.
     pub fn module(&self, name: &str) -> Option<&ModuleConstraints> {
-        self.modules.iter().find(|m| m.module == name)
+        Some(&self.modules[self.names.lookup(name)?.index()])
     }
 
     /// Modules constrained to a given region.
@@ -420,6 +425,39 @@ mod tests {
     fn duplicate_module_rejected() {
         let text = "[module a]\nregion = r\n[module a]\nregion = r";
         assert!(ConstraintsFile::parse(text).is_err());
+    }
+
+    #[test]
+    fn large_files_parse_in_file_order_and_still_reject_duplicates() {
+        let mut text: String = (0..50_000)
+            .map(|i| format!("[module m{i}]\nregion = r{}\n", i % 7))
+            .collect();
+        let f = ConstraintsFile::parse(&text).unwrap();
+        assert_eq!(f.modules().len(), 50_000);
+        for (i, m) in f.modules().iter().enumerate() {
+            assert_eq!(m.module, format!("m{i}"));
+        }
+        assert_eq!(f.module("m31337").unwrap().region, "r5");
+        assert!(f.module("m50000").is_none());
+        assert_eq!(ConstraintsFile::parse(&f.to_string()).unwrap(), f);
+        // A duplicate closing the file is reported on the file's last line.
+        text.push_str("[module m17]\nregion = r3\n");
+        let e = ConstraintsFile::parse(&text).unwrap_err();
+        assert_eq!(
+            e,
+            GraphError::ConstraintsParse {
+                line: 100_002,
+                reason: "duplicate name `m17`".into(),
+            }
+        );
+        // One followed by another section is reported on that section's
+        // header line.
+        text.push_str("[module last]\nregion = r\n");
+        let e = ConstraintsFile::parse(&text).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "constraints file, line 100003: duplicate name `m17`"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! ## Example: the Fig. 1 model in five lines
 //!
 //! ```
-//! use pdr_graph::prelude::*;
+//! use pdr_graph::{ArchGraph, GraphError, MediumKind, OperatorKind};
 //! use pdr_fabric::TimePs;
 //!
 //! let mut arch = ArchGraph::new("fig1");
@@ -61,14 +61,3 @@ pub use characterization::Characterization;
 pub use constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
 pub use error::GraphError;
 pub use hierarchy::inline_subgraph;
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::algorithm::{AlgorithmGraph, DataEdge, OpId, OpKind, Operation};
-    pub use crate::architecture::{
-        ArchGraph, Medium, MediumId, MediumKind, Operator, OperatorId, OperatorKind, Route,
-    };
-    pub use crate::characterization::Characterization;
-    pub use crate::constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
-    pub use crate::error::GraphError;
-}

@@ -30,7 +30,7 @@
 //! ## Example: one adaptive frame, end to end
 //!
 //! ```
-//! use pdr_mccdma::prelude::*;
+//! use pdr_mccdma::{McCdmaReceiver, McCdmaTransmitter, Modulation, Prbs, TxConfig};
 //!
 //! let cfg = TxConfig::paper();
 //! let tx = McCdmaTransmitter::new(cfg);
@@ -72,21 +72,3 @@ pub use ofdm::OfdmModem;
 pub use snr::SnrEstimator;
 pub use spreading::WalshHadamard;
 pub use tx::{McCdmaReceiver, McCdmaTransmitter, TxConfig};
-
-/// Convenience re-exports.
-pub mod prelude {
-    pub use crate::adaptive::{AdaptivePolicy, SnrTrace};
-    pub use crate::ber::BerCounter;
-    pub use crate::bits::Prbs;
-    pub use crate::channel::AwgnChannel;
-    pub use crate::complex::Cplx;
-    pub use crate::fec::{ConvEncoder, ViterbiDecoder};
-    pub use crate::interleave::BlockInterleaver;
-    pub use crate::modulation::Modulation;
-    pub use crate::multipath::TwoPathChannel;
-    pub use crate::multiuser::MultiUserTransmitter;
-    pub use crate::ofdm::OfdmModem;
-    pub use crate::snr::SnrEstimator;
-    pub use crate::spreading::WalshHadamard;
-    pub use crate::tx::{McCdmaReceiver, McCdmaTransmitter, TxConfig};
-}

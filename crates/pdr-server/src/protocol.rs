@@ -18,8 +18,9 @@
 //! Optional fields on `compile`/`verify`/`simulate`:
 //!
 //! * `"constraints"` — a §4 constraints file as text, overriding the
-//!   gallery flow's own file (this changes the model digest, so overridden
-//!   requests are cached separately);
+//!   gallery flow's own file (the result cache keys on the request,
+//!   constraints text included, so an overridden request is cached apart
+//!   from the plain flow and from every other text);
 //! * `"iterations"` — simulation length (ignored by compile/verify), at
 //!   most 65 536: a simulation builds a selector string per iteration and
 //!   region, so an unbounded count could exhaust memory before a worker

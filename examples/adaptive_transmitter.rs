@@ -16,7 +16,10 @@
 
 use pdr_core::paper::PaperCaseStudy;
 use pdr_core::RuntimeOptions;
-use pdr_mccdma::prelude::*;
+use pdr_mccdma::{
+    AdaptivePolicy, AwgnChannel, BerCounter, McCdmaReceiver, McCdmaTransmitter, Modulation, Prbs,
+    SnrTrace, TxConfig,
+};
 use pdr_sim::SimConfig;
 
 fn main() {

@@ -44,8 +44,8 @@ fn main() {
     println!("== verified, compressed, prefetched run ==");
     println!("{}", report.summary());
     println!(
-        "loader: {} loads, {} readback verifications, {} failures",
-        loader_stats.loads, loader_stats.verifications, loader_stats.verify_failures
+        "loader: {} loads, {} failures",
+        loader_stats.loads, loader_stats.verify_failures
     );
     for rc in &report.reconfigs {
         println!(

@@ -30,7 +30,10 @@ use pdr_bench::reference::adequate_reference;
 use pdr_core::gallery::{self, synthetic, SyntheticParams};
 use pdr_core::DesignFlow;
 use pdr_fabric::TimePs;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, MediumKind, OpId, OpKind,
+    OperatorId, OperatorKind,
+};
 
 /// The `finish_times` field of an adequation result's JSON.
 fn finish_times_json(r: &AdequationResult) -> serde::json::Value {

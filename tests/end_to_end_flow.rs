@@ -223,6 +223,42 @@ fn flow_artifacts_serialize_to_pinned_bytes() {
 }
 
 #[test]
+fn model_digests_are_pinned() {
+    // The server pools scheduler indexes by `index_digest`, and both
+    // digests hash the models' `Debug` text: a change in how a graph is
+    // built or stored must not move them.
+    use pdr_core::gallery::{self, SyntheticParams};
+    use pdr_fabric::digest::to_hex;
+    let pins = [
+        ("paper", "cf28938cca8a5862", "96cac9065871cba9"),
+        ("paper_fixed_qpsk", "b149d14d94fa783e", "74fda2d2869b0780"),
+        ("paper_fixed_qam16", "39c004f84cb47232", "676632beac54fbc4"),
+        ("two_regions", "0ff618e44b74c755", "f3448b1ff003d542"),
+        (
+            "two_regions_xc2v4000",
+            "0ff618e44b74c755",
+            "731e2976be57999d",
+        ),
+        ("synthetic_large", "31fcb66a83292c34", "608660d88941d5af"),
+        ("sdr_series7", "7ac3f794151ee44d", "91f619eaa931ef5e"),
+        (
+            "generated 10k seed 1",
+            "fe4f22df3457f68f",
+            "3b0cc73354a115a7",
+        ),
+    ];
+    for (name, index, model) in pins {
+        let flow = match gallery::by_name(name) {
+            Some(g) => g.flow,
+            None => gallery::synthetic(&SyntheticParams::sized(10_000)),
+        };
+        assert_eq!(to_hex(flow.index_digest()), index, "{name}: index digest");
+        assert_eq!(to_hex(flow.model_digest()), model, "{name}: model digest");
+    }
+    assert_eq!(gallery::names().len(), pins.len() - 1);
+}
+
+#[test]
 fn makespan_scales_linearly_with_iterations_in_steady_state() {
     let study = PaperCaseStudy::build().expect("flow runs");
     let run = |n: u32| {

@@ -7,7 +7,7 @@ use pdr_core::paper::PaperCaseStudy;
 use pdr_core::{DesignFlow, FlowError, RuntimeOptions};
 use pdr_fabric::{Bitstream, Device, FabricError, PortProfile, ReconfigRegion, Resources, TimePs};
 use pdr_graph::paper as models;
-use pdr_graph::prelude::*;
+use pdr_graph::{ArchGraph, ConstraintsFile, MediumKind, OperatorKind};
 use pdr_rtr::{
     BitstreamCache, BitstreamStore, ConfigurationManager, MemoryModel, ProtocolBuilder, RtrError,
 };

@@ -30,8 +30,8 @@ use pdr_core::FlowError;
 use pdr_fabric::TimePs;
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion};
 use pdr_graph::constraints::ConstraintsFile;
-use pdr_graph::prelude::*;
 use pdr_graph::LoadPolicy;
+use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, MediumKind, OpKind, OperatorKind};
 use pdr_ir::SymbolTable;
 use pdr_lint::{lint, render, LintInput};
 use pdr_rtr::{

@@ -19,7 +19,7 @@ use pdr_core::gallery;
 use pdr_core::{DesignFlow, FlowArtifacts};
 use pdr_fabric::{Bitstream, BusMacro, BusMacroDirection, Floorplan, ReconfigRegion, TimePs};
 use pdr_graph::constraints::{ConstraintsFile, ModuleConstraints};
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, Characterization, OpKind};
 use pdr_ir::{IrBuilder, SymbolTable};
 use pdr_lint::model::{self, ModelInput};
 use pdr_lint::{lint, render, rendezvous};

@@ -8,7 +8,9 @@ use pdr_bench::annealing::{anneal, schedule_with_mapping, AnnealOptions};
 use pdr_fabric::compress::{compress, decompress};
 use pdr_fabric::TimePs;
 use pdr_graph::hierarchy::inline_subgraph;
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, MediumKind, OpKind, OperatorKind,
+};
 use pdr_rtr::ExclusionLedger;
 
 proptest! {

@@ -5,10 +5,12 @@ use proptest::prelude::*;
 use pdr_adequation::{adequate, AdequationOptions};
 use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, Resources, TimePs};
 use pdr_graph::constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
-use pdr_graph::prelude::*;
+use pdr_graph::{AlgorithmGraph, Characterization, OpKind};
 use pdr_mccdma::fec::{ConvEncoder, ViterbiDecoder};
 use pdr_mccdma::fft::{fft_vec, ifft_vec};
-use pdr_mccdma::prelude::*;
+use pdr_mccdma::{
+    Cplx, McCdmaReceiver, McCdmaTransmitter, Modulation, Prbs, TxConfig, WalshHadamard,
+};
 use pdr_rtr::BitstreamCache;
 
 // ---------------------------------------------------------------- fabric

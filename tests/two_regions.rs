@@ -6,7 +6,9 @@ use pdr_adequation::AdequationOptions;
 use pdr_core::{DeployedSystem, DesignFlow, RuntimeOptions};
 use pdr_fabric::{Device, Resources, TimePs};
 use pdr_graph::constraints::{LoadPolicy, ModuleConstraints};
-use pdr_graph::prelude::*;
+use pdr_graph::{
+    AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, MediumKind, OpKind, OperatorKind,
+};
 use pdr_sim::SimConfig;
 
 fn algorithm() -> AlgorithmGraph {
