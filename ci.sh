@@ -24,7 +24,7 @@ fi
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "== pdr-server binary (one compile over stdin, with reuse and --cold, one with a wire delay, and compile/verify/simulate with a 31 000-section override)"
+echo "== pdr-server binary (one compile over stdin, with reuse and --cold, one with a wire delay, two wrapping overrides, and compile/verify/simulate with a 31 000-section override)"
 for flags in "" "--cold"; do
     # shellcheck disable=SC2086 # empty flags must expand to no argument
     reply=$(echo '{"id":1,"op":"compile","flow":"paper"}' | ./target/release/pdr-server $flags)
@@ -40,6 +40,16 @@ if ! grep -q '"status":"ok"' <<<"$reply"; then
     echo "pdr-server with a wire delay replied: $reply" >&2
     exit 1
 fi
+# Overrides whose values wrap their types are refused: a pinned window
+# past u32::MAX columns, and a deadline past u64::MAX picoseconds.
+for override in 'pin = 20 4294967292' 'deadline_us = 18446744073710'; do
+    reply=$(printf '{"id":1,"op":"verify","flow":"paper","constraints":"[module mod_qpsk]\\nregion = op_dyn\\n%s\\n"}\n' "$override" \
+        | timeout 60 ./target/release/pdr-server) || true
+    if ! grep -q '"status":"error"' <<<"$reply"; then
+        echo "pdr-server with the override \`$override\` replied: ${reply:0:400}" >&2
+        exit 1
+    fi
+done
 # A constraints override of 31 000 sections (a line just under the TCP
 # transport's 1 MiB cap) is linear work: each stage must finish within a
 # second.

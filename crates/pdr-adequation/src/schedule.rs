@@ -119,34 +119,12 @@ impl Schedule {
             .unwrap_or(TimePs::ZERO)
     }
 
-    /// Items on one operator.
-    pub fn of_operator(&self, op: OperatorId) -> &[ScheduledItem] {
-        self.operator_items
-            .get(&op)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Items on one medium.
     pub fn of_medium(&self, med: MediumId) -> &[ScheduledItem] {
         self.medium_items
             .get(&med)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Total busy time of an operator.
-    pub fn busy_time(&self, op: OperatorId) -> TimePs {
-        self.of_operator(op).iter().map(|i| i.duration()).sum()
-    }
-
-    /// Utilization of an operator over the makespan (0 when empty).
-    pub fn utilization(&self, op: OperatorId) -> f64 {
-        let span = self.makespan();
-        if span.is_zero() {
-            return 0.0;
-        }
-        self.busy_time(op).as_ps() as f64 / span.as_ps() as f64
     }
 
     /// All reconfiguration items (operator, item) in time order.
@@ -233,16 +211,12 @@ mod tests {
     }
 
     #[test]
-    fn makespan_and_busy() {
+    fn makespan_spans_operators_and_media() {
         let mut s = Schedule::new();
         s.push_operator_item(OperatorId(0), item(0, 5));
         s.push_operator_item(OperatorId(0), item(7, 10));
         s.push_medium_item(MediumId(0), item(5, 12));
         assert_eq!(s.makespan(), TimePs::from_us(12));
-        assert_eq!(s.busy_time(OperatorId(0)), TimePs::from_us(8));
-        let u = s.utilization(OperatorId(0));
-        assert!((u - 8.0 / 12.0).abs() < 1e-12);
-        assert_eq!(s.utilization(OperatorId(9)), 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the number of configurations" claim as a sweep over N alternatives.
 
 use pdr_adequation::AdequationOptions;
-use pdr_codegen::{CostModel, ResourceReport};
+use pdr_codegen::CostModel;
 use pdr_core::{DesignFlow, FlowError};
 use pdr_fabric::{Device, Resources, TimePs};
 use pdr_graph::{paper, Characterization, ConstraintsFile};
@@ -36,15 +36,23 @@ impl Table1 {
         self.rows.iter().find(|(l, ..)| l == label)
     }
 
-    /// Render the paper-style table.
+    /// Render the paper-style table, rows in label order.
     pub fn render(&self) -> String {
-        let mut rep = ResourceReport::new();
-        for (label, r, t) in &self.rows {
-            rep.add(label.clone(), *r, *t);
-        }
         let mut out =
             String::from("Table 1 — Fix vs Dynamic modulation implementation comparison\n\n");
-        out.push_str(&rep.render());
+        out.push_str(&format!(
+            "{:<28} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>12}\n",
+            "design", "slices", "LUTs", "FFs", "BRAM", "mult", "tbuf", "reconfig"
+        ));
+        let mut rows: Vec<_> = self.rows.iter().collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        for (label, r, t) in rows {
+            let reconfig = t.map(|t| format!("{t}")).unwrap_or_else(|| "-".to_string());
+            out.push_str(&format!(
+                "{:<28} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>12}\n",
+                label, r.slices, r.luts, r.ffs, r.brams, r.mults, r.tbufs, reconfig
+            ));
+        }
         out.push_str("\nWhole-design static totals:\n");
         for (label, r) in &self.totals {
             out.push_str(&format!("  {label:<28} {r}\n"));
@@ -186,7 +194,14 @@ mod tests {
         assert_eq!(t.rows.len(), 4);
         assert!(t.row("fixed mod_qpsk").is_some());
         assert!(t.row("dynamic mod_qam16").is_some());
-        assert!(t.render().contains("Table 1"));
+        let text = t.render();
+        assert!(text.contains("Table 1"));
+        // Rows in label order; fixed rows have no reconfiguration time.
+        let dynamic = text.find("dynamic mod_qam16").unwrap();
+        let fixed = text.find("fixed mod_qam16").unwrap();
+        assert!(dynamic < fixed);
+        assert!(text.contains("4.000 ms"));
+        assert!(text[fixed..].lines().next().unwrap().ends_with('-'));
     }
 
     #[test]

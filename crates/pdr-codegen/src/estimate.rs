@@ -19,10 +19,9 @@
 //!   the static part (case-a architectures).
 
 use crate::design::{DynamicModuleDesign, EntityDesign, ProcessKind};
-use pdr_fabric::{Resources, TimePs};
+use pdr_fabric::Resources;
 use pdr_graph::Characterization;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Bits of buffer below which distributed LUT-RAM is used.
 pub const BRAM_THRESHOLD_BITS: u64 = 4_096;
@@ -168,62 +167,6 @@ impl CostModel {
     }
 }
 
-/// A named resource table (Table 1 material): rows of (resources, optional
-/// reconfiguration time).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ResourceReport {
-    rows: BTreeMap<String, (Resources, Option<TimePs>)>,
-}
-
-impl ResourceReport {
-    /// Empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a row.
-    pub fn add(&mut self, name: impl Into<String>, r: Resources, reconfig: Option<TimePs>) {
-        self.rows.insert(name.into(), (r, reconfig));
-    }
-
-    /// Row lookup.
-    pub fn get(&self, name: &str) -> Option<&(Resources, Option<TimePs>)> {
-        self.rows.get(name)
-    }
-
-    /// Iterate rows in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Resources, Option<TimePs>)> {
-        self.rows.iter().map(|(n, (r, t))| (n.as_str(), r, *t))
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Is the report empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render as an aligned text table (the Table 1 artifact).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>12}\n",
-            "design", "slices", "LUTs", "FFs", "BRAM", "mult", "tbuf", "reconfig"
-        ));
-        for (name, r, t) in self.iter() {
-            let reconfig = t.map(|t| format!("{t}")).unwrap_or_else(|| "-".to_string());
-            out.push_str(&format!(
-                "{:<28} {:>7} {:>7} {:>7} {:>6} {:>6} {:>6} {:>12}\n",
-                name, r.slices, r.luts, r.ffs, r.brams, r.mults, r.tbufs, reconfig
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,25 +268,5 @@ mod tests {
         });
         let explicit = m.entity_cost(&e, &chars, true);
         assert_eq!(explicit, m.entity_cost(&e, &chars, false));
-    }
-
-    #[test]
-    fn report_renders_rows_sorted() {
-        let mut rep = ResourceReport::new();
-        rep.add(
-            "b_dyn",
-            Resources::logic(200, 300, 250),
-            Some(TimePs::from_ms(4)),
-        );
-        rep.add("a_fix", Resources::logic(100, 150, 120), None);
-        let text = rep.render();
-        let a_pos = text.find("a_fix").unwrap();
-        let b_pos = text.find("b_dyn").unwrap();
-        assert!(a_pos < b_pos);
-        assert!(text.contains("4.000 ms"));
-        assert!(text.contains('-'));
-        assert_eq!(rep.len(), 2);
-        assert!(rep.get("a_fix").is_some());
-        assert!(rep.get("zzz").is_none());
     }
 }

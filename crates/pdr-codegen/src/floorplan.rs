@@ -128,11 +128,15 @@ impl Floorplanner {
                 }
                 None => next_free_col,
             };
-            if start == 0 || start + width >= self.device.clb_cols {
+            let end = start.checked_add(width);
+            if start == 0 || end.is_none_or(|end| end >= self.device.clb_cols) {
                 return Err(CodegenError::DoesNotFit {
                     module: first.0.module.clone(),
                     needed_slices: envelope.slices,
-                    available_slices: (self.device.clb_cols.saturating_sub(start + 1))
+                    available_slices: (self
+                        .device
+                        .clb_cols
+                        .saturating_sub(start.saturating_add(1)))
                         * slices_per_col,
                 });
             }
@@ -250,7 +254,10 @@ impl Floorplanner {
                         continue;
                     }
                     let mut width = pin.map_or(2, |(_, w)| w.max(2));
-                    while start + width < self.device.clb_cols {
+                    while start
+                        .checked_add(width)
+                        .is_some_and(|end| end < self.device.clb_cols)
+                    {
                         let candidate = ReconfigRegion::rect(
                             region_name.clone(),
                             start,
@@ -459,6 +466,29 @@ mod tests {
         assert!((frac - 4.0 / 48.0).abs() < 1e-9, "{frac}");
         assert_eq!(r.region_of["mod_qpsk"], "op_dyn");
         assert_eq!(r.region_of["mod_qam16"], "op_dyn");
+    }
+
+    #[test]
+    fn pins_whose_window_wraps_do_not_fit() {
+        // `start + width` past `u32::MAX` once wrapped to a window inside
+        // the device; on both placement paths it must fail typed.
+        let modules = [module("mod_qpsk", "op_dyn", 200)];
+        for device in [Device::xc2v2000(), Device::by_name("XC7A100T").unwrap()] {
+            for pin in [(20, u32::MAX - 3), (u32::MAX, 4), (u32::MAX, u32::MAX)] {
+                let mut f = ConstraintsFile::new();
+                let mut mc = ModuleConstraints::new("mod_qpsk", "op_dyn");
+                mc.pin = Some(pin);
+                f.add(mc).unwrap();
+                let err = Floorplanner::new(device.clone())
+                    .place(&modules, Resources::ZERO, &f)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, CodegenError::DoesNotFit { .. }),
+                    "{} {pin:?}: {err}",
+                    device.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::design::{
     BufferSpec, DynamicModuleDesign, EntityDesign, FunctionInstance, ProcessKind, ProcessSpec,
 };
 use crate::error::CodegenError;
-use crate::estimate::{CostModel, ResourceReport};
+use crate::estimate::CostModel;
 use crate::floorplan::{FloorplanResult, Floorplanner};
 use pdr_adequation::{Executive, MacroInstr, Mapping};
 use pdr_fabric::{Device, Resources};
@@ -50,25 +50,6 @@ pub struct GeneratedDesign {
     pub module_resources: BTreeMap<String, Resources>,
     /// Combined static-side resources (all static entities).
     pub static_resources: Resources,
-}
-
-impl GeneratedDesign {
-    /// A Table 1-style resource report over this design.
-    pub fn resource_report(
-        &self,
-        chars: &Characterization,
-        region_operator: &str,
-    ) -> ResourceReport {
-        let mut rep = ResourceReport::new();
-        for (name, r) in &self.entity_resources {
-            rep.add(format!("static:{name}"), *r, None);
-        }
-        for (name, r) in &self.module_resources {
-            let t = chars.reconfig_time(name, region_operator).ok();
-            rep.add(format!("dynamic:{name}"), *r, t);
-        }
-        rep
-    }
 }
 
 /// Generate the full design for the FPGA operators of `arch`.
@@ -362,17 +343,6 @@ mod tests {
             d.static_resources.slices > 500,
             "static side is substantial"
         );
-    }
-
-    #[test]
-    fn resource_report_contains_all_rows() {
-        let (d, chars) = paper_design();
-        let rep = d.resource_report(&chars, "op_dyn");
-        assert!(rep.get("static:fpga_static").is_some());
-        let (_, t) = rep.get("dynamic:mod_qam16").unwrap();
-        assert_eq!(*t, Some(pdr_fabric::TimePs::from_ms(4)));
-        let text = rep.render();
-        assert!(text.contains("dynamic:mod_qpsk"));
     }
 
     #[test]

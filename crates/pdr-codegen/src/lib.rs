@@ -41,6 +41,6 @@ pub mod vhdl;
 
 pub use design::{BufferSpec, DynamicModuleDesign, EntityDesign, ProcessKind, ProcessSpec};
 pub use error::CodegenError;
-pub use estimate::{CostModel, ResourceReport};
+pub use estimate::CostModel;
 pub use floorplan::{FloorplanResult, Floorplanner};
 pub use generate::{generate_design, GeneratedDesign};

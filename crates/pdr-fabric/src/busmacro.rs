@@ -16,9 +16,6 @@ use crate::error::FabricError;
 use crate::region::ReconfigRegion;
 use serde::{Deserialize, Serialize};
 
-/// Bits carried by one bus macro (eight 3-state buffers).
-pub const BUS_MACRO_WIDTH_BITS: u32 = 8;
-
 /// Direction of the fixed bridge, relative to the dynamic region it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BusMacroDirection {
@@ -50,11 +47,6 @@ impl BusMacro {
             boundary_clb_col,
             direction,
         }
-    }
-
-    /// Bits carried.
-    pub const fn width_bits(&self) -> u32 {
-        BUS_MACRO_WIDTH_BITS
     }
 
     /// Check the macro sits inside the device and exactly straddles the
@@ -102,11 +94,6 @@ impl BusMacro {
     /// (the eight buffers of each need the row's tristate lines).
     pub fn collides_with(&self, other: &BusMacro) -> bool {
         self.clb_row == other.clb_row && self.boundary_clb_col == other.boundary_clb_col
-    }
-
-    /// Number of bus macros needed to carry `bits` in one direction.
-    pub const fn macros_for_bits(bits: u32) -> u32 {
-        bits.div_ceil(BUS_MACRO_WIDTH_BITS)
     }
 }
 
@@ -178,20 +165,5 @@ mod tests {
             .validate(&device, &regions)
             .unwrap_err();
         assert!(e.to_string().contains("does not straddle"));
-    }
-
-    #[test]
-    fn macros_for_bits_rounds_up() {
-        assert_eq!(BusMacro::macros_for_bits(0), 0);
-        assert_eq!(BusMacro::macros_for_bits(1), 1);
-        assert_eq!(BusMacro::macros_for_bits(8), 1);
-        assert_eq!(BusMacro::macros_for_bits(9), 2);
-        assert_eq!(BusMacro::macros_for_bits(32), 4);
-    }
-
-    #[test]
-    fn width_is_eight_tristate_buffers() {
-        let bm = BusMacro::new(0, 20, BusMacroDirection::IntoRegion);
-        assert_eq!(bm.width_bits(), 8);
     }
 }

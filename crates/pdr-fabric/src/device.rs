@@ -175,27 +175,6 @@ impl Device {
         Device::by_name("XC2V2000").expect("XC2V2000 is in the catalog")
     }
 
-    /// The smallest Virtex-II catalog device with at least the given
-    /// resources — the device-selection step of a real project. `None`
-    /// when even the largest part is too small. The full resource vector
-    /// is honored: a BRAM- or multiplier-heavy design skips parts whose
-    /// logic would suffice but whose hard blocks would not.
-    pub fn smallest_fitting(r: &crate::resources::Resources) -> Option<Device> {
-        Device::smallest_fitting_in(DeviceFamily::VirtexII, r)
-    }
-
-    /// The smallest catalog device of `family` with at least the given
-    /// resources.
-    pub fn smallest_fitting_in(
-        family: DeviceFamily,
-        r: &crate::resources::Resources,
-    ) -> Option<Device> {
-        Device::catalog_names_in(family)
-            .into_iter()
-            .map(|n| Device::by_name(n).expect("catalog name resolves"))
-            .find(|d| r.fits_device(d))
-    }
-
     /// Total CLBs.
     pub fn clbs(&self) -> u32 {
         self.clb_rows * self.clb_cols
@@ -273,9 +252,10 @@ impl Device {
     /// inside the window.
     pub fn frames_in_clb_window(&self, start: u32, width: u32) -> u32 {
         assert!(
-            start + width <= self.clb_cols,
-            "window [{start}, {}) exceeds {} CLB columns",
-            start + width,
+            start
+                .checked_add(width)
+                .is_some_and(|end| end <= self.clb_cols),
+            "window {start} + {width} exceeds {} CLB columns",
             self.clb_cols
         );
         self.capabilities()
@@ -389,60 +369,6 @@ mod tests {
         // Full width covers at least all CLB frames.
         let all = d.frames_in_clb_window(0, d.clb_cols);
         assert!(all >= d.clb_cols * 22);
-    }
-
-    #[test]
-    fn smallest_fitting_selects_by_size() {
-        use crate::resources::Resources;
-        // The paper's static + dynamic design (~3200 slices, 4 BRAMs, 8
-        // mults) fits an XC2V1000 on slices but needs the multipliers.
-        let small = Resources::logic(100, 180, 160);
-        assert_eq!(Device::smallest_fitting(&small).unwrap().name, "XC2V40");
-        let mid = Resources {
-            slices: 3_200,
-            luts: 5_600,
-            ffs: 4_800,
-            brams: 4,
-            mults: 8,
-            tbufs: 0,
-        };
-        let picked = Device::smallest_fitting(&mid).unwrap();
-        assert_eq!(picked.name, "XC2V1000");
-        let monster = Resources::logic(200_000, 0, 0);
-        assert!(Device::smallest_fitting(&monster).is_none());
-    }
-
-    #[test]
-    fn smallest_fitting_honors_bram_demand() {
-        use crate::resources::Resources;
-        // A BRAM-heavy module: trivial logic (fits even the XC2V250) but 60
-        // block RAMs. XC2V1000 has 40 BRAMs and XC2V2000 has 56, so resource
-        // -vector selection must walk up to the XC2V3000 (96 BRAMs).
-        let bram_heavy = Resources {
-            slices: 500,
-            luts: 800,
-            ffs: 700,
-            brams: 60,
-            mults: 0,
-            tbufs: 0,
-        };
-        let picked = Device::smallest_fitting(&bram_heavy).unwrap();
-        assert_eq!(picked.name, "XC2V3000");
-        // Same demand on the series7-like catalog: XC7A15T offers 20 BRAMs,
-        // XC7A50T 60.
-        let picked_s7 = Device::smallest_fitting_in(DeviceFamily::Series7, &bram_heavy).unwrap();
-        assert_eq!(picked_s7.name, "XC7A50T");
-        // Multiplier-heavy selection walks the DSP columns on series7-like.
-        let dsp_heavy = Resources {
-            slices: 500,
-            luts: 800,
-            ffs: 700,
-            brams: 0,
-            mults: 100,
-            tbufs: 0,
-        };
-        let picked_dsp = Device::smallest_fitting_in(DeviceFamily::Series7, &dsp_heavy).unwrap();
-        assert_eq!(picked_dsp.name, "XC7A100T");
     }
 
     #[test]

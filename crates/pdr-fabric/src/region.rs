@@ -30,9 +30,10 @@ pub struct RowSpan {
 }
 
 impl RowSpan {
-    /// One-past-the-last CLB row.
+    /// One-past-the-last CLB row; saturates at `u32::MAX`, past every
+    /// device, so a span that would wrap never validates.
     pub fn end(&self) -> u32 {
-        self.clb_row_start + self.clb_row_count
+        self.clb_row_start.saturating_add(self.clb_row_count)
     }
 }
 
@@ -53,9 +54,10 @@ pub struct ReconfigRegion {
 }
 
 impl ReconfigRegion {
-    /// Create a full-height region, enforcing the minimum-width rule.
-    /// Device-bounds checking happens when the region is added to a
-    /// [`Floorplan`] (or via [`ReconfigRegion::validate_on`]).
+    /// Create a full-height region, enforcing the minimum-width rule and a
+    /// column window whose end fits a `u32`. Device-bounds checking happens
+    /// when the region is added to a [`Floorplan`] (or via
+    /// [`ReconfigRegion::validate_on`]).
     pub fn new(
         name: impl Into<String>,
         clb_col_start: u32,
@@ -69,6 +71,12 @@ impl ReconfigRegion {
                     "width {clb_col_width} CLB columns < minimum {MIN_REGION_CLB_COLS} \
                      (four slices, per the Modular Design rules)"
                 ),
+            });
+        }
+        if clb_col_start.checked_add(clb_col_width).is_none() {
+            return Err(FabricError::InvalidRegion {
+                name,
+                reason: format!("columns {clb_col_start} + {clb_col_width} overflow"),
             });
         }
         Ok(ReconfigRegion {
@@ -96,6 +104,12 @@ impl ReconfigRegion {
                 reason: "region row span is empty".into(),
             });
         }
+        if clb_row_start.checked_add(clb_row_count).is_none() {
+            return Err(FabricError::InvalidRegion {
+                name: region.name,
+                reason: format!("rows {clb_row_start} + {clb_row_count} overflow"),
+            });
+        }
         region.rows = Some(RowSpan {
             clb_row_start,
             clb_row_count,
@@ -103,9 +117,11 @@ impl ReconfigRegion {
         Ok(region)
     }
 
-    /// One-past-the-last CLB column of the window.
+    /// One-past-the-last CLB column of the window; saturates at
+    /// `u32::MAX`, past every device, so a window that would wrap never
+    /// validates.
     pub fn clb_col_end(&self) -> u32 {
-        self.clb_col_start + self.clb_col_width
+        self.clb_col_start.saturating_add(self.clb_col_width)
     }
 
     /// The CLB-row interval of the region; full-height regions span
@@ -404,6 +420,31 @@ mod tests {
         assert!(matches!(e, FabricError::InvalidRegion { .. }));
         assert!(e.to_string().contains("four slices"));
         assert!(ReconfigRegion::new("ok", 0, 2).is_ok());
+    }
+
+    #[test]
+    fn windows_that_wrap_are_rejected() {
+        let e = ReconfigRegion::new("wrap", 20, u32::MAX - 3).unwrap_err();
+        assert!(e.to_string().contains("overflow"), "{e}");
+        let e = ReconfigRegion::rect("wrap", 1, 2, u32::MAX, 1).unwrap_err();
+        assert!(e.to_string().contains("overflow"), "{e}");
+        // A literal that skips the constructor saturates instead of
+        // wrapping back inside the device.
+        let r = ReconfigRegion {
+            name: "wrap".into(),
+            clb_col_start: 20,
+            clb_col_width: u32::MAX - 3,
+            rows: Some(RowSpan {
+                clb_row_start: 8,
+                clb_row_count: u32::MAX,
+            }),
+        };
+        assert_eq!(r.clb_col_end(), u32::MAX);
+        assert_eq!(r.rows.unwrap().end(), u32::MAX);
+        assert!(matches!(
+            r.validate_on(&dev()),
+            Err(FabricError::InvalidRegion { .. })
+        ));
     }
 
     #[test]

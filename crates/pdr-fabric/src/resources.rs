@@ -5,7 +5,6 @@
 //! checks against devices and regions, and percentage reporting — exactly
 //! what the `pdr-codegen` estimator produces and the Table 1 harness prints.
 
-use crate::device::Device;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -67,15 +66,6 @@ impl Resources {
             mults: 0,
             tbufs: 0,
         }
-    }
-
-    /// Does this fit in the whole device?
-    pub fn fits_device(&self, d: &Device) -> bool {
-        self.slices <= d.slices()
-            && self.luts <= d.luts()
-            && self.ffs <= d.ffs()
-            && self.brams <= d.brams()
-            && self.mults <= d.multipliers()
     }
 
     /// Component-wise: does this supply cover `demand`? Used by 2D
@@ -194,15 +184,6 @@ mod tests {
     #[should_panic(expected = "packing")]
     fn bad_packing_panics() {
         let _ = Resources::from_lut_ff(1, 1, 0.0);
-    }
-
-    #[test]
-    fn fits_checks() {
-        let d = Device::xc2v2000();
-        let small = Resources::logic(100, 180, 150);
-        assert!(small.fits_device(&d));
-        let huge = Resources::logic(20_000, 0, 0);
-        assert!(!huge.fits_device(&d));
     }
 
     #[test]

@@ -268,11 +268,20 @@ impl ConstraintsFile {
                         .collect();
                 }
                 "deadline_us" => {
-                    cur.deadline_us =
-                        Some(value.parse().map_err(|_| GraphError::ConstraintsParse {
+                    // Deadlines are compared in picoseconds, so a value
+                    // must survive the ×10⁶ into a `u64`.
+                    let us = value
+                        .parse::<u64>()
+                        .ok()
+                        .filter(|&us| us <= u64::MAX / 1_000_000)
+                        .ok_or(GraphError::ConstraintsParse {
                             line: lineno,
-                            reason: format!("bad deadline_us `{value}` (expected microseconds)"),
-                        })?);
+                            reason: format!(
+                                "bad deadline_us `{value}` (expected microseconds, at most {})",
+                                u64::MAX / 1_000_000
+                            ),
+                        })?;
+                    cur.deadline_us = Some(us);
                 }
                 "pin" => {
                     let mut it = value.split_whitespace();
@@ -390,6 +399,16 @@ mod tests {
         assert!(!paper_file().to_string().contains("deadline_us"));
         let e = ConstraintsFile::parse("[module a]\nregion = r\ndeadline_us = soon").unwrap_err();
         assert!(e.to_string().contains("deadline_us"), "{e}");
+        // The largest deadline a picosecond `u64` holds parses; one more
+        // microsecond is rejected with its line.
+        let max = "[module a]\nregion = r\ndeadline_us = 18446744073709";
+        let f = ConstraintsFile::parse(max).unwrap();
+        assert_eq!(f.modules()[0].deadline_us, Some(u64::MAX / 1_000_000));
+        for over in ["18446744073710", "18446744073709551615"] {
+            let text = format!("[module a]\nregion = r\ndeadline_us = {over}");
+            let e = ConstraintsFile::parse(&text).unwrap_err();
+            assert!(e.to_string().contains("line 3"), "{e}");
+        }
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //!   the Fig. 4 MC-CDMA transmitter graphs, used by tests, examples and the
 //!   experiment harness.
 //!
+//! Graphs are flat, as the flow consumes them: each is built vertex by
+//! vertex, with no hierarchical refinement or export format of its own.
+//!
 //! ## Example: the Fig. 1 model in five lines
 //!
 //! ```
@@ -48,9 +51,7 @@ pub mod algorithm;
 pub mod architecture;
 pub mod characterization;
 pub mod constraints;
-pub mod dot;
 pub mod error;
-pub mod hierarchy;
 pub mod paper;
 
 pub use algorithm::{AlgorithmGraph, DataEdge, OpId, OpKind, Operation};
@@ -60,4 +61,3 @@ pub use architecture::{
 pub use characterization::Characterization;
 pub use constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
 pub use error::GraphError;
-pub use hierarchy::inline_subgraph;

@@ -1334,7 +1334,8 @@ fn render_stale(ir: &IrExecutive, table: &SymbolTable, w: &Witness) -> Diagnosti
 /// rendezvous joins both sides with `max` plus the medium's transfer
 /// time. A deadlined module's compute that cannot meet its deadline even
 /// in the best case is an error; one that misses it only in the worst
-/// case is a warning.
+/// case is a warning. A deadline too large for a picosecond `u64` can
+/// never be missed and is skipped.
 pub fn check_timing(
     ir: &IrExecutive,
     table: &SymbolTable,
@@ -1346,8 +1347,8 @@ pub fn check_timing(
         .modules()
         .iter()
         .filter_map(|mc| {
-            mc.deadline_us
-                .map(|us| (mc.module.as_str(), TimePs::from_us(us)))
+            let ps = mc.deadline_us?.checked_mul(1_000_000)?;
+            Some((mc.module.as_str(), TimePs::from_ps(ps)))
         })
         .collect();
     if deadlines.is_empty() {
@@ -1913,5 +1914,15 @@ mod tests {
              earliest — past its §4 deadline of 50.000 us\n    \
              | completion clock interval: [81.000 us, 81.000 us]"
         );
+    }
+
+    #[test]
+    fn timing_never_violates_a_deadline_past_the_picosecond_clock() {
+        // `TimePs::from_us` would wrap these to a few hundred ns.
+        for deadline_us in [u64::MAX / 1_000_000 + 1, u64::MAX] {
+            let ds = mixed_width_timing(80, 8, deadline_us);
+            assert!(ds.is_empty(), "{deadline_us}: {ds:?}");
+        }
+        assert!(mixed_width_timing(80, 8, u64::MAX / 1_000_000).is_empty());
     }
 }

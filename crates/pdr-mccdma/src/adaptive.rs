@@ -9,8 +9,6 @@
 //! replay.
 
 use crate::modulation::Modulation;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// SNR-threshold modulation selection with hysteresis.
@@ -91,27 +89,6 @@ impl SnrTrace {
             .map(|i| mid + amp * (2.0 * std::f64::consts::PI * i as f64 / period as f64).sin())
             .collect()
     }
-
-    /// A random walk with per-step standard deviation `step_db`, clamped to
-    /// `[lo, hi]` — a slowly varying shadowing process.
-    pub fn random_walk(
-        start: f64,
-        step_db: f64,
-        lo: f64,
-        hi: f64,
-        len: usize,
-        seed: u64,
-    ) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut v = start;
-        (0..len)
-            .map(|_| {
-                let step: f64 = rng.random::<f64>() * 2.0 - 1.0;
-                v = (v + step * step_db).clamp(lo, hi);
-                v
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -164,16 +141,6 @@ mod tests {
         // First decision switches up, then stays.
         assert_eq!(AdaptivePolicy::switches(&seq), 0);
         assert!(seq.iter().all(|&m| m == Modulation::Qam16));
-    }
-
-    #[test]
-    fn random_walk_is_deterministic_and_bounded() {
-        let a = SnrTrace::random_walk(12.0, 1.0, 5.0, 20.0, 200, 9);
-        let b = SnrTrace::random_walk(12.0, 1.0, 5.0, 20.0, 200, 9);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&v| (5.0..=20.0).contains(&v)));
-        let c = SnrTrace::random_walk(12.0, 1.0, 5.0, 20.0, 200, 10);
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl BerCounter {
             self.errors as f64 / self.bits as f64
         }
     }
-
-    /// Merge another counter in.
-    pub fn merge(&mut self, other: &BerCounter) {
-        self.bits += other.bits;
-        self.errors += other.errors;
-    }
 }
 
 /// The Gaussian Q-function, via the complementary error function
@@ -100,11 +94,6 @@ mod tests {
         assert_eq!(c.bits, 6);
         assert_eq!(c.errors, 3);
         assert!((c.ber() - 0.5).abs() < 1e-12);
-        let mut d = BerCounter::new();
-        d.merge(&c);
-        d.merge(&c);
-        assert_eq!(d.bits, 12);
-        assert_eq!(c.ber(), d.ber());
     }
 
     #[test]

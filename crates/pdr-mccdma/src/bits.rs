@@ -1,4 +1,4 @@
-//! Bit sources and utilities.
+//! Bit sources.
 
 /// A PRBS-23 pseudo-random bit sequence generator (x²³ + x¹⁸ + 1), the
 //  classic telecom test pattern; seeded, deterministic.
@@ -26,27 +26,6 @@ impl Prbs {
     pub fn take_bits(&mut self, n: usize) -> Vec<u8> {
         (0..n).map(|_| self.next_bit()).collect()
     }
-}
-
-/// Pack bits (MSB first) into a u64; at most 64 bits.
-pub fn pack_bits(bits: &[u8]) -> u64 {
-    assert!(bits.len() <= 64, "at most 64 bits");
-    bits.iter().fold(0u64, |acc, &b| {
-        debug_assert!(b <= 1);
-        (acc << 1) | b as u64
-    })
-}
-
-/// Unpack `n` bits (MSB first) from a u64.
-pub fn unpack_bits(value: u64, n: usize) -> Vec<u8> {
-    assert!(n <= 64);
-    (0..n).rev().map(|i| ((value >> i) & 1) as u8).collect()
-}
-
-/// Hamming distance between two equal-length bit slices.
-pub fn hamming(a: &[u8], b: &[u8]) -> usize {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
 #[cfg(test)]
@@ -78,25 +57,5 @@ mod tests {
         // Seed 0 would lock the LFSR at zero; constructor masks it to 1.
         let xs = Prbs::new(0).take_bits(64);
         assert!(xs.contains(&1));
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let bits = vec![1, 0, 1, 1, 0, 0, 1, 0];
-        let v = pack_bits(&bits);
-        assert_eq!(v, 0b10110010);
-        assert_eq!(unpack_bits(v, 8), bits);
-    }
-
-    #[test]
-    fn hamming_distance() {
-        assert_eq!(hamming(&[0, 1, 1], &[0, 1, 1]), 0);
-        assert_eq!(hamming(&[0, 1, 1], &[1, 1, 0]), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn hamming_length_mismatch_panics() {
-        let _ = hamming(&[0], &[0, 1]);
     }
 }

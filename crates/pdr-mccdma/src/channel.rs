@@ -56,11 +56,6 @@ impl AwgnChannel {
     }
 }
 
-/// Convert Eb/N0 (dB) to Es/N0 (dB) for `bits_per_symbol` and `code_rate`.
-pub fn ebn0_to_esn0_db(eb_n0_db: f64, bits_per_symbol: usize, code_rate: f64) -> f64 {
-    eb_n0_db + 10.0 * (bits_per_symbol as f64 * code_rate).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,16 +97,6 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(AwgnChannel::new(10.0, 1).transmit(&[]).is_empty());
-    }
-
-    #[test]
-    fn ebn0_conversion() {
-        // QPSK uncoded: Es/N0 = Eb/N0 + 10log10(2) ≈ +3.01 dB.
-        let es = ebn0_to_esn0_db(5.0, 2, 1.0);
-        assert!((es - 8.0103).abs() < 1e-3);
-        // QAM-16 rate 1/2: +10log10(2) as well.
-        let es = ebn0_to_esn0_db(5.0, 4, 0.5);
-        assert!((es - 8.0103).abs() < 1e-3);
     }
 
     #[test]

@@ -31,12 +31,6 @@ impl Cplx {
         Cplx::new(theta.cos(), theta.sin())
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Cplx::new(self.re, -self.im)
-    }
-
     /// Squared magnitude.
     #[inline]
     pub fn norm_sq(self) -> f64 {
@@ -132,14 +126,10 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_norm() {
+    fn norm() {
         let a = Cplx::new(3.0, 4.0);
-        assert_eq!(a.conj(), Cplx::new(3.0, -4.0));
         assert!((a.norm_sq() - 25.0).abs() < EPS);
         assert!((a.abs() - 5.0).abs() < EPS);
-        // z * conj(z) = |z|²
-        let p = a * a.conj();
-        assert!((p.re - 25.0).abs() < EPS && p.im.abs() < EPS);
     }
 
     #[test]

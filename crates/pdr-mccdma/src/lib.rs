@@ -8,14 +8,15 @@
 //! (IFFT), guard interval and framing.
 //!
 //! This crate is the bit-true functional model of that chain — the part the
-//! paper runs on real hardware. It provides both transmitter and receiver
-//! plus an AWGN channel so the reproduction can *demonstrate* what the
+//! paper runs on real hardware, for one user over one AWGN channel, and
+//! nothing the paper does not describe. It provides both transmitter and
+//! receiver plus that channel so the reproduction can *demonstrate* what the
 //! paper assumes: QPSK and QAM-16 trade throughput against error rate,
 //! which is exactly why the modulation block is worth reconfiguring at run
 //! time.
 //!
 //! * [`complex`] — minimal complex arithmetic;
-//! * [`bits`] — PRBS sources and bit utilities;
+//! * [`bits`] — PRBS sources;
 //! * [`fec`] — convolutional code (K = 7, rate 1/2) + Viterbi decoder;
 //! * [`modulation`] — Gray-mapped QPSK and QAM-16 (energy-normalized);
 //! * [`spreading`] — Walsh–Hadamard spreading/despreading;
@@ -49,12 +50,8 @@ pub mod channel;
 pub mod complex;
 pub mod fec;
 pub mod fft;
-pub mod interleave;
 pub mod modulation;
-pub mod multipath;
-pub mod multiuser;
 pub mod ofdm;
-pub mod snr;
 pub mod spreading;
 pub mod tx;
 
@@ -64,11 +61,7 @@ pub use bits::Prbs;
 pub use channel::AwgnChannel;
 pub use complex::Cplx;
 pub use fec::{ConvEncoder, ViterbiDecoder};
-pub use interleave::BlockInterleaver;
 pub use modulation::Modulation;
-pub use multipath::TwoPathChannel;
-pub use multiuser::MultiUserTransmitter;
 pub use ofdm::OfdmModem;
-pub use snr::SnrEstimator;
 pub use spreading::WalshHadamard;
 pub use tx::{McCdmaReceiver, McCdmaTransmitter, TxConfig};

@@ -97,15 +97,9 @@ impl Modulation {
         }
     }
 
-    /// Hard-decision demap a symbol back to bits.
-    pub fn demap_symbol(self, s: Cplx) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bits_per_symbol());
-        self.demap_into(s, &mut out);
-        out
-    }
-
-    /// [`Modulation::demap_symbol`] appending into a caller-owned buffer —
-    /// the allocation-free form the receiver's inner loop runs on.
+    /// Hard-decision demap a symbol back to bits, appending into a
+    /// caller-owned buffer — the allocation-free form the receiver's inner
+    /// loop runs on.
     pub fn demap_into(self, s: Cplx, out: &mut Vec<u8>) {
         match self {
             Modulation::Qpsk => {
@@ -149,28 +143,30 @@ impl Modulation {
             self.demap_into(s, out);
         }
     }
-
-    /// Average constellation energy (should be 1.0 by construction).
-    pub fn avg_energy(self) -> f64 {
-        let n = 1usize << self.bits_per_symbol();
-        let mut sum = 0.0;
-        for v in 0..n {
-            let bits = crate::bits::unpack_bits(v as u64, self.bits_per_symbol());
-            sum += self.map_symbol(&bits).norm_sq();
-        }
-        sum / n as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::unpack_bits;
+
+    /// Unpack `n` bits (MSB first) from a u64.
+    fn unpack_bits(value: u64, n: usize) -> Vec<u8> {
+        (0..n).rev().map(|i| ((value >> i) & 1) as u8).collect()
+    }
+
+    /// Average constellation energy over every bit pattern.
+    fn avg_energy(m: Modulation) -> f64 {
+        let n = 1u64 << m.bits_per_symbol();
+        let sum: f64 = (0..n)
+            .map(|v| m.map_symbol(&unpack_bits(v, m.bits_per_symbol())).norm_sq())
+            .sum();
+        sum / n as f64
+    }
 
     #[test]
     fn both_constellations_are_unit_energy() {
         for m in [Modulation::Qpsk, Modulation::Qam16] {
-            let e = m.avg_energy();
+            let e = avg_energy(m);
             assert!((e - 1.0).abs() < 1e-12, "{m:?} energy {e}");
         }
     }
@@ -182,7 +178,7 @@ mod tests {
             for v in 0..(1u64 << bps) {
                 let bits = unpack_bits(v, bps);
                 let sym = m.map_symbol(&bits);
-                assert_eq!(m.demap_symbol(sym), bits, "{m:?} value {v}");
+                assert_eq!(m.demodulate(&[sym]), bits, "{m:?} value {v}");
             }
         }
     }
@@ -222,7 +218,7 @@ mod tests {
         let bits = [1u8, 0, 0, 1];
         let s = m.map_symbol(&bits);
         let noisy = s + Cplx::new(0.05, -0.05);
-        assert_eq!(m.demap_symbol(noisy), bits.to_vec());
+        assert_eq!(m.demodulate(&[noisy]), bits.to_vec());
     }
 
     #[test]

@@ -50,18 +50,8 @@ impl OfdmModem {
     }
 
     /// Modulate one OFDM symbol: `chips` (one per subcarrier) → time-domain
-    /// samples with cyclic prefix.
-    pub fn modulate_symbol(&self, chips: &[Cplx]) -> Vec<Cplx> {
-        let mut scratch = vec![Cplx::ZERO; self.subcarriers];
-        let mut out = Vec::with_capacity(self.symbol_len());
-        self.modulate_symbol_into(chips, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`OfdmModem::modulate_symbol`] through caller-owned buffers: the
-    /// IFFT runs in `scratch` (length `subcarriers`) and the CP + body are
-    /// appended to `out`. Same float operations in the same order — the
-    /// output is bit-identical to the allocating form.
+    /// samples with cyclic prefix. The IFFT runs in `scratch` (length
+    /// `subcarriers`) and the CP + body are appended to `out`.
     pub fn modulate_symbol_into(&self, chips: &[Cplx], scratch: &mut [Cplx], out: &mut Vec<Cplx>) {
         assert_eq!(
             chips.len(),
@@ -76,15 +66,9 @@ impl OfdmModem {
         out.extend_from_slice(scratch);
     }
 
-    /// Demodulate one OFDM symbol: strip CP, FFT back to subcarriers.
-    pub fn demodulate_symbol(&self, samples: &[Cplx]) -> Vec<Cplx> {
-        let mut out = vec![Cplx::ZERO; self.subcarriers];
-        self.demodulate_symbol_into(samples, &mut out);
-        out
-    }
-
-    /// [`OfdmModem::demodulate_symbol`] into a caller-owned buffer of
-    /// length `subcarriers` (the FFT runs in place there).
+    /// Demodulate one OFDM symbol: strip CP, FFT back to subcarriers, into
+    /// a caller-owned buffer of length `subcarriers` (the FFT runs in place
+    /// there).
     pub fn demodulate_symbol_into(&self, samples: &[Cplx], out: &mut [Cplx]) {
         assert_eq!(samples.len(), self.symbol_len(), "one full symbol");
         assert_eq!(out.len(), self.subcarriers, "buffer sized to the FFT");
@@ -129,6 +113,13 @@ mod tests {
             .collect()
     }
 
+    fn modulate_symbol(m: &OfdmModem, chips: &[Cplx]) -> Vec<Cplx> {
+        let mut scratch = vec![Cplx::ZERO; m.subcarriers()];
+        let mut out = Vec::new();
+        m.modulate_symbol_into(chips, &mut scratch, &mut out);
+        out
+    }
+
     #[test]
     fn paper_modem_geometry() {
         let m = OfdmModem::paper_64();
@@ -141,9 +132,10 @@ mod tests {
     fn roundtrip_is_identity() {
         let m = OfdmModem::paper_64();
         let c = chips(64);
-        let samples = m.modulate_symbol(&c);
+        let samples = modulate_symbol(&m, &c);
         assert_eq!(samples.len(), 80);
-        let back = m.demodulate_symbol(&samples);
+        let mut back = vec![Cplx::ZERO; 64];
+        m.demodulate_symbol_into(&samples, &mut back);
         for (a, b) in c.iter().zip(&back) {
             assert!((*a - *b).abs() < 1e-9);
         }
@@ -152,7 +144,7 @@ mod tests {
     #[test]
     fn cyclic_prefix_is_a_copy_of_the_tail() {
         let m = OfdmModem::paper_64();
-        let samples = m.modulate_symbol(&chips(64));
+        let samples = modulate_symbol(&m, &chips(64));
         for i in 0..16 {
             assert!((samples[i] - samples[64 + i]).abs() < 1e-12);
         }
@@ -177,7 +169,7 @@ mod tests {
         // magnitudes are preserved).
         let m = OfdmModem::paper_64();
         let c = chips(64);
-        let samples = m.modulate_symbol(&c);
+        let samples = modulate_symbol(&m, &c);
         let delayed: Vec<Cplx> = samples[..80].to_vec();
         // Take the window shifted 3 samples early (still inside the CP).
         let mut window = Vec::with_capacity(80);

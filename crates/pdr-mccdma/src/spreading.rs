@@ -92,20 +92,6 @@ impl WalshHadamard {
             acc / self.sf as f64
         }));
     }
-
-    /// Sum the spread streams of several users (multi-user MC-CDMA symbol).
-    pub fn combine(user_chips: &[Vec<Cplx>]) -> Vec<Cplx> {
-        assert!(!user_chips.is_empty());
-        let len = user_chips[0].len();
-        assert!(user_chips.iter().all(|c| c.len() == len));
-        let mut out = vec![Cplx::ZERO; len];
-        for chips in user_chips {
-            for (o, &c) in out.iter_mut().zip(chips) {
-                *o += c;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -157,12 +143,12 @@ mod tests {
             vec![Cplx::new(0.0, -1.0)],
             vec![Cplx::new(-0.7, 0.7)],
         ];
-        let streams: Vec<Vec<Cplx>> = users
-            .iter()
-            .zip(&symbols)
-            .map(|(&u, s)| wh.spread(u, s))
-            .collect();
-        let combined = WalshHadamard::combine(&streams);
+        let mut combined = vec![Cplx::ZERO; 8];
+        for (&u, s) in users.iter().zip(&symbols) {
+            for (o, c) in combined.iter_mut().zip(wh.spread(u, s)) {
+                *o += c;
+            }
+        }
         for (i, &u) in users.iter().enumerate() {
             let rec = wh.despread(u, &combined);
             assert!((rec[0] - symbols[i][0]).abs() < 1e-12, "user {u}");

@@ -123,22 +123,17 @@ impl Artifact {
         v
     }
 
-    /// Write the artifact as pretty-printed JSON to `path`.
+    /// Write the artifact as pretty-printed JSON to `path`, with a
+    /// trailing newline.
     pub fn write(&self, path: impl AsRef<Path>) -> Result<(), SweepError> {
-        write_json(path, &self.to_json())
+        let path = path.as_ref();
+        let mut text = serde::json::to_string_pretty(&self.to_json());
+        text.push('\n');
+        std::fs::write(path, text).map_err(|e| SweepError::Artifact {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })
     }
-}
-
-/// Write any JSON value to `path`, pretty-printed with a trailing
-/// newline.
-pub fn write_json(path: impl AsRef<Path>, value: &Value) -> Result<(), SweepError> {
-    let path = path.as_ref();
-    let mut text = serde::json::to_string_pretty(value);
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| SweepError::Artifact {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })
 }
 
 #[cfg(test)]
@@ -204,7 +199,9 @@ mod tests {
 
     #[test]
     fn write_to_bad_path_is_typed_error() {
-        let err = write_json("/nonexistent-dir-xyz/out.json", &Value::Null).unwrap_err();
+        let err = Artifact::new("unit-test")
+            .write("/nonexistent-dir-xyz/out.json")
+            .unwrap_err();
         match err {
             SweepError::Artifact { path, .. } => assert!(path.contains("nonexistent")),
             other => panic!("expected artifact error, got {other}"),

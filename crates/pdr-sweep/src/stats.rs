@@ -71,7 +71,7 @@ impl SweepStats {
 
     /// Ratio of summed scenario time to engine wall time — the
     /// effective parallel speedup delivered by the pool.
-    pub fn parallel_efficiency(&self) -> f64 {
+    fn parallel_efficiency(&self) -> f64 {
         let wall = self.engine_wall.as_secs_f64();
         if wall <= 0.0 {
             return 0.0;

@@ -1,13 +1,11 @@
 //! Property-based tests for the extension features: compression, the
-//! exclusion ledger, annealing, hierarchy refinement, and the Gantt
-//! renderer.
+//! exclusion ledger and annealing.
 
 use proptest::prelude::*;
 
 use pdr_bench::annealing::{anneal, schedule_with_mapping, AnnealOptions};
 use pdr_fabric::compress::{compress, decompress};
 use pdr_fabric::TimePs;
-use pdr_graph::hierarchy::inline_subgraph;
 use pdr_graph::{
     AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, MediumKind, OpKind, OperatorKind,
 };
@@ -116,34 +114,5 @@ proptest! {
         // Re-evaluating the returned mapping reproduces the makespan.
         let (_, again) = schedule_with_mapping(&g, &arch, &chars, &mapping).unwrap();
         prop_assert_eq!(again, makespan);
-    }
-
-    /// Hierarchy refinement preserves validity and node counts for random
-    /// inner chain lengths.
-    #[test]
-    fn refinement_preserves_validity(inner_len in 1usize..6) {
-        let mut outer = AlgorithmGraph::new("outer");
-        let s = outer.add_op("src", OpKind::Source).unwrap();
-        let stage = outer.add_compute("stage").unwrap();
-        let k = outer.add_op("sink", OpKind::Sink).unwrap();
-        outer.connect(s, stage, 64).unwrap();
-        outer.connect(stage, k, 64).unwrap();
-
-        let mut inner = AlgorithmGraph::new("inner");
-        let i = inner.add_op("in", OpKind::Source).unwrap();
-        let mut prev = i;
-        for n in 0..inner_len {
-            let id = inner.add_compute(&format!("n{n}")).unwrap();
-            inner.connect(prev, id, 32).unwrap();
-            prev = id;
-        }
-        let o = inner.add_op("out", OpKind::Sink).unwrap();
-        inner.connect(prev, o, 32).unwrap();
-
-        let flat = inline_subgraph(&outer, stage, &inner).unwrap();
-        flat.validate().unwrap();
-        // src + sink + inner_len refined vertices.
-        prop_assert_eq!(flat.len(), 2 + inner_len);
-        prop_assert!(flat.topo_order().is_ok());
     }
 }

@@ -218,6 +218,67 @@ fn deeply_nested_request_line_is_a_bad_request() {
     assert!(next.is_ok(), "{next:?}");
 }
 
+/// Constraints overrides at the bounds of their types are served or
+/// refused with an error on `paper` and `two_regions`, for every request
+/// kind, and never panic or wrap into a smaller value. Each case sets one
+/// value on every module: a pin start and width from {0, 1, `u32::MAX`}
+/// (none of which fits: start 0 is the device edge, widths below 2 break
+/// the four-slice rule, and the rest run past the device), or a
+/// `deadline_us` of 0, the largest a picosecond `u64` holds, one past it
+/// or `u64::MAX` (the last two are refused by the parser).
+#[test]
+fn override_values_at_type_bounds_succeed_or_fail_typed() {
+    const PINS: [u32; 3] = [0, 1, u32::MAX];
+    const MAX_DEADLINE_US: u64 = u64::MAX / 1_000_000;
+    let pins = PINS.map(|start| PINS.map(|width| (Some((start, width)), None)));
+    let deadlines = [0, MAX_DEADLINE_US, MAX_DEADLINE_US + 1, u64::MAX];
+    let cases: Vec<_> = (pins.into_iter().flatten())
+        .chain(deadlines.map(|d| (None, Some(d))))
+        .collect();
+    for flow_name in ["paper", "two_regions"] {
+        let own = gallery::by_name(flow_name).unwrap().flow;
+        for &(pin, deadline) in &cases {
+            let mut file = ConstraintsFile::new();
+            for m in own.constraints().modules() {
+                let mut m = m.clone();
+                m.pin = pin.or(m.pin);
+                m.deadline_us = deadline;
+                file.add(m).unwrap();
+            }
+            let case = format!("{flow_name} pin {pin:?} deadline_us {deadline:?}");
+            let flow = match compute::resolve_flow(flow_name, Some(&file.to_string())) {
+                Ok(flow) => flow,
+                Err(e) => {
+                    assert!(deadline > Some(MAX_DEADLINE_US), "{case}: {e}");
+                    assert!(e.contains("deadline_us"), "{case}: {e}");
+                    continue;
+                }
+            };
+            assert!(deadline <= Some(MAX_DEADLINE_US), "{case} was accepted");
+            let index = flow
+                .build_index()
+                .expect("the index ignores pins and deadlines");
+            for kind in KINDS {
+                let result = compute::execute(kind, &flow, flow_name, 8, &index);
+                match (pin, result) {
+                    (Some(_), Err(_)) => {}
+                    (Some(_), Ok((_, payload))) => panic!(
+                        "{case} {kind:?}: served {}",
+                        serde::json::to_string(&payload)
+                    ),
+                    (None, Err(e)) => panic!("{case} {kind:?}: {e}"),
+                    (None, Ok((_, payload))) => {
+                        // Only a zero deadline is ever missed.
+                        let json = serde::json::to_string(&payload);
+                        let missed = kind == RequestKind::Verify && deadline == Some(0);
+                        assert_eq!(json.contains("PDR015"), missed, "{case}: {json}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- transports
 
 /// The TCP transport serves the same protocol as the in-process path.
