@@ -41,11 +41,15 @@ if ! grep -q '"status":"ok"' <<<"$reply"; then
     exit 1
 fi
 # Overrides whose values wrap their types are refused: a pinned window
-# past u32::MAX columns, and a deadline past u64::MAX picoseconds.
+# past u32::MAX columns (as a pin conflict naming the pinned columns, not
+# as a module too large for its window), and a deadline past u64::MAX
+# picoseconds.
 for override in 'pin = 20 4294967292' 'deadline_us = 18446744073710'; do
     reply=$(printf '{"id":1,"op":"verify","flow":"paper","constraints":"[module mod_qpsk]\\nregion = op_dyn\\n%s\\n"}\n' "$override" \
         | timeout 60 ./target/release/pdr-server) || true
-    if ! grep -q '"status":"error"' <<<"$reply"; then
+    pin_conflict='pin conflict: region `op_dyn` is pinned to 4294967292 columns from column 20'
+    if ! grep -q '"status":"error"' <<<"$reply" \
+        || { [[ $override == pin* ]] && ! grep -qF "$pin_conflict" <<<"$reply"; }; then
         echo "pdr-server with the override \`$override\` replied: ${reply:0:400}" >&2
         exit 1
     fi

@@ -27,11 +27,11 @@ use crate::schedule::{ItemKind, Schedule, ScheduledItem};
 use pdr_fabric::TimePs;
 use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, MediumId, OpId, OperatorId, Route};
 use pdr_ir::{IrBuilder, IrExecutive, ModuleId, Sym, SymbolTable};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One macro-code instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum MacroInstr {
     /// Execute `function` (the operation's WCET-labeled implementation).
     Compute {
@@ -84,7 +84,7 @@ impl MacroInstr {
 
 /// Macro-code for every operator of an architecture: the synchronized
 /// executive.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Executive {
     /// Instruction streams keyed by operator name (stable order).
     pub per_operator: BTreeMap<String, Vec<MacroInstr>>,

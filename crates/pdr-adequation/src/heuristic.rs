@@ -42,10 +42,10 @@ use pdr_graph::{
     OperatorId,
 };
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tunables of the adequation heuristic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AdequationOptions {
     /// Charge expected reconfiguration penalties during operator selection.
     pub reconfig_aware: bool,
@@ -86,7 +86,7 @@ impl AdequationOptions {
 }
 
 /// Output of [`adequate`].
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdequationResult {
     /// Operation → operator assignment.
     pub mapping: Mapping,

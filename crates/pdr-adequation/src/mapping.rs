@@ -3,7 +3,7 @@
 use crate::error::AdequationError;
 use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, OpId, OperatorId};
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Marks an operation with no operator in [`Mapping`]'s dense vector.
 pub(crate) const UNASSIGNED: u32 = u32::MAX;
@@ -14,7 +14,7 @@ pub(crate) const UNASSIGNED: u32 = u32::MAX;
 ///
 /// One operator id per [`OpId`], `u32::MAX` in the gaps (never last), so
 /// `operator_of` is one index and equal mappings are equal vectors.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Mapping {
     operators: Vec<u32>,
     assigned: usize,

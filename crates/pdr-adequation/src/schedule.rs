@@ -12,7 +12,7 @@
 use crate::error::AdequationError;
 use pdr_fabric::TimePs;
 use pdr_graph::{MediumId, OpId, OperatorId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// symbol holds the same `Arc<str>` (the [`crate::AdequationIndex`] keeps
 /// one per symbol), so recording an item allocates nothing. They
 /// serialize as the plain strings they name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ItemKind {
     /// Execute `function` for operation `op` (iteration-stamped).
     Compute {
@@ -65,7 +65,7 @@ impl ItemKind {
 }
 
 /// A half-open time interval `[start, end)` of work on one resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ScheduledItem {
     /// What happens.
     pub kind: ItemKind,
@@ -83,7 +83,7 @@ impl ScheduledItem {
 }
 
 /// A complete schedule over an architecture.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Schedule {
     /// Computations + reconfigurations per operator.
     pub operator_items: BTreeMap<OperatorId, Vec<ScheduledItem>>,

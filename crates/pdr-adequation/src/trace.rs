@@ -36,11 +36,11 @@ use pdr_graph::{
     AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, GraphError, MediumId, OpId,
     OpKind, OperatorId, Route,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// Fetch/load decomposition of a reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ReconfigSplit {
     /// External-memory fetch leg (prefetchable).
     pub fetch: TimePs,
@@ -70,7 +70,7 @@ impl ReconfigSplit {
 }
 
 /// Options of the trace scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceOptions {
     /// Enable configuration prefetching.
     pub prefetch: bool,
@@ -90,7 +90,7 @@ impl TraceOptions {
 }
 
 /// Selector values for one conditioned operation across the window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SelectorEntry {
     /// The operation producing the selector value (must be a predecessor of
     /// the conditioned operation).
@@ -100,7 +100,7 @@ pub struct SelectorEntry {
 }
 
 /// Selector traces for all conditioned operations of the graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SelectorTrace {
     /// Per conditioned operation.
     pub entries: BTreeMap<OpId, SelectorEntry>,
@@ -126,7 +126,7 @@ impl SelectorTrace {
 }
 
 /// Aggregate statistics of a trace schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TraceStats {
     /// Iterations scheduled.
     pub iterations: u32,
@@ -164,7 +164,7 @@ impl TraceStats {
 }
 
 /// Output of [`schedule_trace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceResult {
     /// The multi-iteration schedule.
     pub schedule: Schedule,

@@ -23,11 +23,11 @@ use pdr_graph::{
     AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, GraphError, OpId, Operation,
     OperatorId,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Annealing parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnnealOptions {
     /// Scheduling options shared with the greedy heuristic (pins,
     /// reconfiguration awareness, switch probability).

@@ -112,20 +112,16 @@ pub fn run_sweep(
                         let start = (1..device.clb_cols - w)
                             .min_by_key(|&s| device.frames_in_clb_window(s, w))
                             .expect("device wide enough");
-                        // Virtex-II: full-height window. 2D family: one
-                        // clock region tall — the minimal rectangle.
-                        let region = if caps.supports_2d_regions() {
-                            ReconfigRegion::rect(
-                                "sweep",
-                                start,
-                                w,
-                                0,
-                                caps.clock_region_rows(device),
-                            )
-                            .expect("legal rect")
-                        } else {
-                            ReconfigRegion::new("sweep", start, w).expect("legal width")
-                        };
+                        // One configuration row tall: the full height on
+                        // Virtex-II, one clock region on a 2D family.
+                        let region = ReconfigRegion::rect(
+                            "sweep",
+                            start,
+                            w,
+                            0,
+                            caps.clock_region_rows(device),
+                        )
+                        .expect("legal rect");
                         region
                             .validate_on(device)
                             .map_err(pdr_sweep::SweepError::scenario)?;

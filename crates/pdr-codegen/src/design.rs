@@ -14,10 +14,10 @@
 //! * [`DynamicModuleDesign`] — one reconfigurable module: the wrapped
 //!   function, the generic shell, `In_Reconf` lock-up, and bus-macro pins.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The four dedicated process kinds of §5, plus the reconfiguration blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ProcessKind {
     /// Sequences sends/receives on one medium interface.
     CommunicationSequencer,
@@ -34,7 +34,7 @@ pub enum ProcessKind {
 }
 
 /// One generated process.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ProcessSpec {
     /// Process name, e.g. `"comm_seq_shb"`.
     pub name: String,
@@ -46,7 +46,7 @@ pub struct ProcessSpec {
 }
 
 /// One inter-operation buffer (ping-pong, per §5's read/write phases).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BufferSpec {
     /// Buffer name, e.g. `"buf_fec_conv_to_modulation"`.
     pub name: String,
@@ -55,7 +55,7 @@ pub struct BufferSpec {
 }
 
 /// One instantiated operator function inside a static entity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FunctionInstance {
     /// Function symbol (characterization key).
     pub function: String,
@@ -64,7 +64,7 @@ pub struct FunctionInstance {
 }
 
 /// A generated entity for one FPGA operator's static logic.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct EntityDesign {
     /// Entity name (operator name).
     pub name: String,
@@ -93,7 +93,7 @@ impl EntityDesign {
 
 /// A generated reconfigurable module (one alternative of a conditioned
 /// operation, wrapped in the generic dynamic shell).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DynamicModuleDesign {
     /// Module (function) name, e.g. `"mod_qam16"`.
     pub module: String,

@@ -24,7 +24,8 @@ pub enum CodegenError {
         /// Device capacity.
         capacity: u32,
     },
-    /// Two pinned modules demand overlapping windows outside a share group.
+    /// A pinned window leaves the device's interior, two regions overlap,
+    /// or a region has fewer rows than its bus macros need.
     PinConflict(String),
     /// An internal invariant of the placement engine was violated; always a
     /// bug in `pdr-codegen`, surfaced as an error rather than a panic.

@@ -21,7 +21,7 @@
 use crate::design::{DynamicModuleDesign, EntityDesign, ProcessKind};
 use pdr_fabric::Resources;
 use pdr_graph::Characterization;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bits of buffer below which distributed LUT-RAM is used.
 pub const BRAM_THRESHOLD_BITS: u64 = 4_096;
@@ -29,7 +29,7 @@ pub const BRAM_THRESHOLD_BITS: u64 = 4_096;
 pub const BRAM_BITS: u64 = 18_432;
 
 /// The documented cost model (synthesis analog).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostModel {
     /// Base LUTs of any generated process.
     pub seq_base_luts: u32,

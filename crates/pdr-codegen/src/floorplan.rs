@@ -8,25 +8,29 @@
 //! four slices."*
 //!
 //! [`Floorplanner::place`] reproduces that flow over the `pdr-fabric`
-//! device model: per region it sizes a full-height column window from the
-//! *envelope* of the modules sharing the region (they are resident one at a
-//! time), honors constraints-file pins, allocates bus macros on the region
-//! boundary, verifies the static side still fits, and emits one partial
-//! bitstream per module plus the static full bitstream.
+//! device model: per region it sizes a window from the *envelope* of the
+//! modules sharing the region (they are resident one at a time), honors
+//! constraints-file pins, allocates bus macros on the region boundary,
+//! verifies the static side still fits, and emits one partial bitstream
+//! per module plus the static full bitstream. One loop serves every
+//! family; only the window choice differs. A Virtex-II device is one
+//! configuration row tall, so its window is the paper's full-height
+//! column window; a family with 2D regions packs clock-region rectangles.
 
 use crate::design::DynamicModuleDesign;
 use crate::error::CodegenError;
 use pdr_fabric::{
     Bitstream, BusMacro, BusMacroDirection, Device, Floorplan, ReconfigRegion, Resources,
+    MIN_REGION_CLB_COLS,
 };
 use pdr_graph::ConstraintsFile;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Result of placing a generated design on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FloorplanResult {
     /// The legal floorplan (regions + bus macros).
     pub floorplan: Floorplan,
@@ -72,26 +76,23 @@ impl Floorplanner {
     /// `modules` carries each module's design and estimated resources;
     /// `static_resources` is the static entity total.
     ///
-    /// On Virtex-II this is the paper's Modular Design flow: full-height
-    /// column windows sized from the slice envelope. On families that
-    /// support 2D regions it switches to [`Floorplanner::place`]'s
-    /// rectangular path: clock-region-aligned rectangles sized from the
-    /// full resource vector (slices, LUTs, FFs, BRAMs, multipliers) and
-    /// shelf-packed across clock-region bands.
+    /// One loop serves both families: per region it takes the envelope of
+    /// the modules sharing it, checks a constraints-file pin, picks a
+    /// window, adds the region and its bus macros, and advances one column
+    /// cursor per configuration-row band. Only the window choice is per
+    /// family. Virtex-II has one band, the full device height, and
+    /// `column_window` sizes the paper's column window from the slice
+    /// envelope. Families with 2D regions shelf-pack clock-region
+    /// rectangles sized from the full resource vector (slices, LUTs, FFs,
+    /// BRAMs, multipliers) in `shelf_window`.
     pub fn place(
         &self,
         modules: &[(DynamicModuleDesign, Resources)],
         static_resources: Resources,
         constraints: &ConstraintsFile,
     ) -> Result<FloorplanResult, CodegenError> {
-        if self.device.capabilities().supports_2d_regions() {
-            return self.place_rect(modules, static_resources, constraints);
-        }
-        let mut floorplan = Floorplan::new(self.device.clone());
-        let rows = self.device.clb_rows;
-
-        // Group modules by region; the region window must hold the
-        // *envelope* of its modules (resident one at a time).
+        let device = &self.device;
+        let mut floorplan = Floorplan::new(device.clone());
         let mut by_region: BTreeMap<String, Vec<&(DynamicModuleDesign, Resources)>> =
             BTreeMap::new();
         for entry in modules {
@@ -103,200 +104,50 @@ impl Floorplanner {
 
         let mut region_envelopes = BTreeMap::new();
         let mut region_of = BTreeMap::new();
-        // Regions never touch the device edges: both boundaries must be
-        // interior dividing lines so bus macros can straddle them.
-        let mut next_free_col = 1u32;
+        // Regions fill each band left to right from column 1, one static
+        // column apart: neither boundary touches a device edge or another
+        // region's, so bus macros can straddle both.
+        let mut shelf = vec![1u32; device.clock_regions() as usize];
         for (region_name, entries) in &by_region {
             let first = entries.first().ok_or_else(|| {
                 CodegenError::Internal(format!("region `{region_name}` grouped with no modules"))
             })?;
-            let envelope = entries
-                .iter()
-                .fold(Resources::ZERO, |acc, (_, r)| acc.envelope(r));
-            // Width: slices → full-height CLB columns (4 slices per CLB,
-            // full column = rows × 4 slices), minimum 2 columns.
-            let slices_per_col = rows * pdr_fabric::device::SLICES_PER_CLB;
-            let mut width = envelope.slices.div_ceil(slices_per_col).max(2);
-            // Honor pins: position and at least the pinned width.
-            let pin = entries
-                .iter()
-                .find_map(|(m, _)| constraints.module(&m.module).and_then(|c| c.pin));
-            let start = match pin {
-                Some((s, w)) => {
-                    width = width.max(w);
-                    s
-                }
-                None => next_free_col,
-            };
-            let end = start.checked_add(width);
-            if start == 0 || end.is_none_or(|end| end >= self.device.clb_cols) {
-                return Err(CodegenError::DoesNotFit {
-                    module: first.0.module.clone(),
-                    needed_slices: envelope.slices,
-                    available_slices: (self
-                        .device
-                        .clb_cols
-                        .saturating_sub(start.saturating_add(1)))
-                        * slices_per_col,
-                });
-            }
-            let region = ReconfigRegion::new(region_name.clone(), start, width)
-                .map_err(CodegenError::Fabric)?;
-            floorplan.add_region(region).map_err(|e| match e {
-                pdr_fabric::FabricError::RegionOverlap { a, b } => {
-                    CodegenError::PinConflict(format!("regions `{a}` and `{b}` overlap"))
-                }
-                other => CodegenError::Fabric(other),
-            })?;
-            // Leave one static column between auto-placed regions so their
-            // bus macros never contend for the same boundary.
-            next_free_col = next_free_col.max(start + width + 1);
-
-            // Bus macros: spread over rows from the top, inputs on the left
-            // boundary, outputs on the right.
-            let macros_in = entries
-                .iter()
-                .map(|(m, _)| m.bus_macros_in)
-                .max()
-                .unwrap_or(0);
-            let macros_out = entries
-                .iter()
-                .map(|(m, _)| m.bus_macros_out)
-                .max()
-                .unwrap_or(0);
-            if macros_in + macros_out > rows {
-                return Err(CodegenError::PinConflict(format!(
-                    "region `{region_name}` needs {} bus-macro rows, device has {rows}",
-                    macros_in + macros_out
-                )));
-            }
-            for i in 0..macros_in {
-                floorplan
-                    .add_bus_macro(BusMacro::new(i, start, BusMacroDirection::IntoRegion))
-                    .map_err(CodegenError::Fabric)?;
-            }
-            for i in 0..macros_out {
-                floorplan
-                    .add_bus_macro(BusMacro::new(
-                        i,
-                        start + width,
-                        BusMacroDirection::OutOfRegion,
-                    ))
-                    .map_err(CodegenError::Fabric)?;
-            }
-            region_envelopes.insert(region_name.clone(), envelope);
-            for (m, _) in entries {
-                region_of.insert(m.module.clone(), region_name.clone());
-            }
-        }
-
-        self.finalize(
-            floorplan,
-            modules,
-            static_resources,
-            region_of,
-            region_envelopes,
-        )
-    }
-
-    /// 2D placement for families with clock-region-aligned rectangular
-    /// regions (series7-like): per region, search heights of 1..n clock
-    /// regions and grow the width until the rectangle's resource vector
-    /// covers the module envelope, shelf-packing rectangles left to right
-    /// across clock-region bands.
-    fn place_rect(
-        &self,
-        modules: &[(DynamicModuleDesign, Resources)],
-        static_resources: Resources,
-        constraints: &ConstraintsFile,
-    ) -> Result<FloorplanResult, CodegenError> {
-        let caps = self.device.capabilities();
-        let cr_rows = caps.clock_region_rows(&self.device);
-        let bands = self.device.clock_regions();
-        let mut floorplan = Floorplan::new(self.device.clone());
-
-        let mut by_region: BTreeMap<String, Vec<&(DynamicModuleDesign, Resources)>> =
-            BTreeMap::new();
-        for entry in modules {
-            by_region
-                .entry(entry.0.region.clone())
-                .or_default()
-                .push(entry);
-        }
-
-        let mut region_envelopes = BTreeMap::new();
-        let mut region_of = BTreeMap::new();
-        // Shelf packing: one cursor per clock-region band, regions fill
-        // left to right; both column boundaries stay interior so bus
-        // macros can straddle them.
-        let mut shelf_col = vec![1u32; bands as usize];
-        for (region_name, entries) in &by_region {
-            let first = entries.first().ok_or_else(|| {
-                CodegenError::Internal(format!("region `{region_name}` grouped with no modules"))
-            })?;
+            let module = &first.0.module;
             let envelope = entries
                 .iter()
                 .fold(Resources::ZERO, |acc, (_, r)| acc.envelope(r));
             let pin = entries
                 .iter()
                 .find_map(|(m, _)| constraints.module(&m.module).and_then(|c| c.pin));
-            let mut placed = None;
-            'search: for height in 1..=bands {
-                for band in 0..=(bands - height) {
-                    let start = match pin {
-                        Some((s, _)) => s,
-                        None => (band..band + height)
-                            .map(|b| shelf_col[b as usize])
-                            .max()
-                            .unwrap_or(1),
-                    };
-                    if start == 0 || (band..band + height).any(|b| shelf_col[b as usize] > start) {
-                        continue;
-                    }
-                    let mut width = pin.map_or(2, |(_, w)| w.max(2));
-                    while start
-                        .checked_add(width)
-                        .is_some_and(|end| end < self.device.clb_cols)
-                    {
-                        let candidate = ReconfigRegion::rect(
-                            region_name.clone(),
-                            start,
-                            width,
-                            band * cr_rows,
-                            height * cr_rows,
-                        )
-                        .map_err(CodegenError::Fabric)?;
-                        if candidate.resources(&self.device).covers(&envelope) {
-                            placed = Some((candidate, band, height));
-                            break 'search;
-                        }
-                        width += 1;
-                    }
+            if let Some((start, width)) = pin {
+                let end = start.checked_add(width.max(MIN_REGION_CLB_COLS));
+                if start == 0 || end.is_none_or(|end| end >= device.clb_cols) {
+                    return Err(CodegenError::PinConflict(format!(
+                        "region `{region_name}` is pinned to {width} columns from column \
+                         {start}, outside the interior of device `{}` ({} CLB columns)",
+                        device.name, device.clb_cols
+                    )));
                 }
             }
-            let Some((region, band, height)) = placed else {
-                return Err(CodegenError::DoesNotFit {
-                    module: first.0.module.clone(),
-                    needed_slices: envelope.slices,
-                    available_slices: self.device.slices(),
-                });
+            let (region, band, bands) = if device.capabilities().supports_2d_regions() {
+                self.shelf_window(region_name, module, &envelope, pin, &shelf)?
+            } else {
+                self.column_window(region_name, module, &envelope, pin, shelf[0])?
             };
-            let start = region.clb_col_start;
-            let width = region.clb_col_width;
-            let (row_start, row_count) = region.rows_on(&self.device);
+            let (start, end) = (region.clb_col_start, region.clb_col_end());
+            let (row_start, row_count) = region.rows_on(device);
             floorplan.add_region(region).map_err(|e| match e {
                 pdr_fabric::FabricError::RegionOverlap { a, b } => {
                     CodegenError::PinConflict(format!("regions `{a}` and `{b}` overlap"))
                 }
                 other => CodegenError::Fabric(other),
             })?;
-            for b in band..band + height {
-                shelf_col[b as usize] = start + width + 1;
+            for cursor in &mut shelf[band as usize..(band + bands) as usize] {
+                *cursor = (*cursor).max(end + 1);
             }
 
-            // Bus macros must sit inside the rectangle's row span: inputs
-            // on the left boundary, outputs on the right, from the top of
-            // the region downward.
+            // Bus macros sit in the region's rows from its top: inputs on
+            // the left boundary, outputs on the right.
             let macros_in = entries
                 .iter()
                 .map(|(m, _)| m.bus_macros_in)
@@ -309,27 +160,20 @@ impl Floorplanner {
                 .unwrap_or(0);
             if macros_in + macros_out > row_count {
                 return Err(CodegenError::PinConflict(format!(
-                    "region `{region_name}` needs {} bus-macro rows, its rectangle has {row_count}",
+                    "region `{region_name}` needs {} bus-macro rows, its window has {row_count}",
                     macros_in + macros_out
                 )));
             }
-            for i in 0..macros_in {
-                floorplan
-                    .add_bus_macro(BusMacro::new(
-                        row_start + i,
-                        start,
-                        BusMacroDirection::IntoRegion,
-                    ))
-                    .map_err(CodegenError::Fabric)?;
-            }
-            for i in 0..macros_out {
-                floorplan
-                    .add_bus_macro(BusMacro::new(
-                        row_start + i,
-                        start + width,
-                        BusMacroDirection::OutOfRegion,
-                    ))
-                    .map_err(CodegenError::Fabric)?;
+            let boundaries = [
+                (macros_in, start, BusMacroDirection::IntoRegion),
+                (macros_out, end, BusMacroDirection::OutOfRegion),
+            ];
+            for (count, col, direction) in boundaries {
+                for i in 0..count {
+                    floorplan
+                        .add_bus_macro(BusMacro::new(row_start + i, col, direction))
+                        .map_err(CodegenError::Fabric)?;
+                }
             }
             region_envelopes.insert(region_name.clone(), envelope);
             for (m, _) in entries {
@@ -337,25 +181,6 @@ impl Floorplanner {
             }
         }
 
-        self.finalize(
-            floorplan,
-            modules,
-            static_resources,
-            region_of,
-            region_envelopes,
-        )
-    }
-
-    /// Shared tail of both placement paths: static-side fit check and
-    /// bitstream generation.
-    fn finalize(
-        &self,
-        floorplan: Floorplan,
-        modules: &[(DynamicModuleDesign, Resources)],
-        static_resources: Resources,
-        region_of: BTreeMap<String, String>,
-        region_envelopes: BTreeMap<String, Resources>,
-    ) -> Result<FloorplanResult, CodegenError> {
         // Static side must fit the remaining slices.
         if static_resources.slices > floorplan.static_slices() {
             return Err(CodegenError::DeviceFull {
@@ -367,24 +192,21 @@ impl Floorplanner {
         // Bitstreams: per-module partials + the static full stream.
         let mut bitstreams = BTreeMap::new();
         for (m, _) in modules {
-            let region = floorplan
-                .region(&m.region)
-                .ok_or_else(|| {
-                    CodegenError::Internal(format!(
-                        "module `{}` targets region `{}` which was never placed",
-                        m.module, m.region
-                    ))
-                })?
-                .clone();
+            let region = floorplan.region(&m.region).ok_or_else(|| {
+                CodegenError::Internal(format!(
+                    "module `{}` targets region `{}` which was never placed",
+                    m.module, m.region
+                ))
+            })?;
             let fp = fingerprint(&m.module, &m.region);
             bitstreams.insert(
                 m.module.clone(),
-                Bitstream::partial_for_region(&self.device, &region, fp),
+                Bitstream::partial_for_region(device, region, fp),
             );
         }
         bitstreams.insert(
             FloorplanResult::STATIC_KEY.to_string(),
-            Bitstream::full_for_device(&self.device, fingerprint("__static__", "")),
+            Bitstream::full_for_device(device, fingerprint("__static__", "")),
         );
 
         Ok(FloorplanResult {
@@ -394,7 +216,92 @@ impl Floorplanner {
             region_envelopes,
         })
     }
+
+    /// The Virtex-II window: full height, at the pin or else at the column
+    /// cursor (a pin may sit left of it), as wide as the envelope's slices
+    /// need and at least the pinned width.
+    fn column_window(
+        &self,
+        name: &str,
+        module: &str,
+        envelope: &Resources,
+        pin: Option<(u32, u32)>,
+        cursor: u32,
+    ) -> Result<Window, CodegenError> {
+        // A full column holds rows × 4 slices.
+        let slices_per_col = self.device.clb_rows * pdr_fabric::device::SLICES_PER_CLB;
+        let sized = envelope
+            .slices
+            .div_ceil(slices_per_col)
+            .max(MIN_REGION_CLB_COLS);
+        let (start, width) = pin.map_or((cursor, sized), |(s, w)| (s, sized.max(w)));
+        if start
+            .checked_add(width)
+            .is_none_or(|end| end >= self.device.clb_cols)
+        {
+            return Err(CodegenError::DoesNotFit {
+                module: module.to_string(),
+                needed_slices: envelope.slices,
+                available_slices: self.device.clb_cols.saturating_sub(start.saturating_add(1))
+                    * slices_per_col,
+            });
+        }
+        let region = ReconfigRegion::new(name, start, width).map_err(CodegenError::Fabric)?;
+        Ok((region, 0, 1))
+    }
+
+    /// The 2D window: for heights of 1..n clock-region bands and each band
+    /// position in turn, a rectangle at the pin or else at the cursor of
+    /// the bands it spans, grown from the pinned (or minimum) width until
+    /// its resource vector covers the envelope. The first that fits wins.
+    fn shelf_window(
+        &self,
+        name: &str,
+        module: &str,
+        envelope: &Resources,
+        pin: Option<(u32, u32)>,
+        shelf: &[u32],
+    ) -> Result<Window, CodegenError> {
+        let cr_rows = self.device.capabilities().clock_region_rows(&self.device);
+        let bands = shelf.len() as u32;
+        for height in 1..=bands {
+            for band in 0..=(bands - height) {
+                let cursor = shelf[band as usize..(band + height) as usize]
+                    .iter()
+                    .copied()
+                    .max()
+                    .unwrap_or(1);
+                let start = pin.map_or(cursor, |(s, _)| s);
+                if start < cursor {
+                    continue;
+                }
+                let mut width =
+                    pin.map_or(MIN_REGION_CLB_COLS, |(_, w)| w.max(MIN_REGION_CLB_COLS));
+                while start
+                    .checked_add(width)
+                    .is_some_and(|end| end < self.device.clb_cols)
+                {
+                    let candidate =
+                        ReconfigRegion::rect(name, start, width, band * cr_rows, height * cr_rows)
+                            .map_err(CodegenError::Fabric)?;
+                    if candidate.resources(&self.device).covers(envelope) {
+                        return Ok((candidate, band, height));
+                    }
+                    width += 1;
+                }
+            }
+        }
+        Err(CodegenError::DoesNotFit {
+            module: module.to_string(),
+            needed_slices: envelope.slices,
+            available_slices: self.device.slices(),
+        })
+    }
 }
+
+/// A chosen window: the region, its first clock-region band and the
+/// number of bands it spans.
+type Window = (ReconfigRegion, u32, u32);
 
 /// Deterministic module fingerprint (stands in for synthesis output).
 fn fingerprint(module: &str, region: &str) -> u64 {
@@ -469,25 +376,69 @@ mod tests {
     }
 
     #[test]
-    fn pins_whose_window_wraps_do_not_fit() {
-        // `start + width` past `u32::MAX` once wrapped to a window inside
-        // the device; on both placement paths it must fail typed.
+    fn pins_whose_window_leaves_the_device_conflict() {
+        // A pinned window must start past column 0 and end before the last
+        // CLB column; `start + width` past `u32::MAX` once wrapped to a
+        // window inside the device. Both families name the pinned columns.
         let modules = [module("mod_qpsk", "op_dyn", 200)];
         for device in [Device::xc2v2000(), Device::by_name("XC7A100T").unwrap()] {
-            for pin in [(20, u32::MAX - 3), (u32::MAX, 4), (u32::MAX, u32::MAX)] {
+            let cols = device.clb_cols;
+            let pins = [
+                (20, u32::MAX - 3),
+                (u32::MAX, 4),
+                (u32::MAX, u32::MAX),
+                (0, 4),
+                (cols - 4, 4),
+                (cols - 2, 0),
+            ];
+            for (start, width) in pins {
                 let mut f = ConstraintsFile::new();
                 let mut mc = ModuleConstraints::new("mod_qpsk", "op_dyn");
-                mc.pin = Some(pin);
+                mc.pin = Some((start, width));
                 f.add(mc).unwrap();
                 let err = Floorplanner::new(device.clone())
                     .place(&modules, Resources::ZERO, &f)
                     .unwrap_err();
+                let text = err.to_string();
                 assert!(
-                    matches!(err, CodegenError::DoesNotFit { .. }),
-                    "{} {pin:?}: {err}",
+                    matches!(err, CodegenError::PinConflict(_))
+                        && text.contains(&format!("{width} columns from column {start}"))
+                        && text.contains(&format!("({cols} CLB columns)")),
+                    "{} pin {start} {width}: {text}",
                     device.name
                 );
             }
+            // The widest window a pin may give ends one column short.
+            let mut f = ConstraintsFile::new();
+            let mut mc = ModuleConstraints::new("mod_qpsk", "op_dyn");
+            mc.pin = Some((cols - 5, 4));
+            f.add(mc).unwrap();
+            let r = Floorplanner::new(device.clone())
+                .place(&modules, Resources::ZERO, &f)
+                .unwrap();
+            assert_eq!(
+                r.floorplan.region("op_dyn").unwrap().clb_col_end(),
+                cols - 1
+            );
+        }
+    }
+
+    #[test]
+    fn too_many_bus_macro_rows_is_one_conflict_on_both_families() {
+        let mut m = module("m", "r", 200);
+        m.0.bus_macros_in = 60;
+        for (device, rows) in [
+            (Device::xc2v2000(), 56),
+            (Device::by_name("XC7A100T").unwrap(), 50),
+        ] {
+            let err = Floorplanner::new(device)
+                .place(&[m.clone()], Resources::ZERO, &ConstraintsFile::new())
+                .unwrap_err();
+            let expected = format!(
+                "pin conflict: region `r` needs {} bus-macro rows, its window has {rows}",
+                60 + m.0.bus_macros_out
+            );
+            assert_eq!(err.to_string(), expected);
         }
     }
 

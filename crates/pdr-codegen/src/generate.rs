@@ -31,11 +31,11 @@ use crate::floorplan::{FloorplanResult, Floorplanner};
 use pdr_adequation::{Executive, MacroInstr, Mapping};
 use pdr_fabric::{Device, Resources};
 use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile, OperatorKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Everything the design-generation stage produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GeneratedDesign {
     /// Static entity per FPGA operator (keyed by operator name). Processor
     /// operators get C code in the real flow; here they carry no entity.

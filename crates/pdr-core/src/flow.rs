@@ -10,11 +10,11 @@ use pdr_fabric::digest::Fnv64;
 use pdr_fabric::Device;
 use pdr_graph::{AlgorithmGraph, ArchGraph, Characterization, ConstraintsFile};
 use pdr_ir::{IrExecutive, SymbolTable};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Every artifact the flow produces, stage by stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlowArtifacts {
     /// Stage 1: mapping + schedule (the adequation).
     pub adequation: AdequationResult,

@@ -8,11 +8,15 @@
 //! ```
 //!
 //! Each packet is one 32-bit header word, plus payload words for `FAR`
-//! (one word) and `FDRI` (declared count). Frame payloads are deterministic
-//! pseudo-random words derived from a *fingerprint* of the module they
-//! configure, so two different generated designs produce different streams
-//! and re-generating the same design is reproducible — this is what stands in
-//! for real synthesis output.
+//! (one word) and `FDRI` (declared count). A partial stream carries one
+//! `FAR`/`FDRI` pair per configuration row its region spans; a Virtex-II
+//! region is the one-row case, a single pair at row 0. The full stream
+//! writes every frame from address 0 in one `FDRI`.
+//!
+//! Frame payloads are deterministic pseudo-random words derived from a
+//! *fingerprint* of the module they configure, so two different generated
+//! designs produce different streams and re-generating the same design is
+//! reproducible — this is what stands in for real synthesis output.
 //!
 //! A full-device stream depends only on the device geometry and the
 //! fingerprint, so its packets are generated once per geometry and shared
@@ -27,7 +31,7 @@ use crate::device::Device;
 use crate::error::FabricError;
 use crate::frame::{BlockType, FrameAddress};
 use crate::region::ReconfigRegion;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -37,7 +41,7 @@ pub const SYNC_WORD: u32 = 0xAA99_5566;
 pub const DUMMY_WORD: u32 = 0xFFFF_FFFF;
 
 /// Configuration commands (CMD register values, Virtex-II subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Command {
     /// Write configuration data (precedes FDRI writes).
     Wcfg,
@@ -76,7 +80,7 @@ impl Command {
 }
 
 /// One packet of a configuration stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Packet {
     /// Pad + synchronization word.
     Sync,
@@ -133,7 +137,7 @@ const TAG_FDRI: u32 = 0x5;
 const TAG_CRC: u32 = 0x6;
 
 /// Whether a bitstream configures the whole device or one region.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum BitstreamKind {
     /// Full-device configuration (power-on).
     Full,
@@ -145,7 +149,7 @@ pub enum BitstreamKind {
 }
 
 /// A configuration bitstream for a specific device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Bitstream {
     /// Part name this stream was generated for.
     pub device: String,
@@ -177,42 +181,27 @@ impl Bitstream {
     }
 
     /// Build a partial bitstream reconfiguring `region` with a design
-    /// identified by `module_fingerprint`.
-    ///
-    /// Virtex-II regions are addressed by a single FAR + FDRI pair (one
-    /// full-height configuration row); series7-like regions emit one
-    /// FAR/FDRI pair per clock-region row of the rectangle, sharing a
-    /// single payload stream and one trailing CRC.
+    /// identified by `module_fingerprint`: one FAR/FDRI pair per
+    /// configuration row of the region, sharing a single payload stream
+    /// and one trailing CRC. A Virtex-II region is the one-row case, a
+    /// single pair at row 0.
     pub fn partial_for_region(
         device: &Device,
         region: &ReconfigRegion,
         module_fingerprint: u64,
     ) -> Bitstream {
-        let frames = region.frames(device);
-        let packets = if device.capabilities().supports_2d_regions() {
-            Self::packetize_rows(device, region, module_fingerprint)
-        } else {
-            Self::packetize(
-                device,
-                BlockType::Clb,
-                region.clb_col_start as u16,
-                frames,
-                module_fingerprint,
-                false,
-            )
-        };
         Bitstream {
             device: device.name.clone(),
             kind: BitstreamKind::Partial {
                 region: region.name.clone(),
             },
             module_fingerprint,
-            packets: packets.into(),
-            frames,
+            packets: Self::packetize_rows(device, region, module_fingerprint).into(),
+            frames: region.frames(device),
         }
     }
 
-    /// Packetize a 2D region: one FAR + FDRI pair per clock-region row it
+    /// Packetize a region: one FAR + FDRI pair per configuration row it
     /// spans, a single sparse payload stream across the rows, one CRC over
     /// all frame data.
     fn packetize_rows(device: &Device, region: &ReconfigRegion, fingerprint: u64) -> Vec<Packet> {
@@ -252,34 +241,27 @@ impl Bitstream {
         packets
     }
 
-    fn packetize(
-        device: &Device,
-        block: BlockType,
-        major_start: u16,
-        frames: u32,
-        fingerprint: u64,
-        full: bool,
-    ) -> Vec<Packet> {
+    /// Packetize the full-device stream: every frame from address 0 in one
+    /// FDRI, then the start-up command.
+    fn packetize(device: &Device, frames: u32, fingerprint: u64) -> Vec<Packet> {
         let wpf = device.words_per_frame() as usize;
         let mut rng = SplitMix64::new(fingerprint);
-        let mut packets = Vec::with_capacity(8);
-        packets.push(Packet::Sync);
-        packets.push(Packet::Cmd(Command::Rcrc));
-        packets.push(Packet::Cmd(Command::Wcfg));
-        packets.push(Packet::Far(FrameAddress::new(block, major_start, 0)));
         let data = synthetic_payload(&mut rng, frames as usize * wpf);
         // CRC over the frame data: the stored value is the definitive one
         // that decode verifies.
         let mut crc = Crc32::new();
         crc.update_words(&data);
-        packets.push(Packet::Fdri(data));
-        packets.push(Packet::Cmd(Command::Lfrm));
-        packets.push(Packet::Crc(crc.finish()));
-        if full {
-            packets.push(Packet::Cmd(Command::Start));
-        }
-        packets.push(Packet::Cmd(Command::Desync));
-        packets
+        vec![
+            Packet::Sync,
+            Packet::Cmd(Command::Rcrc),
+            Packet::Cmd(Command::Wcfg),
+            Packet::Far(FrameAddress::new(BlockType::Clb, 0, 0)),
+            Packet::Fdri(data),
+            Packet::Cmd(Command::Lfrm),
+            Packet::Crc(crc.finish()),
+            Packet::Cmd(Command::Start),
+            Packet::Cmd(Command::Desync),
+        ]
     }
 
     /// The packet sequence.
@@ -400,8 +382,7 @@ fn full_packets(device: &Device, frames: u32, fingerprint: u64) -> Arc<[Packet]>
     if let Some(packets) = cached(&memo()) {
         return packets;
     }
-    let fresh: Arc<[Packet]> =
-        Bitstream::packetize(device, BlockType::Clb, 0, frames, fingerprint, true).into();
+    let fresh: Arc<[Packet]> = Bitstream::packetize(device, frames, fingerprint).into();
     let mut m = memo();
     if let Some(packets) = cached(&m) {
         return packets;
@@ -760,6 +741,7 @@ impl Default for Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{ColumnKind, DeviceFamily};
 
     fn dev() -> Device {
         Device::xc2v2000()
@@ -883,6 +865,91 @@ mod tests {
         assert_eq!(back, bs);
     }
 
+    /// A Virtex-II region is the one-row case of the row-addressed
+    /// stream: one FAR at row 0 whose major is the start column and one
+    /// FDRI of the region's frames, which are `window_frames` over
+    /// `rows_on`. Checked on every catalog device for interior windows
+    /// that hold an embedded BRAM or GCLK column, that end right before
+    /// one, and that hold none.
+    #[test]
+    fn virtex2_partial_streams_are_the_one_row_case() {
+        let (mut holding, mut clear) = (0, 0);
+        for name in Device::catalog_names_in(DeviceFamily::VirtexII) {
+            let d = Device::by_name(name).unwrap();
+            // CLB index of the column after each run of embedded columns,
+            // with the run's first kind.
+            let (mut cuts, mut clbs, mut run) = (Vec::new(), 0u32, None);
+            for kind in d.column_plan() {
+                match kind {
+                    ColumnKind::Clb => {
+                        if let Some(first) = run.take() {
+                            cuts.push((clbs, first));
+                        }
+                        clbs += 1;
+                    }
+                    ColumnKind::Bram | ColumnKind::BramInterconnect | ColumnKind::Gclk => {
+                        run = run.or(Some(kind))
+                    }
+                    _ => {}
+                }
+            }
+            // The first BRAM cut and the GCLK spine (payload generation
+            // bounds how many windows a debug build can afford).
+            let bram = cuts
+                .iter()
+                .find(|(_, k)| *k == ColumnKind::BramInterconnect);
+            let gclk = cuts.iter().find(|(_, k)| *k == ColumnKind::Gclk);
+            assert!(bram.is_some() && gclk.is_some(), "{name}: {cuts:?}");
+            let cuts: Vec<u32> = cuts.iter().map(|&(c, _)| c).collect();
+            // Holding the cut, and ending right before it.
+            let windows = [bram, gclk]
+                .into_iter()
+                .flatten()
+                .flat_map(|&(c, _)| [(c - 1, 2), (c.saturating_sub(2), 2)]);
+            for (start, width) in windows.filter(|&(s, w)| s >= 1 && s + w < d.clb_cols) {
+                let region = ReconfigRegion::new("r", start, width).unwrap();
+                let (row_start, row_count) = region.rows_on(&d);
+                assert_eq!((row_start, row_count), (0, d.clb_rows), "{name}");
+                let frames = d
+                    .capabilities()
+                    .window_frames(&d, start, width, row_start, row_count);
+                assert_eq!(region.frames(&d), frames);
+                let holds = cuts.iter().any(|&c| start < c && c < start + width);
+                let clb_frames = width * ColumnKind::Clb.frames();
+                assert_eq!(frames > clb_frames, holds, "{name} {start}+{width}");
+                if holds {
+                    holding += 1;
+                } else {
+                    clear += 1;
+                }
+
+                let bs = Bitstream::partial_for_region(&d, &region, u64::from(start));
+                let fars: Vec<FrameAddress> = bs
+                    .packets()
+                    .iter()
+                    .filter_map(|p| match p {
+                        Packet::Far(a) => Some(*a),
+                        _ => None,
+                    })
+                    .collect();
+                let far = FrameAddress::with_row(0, BlockType::Clb, start as u16, 0);
+                assert_eq!(fars, [far], "{name} {start}+{width}");
+                let fdri: Vec<usize> = bs
+                    .packets()
+                    .iter()
+                    .filter_map(|p| match p {
+                        Packet::Fdri(data) => Some(data.len()),
+                        _ => None,
+                    })
+                    .collect();
+                let words = frames as usize * d.words_per_frame() as usize;
+                assert_eq!(fdri, [words], "{name} {start}+{width}");
+                assert_eq!(bs.frames(), frames);
+            }
+        }
+        assert!(holding > 0 && clear > 0, "{holding} holding, {clear} clear");
+    }
+
     #[test]
     fn full_stream_memo_shares_storage_and_stays_bounded() {
         // Small custom devices: each (rows, cols, fingerprint) is its own
@@ -893,9 +960,7 @@ mod tests {
                 (d, 1_000 + u64::from(i))
             })
             .collect();
-        let fresh = |d: &Device, fp: u64| {
-            Bitstream::packetize(d, BlockType::Clb, 0, d.total_frames(), fp, true)
-        };
+        let fresh = |d: &Device, fp: u64| Bitstream::packetize(d, d.total_frames(), fp);
 
         let (d, fp) = &geometries[0];
         let a = Bitstream::full_for_device(d, *fp);

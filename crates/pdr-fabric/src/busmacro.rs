@@ -14,10 +14,10 @@
 use crate::device::Device;
 use crate::error::FabricError;
 use crate::region::ReconfigRegion;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Direction of the fixed bridge, relative to the dynamic region it serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BusMacroDirection {
     /// Static part drives, dynamic module receives.
     IntoRegion,
@@ -26,7 +26,7 @@ pub enum BusMacroDirection {
 }
 
 /// A pre-routed eight-bit bridge straddling a static/dynamic boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct BusMacro {
     /// CLB row the macro occupies.
     pub clb_row: u32,

@@ -158,8 +158,16 @@ impl ConfigMemory {
                 .collect();
             (windows, nframes)
         } else {
-            let start = region.clb_col_start as usize * 22;
-            let nframes = region.clb_col_width as usize * 22;
+            // Not the one-row case of the branch above: this reads only
+            // the window's CLB frames, that one reads `window_frames`,
+            // embedded BRAM/GCLK columns included. The two differ on
+            // 13 185 of the 15 177 interior windows of the Virtex-II
+            // catalog, so merging them would change what `verify`
+            // compares; ROADMAP item 8 (frame-level stream checks) owns
+            // that change.
+            let clb_stride = caps.column_frames(ColumnKind::Clb) as usize;
+            let start = region.clb_col_start as usize * clb_stride;
+            let nframes = region.clb_col_width as usize * clb_stride;
             (vec![start], nframes)
         };
         if row_windows

@@ -15,7 +15,7 @@
 
 use crate::family::FabricCapabilities;
 use crate::frame::FrameCounts;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Slices per CLB in Virtex-II.
 pub const SLICES_PER_CLB: u32 = 4;
@@ -27,7 +27,7 @@ pub const FFS_PER_SLICE: u32 = 2;
 pub const CLB_ROWS_PER_BRAM: u32 = 4;
 
 /// The kind of a configuration column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ColumnKind {
     /// Global-clock spine column.
     Gclk,
@@ -66,7 +66,7 @@ impl ColumnKind {
 
 /// Device family marker. Geometry and DRC rules are dispatched through
 /// [`DeviceFamily::capabilities`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceFamily {
     /// Xilinx Virtex-II (XC2Vxxxx): full-height column regions.
     VirtexII,
@@ -76,7 +76,7 @@ pub enum DeviceFamily {
 }
 
 /// A concrete FPGA device: geometry plus derived configuration layout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Device {
     /// Part name, e.g. `"XC2V2000"`.
     pub name: String,

@@ -515,12 +515,9 @@ impl FabricCapabilities for Series7Fabric {
         device: &Device,
         region: &ReconfigRegion,
     ) -> Result<(), FabricError> {
-        let (start, count) = match &region.rows {
-            Some(span) => (span.clb_row_start, span.clb_row_count),
-            // A row-less region spans the full height, which is aligned by
-            // construction (device heights are whole clock regions).
-            None => (0, device.clb_rows),
-        };
+        // A row-less region spans the full height, which is aligned by
+        // construction (device heights are whole clock regions).
+        let (start, count) = region.rows_on(device);
         if !start.is_multiple_of(S7_CLOCK_REGION_ROWS)
             || !count.is_multiple_of(S7_CLOCK_REGION_ROWS)
             || count == 0

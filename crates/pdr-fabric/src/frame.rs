@@ -11,7 +11,7 @@
 //! module is deliberately exact about counting.
 
 use crate::device::ColumnKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -26,7 +26,7 @@ pub const fn frame_words(clb_rows: u32) -> u32 {
 }
 
 /// Configuration block types addressed by the FAR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum BlockType {
     /// CLB / IOB / interconnect configuration.
     Clb,
@@ -54,7 +54,7 @@ impl BlockType {
 /// always carry `row == 0` and pack exactly as before the series7-like
 /// family existed. On the 2D family the row selects the clock region whose
 /// frames the major/minor pair indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct FrameAddress {
     /// Clock-region row (always 0 on Virtex-II).
     pub row: u16,
@@ -132,7 +132,7 @@ impl fmt::Display for FrameAddress {
 }
 
 /// Per-column-kind frame tallies for a device or region.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct FrameCounts {
     counts: BTreeMap<String, u32>,
     total: u32,

@@ -17,10 +17,10 @@
 //! reproduction on the paper's number without touching the raw port spec.
 
 use crate::time::TimePs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which physical port a profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PortKind {
     /// Internal Configuration Access Port (driven from FPGA logic).
     Icap,
@@ -29,7 +29,7 @@ pub enum PortKind {
 }
 
 /// A configuration-port timing profile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct PortProfile {
     /// Physical port modeled.
     pub kind: PortKind,

@@ -6,22 +6,24 @@
 //! columns, since a CLB is two slices wide). Communication with the static
 //! part crosses the boundary exclusively through pre-routed bus macros.
 //!
-//! [`ReconfigRegion`] is such a full-height column window; [`Floorplan`]
-//! assembles non-overlapping regions plus their bus macros on a device and is
-//! what the `pdr-codegen` modular back-end produces.
+//! [`ReconfigRegion`] is a window of CLB columns as many configuration rows
+//! tall as it spans: on Virtex-II, whose one row is the whole device, that
+//! is such a full-height column window. [`Floorplan`] assembles
+//! non-overlapping regions plus their bus macros on a device and is what
+//! the `pdr-codegen` modular back-end produces.
 
 use crate::busmacro::BusMacro;
 use crate::device::Device;
 use crate::error::FabricError;
 use crate::resources::Resources;
-use serde::{json, Deserialize, Serialize};
+use serde::{json, Serialize};
 use std::collections::BTreeMap;
 
 /// Minimum region width in CLB columns (four slices).
 pub const MIN_REGION_CLB_COLS: u32 = 2;
 
 /// The row extent of a 2D reconfigurable region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RowSpan {
     /// First CLB row of the rectangle.
     pub clb_row_start: u32,
@@ -41,7 +43,7 @@ impl RowSpan {
 /// either the full device height (`rows == None`, the Virtex-II Modular
 /// Design shape) or an explicit [`RowSpan`] rectangle (series7-like 2D
 /// pblocks, aligned to clock-region rows).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ReconfigRegion {
     /// Region (dynamic operator) name, e.g. `"op_dyn"`.
     pub name: String,
@@ -213,16 +215,14 @@ impl ReconfigRegion {
     /// Configuration frames covered by the region, including embedded BRAM /
     /// DSP / GCLK columns falling inside the window.
     pub fn frames(&self, device: &Device) -> u32 {
-        match &self.rows {
-            None => device.frames_in_clb_window(self.clb_col_start, self.clb_col_width),
-            Some(span) => device.capabilities().window_frames(
-                device,
-                self.clb_col_start,
-                self.clb_col_width,
-                span.clb_row_start,
-                span.clb_row_count,
-            ),
-        }
+        let (row_start, row_count) = self.rows_on(device);
+        device.capabilities().window_frames(
+            device,
+            self.clb_col_start,
+            self.clb_col_width,
+            row_start,
+            row_count,
+        )
     }
 
     /// Frame-payload bits of a partial bitstream for this region.
@@ -393,8 +393,6 @@ impl Serialize for Floorplan {
         ])
     }
 }
-
-impl Deserialize for Floorplan {}
 
 #[cfg(test)]
 mod tests {

@@ -5,13 +5,13 @@
 //! checks against devices and regions, and percentage reporting — exactly
 //! what the `pdr-codegen` estimator produces and the Table 1 harness prints.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
 /// A resource-utilization vector (Virtex-II resource classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash, Serialize)]
 pub struct Resources {
     /// Occupied slices.
     pub slices: u32,

@@ -10,15 +10,13 @@
 //! for the clocks the paper uses: 50 MHz (20 000 ps), 33 MHz (30 303 ps),
 //! 100 MHz (10 000 ps).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in (or span of) simulated time, in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct TimePs(pub u64);
 
 impl TimePs {

@@ -15,12 +15,12 @@
 
 use crate::error::GraphError;
 use pdr_ir::SymbolTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// Index of an operation within its [`AlgorithmGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct OpId(pub usize);
 
 impl fmt::Display for OpId {
@@ -30,7 +30,7 @@ impl fmt::Display for OpId {
 }
 
 /// What an operation vertex is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum OpKind {
     /// External input of the iteration (sensor, host interface). Produces
     /// data, consumes none.
@@ -71,7 +71,7 @@ impl OpKind {
 }
 
 /// One vertex of the algorithm graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Operation {
     /// Unique name within the graph.
     pub name: String,
@@ -80,7 +80,7 @@ pub struct Operation {
 }
 
 /// A data dependency: `bits` flow from `from` to `to` each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DataEdge {
     /// Producer operation.
     pub from: OpId,
@@ -91,7 +91,7 @@ pub struct DataEdge {
 }
 
 /// A single-iteration data-flow graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AlgorithmGraph {
     /// Graph name (application name).
     pub name: String,

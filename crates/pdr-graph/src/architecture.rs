@@ -20,12 +20,12 @@
 use crate::error::GraphError;
 use pdr_fabric::TimePs;
 use pdr_ir::SymbolTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// Index of an operator vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct OperatorId(pub usize);
 
 impl fmt::Display for OperatorId {
@@ -35,7 +35,7 @@ impl fmt::Display for OperatorId {
 }
 
 /// Index of a medium vertex.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct MediumId(pub usize);
 
 impl fmt::Display for MediumId {
@@ -45,7 +45,7 @@ impl fmt::Display for MediumId {
 }
 
 /// What an operator vertex is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum OperatorKind {
     /// A sequential instruction-set processor (the paper's TI C6201 DSP).
     Processor,
@@ -67,7 +67,7 @@ impl OperatorKind {
 }
 
 /// An operator vertex.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Operator {
     /// Unique name, e.g. `"dsp"`, `"fpga_static"`, `"op_dyn"`.
     pub name: String,
@@ -76,7 +76,7 @@ pub struct Operator {
 }
 
 /// What a medium vertex is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MediumKind {
     /// A board-level bus (the paper's SHB bus between DSP and FPGA).
     Bus,
@@ -86,7 +86,7 @@ pub enum MediumKind {
 }
 
 /// A medium vertex with its transfer characteristics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Medium {
     /// Unique name.
     pub name: String,
@@ -117,7 +117,7 @@ impl Medium {
 }
 
 /// A route between two operators: the media crossed, in order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Route {
     /// Media along the path (empty when source == destination).
     pub media: Vec<MediumId>,
@@ -139,7 +139,7 @@ impl Route {
 }
 
 /// The bipartite operator/medium architecture graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ArchGraph {
     /// Architecture name.
     pub name: String,
@@ -163,7 +163,7 @@ pub struct ArchGraph {
 }
 
 /// The vertex an [`ArchGraph`] name denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 enum Vertex {
     Operator(OperatorId),
     Medium(MediumId),

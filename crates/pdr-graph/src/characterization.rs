@@ -18,7 +18,7 @@
 
 use crate::error::GraphError;
 use pdr_fabric::{Resources, TimePs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Characterization tables keyed by function symbol and operator name.
@@ -31,7 +31,7 @@ use std::collections::HashMap;
 /// [`Characterization::duration`] is probed once per (operation, operator,
 /// function) candidate inside the adequation inner loop — take borrowed
 /// `&str` keys and never allocate.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Characterization {
     durations: HashMap<String, HashMap<String, TimePs>>,
     resources: HashMap<String, Resources>,

@@ -21,12 +21,12 @@
 
 use crate::error::GraphError;
 use pdr_ir::SymbolTable;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// When a module's bitstream is loaded onto its region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum LoadPolicy {
     /// Loaded once during system start-up (before the first iteration).
     AtStart,
@@ -36,7 +36,7 @@ pub enum LoadPolicy {
 }
 
 /// When a module may be removed from its region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum UnloadPolicy {
     /// Only removed by an explicit application request.
     Explicit,
@@ -48,7 +48,7 @@ pub enum UnloadPolicy {
 
 /// Constraints attached to one dynamic module (one alternative function of
 /// a conditioned operation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ModuleConstraints {
     /// Function symbol of the module (e.g. `"mod_qpsk"`).
     pub module: String,
@@ -91,7 +91,7 @@ impl ModuleConstraints {
 }
 
 /// A parsed constraints file: an ordered set of module sections.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ConstraintsFile {
     modules: Vec<ModuleConstraints>,
     /// Every module name, interned in file order: a name's symbol is its

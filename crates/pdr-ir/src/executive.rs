@@ -21,7 +21,7 @@ use crate::ids::{MediumId, ModuleId, OpId, OperatorId};
 use crate::symbol::{Sym, SymbolTable};
 use pdr_fabric::TimePs;
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Dense index into an [`IrExecutive`]'s operator-name table.
@@ -38,18 +38,14 @@ impl Serialize for PeerRef {
     }
 }
 
-impl Deserialize for PeerRef {}
-
 impl Serialize for MediumRef {
     fn to_json(&self) -> Value {
         Value::UInt(u64::from(self.0))
     }
 }
 
-impl Deserialize for MediumRef {}
-
 /// One lowered macro-code instruction. `Copy`: 24 bytes, no heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum IrInstr {
     /// Execute `function` for `duration`.
     Compute {
@@ -99,7 +95,7 @@ impl IrInstr {
 }
 
 /// One operator's slice of the flat instruction array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IrStream {
     /// The owning operator (index into the executive's name table).
     pub name: PeerRef,
@@ -108,7 +104,7 @@ pub struct IrStream {
 }
 
 /// The lowered executive: all instruction streams in one flat array.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct IrExecutive {
     names: Vec<OperatorId>,
     media: Vec<MediumId>,

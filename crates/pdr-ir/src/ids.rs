@@ -7,7 +7,7 @@
 
 use crate::symbol::{Sym, SymbolTable};
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 macro_rules! typed_sym {
     ($(#[$doc:meta])* $name:ident) => {
@@ -42,8 +42,6 @@ macro_rules! typed_sym {
                 self.0.to_json()
             }
         }
-
-        impl Deserialize for $name {}
     };
 }
 

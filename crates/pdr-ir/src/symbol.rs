@@ -12,7 +12,7 @@
 //! twice returns the same handle.
 
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
 
@@ -44,8 +44,6 @@ impl Serialize for Sym {
         Value::UInt(u64::from(self.0))
     }
 }
-
-impl Deserialize for Sym {}
 
 /// An append-only string interner. Equality and serialization consider
 /// only the interned names (in interning order); the reverse index is
@@ -198,8 +196,6 @@ impl Serialize for SymbolTable {
         )
     }
 }
-
-impl Deserialize for SymbolTable {}
 
 #[cfg(test)]
 mod tests {

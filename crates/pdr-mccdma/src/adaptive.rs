@@ -9,10 +9,10 @@
 //! replay.
 
 use crate::modulation::Modulation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// SNR-threshold modulation selection with hysteresis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdaptivePolicy {
     /// Switch up to QAM-16 when the SNR exceeds this (dB).
     pub up_threshold_db: f64,

@@ -1,11 +1,11 @@
 //! Minimal complex arithmetic (all the baseband needs).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// A complex sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct Cplx {
     /// Real (in-phase) part.
     pub re: f64,

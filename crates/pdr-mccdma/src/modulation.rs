@@ -10,10 +10,10 @@
 //! adjacent symbols differ in one bit (the standard BER-optimal labeling).
 
 use crate::complex::Cplx;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The modulation alternatives of the conditioned `modulation` operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Modulation {
     /// 2 bits/symbol.
     Qpsk,

@@ -12,10 +12,10 @@ use crate::fec::{ConvEncoder, ViterbiDecoder, K};
 use crate::modulation::Modulation;
 use crate::ofdm::OfdmModem;
 use crate::spreading::WalshHadamard;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Transmitter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TxConfig {
     /// OFDM subcarriers (power of two).
     pub subcarriers: usize,

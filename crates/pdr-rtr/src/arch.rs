@@ -18,10 +18,10 @@
 //! sweeps all four.
 
 use pdr_fabric::{PortProfile, TimePs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Where a functionality (M or P) is implemented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Placement {
     /// In the FPGA's static logic.
     Fabric,
@@ -30,7 +30,7 @@ pub enum Placement {
 }
 
 /// One point of the Fig. 2 design space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReconfigArchitecture {
     /// Variant name, e.g. `"case-a self/ICAP"`.
     pub name: String,
@@ -55,7 +55,7 @@ pub struct ReconfigArchitecture {
 }
 
 /// Request→ready latency decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct LatencyBreakdown {
     /// Interrupt signaling (case b and hybrids with processor-side M).
     pub irq: TimePs,

@@ -14,10 +14,10 @@
 
 use crate::error::RtrError;
 use pdr_fabric::{Bitstream, BitstreamKind, Device, PortProfile, TimePs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A validated, timed plan to push one bitstream through a port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LoadPlan {
     /// Module being configured.
     pub module: String,

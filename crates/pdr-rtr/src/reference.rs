@@ -37,11 +37,11 @@ use crate::protocol::ProtocolBuilder;
 use crate::store::{BitstreamCache, BitstreamStore, MemoryModel};
 use parking_lot::Mutex;
 use pdr_fabric::TimePs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Cumulative manager statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ManagerStats {
     /// Requests served (including already-loaded no-ops).
     pub requests: u64,
@@ -64,7 +64,7 @@ pub struct ManagerStats {
 /// The timing decomposition of one configuration request — `Copy`, no
 /// owned strings, so the simulator's hot loop can call
 /// [`ConfigurationManager::request_at`] without allocating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RequestTiming {
     /// Simulated time at which the region holds the module.
     pub ready_at: TimePs,
@@ -81,7 +81,7 @@ pub struct RequestTiming {
 }
 
 /// The outcome of one configuration request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RequestOutcome {
     /// Module requested.
     pub module: String,

@@ -11,11 +11,11 @@
 
 use crate::error::RtrError;
 use pdr_fabric::{Bitstream, TimePs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Timing model of the external bitstream memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryModel {
     /// Sustained read bandwidth in bytes per second.
     pub bytes_per_sec: u64,
@@ -121,7 +121,7 @@ impl BitstreamStore {
 /// Returned by [`BitstreamCache::stats`] and by the per-region probes of
 /// the indexed [`crate::engine::RtrEngine`]; the named fields replace the
 /// old bare `(hits, misses, evictions)` tuple.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups that found the module resident.
     pub hits: u64,

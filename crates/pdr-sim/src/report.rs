@@ -2,11 +2,11 @@
 
 use pdr_fabric::TimePs;
 use pdr_rtr::ManagerStats;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// What a trace event records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum TraceKind {
     /// A computation ran on an operator.
     Compute {
@@ -36,7 +36,7 @@ pub enum TraceKind {
 }
 
 /// One timed trace event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceEvent {
     /// Operator (or medium host) the event belongs to.
     pub site: String,
@@ -51,7 +51,7 @@ pub struct TraceEvent {
 }
 
 /// One reconfiguration, with its latency decomposition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ReconfigEvent {
     /// Dynamic operator reconfigured.
     pub operator: String,
@@ -77,7 +77,7 @@ impl ReconfigEvent {
 }
 
 /// Aggregate simulation report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimReport {
     /// End of the last event.
     pub makespan: TimePs,

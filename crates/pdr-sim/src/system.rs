@@ -25,11 +25,11 @@ use pdr_adequation::{Executive, MacroInstr};
 use pdr_fabric::TimePs;
 use pdr_graph::{ArchGraph, MediumId};
 use pdr_rtr::ConfigurationManager;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 /// Simulation parameters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct SimConfig {
     /// Number of executive iterations to run.
     pub iterations: u32,

@@ -261,7 +261,25 @@ fn override_values_at_type_bounds_succeed_or_fail_typed() {
             for kind in KINDS {
                 let result = compute::execute(kind, &flow, flow_name, 8, &index);
                 match (pin, result) {
-                    (Some(_), Err(_)) => {}
+                    (Some((start, width)), Err(e)) => {
+                        // Widths under the two-column minimum are refused
+                        // before placement; every wider pin here leaves
+                        // the device's interior.
+                        let device = flow.device();
+                        let expected = if width < 2 {
+                            format!("pin width {width} < 2")
+                        } else {
+                            format!(
+                                "is pinned to {width} columns from column {start}, outside \
+                                 the interior of device `{}` ({} CLB columns)",
+                                device.name, device.clb_cols
+                            )
+                        };
+                        assert!(
+                            e.contains(&expected) && (width < 2 || e.contains("pin conflict")),
+                            "{case} {kind:?}: {e}"
+                        );
+                    }
                     (Some(_), Ok((_, payload))) => panic!(
                         "{case} {kind:?}: served {}",
                         serde::json::to_string(&payload)
