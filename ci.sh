@@ -15,6 +15,11 @@ if grep -E 'pdr-sweep|crossbeam' <<<"$tree"; then
     echo "pdr-core/pdr-server must not depend on pdr-sweep or crossbeam" >&2
     exit 1
 fi
+tree=$(cargo tree --offline -e normal -p pdr-core)
+if grep -E 'pdr-mccdma' <<<"$tree"; then
+    echo "pdr-core must not depend on pdr-mccdma" >&2
+    exit 1
+fi
 tree=$(cargo tree --offline -e normal -p pdr-lint)
 if grep -E 'pdr-sim' <<<"$tree"; then
     echo "pdr-lint must not depend on pdr-sim" >&2

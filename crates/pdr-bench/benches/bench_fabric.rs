@@ -1,5 +1,5 @@
-//! Fabric-generations bench behind the capabilities-trait tentpole:
-//! Virtex-II byte-parity plus series7-like 2D placement, end to end.
+//! Fabric-generations bench over the family tables: Virtex-II
+//! byte-parity plus series7-like 2D placement, end to end.
 //!
 //! Flags (after `--`):
 //!

@@ -108,9 +108,12 @@ pub fn run_sweep(
                         // pure logic window, avoiding embedded BRAM/GCLK
                         // columns), so the sweep isolates the width→latency
                         // relationship.
-                        let caps = device.capabilities();
                         let start = (1..device.clb_cols - w)
-                            .min_by_key(|&s| device.frames_in_clb_window(s, w))
+                            .min_by_key(|&s| {
+                                ReconfigRegion::new("sweep", s, w)
+                                    .expect("width >= 2")
+                                    .frames(device)
+                            })
                             .expect("device wide enough");
                         // One configuration row tall: the full height on
                         // Virtex-II, one clock region on a 2D family.
@@ -119,7 +122,7 @@ pub fn run_sweep(
                             start,
                             w,
                             0,
-                            caps.clock_region_rows(device),
+                            device.table().row_height(device),
                         )
                         .expect("legal rect");
                         region
@@ -128,7 +131,7 @@ pub fn run_sweep(
                         let bs = Bitstream::partial_for_region(device, &region, 0xA5);
                         Ok(AreaLatencyPoint {
                             device: device.name.clone(),
-                            family: caps.family_name().to_string(),
+                            family: device.table().name.to_string(),
                             width_cols: w,
                             area_fraction: region.area_fraction(device),
                             bitstream_bytes: bs.len_bytes(),

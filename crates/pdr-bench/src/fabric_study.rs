@@ -1,16 +1,16 @@
 //! Fabric generations study: Virtex-II byte-parity + series7-like 2D placement.
 //!
-//! The fabric-capabilities refactor keeps the whole Virtex-II Modular
-//! Design path byte-identical while opening a second device generation.
-//! This study is the witness on both sides:
+//! The fabric layer keeps the whole Virtex-II Modular Design path
+//! byte-identical while opening a second device generation, each a row of
+//! the family table. This study is the witness on both sides:
 //!
 //! * [`v2_flow_digest`] — one FNV-64 digest per Virtex-II gallery flow
 //!   over every fabric-facing artifact byte: the UCF text, every region's
 //!   geometry/frame/slice accounting, every bitstream's encoded image,
 //!   the PDR008–PDR011 floorplan lint output, and the deployed
 //!   `SimReport` of the switching workload. `benches/bench_fabric.rs`
-//!   pins the digests computed on the pre-refactor tree and asserts the
-//!   trait-based path still produces them.
+//!   pins the digests computed before the second generation existed and
+//!   asserts the table-driven path still produces them.
 //! * the generation sweep — frames / bitstream bytes / reconfiguration
 //!   latency per (family, device, region shape) point through the
 //!   pdr-sweep engine, the area↔latency line across both generations.
@@ -178,17 +178,17 @@ pub fn run_sweep(engine: &SweepEngine) -> SweepReport<GenerationPoint> {
             None => "full-height".to_string(),
             Some(n) => format!("rect×{n}"),
         };
-        let label = format!(
-            "gen/{}/{}/{shape}",
-            device.capabilities().family_name(),
-            device.name
-        );
+        let label = format!("gen/{}/{}/{shape}", device.table().name, device.name);
         let device_name = device.name.clone();
         scenarios.push(
             Scenario::new(label, u64::from(device.clb_rows), move || {
-                let caps = device.capabilities();
+                let table = device.table();
                 let start = (1..device.clb_cols - GEN_WIDTH)
-                    .min_by_key(|&s| device.frames_in_clb_window(s, GEN_WIDTH))
+                    .min_by_key(|&s| {
+                        ReconfigRegion::new("gen", s, GEN_WIDTH)
+                            .expect("width >= 2")
+                            .frames(&device)
+                    })
                     .expect("device wide enough");
                 let region = match cr_span {
                     None => ReconfigRegion::new("gen", start, GEN_WIDTH),
@@ -197,7 +197,7 @@ pub fn run_sweep(engine: &SweepEngine) -> SweepReport<GenerationPoint> {
                         start,
                         GEN_WIDTH,
                         0,
-                        n * caps.clock_region_rows(&device),
+                        n * table.row_height(&device),
                     ),
                 }
                 .map_err(pdr_sweep::SweepError::scenario)?;
@@ -207,7 +207,7 @@ pub fn run_sweep(engine: &SweepEngine) -> SweepReport<GenerationPoint> {
                 let bs = Bitstream::partial_for_region(&device, &region, 0xFAB);
                 let (_, region_rows) = region.rows_on(&device);
                 Ok(GenerationPoint {
-                    family: caps.family_name().to_string(),
+                    family: table.name.to_string(),
                     device: device.name.clone(),
                     shape: match cr_span {
                         None => "full-height".to_string(),

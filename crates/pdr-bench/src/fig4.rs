@@ -98,7 +98,7 @@ pub fn run_system(symbols: u32) -> Result<Fig4System, FlowError> {
     let study = PaperCaseStudy::build()?;
     let policy = AdaptivePolicy::paper_default();
     let snr = SnrTrace::sinusoidal(6.0, 20.0, (symbols / 6).max(4) as usize, symbols as usize);
-    let selections = PaperCaseStudy::selections_from_snr(&policy, &snr);
+    let selections = policy.module_selections(&snr);
     let loads = PaperCaseStudy::load_sequence(&selections);
 
     let mut runs = Vec::new();

@@ -129,7 +129,7 @@ impl Floorplanner {
                     )));
                 }
             }
-            let (region, band, bands) = if device.capabilities().supports_2d_regions() {
+            let (region, band, bands) = if device.table().regions_2d {
                 self.shelf_window(region_name, module, &envelope, pin, &shelf)?
             } else {
                 self.column_window(region_name, module, &envelope, pin, shelf[0])?
@@ -228,8 +228,8 @@ impl Floorplanner {
         pin: Option<(u32, u32)>,
         cursor: u32,
     ) -> Result<Window, CodegenError> {
-        // A full column holds rows × 4 slices.
-        let slices_per_col = self.device.clb_rows * pdr_fabric::device::SLICES_PER_CLB;
+        // A full column holds rows × slices-per-CLB slices.
+        let slices_per_col = self.device.clb_rows * self.device.table().slices_per_clb;
         let sized = envelope
             .slices
             .div_ceil(slices_per_col)
@@ -262,7 +262,7 @@ impl Floorplanner {
         pin: Option<(u32, u32)>,
         shelf: &[u32],
     ) -> Result<Window, CodegenError> {
-        let cr_rows = self.device.capabilities().clock_region_rows(&self.device);
+        let cr_rows = self.device.table().row_height(&self.device);
         let bands = shelf.len() as u32;
         for height in 1..=bands {
             for band in 0..=(bands - height) {

@@ -205,18 +205,13 @@ impl Bitstream {
     /// spans, a single sparse payload stream across the rows, one CRC over
     /// all frame data.
     fn packetize_rows(device: &Device, region: &ReconfigRegion, fingerprint: u64) -> Vec<Packet> {
-        let caps = device.capabilities();
-        let cr_rows = caps.clock_region_rows(device);
+        let table = device.table();
+        let cr_rows = table.row_height(device);
         let (row_start, row_count) = region.rows_on(device);
         let first_region_row = row_start / cr_rows;
         let region_rows = (row_count / cr_rows).max(1);
-        let frames_per_row = caps.window_frames(
-            device,
-            region.clb_col_start,
-            region.clb_col_width,
-            row_start,
-            cr_rows,
-        );
+        let frames_per_row =
+            table.window_frames(device, region.clb_col_start, region.clb_col_width, cr_rows);
         let wpf = device.words_per_frame() as usize;
         let mut rng = SplitMix64::new(fingerprint);
         let mut crc = Crc32::new();
@@ -910,12 +905,10 @@ mod tests {
                 let region = ReconfigRegion::new("r", start, width).unwrap();
                 let (row_start, row_count) = region.rows_on(&d);
                 assert_eq!((row_start, row_count), (0, d.clb_rows), "{name}");
-                let frames = d
-                    .capabilities()
-                    .window_frames(&d, start, width, row_start, row_count);
+                let frames = d.table().window_frames(&d, start, width, row_count);
                 assert_eq!(region.frames(&d), frames);
                 let holds = cuts.iter().any(|&c| start < c && c < start + width);
-                let clb_frames = width * ColumnKind::Clb.frames();
+                let clb_frames = width * d.table().column_frames(ColumnKind::Clb);
                 assert_eq!(frames > clb_frames, holds, "{name} {start}+{width}");
                 if holds {
                     holding += 1;
@@ -956,7 +949,14 @@ mod tests {
         // geometry, twice as many as the memo keeps.
         let geometries: Vec<(Device, u64)> = (0..2 * FULL_MEMO_GEOMETRIES as u32)
             .map(|i| {
-                let d = Device::custom(format!("memo{i}"), 8 + 4 * (i % 3), 6 + i % 5, 1);
+                let d = Device::custom(
+                    format!("memo{i}"),
+                    DeviceFamily::VirtexII,
+                    8 + 4 * (i % 3),
+                    6 + i % 5,
+                    1,
+                    0,
+                );
                 (d, 1_000 + u64::from(i))
             })
             .collect();
@@ -1099,7 +1099,10 @@ mod tests {
         }
         assert_eq!(good.validate(&d), Ok(good.frames()));
         // A stream built for another geometry fails the frame multiple.
-        let other = Device::custom(d.name.clone(), d.clb_rows + 8, d.clb_cols, d.bram_cols);
+        let other = Device {
+            clb_rows: d.clb_rows + 8,
+            ..d.clone()
+        };
         let err = good.validate(&other).unwrap_err();
         assert_eq!(
             Err(err),

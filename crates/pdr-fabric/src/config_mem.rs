@@ -59,7 +59,7 @@ impl ConfigMemory {
     /// selects a row-sized segment. This matches how
     /// [`Bitstream::partial_for_region`] addresses regions.
     fn linear_frame(&self, addr: &FrameAddress) -> usize {
-        let clb_stride = self.device.capabilities().column_frames(ColumnKind::Clb) as usize;
+        let clb_stride = self.device.table().column_frames(ColumnKind::Clb) as usize;
         let per_row = self.frames.len() / self.device.clock_regions() as usize;
         addr.row as usize * per_row + addr.major as usize * clb_stride + addr.minor as usize
     }
@@ -140,19 +140,18 @@ impl ConfigMemory {
     /// embedded columns) that [`ConfigMemory::apply`] wrote.
     pub fn readback(&self, region: &ReconfigRegion) -> Result<Vec<u32>, FabricError> {
         region.validate_on(&self.device)?;
-        let caps = self.device.capabilities();
-        let (row_windows, nframes) = if caps.supports_2d_regions() {
-            let cr_rows = caps.clock_region_rows(&self.device);
+        let table = self.device.table();
+        let clb_stride = table.column_frames(ColumnKind::Clb) as usize;
+        let (row_windows, nframes) = if table.regions_2d {
+            let cr_rows = table.row_height(&self.device);
             let per_row = self.frames.len() / self.device.clock_regions() as usize;
             let (row_start, row_count) = region.rows_on(&self.device);
-            let nframes = caps.window_frames(
+            let nframes = table.window_frames(
                 &self.device,
                 region.clb_col_start,
                 region.clb_col_width,
-                row_start,
                 cr_rows,
             ) as usize;
-            let clb_stride = caps.column_frames(ColumnKind::Clb) as usize;
             let windows: Vec<usize> = (row_start / cr_rows..(row_start + row_count) / cr_rows)
                 .map(|r| r as usize * per_row + region.clb_col_start as usize * clb_stride)
                 .collect();
@@ -165,7 +164,6 @@ impl ConfigMemory {
             // catalog, so merging them would change what `verify`
             // compares; ROADMAP item 8 (frame-level stream checks) owns
             // that change.
-            let clb_stride = caps.column_frames(ColumnKind::Clb) as usize;
             let start = region.clb_col_start as usize * clb_stride;
             let nframes = region.clb_col_width as usize * clb_stride;
             (vec![start], nframes)

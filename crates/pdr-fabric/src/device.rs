@@ -1,30 +1,22 @@
-//! Virtex-II-class device geometry.
+//! Device geometry: the catalog of both families and what a device's
+//! family table makes of its dimensions.
 //!
-//! The model follows the column-oriented organization of Xilinx Virtex-II
-//! (UG002): the device is an array of `clb_rows × clb_cols` CLBs, each CLB
-//! containing four slices (2 × 2), each slice two 4-input LUTs and two
-//! flip-flops. Block RAM and 18×18 multipliers live in dedicated columns.
-//! Configuration memory is organized in vertical *frames* spanning the full
-//! device height; the per-column frame counts below are the documented
-//! Virtex-II values (CLB column: 22 frames, BRAM content: 64, BRAM
-//! interconnect: 22, IOB: 4, IOI: 22, global clock: 4).
+//! A device is an array of `clb_rows × clb_cols` CLBs with embedded
+//! block-RAM (and, on the series7-like family, DSP) columns. Everything
+//! that differs between families — slices per CLB, frames per column,
+//! frame length, configuration-row height, block densities — is a field
+//! of the family's [`FamilyTable`]. The Virtex-II row follows UG002: four
+//! slices (2 × 2) per CLB, each with two 4-input LUTs and two flip-flops,
+//! frames spanning the full device height (CLB column: 22 frames, BRAM
+//! content: 64, BRAM interconnect: 22, IOB: 4, IOI: 22, global clock: 4).
 //!
 //! Absolute bitstream sizes produced by this model are within ~25 % of the
 //! vendor numbers — close enough that every latency/area *ratio* the paper
 //! reports is preserved (see `EXPERIMENTS.md` for the calibration note).
 
-use crate::family::FabricCapabilities;
-use crate::frame::FrameCounts;
+use crate::family::{Density, FamilyTable};
+use crate::frame::frame_words;
 use serde::Serialize;
-
-/// Slices per CLB in Virtex-II.
-pub const SLICES_PER_CLB: u32 = 4;
-/// 4-input LUTs per slice.
-pub const LUTS_PER_SLICE: u32 = 2;
-/// Flip-flops per slice.
-pub const FFS_PER_SLICE: u32 = 2;
-/// BRAM blocks per BRAM column is `clb_rows / 4` in Virtex-II.
-pub const CLB_ROWS_PER_BRAM: u32 = 4;
 
 /// The kind of a configuration column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -46,26 +38,7 @@ pub enum ColumnKind {
     Dsp,
 }
 
-impl ColumnKind {
-    /// Configuration frames occupied by one column of this kind
-    /// (Virtex-II documented values; the series7-like counts live in
-    /// [`crate::family::Series7Fabric`]).
-    pub const fn frames(self) -> u32 {
-        match self {
-            ColumnKind::Gclk => 4,
-            ColumnKind::Iob => 4,
-            ColumnKind::Ioi => 22,
-            ColumnKind::Clb => 22,
-            ColumnKind::BramInterconnect => 22,
-            ColumnKind::Bram => 64,
-            // Virtex-II has no standalone DSP columns.
-            ColumnKind::Dsp => 0,
-        }
-    }
-}
-
-/// Device family marker. Geometry and DRC rules are dispatched through
-/// [`DeviceFamily::capabilities`].
+/// Device family marker; [`DeviceFamily::table`] holds its facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceFamily {
     /// Xilinx Virtex-II (XC2Vxxxx): full-height column regions.
@@ -94,43 +67,37 @@ pub struct Device {
 }
 
 impl Device {
-    /// Construct a custom Virtex-II-class device.
+    /// Construct a custom device of `family`.
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
-    pub fn custom(name: impl Into<String>, clb_rows: u32, clb_cols: u32, bram_cols: u32) -> Self {
-        assert!(clb_rows > 0 && clb_cols > 0, "device must be non-empty");
-        Device {
-            name: name.into(),
-            family: DeviceFamily::VirtexII,
-            clb_rows,
-            clb_cols,
-            bram_cols,
-            dsp_cols: 0,
-        }
-    }
-
-    /// Construct a custom series7-like device.
-    ///
-    /// # Panics
-    /// Panics if any dimension is zero or the height is not a whole number
-    /// of clock regions.
-    pub fn custom_s7(
+    /// Panics if a CLB dimension is zero, the height is not a whole number
+    /// of the family's configuration rows, or the family has no DSP
+    /// columns and `dsp_cols` is not zero.
+    pub fn custom(
         name: impl Into<String>,
+        family: DeviceFamily,
         clb_rows: u32,
         clb_cols: u32,
         bram_cols: u32,
         dsp_cols: u32,
     ) -> Self {
         assert!(clb_rows > 0 && clb_cols > 0, "device must be non-empty");
+        let table = family.table();
+        if let Some(height) = table.config_row_rows {
+            assert!(
+                clb_rows.is_multiple_of(height),
+                "{} device height must be a whole number of {height}-row clock regions",
+                table.name
+            );
+        }
         assert!(
-            clb_rows.is_multiple_of(crate::family::S7_CLOCK_REGION_ROWS),
-            "series7-like device height must be a whole number of {}-row clock regions",
-            crate::family::S7_CLOCK_REGION_ROWS
+            dsp_cols == 0 || table.column_frames(ColumnKind::Dsp) > 0,
+            "family `{}` has no DSP columns",
+            table.name
         );
         Device {
             name: name.into(),
-            family: DeviceFamily::Series7,
+            family,
             clb_rows,
             clb_cols,
             bram_cols,
@@ -138,36 +105,28 @@ impl Device {
         }
     }
 
-    /// The capability set of this device's family.
-    pub fn capabilities(&self) -> &'static dyn FabricCapabilities {
-        self.family.capabilities()
+    /// The facts of this device's family.
+    pub fn table(&self) -> &'static FamilyTable {
+        self.family.table()
     }
 
-    /// Look up a catalog device by (case-insensitive) part name, across
-    /// both family catalogs.
+    /// Look up a catalog device by (case-insensitive) part name.
     pub fn by_name(name: &str) -> Result<Device, crate::FabricError> {
         let upper = name.to_ascii_uppercase();
-        if let Some(&(n, r, c, b)) = CATALOG.iter().find(|(n, ..)| *n == upper) {
-            return Ok(Device::custom(n, r, c, b));
-        }
-        S7_CATALOG
+        CATALOG
             .iter()
             .find(|(n, ..)| *n == upper)
-            .map(|&(n, r, c, b, d)| Device::custom_s7(n, r, c, b, d))
+            .map(|&(n, family, r, c, b, d)| Device::custom(n, family, r, c, b, d))
             .ok_or_else(|| crate::FabricError::UnknownDevice(name.to_string()))
-    }
-
-    /// All Virtex-II catalog part names, smallest to largest.
-    pub fn catalog_names() -> Vec<&'static str> {
-        CATALOG.iter().map(|(n, ..)| *n).collect()
     }
 
     /// Catalog part names of one family, smallest to largest.
     pub fn catalog_names_in(family: DeviceFamily) -> Vec<&'static str> {
-        match family {
-            DeviceFamily::VirtexII => CATALOG.iter().map(|(n, ..)| *n).collect(),
-            DeviceFamily::Series7 => S7_CATALOG.iter().map(|(n, ..)| *n).collect(),
-        }
+        CATALOG
+            .iter()
+            .filter(|(_, f, ..)| *f == family)
+            .map(|(n, ..)| *n)
+            .collect()
     }
 
     /// The device of the paper's Sundance prototyping board.
@@ -182,57 +141,71 @@ impl Device {
 
     /// Total slices (4 per CLB on Virtex-II, 2 on series7-like).
     pub fn slices(&self) -> u32 {
-        self.clbs() * self.capabilities().slices_per_clb()
+        self.clbs() * self.table().slices_per_clb
     }
 
     /// Total LUTs.
     pub fn luts(&self) -> u32 {
-        self.slices() * self.capabilities().luts_per_slice()
+        self.slices() * self.table().luts_per_slice
     }
 
     /// Total slice flip-flops.
     pub fn ffs(&self) -> u32 {
-        self.slices() * self.capabilities().ffs_per_slice()
+        self.slices() * self.table().ffs_per_slice
+    }
+
+    /// Blocks of one density over the whole device: every column of its
+    /// kind, all rows.
+    fn blocks(&self, density: Density) -> u32 {
+        let cols = self
+            .column_plan()
+            .iter()
+            .filter(|&&k| k == density.kind)
+            .count() as u32;
+        cols * (self.clb_rows / density.rows) * density.count
     }
 
     /// Total block RAMs.
     pub fn brams(&self) -> u32 {
-        self.capabilities().device_brams(self)
+        self.blocks(self.table().brams)
     }
 
     /// Total multipliers (Virtex-II MULT18×18) / DSP slices (series7-like).
     pub fn multipliers(&self) -> u32 {
-        self.capabilities().device_mults(self)
+        self.blocks(self.table().mults)
     }
 
-    /// Clock-region rows of the device: 1 on Virtex-II (a single
-    /// full-height configuration row), `clb_rows / 50` on series7-like.
+    /// Configuration rows of the device: 1 on Virtex-II (a single
+    /// full-height row), `clb_rows / 50` clock regions on series7-like.
     pub fn clock_regions(&self) -> u32 {
-        self.clb_rows / self.capabilities().clock_region_rows(self)
+        self.clb_rows / self.table().row_height(self)
     }
 
-    /// The ordered column plan of the device, left to right: IOB, IOI,
-    /// then CLB columns with the family's embedded BRAM (and, on
-    /// series7-like, DSP) columns distributed evenly and a GCLK spine in
-    /// the middle, IOI, IOB.
+    /// The ordered column plan of the device, left to right: IOB, IOI, the
+    /// CLB columns with the family's BRAM groups and DSP columns spread
+    /// evenly between them and a GCLK spine in the middle, then IOI, IOB.
     pub fn column_plan(&self) -> Vec<ColumnKind> {
-        self.capabilities().column_plan(self)
+        self.table().column_plan(self)
     }
 
-    /// Frame counts per column kind for the whole device.
-    pub fn frame_counts(&self) -> FrameCounts {
-        self.capabilities().device_frame_counts(self)
-    }
-
-    /// Total configuration frames in the device.
+    /// Total configuration frames in the device: one row's column frames
+    /// times its configuration rows.
     pub fn total_frames(&self) -> u32 {
-        self.frame_counts().total()
+        let table = self.table();
+        let per_row: u32 = self
+            .column_plan()
+            .into_iter()
+            .map(|kind| table.column_frames(kind))
+            .sum();
+        per_row * self.clock_regions()
     }
 
     /// Words (32-bit) per configuration frame: height-scaled on Virtex-II,
     /// fixed (101) on series7-like.
     pub fn words_per_frame(&self) -> u32 {
-        self.capabilities().words_per_frame(self)
+        self.table()
+            .words_per_frame
+            .unwrap_or_else(|| frame_words(self.clb_rows))
     }
 
     /// Bits per configuration frame.
@@ -245,54 +218,36 @@ impl Device {
     pub fn config_bits(&self) -> u64 {
         self.total_frames() as u64 * self.bits_per_frame()
     }
-
-    /// Frames occupied by a full-height window of `width` CLB columns
-    /// starting at CLB column `start` — the frame cost of a reconfigurable
-    /// region. Includes any BRAM (and series7-like DSP) columns falling
-    /// inside the window.
-    pub fn frames_in_clb_window(&self, start: u32, width: u32) -> u32 {
-        assert!(
-            start
-                .checked_add(width)
-                .is_some_and(|end| end <= self.clb_cols),
-            "window {start} + {width} exceeds {} CLB columns",
-            self.clb_cols
-        );
-        self.capabilities()
-            .window_frames(self, start, width, 0, self.clb_rows)
-    }
 }
 
-/// Virtex-II catalog: (name, clb_rows, clb_cols, bram_cols).
-/// Geometry per the Virtex-II data sheet (DS031).
-const CATALOG: &[(&str, u32, u32, u32)] = &[
-    ("XC2V40", 8, 8, 2),
-    ("XC2V80", 16, 8, 2),
-    ("XC2V250", 24, 16, 4),
-    ("XC2V500", 32, 24, 4),
-    ("XC2V1000", 40, 32, 4),
-    ("XC2V1500", 48, 40, 4),
-    ("XC2V2000", 56, 48, 4),
-    ("XC2V3000", 64, 56, 6),
-    ("XC2V4000", 80, 72, 6),
-    ("XC2V6000", 96, 88, 6),
-    ("XC2V8000", 112, 104, 6),
-];
-
-/// Series7-like catalog: (name, clb_rows, clb_cols, bram_cols, dsp_cols).
-/// Heights are whole 50-row clock regions; the parts roughly track the
-/// Artix/Kintex/Virtex-7 progression in logic and hard-block capacity.
-const S7_CATALOG: &[(&str, u32, u32, u32, u32)] = &[
-    ("XC7A15T", 50, 20, 2, 1),
-    ("XC7A50T", 100, 30, 3, 2),
-    ("XC7A100T", 150, 40, 4, 3),
-    ("XC7K160T", 200, 50, 6, 5),
-    ("XC7V585T", 250, 80, 10, 8),
+/// Device catalog: (name, family, clb_rows, clb_cols, bram_cols,
+/// dsp_cols), each family smallest to largest. Virtex-II geometry per the
+/// data sheet (DS031); the series7-like parts are whole 50-row clock
+/// regions tall and roughly track the Artix/Kintex/Virtex-7 progression in
+/// logic and hard-block capacity.
+const CATALOG: &[(&str, DeviceFamily, u32, u32, u32, u32)] = &[
+    ("XC2V40", DeviceFamily::VirtexII, 8, 8, 2, 0),
+    ("XC2V80", DeviceFamily::VirtexII, 16, 8, 2, 0),
+    ("XC2V250", DeviceFamily::VirtexII, 24, 16, 4, 0),
+    ("XC2V500", DeviceFamily::VirtexII, 32, 24, 4, 0),
+    ("XC2V1000", DeviceFamily::VirtexII, 40, 32, 4, 0),
+    ("XC2V1500", DeviceFamily::VirtexII, 48, 40, 4, 0),
+    ("XC2V2000", DeviceFamily::VirtexII, 56, 48, 4, 0),
+    ("XC2V3000", DeviceFamily::VirtexII, 64, 56, 6, 0),
+    ("XC2V4000", DeviceFamily::VirtexII, 80, 72, 6, 0),
+    ("XC2V6000", DeviceFamily::VirtexII, 96, 88, 6, 0),
+    ("XC2V8000", DeviceFamily::VirtexII, 112, 104, 6, 0),
+    ("XC7A15T", DeviceFamily::Series7, 50, 20, 2, 1),
+    ("XC7A50T", DeviceFamily::Series7, 100, 30, 3, 2),
+    ("XC7A100T", DeviceFamily::Series7, 150, 40, 4, 3),
+    ("XC7K160T", DeviceFamily::Series7, 200, 50, 6, 5),
+    ("XC7V585T", DeviceFamily::Series7, 250, 80, 10, 8),
 ];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReconfigRegion;
 
     #[test]
     fn xc2v2000_geometry_matches_datasheet() {
@@ -308,7 +263,7 @@ mod tests {
 
     #[test]
     fn catalog_is_ordered_and_resolvable() {
-        let names = Device::catalog_names();
+        let names = Device::catalog_names_in(DeviceFamily::VirtexII);
         assert_eq!(names.first(), Some(&"XC2V40"));
         assert_eq!(names.last(), Some(&"XC2V8000"));
         let mut prev_slices = 0;
@@ -362,13 +317,12 @@ mod tests {
     #[test]
     fn clb_window_frames_scale_with_width() {
         let d = Device::xc2v2000();
-        let w2 = d.frames_in_clb_window(0, 2);
-        let w4 = d.frames_in_clb_window(0, 4);
+        let frames = |width| ReconfigRegion::new("w", 0, width).unwrap().frames(&d);
+        let (w2, w4) = (frames(2), frames(4));
         assert!(w4 >= 2 * w2 - 64); // may differ by embedded BRAM columns
         assert!(w4 > w2);
         // Full width covers at least all CLB frames.
-        let all = d.frames_in_clb_window(0, d.clb_cols);
-        assert!(all >= d.clb_cols * 22);
+        assert!(frames(d.clb_cols) >= d.clb_cols * 22);
     }
 
     #[test]
@@ -404,7 +358,7 @@ mod tests {
         let per_region: u32 = d
             .column_plan()
             .iter()
-            .map(|k| d.capabilities().column_frames(*k))
+            .map(|k| d.table().column_frames(*k))
             .sum();
         assert_eq!(d.total_frames(), 3 * per_region);
     }
@@ -412,19 +366,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "clock regions")]
     fn s7_unaligned_height_rejected() {
-        let _ = Device::custom_s7("BAD7", 75, 20, 2, 1);
+        let _ = Device::custom("BAD7", DeviceFamily::Series7, 75, 20, 2, 1);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn clb_window_out_of_bounds_panics() {
-        let d = Device::xc2v2000();
-        let _ = d.frames_in_clb_window(47, 2);
+    #[should_panic(expected = "no DSP columns")]
+    fn v2_dsp_columns_rejected() {
+        let _ = Device::custom("BAD", DeviceFamily::VirtexII, 8, 8, 2, 1);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn zero_size_device_rejected() {
-        let _ = Device::custom("BAD", 0, 4, 0);
+        let _ = Device::custom("BAD", DeviceFamily::VirtexII, 0, 4, 0, 0);
     }
 }

@@ -10,9 +10,7 @@
 //! dynamic module occupies and *how fast* they move through the port, so this
 //! module is deliberately exact about counting.
 
-use crate::device::ColumnKind;
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Words (32-bit) per configuration frame for a device of the given CLB-row
@@ -131,36 +129,6 @@ impl fmt::Display for FrameAddress {
     }
 }
 
-/// Per-column-kind frame tallies for a device or region.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct FrameCounts {
-    counts: BTreeMap<String, u32>,
-    total: u32,
-}
-
-impl FrameCounts {
-    /// Add `frames` frames of the given column kind.
-    pub fn add(&mut self, kind: ColumnKind, frames: u32) {
-        *self.counts.entry(format!("{kind:?}")).or_insert(0) += frames;
-        self.total += frames;
-    }
-
-    /// Total frames across all column kinds.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Frames attributed to the given column kind.
-    pub fn of(&self, kind: ColumnKind) -> u32 {
-        self.counts.get(&format!("{kind:?}")).copied().unwrap_or(0)
-    }
-
-    /// Iterate (kind name, frames) pairs in stable order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,19 +187,6 @@ mod tests {
             FrameAddress::with_row(2, BlockType::Clb, 12, 30).to_string(),
             "row2/Clb/maj12/min30"
         );
-    }
-
-    #[test]
-    fn frame_counts_accumulate() {
-        let mut c = FrameCounts::default();
-        c.add(ColumnKind::Clb, 22);
-        c.add(ColumnKind::Clb, 22);
-        c.add(ColumnKind::Bram, 64);
-        assert_eq!(c.total(), 108);
-        assert_eq!(c.of(ColumnKind::Clb), 44);
-        assert_eq!(c.of(ColumnKind::Bram), 64);
-        assert_eq!(c.of(ColumnKind::Gclk), 0);
-        assert_eq!(c.iter().count(), 2);
     }
 
     #[test]

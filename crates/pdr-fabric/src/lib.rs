@@ -66,8 +66,8 @@ pub use busmacro::{BusMacro, BusMacroDirection};
 pub use config_mem::ConfigMemory;
 pub use device::{ColumnKind, Device, DeviceFamily};
 pub use error::FabricError;
-pub use family::{FabricCapabilities, Series7Fabric, VirtexIiFabric, S7_CLOCK_REGION_ROWS};
-pub use frame::{BlockType, FrameAddress, FrameCounts};
+pub use family::{FamilyTable, S7_CLOCK_REGION_ROWS};
+pub use frame::{BlockType, FrameAddress};
 pub use port::{PortKind, PortProfile};
 pub use region::{Floorplan, ReconfigRegion, RowSpan, MIN_REGION_CLB_COLS};
 pub use resources::Resources;

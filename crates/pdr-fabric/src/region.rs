@@ -182,27 +182,23 @@ impl ReconfigRegion {
                 });
             }
         }
-        device.capabilities().validate_region_shape(device, self)
+        device.table().check_region_shape(device, self)
     }
 
     /// Slices contained in the region.
     pub fn slices(&self, device: &Device) -> u32 {
         let (_, row_count) = self.rows_on(device);
-        row_count * self.clb_col_width * device.capabilities().slices_per_clb()
+        row_count * self.clb_col_width * device.table().slices_per_clb
     }
 
     /// The full resource capacity of the region window — slices/LUTs/FFs
     /// plus the BRAMs and multipliers/DSPs of embedded columns inside it.
     /// This is the feasibility vector 2D placement packs against.
     pub fn resources(&self, device: &Device) -> Resources {
-        let (row_start, row_count) = self.rows_on(device);
-        device.capabilities().window_resources(
-            device,
-            self.clb_col_start,
-            self.clb_col_width,
-            row_start,
-            row_count,
-        )
+        let (_, row_count) = self.rows_on(device);
+        device
+            .table()
+            .window_resources(device, self.clb_col_start, self.clb_col_width, row_count)
     }
 
     /// Fraction of the device's slices covered by the region. The paper's
@@ -215,14 +211,10 @@ impl ReconfigRegion {
     /// Configuration frames covered by the region, including embedded BRAM /
     /// DSP / GCLK columns falling inside the window.
     pub fn frames(&self, device: &Device) -> u32 {
-        let (row_start, row_count) = self.rows_on(device);
-        device.capabilities().window_frames(
-            device,
-            self.clb_col_start,
-            self.clb_col_width,
-            row_start,
-            row_count,
-        )
+        let (_, row_count) = self.rows_on(device);
+        device
+            .table()
+            .window_frames(device, self.clb_col_start, self.clb_col_width, row_count)
     }
 
     /// Frame-payload bits of a partial bitstream for this region.

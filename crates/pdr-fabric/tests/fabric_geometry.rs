@@ -1,18 +1,82 @@
-//! Property tests for region geometry across both fabric generations.
+//! Region geometry across both fabric generations, where each family is
+//! one `FamilyTable` row and a `ReconfigRegion` carries an optional row
+//! span.
 //!
-//! The capabilities refactor made `ReconfigRegion` carry an optional row
-//! span and pushed frame counting behind `FabricCapabilities`; these
-//! properties pin the invariants the stack above relies on, on catalog
-//! devices of *both* families:
-//!
+//! * `catalog_geometry_is_pinned` digests everything the table produces
+//!   on every catalog device: column plans, frame and block totals, and
+//!   the frames, resources and shape verdict of every column window, full
+//!   height and over a fixed set of row spans.
 //! * `overlaps` is symmetric, reflexive, and agrees with plain interval
 //!   arithmetic on the resolved column × row windows;
 //! * `frames` is monotone under window containment (a region nested in
 //!   another never needs more configuration frames), and on the
 //!   series7-like family it is linear in the number of clock-region rows.
 
-use pdr_fabric::{Device, ReconfigRegion, S7_CLOCK_REGION_ROWS};
+use pdr_fabric::digest::{to_hex, Fnv64};
+use pdr_fabric::{Device, DeviceFamily, ReconfigRegion, S7_CLOCK_REGION_ROWS};
 use proptest::prelude::*;
+
+/// Feed one region's frames, resources and `validate_on` verdict (error
+/// text included) into `h`.
+fn eat_region(h: &mut Fnv64, device: &Device, region: &ReconfigRegion) {
+    let r = region.resources(device);
+    h.eat_u64(u64::from(region.frames(device)));
+    for v in [r.slices, r.luts, r.ffs, r.brams, r.mults, r.tbufs] {
+        h.eat_u64(u64::from(v));
+    }
+    match region.validate_on(device) {
+        Ok(()) => h.eat_str("ok"),
+        Err(e) => h.eat_str(&e.to_string()),
+    };
+}
+
+/// Every catalog device of both families: its column plan, frame and
+/// block totals, and the frames, resources and verdict of every in-bounds
+/// column window, full height and over a fixed set of row spans (aligned,
+/// unaligned and single-row). The digest was taken before the family
+/// geometry became one table, and pins every figure the table produces.
+#[test]
+fn catalog_geometry_is_pinned() {
+    let mut h = Fnv64::new();
+    for family in [DeviceFamily::VirtexII, DeviceFamily::Series7] {
+        for name in Device::catalog_names_in(family) {
+            let d = Device::by_name(name).expect("catalog device");
+            h.eat_str(name);
+            for kind in d.column_plan() {
+                h.eat_str(&format!("{kind:?}"));
+            }
+            for v in [
+                d.total_frames(),
+                d.words_per_frame(),
+                d.brams(),
+                d.multipliers(),
+            ] {
+                h.eat_u64(u64::from(v));
+            }
+            let rows = d.clb_rows;
+            let spans = [
+                (0, S7_CLOCK_REGION_ROWS.min(rows)),
+                (
+                    rows - S7_CLOCK_REGION_ROWS.min(rows),
+                    S7_CLOCK_REGION_ROWS.min(rows),
+                ),
+                (rows / 2, rows - rows / 2),
+                (1, rows - 1),
+                (0, 1),
+            ];
+            for start in 0..d.clb_cols {
+                for width in 2..=d.clb_cols - start {
+                    eat_region(&mut h, &d, &ReconfigRegion::new("w", start, width).unwrap());
+                    for (row_start, row_count) in spans {
+                        let rect = ReconfigRegion::rect("w", start, width, row_start, row_count);
+                        eat_region(&mut h, &d, &rect.unwrap());
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(to_hex(h.finish()), "f16f0802de9bae40");
+}
 
 const V2_DEVICES: [&str; 3] = ["XC2V1000", "XC2V2000", "XC2V6000"];
 const S7_DEVICES: [&str; 4] = ["XC7A15T", "XC7A50T", "XC7A100T", "XC7K160T"];

@@ -2,8 +2,8 @@
 //!
 //! The back-end rules the paper's §5 flow relies on are re-checked here
 //! on the *artifact* rather than trusted from the constructors, and they
-//! are family-parameterized through
-//! [`FabricCapabilities`](pdr_fabric::FabricCapabilities): on Virtex-II
+//! are family-parameterized through the device's
+//! [`FamilyTable`](pdr_fabric::FamilyTable): on Virtex-II
 //! regions are full-height column windows at least two CLB columns (four
 //! slices) wide; on 2D families they are clock-region-aligned rectangles.
 //! In both generations regions sit inside the device and pairwise
@@ -17,27 +17,27 @@
 
 use crate::diag::{Code, Diagnostic, Location, Severity};
 use pdr_codegen::floorplan::FloorplanResult;
-use pdr_fabric::BitstreamKind;
+use pdr_fabric::{BitstreamKind, MIN_REGION_CLB_COLS};
 
 /// Lint a placed design: floorplan geometry, bus macros, bitstreams.
 pub fn check(result: &FloorplanResult) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let fp = &result.floorplan;
     let device = &fp.device;
-    let caps = device.capabilities();
+    let table = device.table();
 
     // PDR008: per-region geometry.
     for r in fp.regions() {
-        let min_cols = caps.min_region_clb_cols();
+        let min_cols = MIN_REGION_CLB_COLS;
         if r.clb_col_width < min_cols {
-            let message = if caps.supports_2d_regions() {
+            let message = if table.regions_2d {
                 format!(
                     "region `{}` is {} CLB column{} wide; the {} \
                      partial-reconfiguration minimum is {min_cols}",
                     r.name,
                     r.clb_col_width,
                     if r.clb_col_width == 1 { "" } else { "s" },
-                    caps.family_name(),
+                    table.name,
                 )
             } else {
                 format!(
@@ -74,7 +74,7 @@ pub fn check(result: &FloorplanResult) -> Vec<Diagnostic> {
                 );
             }
         }
-        if let Err(e) = caps.validate_region_shape(device, r) {
+        if let Err(e) = table.check_region_shape(device, r) {
             diagnostics.push(
                 Diagnostic::new(Code::RegionGeometry, format!("region `{}`: {e}", r.name))
                     .at(Location::Region(r.name.clone())),

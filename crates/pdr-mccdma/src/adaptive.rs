@@ -63,6 +63,15 @@ impl AdaptivePolicy {
             .collect()
     }
 
+    /// Run the policy over an SNR trace from QPSK and return the
+    /// per-symbol module selections of the `op_dyn` region.
+    pub fn module_selections(&self, snr_db: &[f64]) -> Vec<String> {
+        self.run(Modulation::Qpsk, snr_db)
+            .into_iter()
+            .map(|m| m.module_name().to_string())
+            .collect()
+    }
+
     /// Count modulation switches in a sequence.
     pub fn switches(seq: &[Modulation]) -> usize {
         seq.windows(2).filter(|w| w[0] != w[1]).count()

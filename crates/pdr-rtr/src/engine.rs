@@ -985,7 +985,10 @@ mod tests {
         let r = ReconfigRegion::new("op_dyn", 20, 4).unwrap();
         let bs = Bitstream::partial_for_region(&d, &r, 1);
         let bytes = bs.len_bytes();
-        let taller = Device::custom(d.name.clone(), d.clb_rows + 8, d.clb_cols, d.bram_cols);
+        let taller = Device {
+            clb_rows: d.clb_rows + 8,
+            ..d.clone()
+        };
         let err = RtrEngineBuilder::new(
             taller,
             PortProfile::icap_virtex2(),

@@ -35,7 +35,7 @@ fn main() {
 
     // ---- system half ---------------------------------------------------
     let study = PaperCaseStudy::build().expect("flow runs");
-    let selections = PaperCaseStudy::selections_from_snr(&policy, &snr);
+    let selections = policy.module_selections(&snr);
     let loads = PaperCaseStudy::load_sequence(&selections);
     println!("\n== system half (simulated hardware) ==");
     for (label, options) in [

@@ -381,7 +381,7 @@ proptest! {
         width in 2u32..6,
         s7_rows in 1u32..3,
     ) {
-        let device = Device::custom("prop", clb_rows, clb_cols, 2);
+        let device = Device::custom("prop", DeviceFamily::VirtexII, clb_rows, clb_cols, 2, 0);
         let full = Bitstream::full_for_device(&device, fingerprint);
         prop_assert!(full.encode()[..] == oracle_image(&full_shape(&device), fingerprint)[..]);
 

@@ -7,6 +7,7 @@ use pdr_core::paper::PaperCaseStudy;
 use pdr_core::RuntimeOptions;
 use pdr_fabric::TimePs;
 use pdr_graph::paper as models;
+use pdr_mccdma::{AdaptivePolicy, SnrTrace};
 use pdr_rtr::PrefetchSpec;
 use pdr_sim::SimConfig;
 
@@ -43,6 +44,36 @@ fn paper_numbers_reproduce_end_to_end() {
     assert_eq!(report.reconfig_count(), 1);
     let ms = report.reconfigs[0].latency().as_millis_f64();
     assert!((3.5..4.6).contains(&ms), "reconfiguration {ms} ms");
+}
+
+#[test]
+fn snr_trace_to_selections_and_loads() {
+    let policy = AdaptivePolicy::paper_default();
+    let snr = SnrTrace::sinusoidal(6.0, 20.0, 20, 60);
+    let sel = policy.module_selections(&snr);
+    assert_eq!(sel.len(), 60);
+    assert!(sel.iter().any(|s| s == "mod_qam16"));
+    let loads = PaperCaseStudy::load_sequence(&sel);
+    assert!(!loads.is_empty());
+    // Loads alternate by construction.
+    for w in loads.windows(2) {
+        assert_ne!(w[0], w[1]);
+    }
+}
+
+#[test]
+fn end_to_end_adaptive_simulation() {
+    let s = PaperCaseStudy::build().unwrap();
+    let policy = AdaptivePolicy::paper_default();
+    let snr = SnrTrace::sinusoidal(6.0, 20.0, 16, 48);
+    let sel = policy.module_selections(&snr);
+    let loads = PaperCaseStudy::load_sequence(&sel);
+    let switches = loads.len();
+    let dep = s.deploy(RuntimeOptions::paper_prefetch(loads));
+    let cfg = SimConfig::iterations(48).with_selection("op_dyn", sel);
+    let report = dep.simulate(&cfg).unwrap();
+    assert_eq!(report.reconfig_count(), switches);
+    assert!(report.hidden_fetches() > 0);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pdr_adequation::{adequate, AdequationOptions};
-use pdr_fabric::{Bitstream, Device, PortProfile, ReconfigRegion, Resources, TimePs};
+use pdr_fabric::{Bitstream, Device, DeviceFamily, PortProfile, ReconfigRegion, Resources, TimePs};
 use pdr_graph::constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
 use pdr_graph::{AlgorithmGraph, Characterization, OpKind};
 use pdr_mccdma::fec::{ConvEncoder, ViterbiDecoder};
@@ -26,7 +26,7 @@ proptest! {
         width in 2u32..12,
         fingerprint in any::<u64>(),
     ) {
-        let name = Device::catalog_names()[dev_idx];
+        let name = Device::catalog_names_in(DeviceFamily::VirtexII)[dev_idx];
         let device = Device::by_name(name).unwrap();
         prop_assume!(start + width <= device.clb_cols);
         let region = ReconfigRegion::new("r", start, width).unwrap();
